@@ -238,7 +238,7 @@ def default_registry() -> MessageRegistry:
     from ..protocols import twostep as _twostep  # noqa: F401
     from ..protocols.epaxos import messages as _epaxos_messages
     from ..smr import log as _smr_log  # noqa: F401
-    from ..smr.kvstore import CommandBatch, KVCommand
+    from ..smr.kvstore import BatchRef, CommandBatch, KVCommand
     from ..storage import records as _storage_records  # noqa: F401
     from . import wire as _wire  # noqa: F401
 
@@ -251,6 +251,7 @@ def default_registry() -> MessageRegistry:
     # Payload structs carried inside messages (not messages themselves).
     registry.register(KVCommand)
     registry.register(CommandBatch)
+    registry.register(BatchRef)
     registry.register(_epaxos_messages.Command, name="EPaxosCommand")
     return registry
 

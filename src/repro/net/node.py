@@ -168,8 +168,9 @@ class KVService(ClientService):
     """Serve the replicated KV store hosted by an :class:`SMRReplica`."""
 
     def __init__(self) -> None:
-        # request_id -> (command_id, reply callable)
-        self._pending: Dict[str, Tuple[str, Callable[[ClientReply], None]]] = {}
+        # command_id -> [(request_id, reply callable)]; a list because a
+        # client may retry a command under a new request id.
+        self._pending: Dict[str, List[Tuple[str, Callable[[ClientReply], None]]]] = {}
 
     def submit(
         self,
@@ -182,7 +183,28 @@ class KVService(ClientService):
             raise ConfigurationError(
                 f"KVService needs an SMRReplica process, got {type(replica).__name__}"
             )
-        self._pending[request.request_id] = (request.command.command_id, reply)
+        command_id = request.command.command_id
+        if command_id in replica.results:
+            # A retry of a command this proxy already answered.
+            reply(self._result_reply(node, request.request_id, command_id))
+            return
+        if command_id in replica.commit_times and command_id in replica.store.applied_ids:
+            # Committed and applied before this proxy saw the submission
+            # (client failover re-submitted a command another proxy
+            # already drove to completion). The command is durable but
+            # its original result was observed elsewhere — and, being
+            # applied without a local submission, never will be here.
+            reply(
+                ClientReply(
+                    request_id=request.request_id,
+                    command_id=command_id,
+                    result=None,
+                    commit_seconds=0.0,
+                    duplicate=True,
+                )
+            )
+            return
+        self._pending.setdefault(command_id, []).append((request.request_id, reply))
         node._activate(
             lambda ctx: replica.on_message(
                 ctx,
@@ -192,55 +214,39 @@ class KVService(ClientService):
         )
 
     def poll(self, node: "NodeServer") -> None:
+        # O(completed): the replica hands over the ids it just finished.
         replica = node.process
-        if not isinstance(replica, SMRReplica) or not self._pending:
+        finished = getattr(replica, "finished", None)
+        if not finished:
             return
-        finished: List[str] = []
-        for request_id, (command_id, reply) in self._pending.items():
-            if command_id in replica.results:
-                result, applied_at = replica.results[command_id]
-                commit = replica.commit_times.get(command_id, 0.0) - replica.submissions.get(
-                    command_id, 0.0
-                )
-                trace_id = replica.command_traces.get(command_id, "")
-                if trace_id:
-                    now = node.now
-                    node.obs.spans.record(
-                        trace_id, "reply", now, command=command_id
-                    )
-                    node.obs.registry.observe(
-                        "stage.reply_seconds", max(0.0, now - applied_at)
-                    )
-                reply(
-                    ClientReply(
-                        request_id=request_id,
-                        command_id=command_id,
-                        result=result,
-                        commit_seconds=max(commit, 0.0),
-                        trace_id=trace_id,
-                    )
-                )
-                finished.append(request_id)
-            elif (
-                command_id in replica.commit_times
-                and command_id in replica.store.applied_ids
-            ):
-                # Committed and applied before this proxy saw the submission
-                # (client failover re-submitted a command another proxy
-                # already drove to completion). The command is durable but
-                # its original result was observed elsewhere.
-                reply(
-                    ClientReply(
-                        request_id=request_id,
-                        command_id=command_id,
-                        result=None,
-                        commit_seconds=0.0,
-                        duplicate=True,
-                    )
-                )
-                finished.append(request_id)
-        for request_id in finished:
-            del self._pending[request_id]
+        for command_id in finished:
+            for request_id, reply in self._pending.pop(command_id, ()):
+                reply(self._result_reply(node, request_id, command_id))
+        finished.clear()
+
+    @staticmethod
+    def _result_reply(
+        node: "NodeServer", request_id: str, command_id: str
+    ) -> ClientReply:
+        replica = node.process
+        result, applied_at = replica.results[command_id]
+        commit = replica.commit_times.get(command_id, 0.0) - replica.submissions.get(
+            command_id, 0.0
+        )
+        trace_id = replica.command_traces.get(command_id, "")
+        if trace_id:
+            now = node.now
+            node.obs.spans.record(trace_id, "reply", now, command=command_id)
+            node.obs.registry.observe(
+                "stage.reply_seconds", max(0.0, now - applied_at)
+            )
+        return ClientReply(
+            request_id=request_id,
+            command_id=command_id,
+            result=result,
+            commit_seconds=max(commit, 0.0),
+            trace_id=trace_id,
+        )
 
 
 #: Bulk-receive size for the serve loops: one ``read()`` per TCP burst,

@@ -523,9 +523,11 @@ class TwoStepProcess(Process):
         obs.registry.inc(
             "consensus.decisions_fast" if path == "fast" else "consensus.decisions_slow"
         )
-        obs.trace.emit(
-            "decide", pid=self.pid, path=path, ballot=ballot, value=repr(value), t=ctx.now
-        )
+        if obs.trace.enabled:  # repr(value) of a batch is not free
+            obs.trace.emit(
+                "decide", pid=self.pid, path=path, ballot=ballot, value=repr(value),
+                t=ctx.now,
+            )
         ctx.decide(value)
         ctx.cancel_timer(BALLOT_TIMER)
         if self.config.broadcast_decide:
@@ -541,10 +543,11 @@ class TwoStepProcess(Process):
         self.decided_ballot = None
         obs = ctx.obs
         obs.registry.inc("consensus.decisions_learned")
-        obs.trace.emit(
-            "decide", pid=self.pid, path="learned", ballot=None, value=repr(value),
-            t=ctx.now,
-        )
+        if obs.trace.enabled:
+            obs.trace.emit(
+                "decide", pid=self.pid, path="learned", ballot=None, value=repr(value),
+                t=ctx.now,
+            )
         ctx.decide(value)
         ctx.cancel_timer(BALLOT_TIMER)
 

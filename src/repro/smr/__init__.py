@@ -8,6 +8,7 @@ from .client import (
     run_kv_workload,
 )
 from .kvstore import (
+    BatchRef,
     CommandBatch,
     KVCommand,
     KVStore,
@@ -16,9 +17,18 @@ from .kvstore import (
     commands_in,
 )
 from .leader_log import MultiPaxosReplica, multipaxos_factory
-from .log import GAP_TIMER, SMRReplica, Slotted, SubmitCommand, smr_factory
+from .log import (
+    GAP_TIMER,
+    BodyRequest,
+    SMRReplica,
+    Slotted,
+    SubmitCommand,
+    smr_factory,
+)
 
 __all__ = [
+    "BatchRef",
+    "BodyRequest",
     "ClientOp",
     "CommandBatch",
     "GAP_TIMER",

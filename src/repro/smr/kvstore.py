@@ -9,8 +9,10 @@ layer suppresses duplicate application when a command wins several slots
 
 from __future__ import annotations
 
+import hashlib
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 #: Reserved key prefix for replicated shard metadata (placement fences and
@@ -98,6 +100,21 @@ NOOP_COMMAND = KVCommand(op="noop", key="", command_id="__noop__")
 
 
 @dataclass(frozen=True)
+class BatchRef:
+    """Names a :class:`CommandBatch` without carrying it.
+
+    The SMR layer sends this in place of a batch body to a node that
+    already holds the body (see :mod:`repro.smr.log`). ``batch_id`` alone
+    is not an identity — a proxy's batch counter restarts at 0 with the
+    process, so ``__batch:0:0__`` can name two different batches across a
+    crash — hence the content ``digest``.
+    """
+
+    batch_id: str
+    digest: int
+
+
+@dataclass(frozen=True)
 class CommandBatch:
     """Many client commands riding one consensus slot.
 
@@ -125,6 +142,26 @@ class CommandBatch:
     @property
     def command_id(self) -> str:
         return self.batch_id
+
+    @cached_property
+    def ref(self) -> BatchRef:
+        """This batch's :class:`BatchRef`, computed once per object.
+
+        The digest covers ``batch_id`` and each member's ``(op, key,
+        command_id)`` — the identity fields of :meth:`KVCommand.__hash__`
+        — through blake2b, never ``hash()``: every replica, in every
+        process, must derive the same reference from the same body.
+        Fields are length-prefixed so no two member lists share a text.
+        """
+        text = "".join(
+            [f"{len(self.batch_id)}:{self.batch_id}"]
+            + [
+                f"\x00{c.op}\x00{len(c.key)}:{c.key}\x00{len(c.command_id)}:{c.command_id}"
+                for c in self.commands
+            ]
+        )
+        digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+        return BatchRef(self.batch_id, int.from_bytes(digest, "big"))
 
     def _cmp_key(self) -> Tuple[Tuple[Tuple[str, str, str, str], ...], str]:
         return (tuple(c.sort_key() for c in self.commands), self.batch_id)

@@ -31,13 +31,24 @@ Throughput lives strictly above the per-slot protocol, behind two knobs:
 
 Both default to 1, which reproduces the original behaviour bit-exactly —
 bare :class:`KVCommand` proposals, one slot in flight.
+
+One body per slot: a batch is large and Figure 1 would ship it six times
+per slot at n=3 (``Propose`` out, a ``TwoB`` vote back from each peer,
+``Decide`` out again). The envelope layer here sends a ``TwoB`` or
+``Decide`` to a node known to hold the body with a
+:class:`~repro.smr.kvstore.BatchRef` in the value's place, and resolves
+it back to the held object on receipt, so the inner instances only ever
+see full values. A reference that cannot be resolved is never waited
+for: a vote is dropped (the slow path, whose ``OneB``/``TwoA`` carry
+bodies, still decides the slot) and a decision is fetched from its
+sender with one :class:`BodyRequest`. Bare commands are never replaced.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.messages import Message
@@ -45,8 +56,17 @@ from ..core.process import ClientRequest, Context, Process, ProcessFactory, Proc
 from ..core.values import BOTTOM, is_bottom
 from ..obs import Observability, PATH_LEARNED, decision_record
 from ..omega import OmegaFactory, OmegaService, StaticOmega
-from ..protocols.twostep import TwoStepConfig, TwoStepProcess
+from ..protocols.twostep import (
+    Decide,
+    OneB,
+    Propose,
+    TwoA,
+    TwoB,
+    TwoStepConfig,
+    TwoStepProcess,
+)
 from .kvstore import (
+    BatchRef,
     CommandBatch,
     KVCommand,
     KVStore,
@@ -65,6 +85,45 @@ class Slotted(Message):
 
     slot: int
     inner: Message
+
+
+@dataclass(frozen=True)
+class BodyRequest(Message):
+    """Asks the sender of a ``Decide(ref)`` for the body it referred to.
+
+    Travels inside :class:`Slotted`; the decider answers with the plain
+    full ``Decide``.
+    """
+
+    ref: BatchRef
+
+
+#: Inner messages that carry proposal values, and in which fields.
+_BODY_FIELDS = {
+    Propose: ("value",),
+    TwoB: ("value",),
+    Decide: ("value",),
+    TwoA: ("value",),
+    OneB: ("value", "decided", "initial_value"),
+}
+#: The two whose value may travel as a :class:`BatchRef`; the rest always
+#: carry full bodies.
+_BY_REFERENCE = (TwoB, Decide)
+
+
+def _with_value(message: Message, value: Any) -> Message:
+    """A ``TwoB``/``Decide`` like *message*, carrying *value* instead."""
+    return TwoB(message.ballot, value) if type(message) is TwoB else Decide(value)
+
+
+class _HeldBody:
+    """A batch body this replica holds for one slot, and who else does."""
+
+    __slots__ = ("body", "holders")
+
+    def __init__(self, body: CommandBatch, holders: Set[ProcessId]) -> None:
+        self.body = body
+        self.holders = holders
 
 
 @dataclass(frozen=True)
@@ -121,7 +180,20 @@ class _SlotContext(Context):
         return self._outer.obs
 
     def send(self, dst: ProcessId, message: Message) -> None:
-        self._outer.send(dst, Slotted(self._slot, message))
+        short, _ = self._replica._by_reference(self._slot, message, (dst,))
+        self._outer.send(dst, Slotted(self._slot, short))
+
+    def broadcast(self, message: Message, include_self: bool = False) -> None:
+        # One envelope for everyone whenever everyone gets the same inner
+        # message, so the live runtime encodes slot traffic once.
+        outer = self._outer
+        targets = range(outer.n) if include_self else outer.others
+        short, knowers = self._replica._by_reference(self._slot, message, targets)
+        if not knowers or len(knowers) == len(targets):
+            outer.broadcast(Slotted(self._slot, short), include_self)
+        else:
+            for dst in targets:
+                outer.send(dst, Slotted(self._slot, short if dst in knowers else message))
 
     def set_timer(self, name: str, delay: float) -> None:
         self._outer.set_timer(f"{SLOT_TIMER_PREFIX}{self._slot}:{name}", delay)
@@ -179,6 +251,13 @@ class SMRReplica(Process):
         self.commit_times: Dict[str, float] = {}  # command_id -> slot decide time
         self.results: Dict[str, Tuple[Any, float]] = {}  # id -> (result, apply time)
         self.decision_log: Dict[int, Dict[str, Any]] = {}  # slot -> decision record
+        # Batch bodies held per open slot, keyed by reference; an applied
+        # slot's entry goes at the next activation (see _drop_applied_bodies).
+        self._bodies: Dict[int, Dict[BatchRef, _HeldBody]] = {}
+        # Ids whose result landed in ``results`` since the client service
+        # last drained this (it does after every activation); same keys as
+        # ``results``, so an undrained simulator run is bounded by it.
+        self.finished: List[str] = []
         self._slot_proposed: Dict[int, float] = {}  # slot -> my first propose time
         # Span-tracing state (all empty unless ctx.obs.spans is enabled):
         # a sampled slot carries one trace id from seal to apply, and each
@@ -206,21 +285,26 @@ class SMRReplica(Process):
         if isinstance(message, SubmitCommand):
             self.submit(ctx, message.command, trace_id=message.trace_id or None)
         elif isinstance(message, Slotted):
-            if message.slot < self.applied_upto and message.slot not in self._slots:
+            slot = message.slot
+            if slot < self.applied_upto and slot not in self._slots:
                 # The slot was applied and its machinery truncated away
                 # (snapshot/restore): this is a straggler or a re-sent
                 # burst for settled history. Recreating the instance would
                 # re-run a finished race for nothing.
                 ctx.obs.registry.inc("smr.stale_slot_msgs")
                 return
-            inner = self._slot(ctx, message.slot)
-            inner.on_message(_SlotContext(ctx, self, message.slot), sender, message.inner)
+            self._drop_applied_bodies()
+            inbound = self._inbound(ctx, slot, sender, message.inner)
+            if inbound is not None:
+                inner = self._slot(ctx, slot)
+                inner.on_message(_SlotContext(ctx, self, slot), sender, inbound)
 
     def on_timer(self, ctx: Context, name: str) -> None:
         if self.omega.handle_timer(ctx, name):
             return
         if name == GAP_TIMER:
             ctx.set_timer(GAP_TIMER, 5 * self.delta)
+            self._drop_applied_bodies()
             self._repair_gaps(ctx)
             return
         if name.startswith(SLOT_TIMER_PREFIX):
@@ -230,6 +314,90 @@ class SMRReplica(Process):
                 return  # timer outlived its truncated slot
             inner = self._slot(ctx, slot)
             inner.on_timer(_SlotContext(ctx, self, slot), inner_name)
+
+    # ------------------------------------------------------------------
+    # One body per slot: references out, bodies back in.
+    # ------------------------------------------------------------------
+
+    def _hold(self, slot: int, body: CommandBatch) -> _HeldBody:
+        held = self._bodies.setdefault(slot, {})
+        entry = held.get(body.ref)
+        if entry is None:
+            entry = held[body.ref] = _HeldBody(body, {self.pid})
+        return entry
+
+    def _drop_applied_bodies(self) -> None:
+        # Runs when an activation starts, not when a slot is applied:
+        # Figure 1 broadcasts Decide *after* ctx.decide() returns, and
+        # that send still needs to know who holds the body.
+        if self._bodies:
+            for slot in [s for s in self._bodies if s < self.applied_upto]:
+                del self._bodies[slot]
+
+    def _resolve(self, slot: int, ref: BatchRef) -> Optional[CommandBatch]:
+        entry = self._bodies.get(slot, {}).get(ref)
+        if entry is not None:
+            return entry.body
+        decided = self.decided.get(slot)
+        if type(decided) is CommandBatch and decided.ref == ref:
+            return decided  # applied: the table let go, the log has not
+        return None
+
+    def _note_holders(
+        self, slot: int, message: Message, holders: Iterable[ProcessId]
+    ) -> None:
+        """Record that *holders* hold every batch body *message* carries."""
+        for field in _BODY_FIELDS.get(type(message), ()):
+            body = getattr(message, field)
+            if type(body) is CommandBatch:
+                self._hold(slot, body).holders.update(holders)
+
+    def _by_reference(
+        self, slot: int, message: Message, targets: Sequence[ProcessId]
+    ) -> Tuple[Message, Sequence[ProcessId]]:
+        """*message* with its batch replaced by a reference, and the
+        *targets* that get that form; ``(message, ())`` when none does.
+
+        A target holds a body once it sent it to me or I sent it to it
+        in full; every target is recorded as a holder here, because each
+        gets either the reference (it held the body) or the body itself.
+        """
+        if type(message) in _BY_REFERENCE and type(message.value) is CommandBatch:
+            holders = self._hold(slot, message.value).holders
+            knowers = [dst for dst in targets if dst in holders]
+            holders.update(targets)
+            if knowers:
+                return _with_value(message, message.value.ref), knowers
+        else:
+            self._note_holders(slot, message, targets)
+        return message, ()
+
+    def _inbound(
+        self, ctx: Context, slot: int, sender: ProcessId, message: Message
+    ) -> Optional[Message]:
+        """The inner message as Figure 1 should see it, or ``None``.
+
+        Notes which bodies *sender* evidently holds and resolves a
+        reference to the held object. An unresolvable reference is not
+        waited for — links may reorder, so the body may never come: the
+        vote is dropped, the decision is asked for again in full.
+        """
+        kind = type(message)
+        if kind is BodyRequest:
+            decided = self.decided.get(slot)
+            if type(decided) is CommandBatch and decided.ref == message.ref:
+                ctx.send(sender, Slotted(slot, Decide(decided)))
+            return None
+        if kind in _BY_REFERENCE and type(message.value) is BatchRef:
+            body = self._resolve(slot, message.value)
+            if body is None:
+                ctx.obs.registry.inc("smr.body_misses")
+                if kind is Decide:
+                    ctx.send(sender, Slotted(slot, BodyRequest(message.value)))
+                return None
+            return _with_value(message, body)
+        self._note_holders(slot, message, (sender,))
+        return message
 
     # ------------------------------------------------------------------
     # The proxy role.
@@ -356,19 +524,20 @@ class SMRReplica(Process):
         if slot in self.decided:
             return
         decided: SlotValue = value
+        now = ctx.now
         self.decided[slot] = decided
-        self.decide_times[slot] = ctx.now
+        self.decide_times[slot] = now
         inner = self._slots.get(slot)
         path = getattr(inner, "decided_path", None) or PATH_LEARNED
         proposed = self._slot_proposed.get(slot)
-        slot_latency = (ctx.now - proposed) if proposed is not None else None
+        slot_latency = (now - proposed) if proposed is not None else None
         self.decision_log[slot] = decision_record(
             slot=slot,
             path=path,
             ballot=getattr(inner, "decided_ballot", None),
             value_id=_value_id(decided),
             latency_seconds=slot_latency,
-            decided_at=ctx.now,
+            decided_at=now,
         )
         registry = ctx.obs.registry
         registry.inc("smr.slots_decided")
@@ -382,19 +551,19 @@ class SMRReplica(Process):
             ctx.obs.spans.record(
                 trace_id,
                 "decide",
-                ctx.now,
+                now,
                 slot=slot,
                 path=path,
                 ballot=getattr(inner, "decided_ballot", None),
             )
         for command in commands_in(decided):
             if command.command_id:
-                self.commit_times.setdefault(command.command_id, ctx.now)
+                self.commit_times.setdefault(command.command_id, now)
                 submitted = self.submissions.get(command.command_id)
                 if submitted is not None:
                     # Proxy-observed commit latency, split by decision path
                     # so the 2Δ fast path is visible next to recovery.
-                    latency = ctx.now - submitted
+                    latency = now - submitted
                     registry.observe("smr.commit_seconds", latency)
                     registry.observe(f"smr.commit_seconds.{path}", latency)
         mine = self._inflight.pop(slot, None)
@@ -408,21 +577,25 @@ class SMRReplica(Process):
         self._try_propose(ctx)
 
     def _apply_ready(self, ctx: Context) -> None:
+        now = ctx.now
+        submissions, results = self.submissions, self.results
         while self.applied_upto in self.decided:
             slot = self.applied_upto
             for command in commands_in(self.decided[slot]):
                 result = self.store.apply(command)
-                if command.command_id in self.submissions:
-                    self.results.setdefault(command.command_id, (result, ctx.now))
+                command_id = command.command_id
+                if command_id in submissions and command_id not in results:
+                    results[command_id] = (result, now)
+                    self.finished.append(command_id)
             decided_at = self.decide_times.get(slot, 0.0)
             if decided_at:
                 # decide → apply; zero for slots applied in the deciding
                 # activation, the in-order wait for out-of-order decides.
                 # Restored slots (decide time 0.0) are skipped.
-                ctx.obs.registry.observe("stage.apply_seconds", ctx.now - decided_at)
+                ctx.obs.registry.observe("stage.apply_seconds", now - decided_at)
             trace_id = self.slot_traces.get(slot)
             if trace_id is not None:
-                ctx.obs.spans.record(trace_id, "apply", ctx.now, slot=slot)
+                ctx.obs.spans.record(trace_id, "apply", now, slot=slot)
             self.applied_upto += 1
 
     # ------------------------------------------------------------------
@@ -493,6 +666,10 @@ class SMRReplica(Process):
         inner.val = value
         inner.initial_val = initial_value
         inner._sent_twoa = set(sent_twoa)
+        for body in (value, initial_value):
+            if type(body) is CommandBatch:
+                # A vote that comes back for this slot names the body.
+                self._hold(slot, body)
         if not is_bottom(initial_value):
             self._inflight.setdefault(slot, initial_value)
             self._slot_proposed.setdefault(slot, 0.0)
@@ -529,6 +706,8 @@ class SMRReplica(Process):
                         self._queue.appendleft(command)
         for stale in [s for s in self.slot_traces if s < slot]:
             del self.slot_traces[stale]
+        for stale in [s for s in self._bodies if s < slot]:
+            del self._bodies[stale]
         self.dirty_slots = {s for s in self.dirty_slots if s >= slot}
         return removed
 

@@ -31,8 +31,8 @@ from repro.net.codec import (
 )
 from repro.net.wire import ClientReply, NodeHello
 from repro.protocols.twostep import OneB, Propose, TwoB
-from repro.smr.kvstore import CommandBatch, KVCommand
-from repro.smr.log import Slotted, SubmitCommand
+from repro.smr.kvstore import BatchRef, CommandBatch, KVCommand
+from repro.smr.log import BodyRequest, Slotted, SubmitCommand
 
 CODEC = MessageCodec()
 CODEC_BINARY = MessageCodec(wire_version=WIRE_VERSION_BINARY)
@@ -80,6 +80,10 @@ _command_batch = st.builds(
     commands=st.lists(_kv_command, min_size=1, max_size=3).map(tuple),
     batch_id=_text,
 )
+# Real digests are 64-bit, well past the one-byte small ints of ``int``.
+_batch_ref = st.builds(
+    BatchRef, batch_id=_text, digest=st.integers(min_value=0, max_value=2**64 - 1)
+)
 
 
 def _epaxos_command():
@@ -99,6 +103,8 @@ def _epaxos_command():
 _inner_message = st.one_of(
     st.builds(Propose, value=_value),
     st.builds(TwoB, ballot=_small_int, value=_value),
+    st.builds(TwoB, ballot=_small_int, value=_batch_ref),
+    st.builds(BodyRequest, ref=_batch_ref),
     st.builds(SubmitCommand, command=_kv_command),
 )
 
@@ -114,6 +120,7 @@ def _strategy_for_annotation(annotation: str) -> st.SearchStrategy:
         "Any": _any_value,
         "Message": _inner_message,
         "KVCommand": _kv_command,
+        "BatchRef": _batch_ref,
         "Command": _epaxos_command(),
         "Optional[Command]": st.one_of(st.none(), _epaxos_command()),
         "InstanceId": _instance_id,
@@ -144,6 +151,8 @@ def _strategy_for_type(cls) -> st.SearchStrategy:
         return _kv_command
     if cls is CommandBatch:
         return _command_batch
+    if cls is BatchRef:
+        return _batch_ref
     fields = dataclasses.fields(cls)
     if not fields:
         return st.just(cls())
