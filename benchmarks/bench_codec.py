@@ -10,10 +10,8 @@ bytes per protocol step; the CI perf job runs this module as the codec
 perf-smoke floor.
 
 Methodology: each shape is instantiated 64× with distinct identities so
-the measurement exercises the encoder, not dict lookups; the encode LRU
-is disabled (``encode_cache_size=0``) because the cluster-level caching
-win is measured end-to-end by ``bench_net.py``'s codec dimension — this
-bench pins the raw per-message cost.
+the measurement exercises the encoder on fresh values; this bench pins
+the raw per-message cost, the end-to-end effect is ``benchmarks/e2e``'s.
 
 Floors (conservative; committed tables show the real margins):
 
@@ -117,10 +115,8 @@ def _ops_per_sec(fn, items) -> float:
 
 def _measure():
     codecs = {
-        "json": MessageCodec(wire_version=WIRE_VERSION_JSON, encode_cache_size=0),
-        "binary": MessageCodec(
-            wire_version=WIRE_VERSION_BINARY, encode_cache_size=0
-        ),
+        "json": MessageCodec(wire_version=WIRE_VERSION_JSON),
+        "binary": MessageCodec(wire_version=WIRE_VERSION_BINARY),
     }
     rows = []
     for shape, messages in _hot_messages().items():

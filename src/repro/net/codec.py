@@ -71,7 +71,10 @@ The Hello handshake carries a hash of that table
 when the hashes differ, so registry skew degrades to the name-keyed
 format instead of decoding garbage. A decoded body must consume the
 payload exactly; trailing bytes, truncated varints, and unknown tags or
-type ids all raise :class:`CodecError`.
+type ids all raise :class:`CodecError`. The reader and writer are built
+once per registry generation, and each record class gets a generated
+decoder and encoder the first time it is seen (``docs/WIRE.md``
+§ Compiled layouts).
 
 In both formats, sets are serialized in a canonical order (v1: sorted by
 the member's JSON rendering; v2: sorted by the member's binary encoding)
@@ -109,8 +112,7 @@ import dataclasses
 import hashlib
 import json
 import struct
-from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from ..core.errors import ReproError
 from ..core.values import BOTTOM, is_bottom
@@ -151,11 +153,6 @@ _T_MAP = 0x0A
 _T_REC = 0x0B
 _SMALL_INT_BASE = 0x10
 _SMALL_INT_MAX = 0xFF - _SMALL_INT_BASE  # 239
-
-#: Encoded frames at most this long are LRU-cached by message value; hot
-#: immutable shells (``TwoA``/``TwoB``, acks, hellos) repeat verbatim,
-#: while big batch frames are unique and would only churn the cache.
-ENCODE_CACHE_FRAME_LIMIT = 512
 
 
 class CodecError(ReproError):
@@ -273,6 +270,300 @@ def _append_uvarint(buf: bytearray, n: int) -> None:
     buf.append(n)
 
 
+def _read_uvarint(buf: Any, pos: int, end: int) -> Tuple[int, int]:
+    result = 0
+    shift = 0
+    while True:
+        if pos >= end:
+            raise CodecError("truncated varint in binary frame body")
+        byte = buf[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, pos
+        shift += 7
+        if shift > 70:
+            raise CodecError("over-long varint in binary frame body")
+
+
+# ----------------------------------------------------------------------
+# The v2 binary body: one generic reader/writer pair per registry
+# generation, plus a generated decoder and encoder per record class.
+#
+# The generic pair handles every tag and is the reference the compiled
+# functions are tested against. A compiled function is the same field
+# loop unrolled for one class, with the three commonest field shapes
+# (short str, small int, None) handled inline; anything else falls back
+# to the generic pair, so there is exactly one implementation of every
+# container and rare scalar. Nothing here keeps state between calls: a
+# reader takes ``(buf, pos, end)`` and returns ``(value, pos)``.
+# ----------------------------------------------------------------------
+
+_Reader = Callable[[Any, int, int], Tuple[Any, int]]
+_Writer = Callable[[bytearray, Any], None]
+
+_DECODE_FIELD = f"""\
+    tag = buf[pos] if pos < end else -1
+    if tag == {_T_STR} and pos + 1 < end and (n := buf[pos + 1]) < 0x80 and pos + 2 + n <= end:
+        pos += 2 + n
+        v{{i}} = buf[pos - n:pos].decode()
+    elif tag >= {_SMALL_INT_BASE}:
+        v{{i}} = tag - {_SMALL_INT_BASE}
+        pos += 1
+    elif tag == {_T_NONE}:
+        v{{i}} = None
+        pos += 1
+    else:
+        v{{i}}, pos = read(buf, pos, end)
+"""
+
+_DECODE_RECORD = """\
+def decode(buf, pos, end):
+{fields}\
+    try:
+        return cls({values}), pos
+    except CodecError:
+        raise
+    except Exception as exc:
+        raise CodecError(f"{{mismatch}}: {{exc}}") from None
+"""
+
+_ENCODE_FIELD = f"""\
+    v = obj.{{name}}
+    t = type(v)
+    if t is str:
+        raw = v.encode()
+        n = len(raw)
+        if n < 0x80:
+            buf.append({_T_STR})
+            buf.append(n)
+            buf += raw
+        else:
+            write(buf, v)
+    elif t is int and 0 <= v <= {_SMALL_INT_MAX}:
+        buf.append({_SMALL_INT_BASE} + v)
+    elif v is None:
+        buf.append({_T_NONE})
+    else:
+        write(buf, v)
+"""
+
+_ENCODE_RECORD = """\
+def encode(buf, obj):
+    buf += header
+{fields}"""
+
+
+def _compile(source: str, label: str, namespace: Dict[str, Any]) -> Dict[str, Any]:
+    # The source is built from dataclass field names and counts alone —
+    # what the class definition says, never anything read off the wire.
+    exec(compile(source, f"<repro.net.codec: {label}>", "exec"), namespace)
+    return namespace
+
+
+def _compile_decoder(
+    type_id: int, cls: Type, wire_name: str, n_fields: int, read: _Reader
+) -> _Reader:
+    """Generate ``decode(buf, pos, end)`` for *cls*; *pos* is past the header.
+
+    Still ``cls(*values)``, so every ``__post_init__`` check runs, and a
+    failure names the wire type and id like the field loop it replaces.
+    """
+    source = _DECODE_RECORD.format(
+        fields="".join(_DECODE_FIELD.format(i=i) for i in range(n_fields)),
+        values=", ".join(f"v{i}" for i in range(n_fields)),
+    )
+    namespace = {
+        "read": read,
+        "cls": cls,
+        "CodecError": CodecError,
+        "mismatch": (
+            f"wire values do not match {cls.__name__} "
+            f"(wire type {wire_name!r}, id {type_id})"
+        ),
+    }
+    return _compile(source, f"decode {wire_name}", namespace)["decode"]
+
+
+def _compile_encoder(
+    type_id: int, cls: Type, fields: Tuple[str, ...], write: _Writer
+) -> _Writer:
+    """Generate ``encode(buf, obj)`` for *cls*: header, then each field."""
+    source = _ENCODE_RECORD.format(
+        fields="".join(_ENCODE_FIELD.format(name=name) for name in fields)
+    )
+    namespace = {"write": write, "header": bytes((_T_REC,)) + _U16.pack(type_id)}
+    return _compile(source, f"encode {cls.__name__}", namespace)["encode"]
+
+
+def _build_reader(layouts: List[Tuple[Type, str, int]]) -> _Reader:
+    """The generic v2 reader over one generation's type-id table."""
+    n_types = len(layouts)
+    # Filled lazily, so boot pays for the handful of hot classes only.
+    decoders: List[Optional[_Reader]] = [None] * n_types
+
+    def read_items(buf: Any, pos: int, end: int) -> Tuple[List[Any], int]:
+        count, pos = _read_uvarint(buf, pos, end)
+        items: List[Any] = []
+        for _ in range(count):
+            item, pos = read(buf, pos, end)
+            items.append(item)
+        return items, pos
+
+    def read(buf: Any, pos: int, end: int) -> Tuple[Any, int]:
+        if pos >= end:
+            raise CodecError("truncated binary frame body")
+        tag = buf[pos]
+        pos += 1
+        if tag == _T_REC:
+            if pos + 2 > end:
+                raise CodecError("truncated record header in binary frame body")
+            type_id = (buf[pos] << 8) | buf[pos + 1]
+            if type_id >= n_types:
+                raise CodecError(
+                    f"unknown binary wire type id {type_id} "
+                    f"(registry has {n_types} types; registries differ?)"
+                )
+            decode = decoders[type_id]
+            if decode is None:
+                decode = decoders[type_id] = _compile_decoder(
+                    type_id, *layouts[type_id], read
+                )
+            return decode(buf, pos + 2, end)
+        if tag >= _SMALL_INT_BASE:
+            return tag - _SMALL_INT_BASE, pos
+        if tag == _T_STR:
+            length, pos = _read_uvarint(buf, pos, end)
+            stop = pos + length
+            if stop > end:
+                raise CodecError("truncated string in binary frame body")
+            return buf[pos:stop].decode(), stop
+        if tag == _T_INT:
+            zig, pos = _read_uvarint(buf, pos, end)
+            return ((zig >> 1) if not zig & 1 else -((zig + 1) >> 1)), pos
+        if tag == _T_TUP:
+            items, pos = read_items(buf, pos, end)
+            return tuple(items), pos
+        if tag == _T_NONE:
+            return None, pos
+        if tag == _T_TRUE:
+            return True, pos
+        if tag == _T_FALSE:
+            return False, pos
+        if tag == _T_FLOAT:
+            if pos + 8 > end:
+                raise CodecError("truncated float in binary frame body")
+            return _F64.unpack_from(buf, pos)[0], pos + 8
+        if tag == _T_BOT:
+            return BOTTOM, pos
+        if tag == _T_FSET:
+            items, pos = read_items(buf, pos, end)
+            try:
+                return frozenset(items), pos
+            except TypeError as exc:
+                raise CodecError(f"unhashable frozenset member: {exc}") from None
+        if tag == _T_LIST:
+            return read_items(buf, pos, end)
+        if tag == _T_MAP:
+            count, pos = _read_uvarint(buf, pos, end)
+            mapping: Dict[Any, Any] = {}
+            for _ in range(count):
+                key, pos = read(buf, pos, end)
+                value, pos = read(buf, pos, end)
+                try:
+                    mapping[key] = value
+                except TypeError as exc:
+                    raise CodecError(f"unhashable map key: {exc}") from None
+            return mapping, pos
+        raise CodecError(f"unknown binary wire tag 0x{tag:02x}")
+
+    return read
+
+
+def _build_writer(
+    tag_by_type: Dict[Type, int], fields_by_type: Dict[Type, Tuple[str, ...]]
+) -> _Writer:
+    """The generic v2 writer over one generation's type-id table."""
+    # Filled lazily, like the reader's decoders.
+    encoders: Dict[Type, _Writer] = {}
+
+    def write_int(buf: bytearray, n: int) -> None:
+        buf.append(_T_INT)
+        _append_uvarint(buf, (n << 1) if n >= 0 else (((-n) << 1) - 1))
+
+    def write(buf: bytearray, obj: Any) -> None:
+        # Exact-type dispatch: records first (every frame is one), then
+        # the scalar leaves; `type(x) is int` also sidesteps bool-is-an-int.
+        t = type(obj)
+        encode = encoders.get(t)
+        if encode is not None:
+            encode(buf, obj)
+        elif t is int:
+            if 0 <= obj <= _SMALL_INT_MAX:
+                buf.append(_SMALL_INT_BASE + obj)
+            else:
+                write_int(buf, obj)
+        elif t is str:
+            raw = obj.encode("utf-8")
+            buf.append(_T_STR)
+            _append_uvarint(buf, len(raw))
+            buf += raw
+        elif obj is None:
+            buf.append(_T_NONE)
+        elif t is bool:
+            buf.append(_T_TRUE if obj else _T_FALSE)
+        elif t is float:
+            buf.append(_T_FLOAT)
+            buf += _F64.pack(obj)
+        elif t is tuple:
+            buf.append(_T_TUP)
+            _append_uvarint(buf, len(obj))
+            for item in obj:
+                write(buf, item)
+        elif t in tag_by_type:
+            encode = encoders[t] = _compile_encoder(
+                tag_by_type[t], t, fields_by_type[t], write
+            )
+            encode(buf, obj)
+        elif is_bottom(obj):
+            buf.append(_T_BOT)
+        elif t is list:
+            buf.append(_T_LIST)
+            _append_uvarint(buf, len(obj))
+            for item in obj:
+                write(buf, item)
+        elif isinstance(obj, (frozenset, set)):
+            # Canonical order: members sorted by their own encoding,
+            # so equal sets always produce equal bytes.
+            members = []
+            for item in obj:
+                member = bytearray()
+                write(member, item)
+                members.append(bytes(member))
+            members.sort()
+            buf.append(_T_FSET)
+            _append_uvarint(buf, len(members))
+            for member in members:
+                buf += member
+        elif t is dict:
+            buf.append(_T_MAP)
+            _append_uvarint(buf, len(obj))
+            for key, value in obj.items():
+                write(buf, key)
+                write(buf, value)
+        elif isinstance(obj, int):  # int subclass outside the fast path
+            write_int(buf, int(obj))
+        elif isinstance(obj, (str, float, tuple, list)):
+            write(buf, type(obj).__mro__[-2](obj))
+        else:
+            raise CodecError(
+                f"cannot encode {type(obj).__name__!r} value {obj!r}: "
+                "type not registered with the wire codec"
+            )
+
+    return write
+
+
 class MessageCodec:
     """Encode/decode registered dataclasses to/from wire frames.
 
@@ -288,7 +579,6 @@ class MessageCodec:
         registry: Optional[MessageRegistry] = None,
         wire_version: int = WIRE_VERSION_JSON,
         max_wire_version: int = WIRE_VERSION_BINARY,
-        encode_cache_size: int = 1024,
     ) -> None:
         if wire_version not in SUPPORTED_WIRE_VERSIONS:
             raise CodecError(f"unsupported wire version {wire_version!r}")
@@ -303,41 +593,38 @@ class MessageCodec:
         self.max_wire_version = max_wire_version
         # Derived tables, rebuilt when the registry's generation moves.
         self._tables_generation = -1
-        self._tag_by_type: Dict[Type, int] = {}
-        self._layout_by_tag: List[Tuple[Type, str, int]] = []
         self._fields_by_type: Dict[Type, Tuple[str, ...]] = {}
         self._registry_hash = ""
-        # Bounded LRU of (version, message) -> encoded frame bytes.
-        self._encode_cache: "OrderedDict[Tuple[int, Any], bytes]" = OrderedDict()
-        self._encode_cache_size = encode_cache_size
+        self._read: _Reader
+        self._write: _Writer
 
     # ------------------------------------------------------------------
-    # Derived tables: binary type ids and per-class field layouts.
+    # Derived tables: binary type ids, per-class field layouts, and the
+    # v2 reader/writer built over them.
     # ------------------------------------------------------------------
 
-    def _tables(self) -> List[Tuple[Type, str, int]]:
-        if self._tables_generation != self.registry.generation:
-            names = self.registry.names()
-            if len(names) > 0xFFFF:
-                raise CodecError(f"{len(names)} wire types exceed the u16 id space")
-            tag_by_type: Dict[Type, int] = {}
-            layouts: List[Tuple[Type, str, int]] = []
-            fields_by_type: Dict[Type, Tuple[str, ...]] = {}
-            for tag, name in enumerate(names):
-                cls = self.registry.type_of(name)
-                fields = tuple(f.name for f in dataclasses.fields(cls))
-                tag_by_type[cls] = tag
-                layouts.append((cls, name, len(fields)))
-                fields_by_type[cls] = fields
-            self._tag_by_type = tag_by_type
-            self._layout_by_tag = layouts
-            self._fields_by_type = fields_by_type
-            self._registry_hash = hashlib.sha256(
-                "\n".join(names).encode("utf-8")
-            ).hexdigest()[:16]
-            self._tables_generation = self.registry.generation
-            self._encode_cache.clear()
-        return self._layout_by_tag
+    def _tables(self) -> None:
+        if self._tables_generation == self.registry.generation:
+            return
+        names = self.registry.names()
+        if len(names) > 0xFFFF:
+            raise CodecError(f"{len(names)} wire types exceed the u16 id space")
+        tag_by_type: Dict[Type, int] = {}
+        layouts: List[Tuple[Type, str, int]] = []
+        fields_by_type: Dict[Type, Tuple[str, ...]] = {}
+        for tag, name in enumerate(names):
+            cls = self.registry.type_of(name)
+            fields = tuple(f.name for f in dataclasses.fields(cls))
+            tag_by_type[cls] = tag
+            layouts.append((cls, name, len(fields)))
+            fields_by_type[cls] = fields
+        self._fields_by_type = fields_by_type
+        self._read = _build_reader(layouts)
+        self._write = _build_writer(tag_by_type, fields_by_type)
+        self._registry_hash = hashlib.sha256(
+            "\n".join(names).encode("utf-8")
+        ).hexdigest()[:16]
+        self._tables_generation = self.registry.generation
 
     @property
     def registry_hash(self) -> str:
@@ -450,192 +737,6 @@ class MessageCodec:
         raise CodecError(f"unknown wire tag {tag!r}")
 
     # ------------------------------------------------------------------
-    # The v2 binary body.
-    # ------------------------------------------------------------------
-
-    def _encode_binary_into(self, buf: bytearray, obj: Any) -> None:
-        # Exact-type dispatch first: the hot leaves are ints and strs, and
-        # `type(x) is int` also sidesteps bool-is-an-int.
-        t = type(obj)
-        if t is int:
-            if 0 <= obj <= _SMALL_INT_MAX:
-                buf.append(_SMALL_INT_BASE + obj)
-            else:
-                buf.append(_T_INT)
-                zig = (obj << 1) if obj >= 0 else (((-obj) << 1) - 1)
-                _append_uvarint(buf, zig)
-        elif t is str:
-            raw = obj.encode("utf-8")
-            buf.append(_T_STR)
-            _append_uvarint(buf, len(raw))
-            buf += raw
-        elif obj is None:
-            buf.append(_T_NONE)
-        elif t is bool:
-            buf.append(_T_TRUE if obj else _T_FALSE)
-        elif t is float:
-            buf.append(_T_FLOAT)
-            buf += _F64.pack(obj)
-        elif t is tuple:
-            buf.append(_T_TUP)
-            _append_uvarint(buf, len(obj))
-            for item in obj:
-                self._encode_binary_into(buf, item)
-        else:
-            tag = self._tag_by_type.get(t)
-            if tag is not None:
-                buf.append(_T_REC)
-                buf += _U16.pack(tag)
-                for field in self._fields_by_type[t]:
-                    self._encode_binary_into(buf, getattr(obj, field))
-            elif is_bottom(obj):
-                buf.append(_T_BOT)
-            elif t is list:
-                buf.append(_T_LIST)
-                _append_uvarint(buf, len(obj))
-                for item in obj:
-                    self._encode_binary_into(buf, item)
-            elif isinstance(obj, (frozenset, set)):
-                # Canonical order: members sorted by their own encoding,
-                # so equal sets always produce equal bytes.
-                members = []
-                for item in obj:
-                    member = bytearray()
-                    self._encode_binary_into(member, item)
-                    members.append(bytes(member))
-                members.sort()
-                buf.append(_T_FSET)
-                _append_uvarint(buf, len(members))
-                for member in members:
-                    buf += member
-            elif t is dict:
-                buf.append(_T_MAP)
-                _append_uvarint(buf, len(obj))
-                for key, value in obj.items():
-                    self._encode_binary_into(buf, key)
-                    self._encode_binary_into(buf, value)
-            elif isinstance(obj, int):  # int subclass outside the fast path
-                buf.append(_T_INT)
-                obj = int(obj)
-                zig = (obj << 1) if obj >= 0 else (((-obj) << 1) - 1)
-                _append_uvarint(buf, zig)
-            elif isinstance(obj, (str, float, tuple, list)):
-                self._encode_binary_into(buf, type(obj).__mro__[-2](obj))
-            else:
-                raise CodecError(
-                    f"cannot encode {type(obj).__name__!r} value {obj!r}: "
-                    "type not registered with the wire codec"
-                )
-
-    def _decode_binary(self, mv: memoryview, start: int, end: int) -> Any:
-        layouts = self._tables()
-        pos = start
-        u16_at = _U16.unpack_from
-        f64_at = _F64.unpack_from
-
-        def read_uvarint() -> int:
-            nonlocal pos
-            result = 0
-            shift = 0
-            while True:
-                if pos >= end:
-                    raise CodecError("truncated varint in binary frame body")
-                byte = mv[pos]
-                pos += 1
-                result |= (byte & 0x7F) << shift
-                if not byte & 0x80:
-                    return result
-                shift += 7
-                if shift > 70:
-                    raise CodecError("over-long varint in binary frame body")
-
-        def read_value() -> Any:
-            nonlocal pos
-            if pos >= end:
-                raise CodecError("truncated binary frame body")
-            tag = mv[pos]
-            pos += 1
-            if tag >= _SMALL_INT_BASE:
-                return tag - _SMALL_INT_BASE
-            if tag == _T_STR:
-                # Inline the one-byte varint fast path: nearly every
-                # string on this wire is shorter than 128 bytes.
-                if pos >= end:
-                    raise CodecError("truncated varint in binary frame body")
-                length = mv[pos]
-                pos += 1
-                if length & 0x80:
-                    pos -= 1
-                    length = read_uvarint()
-                begin = pos
-                pos += length
-                if pos > end:
-                    raise CodecError("truncated string in binary frame body")
-                return str(mv[begin:pos], "utf-8")
-            if tag == _T_REC:
-                if pos + 2 > end:
-                    raise CodecError("truncated record header in binary frame body")
-                (type_id,) = u16_at(mv, pos)
-                pos += 2
-                if type_id >= len(layouts):
-                    raise CodecError(
-                        f"unknown binary wire type id {type_id} "
-                        f"(registry has {len(layouts)} types; registries differ?)"
-                    )
-                cls, wire_name, n_fields = layouts[type_id]
-                values = [read_value() for _ in range(n_fields)]
-                try:
-                    return cls(*values)
-                except CodecError:
-                    raise
-                except Exception as exc:
-                    raise CodecError(
-                        f"wire values do not match {cls.__name__} "
-                        f"(wire type {wire_name!r}, id {type_id}): {exc}"
-                    ) from None
-            if tag == _T_INT:
-                zig = read_uvarint()
-                return (zig >> 1) if not zig & 1 else -((zig + 1) >> 1)
-            if tag == _T_TUP:
-                return tuple([read_value() for _ in range(read_uvarint())])
-            if tag == _T_NONE:
-                return None
-            if tag == _T_TRUE:
-                return True
-            if tag == _T_FALSE:
-                return False
-            if tag == _T_FLOAT:
-                if pos + 8 > end:
-                    raise CodecError("truncated float in binary frame body")
-                (value,) = f64_at(mv, pos)
-                pos += 8
-                return value
-            if tag == _T_BOT:
-                return BOTTOM
-            if tag == _T_FSET:
-                try:
-                    return frozenset([read_value() for _ in range(read_uvarint())])
-                except TypeError as exc:
-                    raise CodecError(f"unhashable frozenset member: {exc}") from None
-            if tag == _T_LIST:
-                return [read_value() for _ in range(read_uvarint())]
-            if tag == _T_MAP:
-                try:
-                    return {
-                        read_value(): read_value() for _ in range(read_uvarint())
-                    }
-                except TypeError as exc:
-                    raise CodecError(f"unhashable map key: {exc}") from None
-            raise CodecError(f"unknown binary wire tag 0x{tag:02x}")
-
-        value = read_value()
-        if pos != end:
-            raise CodecError(
-                f"{end - pos} trailing byte(s) after binary frame body"
-            )
-        return value
-
-    # ------------------------------------------------------------------
     # Frames.
     # ------------------------------------------------------------------
 
@@ -651,7 +752,7 @@ class MessageCodec:
         if version == WIRE_VERSION_BINARY:
             self._tables()
             buf = bytearray((WIRE_VERSION_BINARY,))
-            self._encode_binary_into(buf, obj)
+            self._write(buf, obj)
             return bytes(buf)
         if version == WIRE_VERSION_JSON:
             body = json.dumps(
@@ -661,30 +762,7 @@ class MessageCodec:
         raise CodecError(f"cannot encode wire version {version!r}")
 
     def encode(self, obj: Any, version: Optional[int] = None) -> bytes:
-        """Serialize *obj* into one length-prefixed frame.
-
-        Hot immutable messages are served from a bounded LRU keyed by
-        ``(version, message)``; unhashable payloads and frames above
-        :data:`ENCODE_CACHE_FRAME_LIMIT` bytes bypass it.
-        """
-        if version is None:
-            version = self.wire_version
-        cache = self._encode_cache
-        try:
-            frame = cache.get((version, obj))
-        except TypeError:
-            return self._encode_frame(obj, version)
-        if frame is not None:
-            cache.move_to_end((version, obj))
-            return frame
-        frame = self._encode_frame(obj, version)
-        if len(frame) <= ENCODE_CACHE_FRAME_LIMIT:
-            cache[(version, obj)] = frame
-            if len(cache) > self._encode_cache_size:
-                cache.popitem(last=False)
-        return frame
-
-    def _encode_frame(self, obj: Any, version: int) -> bytes:
+        """Serialize *obj* into one length-prefixed frame."""
         payload = self.encode_payload(obj, version)
         if len(payload) > MAX_FRAME_BYTES:
             raise CodecError(
@@ -695,28 +773,38 @@ class MessageCodec:
     def decode_payload(self, payload: Any) -> Any:
         """Decode one frame payload (version byte + body, no length prefix).
 
-        Accepts ``bytes``, ``bytearray``, or ``memoryview`` — the framing
-        layer hands binary bodies over as zero-copy views. Dispatches on
-        the payload's version byte up to ``max_wire_version``.
+        Accepts ``bytes``, ``bytearray``, or ``memoryview`` (what the
+        framing layer hands over). Dispatches on the payload's version
+        byte up to ``max_wire_version``.
         """
         if not len(payload):
             raise CodecError("empty frame payload")
-        version = payload[0]
+        # Both formats read from bytes: json.loads needs them, and a v2
+        # record is mostly short strings, which slice cheaper out of bytes
+        # than out of a view — so a frame handed over as a view is copied
+        # once, here.
+        body = payload if isinstance(payload, (bytes, bytearray)) else bytes(payload)
+        version = body[0]
         if version == WIRE_VERSION_JSON:
-            body = payload if isinstance(payload, (bytes, bytearray)) else bytes(payload)
             try:
                 tree = json.loads(body[1:])
             except (UnicodeDecodeError, ValueError) as exc:
                 raise CodecError(f"undecodable frame body: {exc}") from None
             return self.from_jsonable(tree)
         if version == WIRE_VERSION_BINARY and self.max_wire_version >= WIRE_VERSION_BINARY:
-            mv = payload if isinstance(payload, memoryview) else memoryview(payload)
+            self._tables()
+            end = len(body)
             try:
-                return self._decode_binary(mv, 1, len(mv))
+                value, pos = self._read(body, 1, end)
             except CodecError:
                 raise
             except (struct.error, RecursionError, ValueError, OverflowError) as exc:
                 raise CodecError(f"undecodable binary frame body: {exc!r}") from None
+            if pos != end:
+                raise CodecError(
+                    f"{end - pos} trailing byte(s) after binary frame body"
+                )
+            return value
         raise CodecError(
             f"wire version mismatch: got {version}, speak <= {self.max_wire_version}"
         )
@@ -738,8 +826,8 @@ class FrameDecoder:
 
     Feed it whatever chunks the transport hands you; it buffers partial
     frames and returns each completed message in arrival order. Complete
-    frames are decoded through ``memoryview`` slices of the buffer — no
-    per-frame ``bytes`` copy — and consumed bytes are compacted lazily.
+    frames reach the codec as slices of one ``memoryview`` per feed, and
+    consumed bytes are compacted lazily.
     The buffer is capped at :data:`MAX_PENDING_BYTES`: a peer that sends
     bytes but never completes a frame gets a :class:`CodecError`, not an
     unbounded allocation.
@@ -781,6 +869,8 @@ class FrameDecoder:
         size = len(buf)
         header = _LENGTH.size
         decode = self._codec.decode_payload
+        view = memoryview(buf)
+        frame: Optional[memoryview] = None
         try:
             while size - pos >= header:
                 (payload_len,) = _LENGTH.unpack_from(buf, pos)
@@ -792,13 +882,16 @@ class FrameDecoder:
                 end = pos + header + payload_len
                 if size < end:
                     break
-                view = memoryview(buf)[pos + header:end]
-                try:
-                    messages.append((decode(view), header + payload_len))
-                finally:
-                    view.release()
+                frame = view[pos + header:end]
+                messages.append((decode(frame), header + payload_len))
                 pos = end
         finally:
+            # The last slice is still alive (in `frame`, and in the
+            # traceback if it failed to decode): release it and the
+            # parent, or the bytearray cannot shrink in _compact().
+            if frame is not None:
+                frame.release()
+            view.release()
             self._pos = pos
             self._compact()
         return messages
@@ -834,9 +927,7 @@ async def read_frame_sized(
 
     The size includes the length prefix, so summing it over a connection
     reproduces the exact byte count the sender wrote — what the node's
-    ``recv_bytes.*`` counters report. The payload is handed to the codec
-    as a ``memoryview``, so binary bodies decode without an intermediate
-    copy.
+    ``recv_bytes.*`` counters report.
     """
     header = await reader.readexactly(_LENGTH.size)
     (payload_len,) = _LENGTH.unpack(header)
@@ -845,8 +936,4 @@ async def read_frame_sized(
             f"incoming frame claims {payload_len} bytes (> {MAX_FRAME_BYTES})"
         )
     payload = await reader.readexactly(payload_len)
-    view = memoryview(payload)
-    try:
-        return codec.decode_payload(view), _LENGTH.size + payload_len
-    finally:
-        view.release()
+    return codec.decode_payload(payload), _LENGTH.size + payload_len

@@ -368,8 +368,8 @@ class NodeServer:
         # Outboxes hold (frame, message) pairs: a broadcast encodes once at
         # this node's preferred wire version and the same bytes object is
         # queued for every peer; a sender whose link negotiated a
-        # *different* version re-encodes from the message (the codec's LRU
-        # makes the hot shells cheap), so mixed-codec clusters interoperate.
+        # *different* version re-encodes from the message, so mixed-codec
+        # clusters interoperate.
         self._outbox: Dict[ProcessId, Deque[Tuple[bytes, Message]]] = {}
         self._outbox_wake: Dict[ProcessId, asyncio.Event] = {}
         self._tasks: List[asyncio.Task] = []
@@ -840,7 +840,7 @@ class NodeServer:
                 return  # corrupt length prefix (or some other protocol)
             try:
                 payload = await reader.readexactly(payload_len)
-                hello = self.codec.decode_payload(memoryview(payload))
+                hello = self.codec.decode_payload(payload)
             except (asyncio.IncompleteReadError, ConnectionError, CodecError):
                 return
             if isinstance(hello, NodeHello):

@@ -341,6 +341,25 @@ class TestFrameDecoder:
         with pytest.raises(CodecError, match="buffered bytes"):
             decoder.feed(b"more")
 
+    @pytest.mark.parametrize("name", sorted(CODECS))
+    def test_decode_error_mid_burst_leaves_the_buffer_resizable(self, name):
+        # The failing frame's view is still referenced by the traceback
+        # when the decoder compacts; it must have been released, or the
+        # bytearray raises BufferError there and on every later feed.
+        codec = CODECS[name]
+        good = codec.encode(NodeHello(pid=1))
+        bad = bytearray(codec.encode(Propose(value="v")))
+        bad[-1:] = b""
+        bad[:4] = (len(bad) - 4).to_bytes(4, "big")  # complete frame, cut body
+        burst = good * (70000 // len(good))  # dead prefix past the compaction mark
+        decoder = FrameDecoder(codec)
+        with pytest.raises(CodecError):
+            decoder.feed(burst + bytes(bad))
+        assert decoder.pending_bytes == len(bad)
+        with pytest.raises(CodecError):
+            decoder.feed(good)
+        assert decoder.pending_bytes == len(bad) + len(good)
+
 
 class TestErrors:
     def test_version_mismatch(self):
@@ -449,14 +468,19 @@ class TestBinaryFormat:
         v1_only = MessageCodec(max_wire_version=WIRE_VERSION_JSON)
         assert v1_only.negotiate(2, v1_only.registry_hash) == WIRE_VERSION_JSON
 
-    def test_encode_cache_returns_identical_frames(self):
-        codec = MessageCodec(wire_version=WIRE_VERSION_BINARY)
-        message = TwoB(ballot=4, value="hot")
-        first = codec.encode(message)
-        assert codec.encode(message) is first  # served from the LRU
-        assert codec.decode(first) == message
-        # Unhashable payloads bypass the cache but still encode.
+    def test_encode_is_a_pure_function_of_the_value(self):
+        # No cache sits in front of the encoder: equal messages give equal
+        # frames because the bytes depend on the value alone, whichever
+        # object carries it and however often it was encoded before.
         unhashable = ClientReply(
             request_id="r", command_id="c", result=[1, 2], commit_seconds=0.0
         )
-        assert codec.decode(codec.encode(unhashable)) == unhashable
+        for codec in CODECS.values():
+            first = codec.encode(TwoB(ballot=4, value="hot"))
+            assert codec.encode(TwoB(ballot=4, value="hot")) == first
+            assert codec.encode(TwoB(ballot=5, value="hot")) != first
+            assert codec.decode(first) == TwoB(ballot=4, value="hot")
+            # An unhashable payload is a value like any other.
+            frame = codec.encode(unhashable)
+            assert codec.encode(dataclasses.replace(unhashable)) == frame
+            assert codec.decode(frame) == unhashable

@@ -11,10 +11,11 @@ the benchmark owns the real numbers. Every scenario carries its own hard
 The observability budget rides along: metrics are on by default with a
 stated ceiling of 5% throughput cost (``docs/OBSERVABILITY.md``), which
 ``benchmarks/bench_net.py`` measures precisely. Here the default-on run
-is compared against a run with every node's registry nulled out, with a
-deliberately loose guard (no worse than 30% below metrics-off) so shared
-CI runners don't flake — a counter path that accidentally turns O(1)
-increments into per-message encoding work still fails it clearly.
+is compared against a run with every node's registry nulled out (best of
+three interleaved runs a side), with a deliberately loose guard (no worse
+than 30% below metrics-off) so shared CI runners don't flake — a counter
+path that accidentally turns O(1) increments into per-message encoding
+work still fails it clearly.
 """
 
 import asyncio
@@ -103,6 +104,21 @@ async def _pipelined_run(
         return report.throughput
 
 
+async def _best_of_interleaved(first: dict, second: dict) -> tuple[float, float]:
+    """Best throughput of three runs per side, alternating the sides.
+
+    The box drifts 10-25 % for minutes at a time: one run against one
+    other compares two moments, not two configurations. Alternating puts
+    both sides through the same spells, and the best of three is each
+    side's least-disturbed run.
+    """
+    best_first = best_second = 0.0
+    for _ in range(3):
+        best_first = max(best_first, await _pipelined_run(**first))
+        best_second = max(best_second, await _pipelined_run(**second))
+    return best_first, best_second
+
+
 def test_pipelined_throughput_clears_the_floor():
     async def live():
         throughput = await _pipelined_run()
@@ -136,8 +152,9 @@ def test_metrics_overhead_stays_bounded():
     """Default-on metrics must not meaningfully tax the hot path."""
 
     async def live():
-        with_metrics = await _pipelined_run(metrics=True)
-        without_metrics = await _pipelined_run(metrics=False)
+        with_metrics, without_metrics = await _best_of_interleaved(
+            dict(metrics=True), dict(metrics=False)
+        )
         assert with_metrics >= OVERHEAD_GUARD * without_metrics, (
             f"metrics-on throughput {with_metrics:,.0f}/s fell below "
             f"{OVERHEAD_GUARD:.0%} of metrics-off {without_metrics:,.0f}/s"
@@ -159,8 +176,9 @@ def test_tracing_overhead_stays_bounded():
     """
 
     async def live():
-        untraced = await _pipelined_run()
-        traced = await _pipelined_run(trace_sample=8, client_trace_sample=8)
+        untraced, traced = await _best_of_interleaved(
+            dict(), dict(trace_sample=8, client_trace_sample=8)
+        )
         assert traced >= OVERHEAD_GUARD * untraced, (
             f"traced throughput {traced:,.0f}/s fell below "
             f"{OVERHEAD_GUARD:.0%} of untraced {untraced:,.0f}/s"
