@@ -639,10 +639,26 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             else ""
         )
         print(f"{row['node']}{bound}:")
+        archive = row["archive"]
+        torn = " TORN TAIL (cut off on recovery)" if archive["torn_tail"] else ""
+        print(
+            f"  applied-log archive: {archive['entries']} command(s), "
+            f"{archive['bytes']} valid byte(s){torn}"
+        )
         for snap in row["snapshots"]:
+            if "problem" in snap:
+                stands_on = f"UNUSABLE ({snap['problem']})"
+            else:
+                stands_on = (
+                    f"{snap['bytes']} byte(s), stands on {snap['log_entries']} "
+                    f"archived command(s) / {snap['archive_bytes']} byte(s)"
+                )
+                if not snap["covered"]:
+                    stands_on += " NOT COVERED BY THE ARCHIVE (skipped on recovery)"
             print(
                 f"  snapshot upto slot {snap['upto']} "
-                f"(replays WAL from segment {snap['wal_seq']}): {snap['file']}"
+                f"(replays WAL from segment {snap['wal_seq']}): {snap['file']}: "
+                f"{stands_on}"
             )
         if not row["snapshots"]:
             print("  no snapshots (recovery replays the WAL from scratch)")

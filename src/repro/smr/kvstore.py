@@ -357,24 +357,31 @@ class KVStore:
         return dict(self.data)
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """Full-fidelity state for durability: data, ids, and the log.
+        """Full-fidelity state for durability: the map and the log.
 
         :meth:`snapshot` is the *observable* state (the map); restore
-        needs the applied-id set (idempotence must survive a restart) and
-        the applied command log (the cross-replica convergence witness
-        checked by ``check_logs_consistent`` and the cluster tests).
+        also needs the applied command log (the cross-replica convergence
+        witness checked by ``check_logs_consistent`` and the cluster
+        tests). The applied-id set is not part of the state: it is a
+        function of the log, and :meth:`from_state` rebuilds it.
         """
-        return {
-            "data": dict(self.data),
-            "applied_ids": set(self.applied_ids),
-            "log": list(self.log),
-        }
+        return {"data": dict(self.data), "log": list(self.log)}
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "KVStore":
-        """Rebuild a store from :meth:`snapshot_state` output."""
+        """Rebuild a store from :meth:`snapshot_state` output.
+
+        ``applied_ids`` is derived from the two places :meth:`apply` adds
+        to it: every logged command's own id, plus the ids a logged
+        ``shard_install`` carried in from the range's previous home.
+        """
         store = cls()
         store.data = dict(state["data"])
-        store.applied_ids = set(state["applied_ids"])
         store.log = list(state["log"])
+        ids = store.applied_ids
+        for command in store.log:
+            ids.add(command.command_id)
+            if command.op == "config" and isinstance(command.value, dict):
+                if command.value.get("kind") == "shard_install":
+                    ids.update(command.value.get("applied_ids") or ())
         return store

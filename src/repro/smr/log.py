@@ -265,10 +265,11 @@ class SMRReplica(Process):
         self.slot_traces: Dict[int, str] = {}  # slot -> trace id
         self.pending_traces: Dict[str, str] = {}  # command_id -> client trace id
         self.command_traces: Dict[str, str] = {}  # command_id -> trace id
-        # Slots whose inner state may have changed this activation; the
-        # durability layer drains this after every activation to journal
-        # only genuine changes. Bounded by ``_slots`` (same keys), so
-        # simulator runs without a persister pay one set-add per touch.
+        # Slots whose inner state may have changed, or that were decided,
+        # this activation; the durability layer drains this after every
+        # activation to journal only genuine changes. Bounded by ``_slots``
+        # and ``decided`` (same keys), so simulator runs without a
+        # persister pay one set-add per touch.
         self.dirty_slots: Set[int] = set()
 
     # ------------------------------------------------------------------
@@ -526,6 +527,7 @@ class SMRReplica(Process):
         decided: SlotValue = value
         now = ctx.now
         self.decided[slot] = decided
+        self.dirty_slots.add(slot)
         self.decide_times[slot] = now
         inner = self._slots.get(slot)
         path = getattr(inner, "decided_path", None) or PATH_LEARNED
@@ -623,6 +625,7 @@ class SMRReplica(Process):
         if slot < self.applied_upto or slot in self.decided:
             return False
         self.decided[slot] = value
+        self.dirty_slots.add(slot)
         self.decide_times.setdefault(slot, 0.0)
         for command in commands_in(value):
             if command.command_id:

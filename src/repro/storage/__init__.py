@@ -4,8 +4,9 @@
 model's crash-stop semantics. A node launched with a data directory
 journals safety-critical consensus state to an append-only, CRC-framed,
 group-commit-fsynced write-ahead log before externalizing it; rolls the
-applied prefix into atomic snapshots with WAL rotation and a retention
-policy; and on restart rebuilds its replica from snapshot+WAL, then
+applied prefix into atomic snapshots (a small image over an append-only
+applied-log archive) with WAL rotation and a retention policy; and on
+restart rebuilds its replica from snapshot+WAL, then
 catches up from a peer's live state over the wire
 (``SnapshotRequest``/``SnapshotChunk``) instead of replaying history.
 
@@ -18,6 +19,7 @@ from .files import atomic_write_bytes, atomic_write_text
 from .records import WalDecision, WalSlotState, decode_record, encode_record
 from .recovery import (
     NodeStorage,
+    RecoveryError,
     RecoveryResult,
     ReplicaPersister,
     fetch_range_state,
@@ -29,11 +31,12 @@ from .recovery import (
 )
 from .retention import RetentionPolicy, RetentionReport
 from .snapshot import (
+    AppliedLogArchive,
+    SnapshotError,
     SnapshotInfo,
     deserialize_range_state,
     deserialize_replica_state,
     serialize_range_state,
-    latest_snapshot,
     list_snapshots,
     load_snapshot,
     serialize_replica_state,
@@ -42,11 +45,14 @@ from .snapshot import (
 from .wal import WriteAheadLog, list_segments, pack_record, scan_segment
 
 __all__ = [
+    "AppliedLogArchive",
     "NodeStorage",
+    "RecoveryError",
     "RecoveryResult",
     "ReplicaPersister",
     "RetentionPolicy",
     "RetentionReport",
+    "SnapshotError",
     "SnapshotInfo",
     "WalDecision",
     "WalSlotState",
@@ -61,7 +67,6 @@ __all__ = [
     "fetch_snapshot",
     "inspect_data_dir",
     "install_state",
-    "latest_snapshot",
     "list_segments",
     "list_snapshots",
     "load_snapshot",

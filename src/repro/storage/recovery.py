@@ -3,8 +3,9 @@
 Three cooperating pieces, all built from the primitives in this package:
 
 * :class:`NodeStorage` — one node's data directory layout
-  (``<data_dir>/node-<pid>/`` holding WAL segments, snapshots, and a
-  small ``node.json`` with the bound port for stable restarts).
+  (``<data_dir>/node-<pid>/`` holding WAL segments, snapshot images, the
+  applied-log archive they stand on, and a small ``node.json`` with the
+  bound port for stable restarts).
 * :class:`ReplicaPersister` — the live persistence hook. The node
   runtime calls :meth:`ReplicaPersister.after_activation` at the end of
   every activation, *before* the event loop yields: since activations
@@ -30,18 +31,23 @@ import json
 import pathlib
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..obs import Observability, NULL_OBS
+from ..smr.kvstore import BatchRef, CommandBatch
 from .files import atomic_write_text
 from .records import WalDecision, WalSlotState, decode_record, encode_record
 from .retention import RetentionPolicy
 from .snapshot import (
+    ARCHIVE_NAME,
+    AppliedLogArchive,
+    SnapshotError,
     SnapshotInfo,
     deserialize_replica_state,
-    latest_snapshot,
     list_snapshots,
     load_snapshot,
+    read_image,
+    scan_archive,
     serialize_replica_state,
     write_snapshot,
 )
@@ -70,8 +76,9 @@ class NodeStorage:
         )
 
     # -- snapshots -----------------------------------------------------
-    def latest_snapshot(self) -> Optional[SnapshotInfo]:
-        return latest_snapshot(self.dir)
+    @property
+    def archive_path(self) -> pathlib.Path:
+        return self.dir / ARCHIVE_NAME
 
     # -- metadata ------------------------------------------------------
     @property
@@ -91,12 +98,16 @@ class NodeStorage:
         return meta
 
 
+class RecoveryError(RuntimeError):
+    """The durable state on disk cannot be turned back into a replica."""
+
+
 @dataclass(frozen=True)
 class RecoveryResult:
     """What one local recovery pass rebuilt."""
 
     snapshot: Optional[SnapshotInfo]
-    snapshot_entries: int  #: applied log entries restored from the snapshot
+    snapshot_entries: int  #: applied log entries restored from the archive
     replayed_entries: int  #: WAL records applied on top of it
     torn_segments: int  #: segments that ended in a torn tail
     segments_scanned: int
@@ -129,10 +140,13 @@ class ReplicaPersister:
         self.snapshot_every = snapshot_every
         self.retention = retention if retention is not None else RetentionPolicy()
         self._wal: Optional[WriteAheadLog] = None
-        # Durable-state caches: what the WAL/snapshot already covers, so
-        # after_activation journals only genuine changes.
-        self._durable_decided: set = set()
+        self._archive = AppliedLogArchive(storage.archive_path, fsync=fsync, obs=obs)
+        # Durable-state caches: what the current WAL segment (or the image
+        # under it) already covers, so after_activation journals only
+        # genuine changes. All three restart empty with every segment.
+        self._durable_decided: Set[int] = set()
         self._fingerprints: Dict[int, Tuple] = {}
+        self._journaled: Set[Tuple[int, BatchRef]] = set()  # bodies, per slot
         self._last_snapshot_upto = 0
         self.recovered: Optional[RecoveryResult] = None
 
@@ -144,10 +158,14 @@ class ReplicaPersister:
         """Rebuild the replica from snapshot + WAL; open a fresh segment."""
         replica = self.replica
         registry = self.obs.registry
-        info = self.storage.latest_snapshot()
+        info, state = self._load_newest_usable_snapshot()
         snapshot_entries = 0
-        if info is not None:
-            state = load_snapshot(self.codec, info)
+        if state is None:
+            self._archive.open_at(0, 0)
+        else:
+            # Cut the archive back to the image's prefix before anything
+            # can be appended behind an orphan (possibly torn) tail.
+            self._archive.open_at(state["log_entries"], state["archive_bytes"])
             replica.restore_store(state["store"], state["applied_upto"])
             snapshot_entries = len(replica.store.log)
             for slot in sorted(state["decided_tail"]):
@@ -162,18 +180,24 @@ class ReplicaPersister:
             if result.torn:
                 torn += 1
                 registry.inc("storage.wal_torn_segments")
+            bodies: Dict[Tuple[int, BatchRef], CommandBatch] = {}
             for payload in result.payloads:
                 record = decode_record(self.codec, payload)
                 if isinstance(record, WalDecision):
-                    if replica.restore_decided(record.slot, record.value):
+                    value = _resolve(bodies, segment, record.slot, record.value)
+                    if replica.restore_decided(record.slot, value):
                         replayed += 1
                 elif isinstance(record, WalSlotState):
+                    value = _resolve(bodies, segment, record.slot, record.value)
+                    initial_value = _resolve(
+                        bodies, segment, record.slot, record.initial_value
+                    )
                     if replica.restore_slot_state(
                         record.slot,
                         bal=record.bal,
                         vbal=record.vbal,
-                        value=record.value,
-                        initial_value=record.initial_value,
+                        value=value,
+                        initial_value=initial_value,
                         sent_twoa=record.sent_twoa,
                     ):
                         replayed += 1
@@ -181,10 +205,6 @@ class ReplicaPersister:
         # All writes go to a brand-new segment: old ones stay read-only,
         # so append-after-torn-tail-truncation can never corrupt history.
         self._wal = self.storage.new_segment(self.fsync, obs=self.obs)
-        self._durable_decided = set(replica.decided)
-        self._fingerprints = {
-            slot: _fingerprint(inner) for slot, inner in replica._slots.items()
-        }
         result = RecoveryResult(
             snapshot=info,
             snapshot_entries=snapshot_entries,
@@ -198,7 +218,34 @@ class ReplicaPersister:
             # crash replays only post-restart records, and retention can
             # retire the segments we just consumed.
             self._write_snapshot()
+        replica.dirty_slots.clear()  # everything replayed is durable
         return result
+
+    def _load_newest_usable_snapshot(
+        self,
+    ) -> Tuple[Optional[SnapshotInfo], Optional[Dict[str, Any]]]:
+        """The newest retained image that loads, with its decoded state.
+
+        An image that does not parse, has the wrong format, or names an
+        archive prefix that is not there is skipped and counted. Images
+        but no usable one is fatal: the WAL segments below the images are
+        retired, so replaying the WAL alone would yield a short log.
+        """
+        images = list_snapshots(self.storage.dir)
+        problems: List[str] = []
+        for info in reversed(images):
+            try:
+                return info, load_snapshot(self.codec, info)
+            except SnapshotError as exc:
+                self.obs.registry.inc("storage.snapshot_fallbacks")
+                problems.append(str(exc))
+        if images:
+            raise RecoveryError(
+                f"{self.storage.dir}: none of the {len(images)} retained snapshot "
+                f"image(s) is usable ({'; '.join(problems)}); the WAL below them "
+                "is retired, so this node cannot recover locally"
+            )
+        return None, None
 
     # ------------------------------------------------------------------
     # The per-activation hook (the write-ahead property lives here).
@@ -212,59 +259,89 @@ class ReplicaPersister:
             return
         dirty = replica.dirty_slots
         if dirty:
+            decided = replica.decided
             for slot in sorted(dirty):
-                if slot in replica.decided:
-                    continue  # journaled as a decision below
-                inner = replica._slots.get(slot)
-                if inner is None:
+                if slot in decided:
+                    if slot not in self._durable_decided:
+                        self._durable_decided.add(slot)
+                        record = WalDecision(slot, self._once(slot, decided[slot]))
+                        wal.append(encode_record(self.codec, record))
                     continue
-                fingerprint = _fingerprint(inner)
-                if self._fingerprints.get(slot) != fingerprint:
-                    self._fingerprints[slot] = fingerprint
-                    wal.append(
-                        encode_record(
-                            self.codec,
-                            WalSlotState(
-                                slot=slot,
-                                bal=inner.bal,
-                                vbal=inner.vbal,
-                                value=inner.val,
-                                initial_value=inner.initial_val,
-                                sent_twoa=tuple(sorted(inner._sent_twoa)),
-                            ),
-                        )
-                    )
+                inner = replica._slots.get(slot)
+                if inner is not None:
+                    self._journal_slot_state(slot, inner)
             dirty.clear()
-        if len(replica.decided) != len(self._durable_decided):
-            for slot, value in replica.decided.items():
-                if slot not in self._durable_decided:
-                    self._durable_decided.add(slot)
-                    wal.append(
-                        encode_record(self.codec, WalDecision(slot=slot, value=value))
-                    )
         wal.commit()
         if replica.applied_upto - self._last_snapshot_upto >= self.snapshot_every:
             self._write_snapshot()
+
+    def _journal_slot_state(self, slot: int, inner: Any) -> None:
+        fingerprint = _fingerprint(inner)
+        if self._fingerprints.get(slot) == fingerprint:
+            return
+        self._fingerprints[slot] = fingerprint
+        record = WalSlotState(
+            slot=slot,
+            bal=inner.bal,
+            vbal=inner.vbal,
+            value=self._once(slot, inner.val),
+            initial_value=self._once(slot, inner.initial_val),
+            sent_twoa=fingerprint[-1],
+        )
+        assert self._wal is not None
+        self._wal.append(encode_record(self.codec, record))
+
+    def _once(self, slot: int, value: Any) -> Any:
+        """*value*, or its reference once this segment holds the body.
+
+        One body per slot per segment: the first field that mentions a
+        batch for *slot* carries it, every later one (in the same record
+        or a later one) its ``BatchRef``; :meth:`recover` resolves
+        references from bodies seen earlier in the same segment.
+        """
+        if type(value) is not CommandBatch:
+            return value
+        key = (slot, value.ref)
+        if key in self._journaled:
+            return key[1]
+        self._journaled.add(key)
+        return value
 
     # ------------------------------------------------------------------
     # Snapshots + rotation + retention.
     # ------------------------------------------------------------------
 
     def _write_snapshot(self) -> SnapshotInfo:
+        """Archive + image, then rotate, then retire what they cover.
+
+        Only called with an empty WAL buffer (after a commit, or outside
+        any activation), so every stage leaves a recoverable directory:
+        archive tail without image — cut off on recovery; image without
+        rotation — the old segment replays as no-ops; rotation without
+        retention — extra files, retired by the next snapshot.
+        """
         replica = self.replica
         assert self._wal is not None
         next_seq = self._wal.seq + 1
-        info = write_snapshot(self.storage.dir, self.codec, replica, wal_seq=next_seq)
+        info = write_snapshot(
+            self.storage.dir, self.codec, replica, next_seq, self._archive
+        )
         # Rotate: the snapshot covers every record in segments < next_seq.
         self._wal.close()
         self._wal = WriteAheadLog.create(
             self.storage.dir, next_seq, fsync=self.fsync, obs=self.obs
         )
         truncated = replica.truncate_below(replica.applied_upto)
-        self._durable_decided = set(replica.decided)
-        self._fingerprints = {
-            slot: _fingerprint(inner) for slot, inner in replica._slots.items()
-        }
+        # The new segment starts knowing nothing: slots still open are
+        # journaled again (body in full), so the image plus the segments
+        # from next_seq on suffice and the older ones can be retired.
+        self._durable_decided = set(replica.decided)  # the image's tail
+        self._fingerprints = {}
+        self._journaled = set()
+        for slot in sorted(replica._slots):
+            if slot not in replica.decided:
+                self._journal_slot_state(slot, replica._slots[slot])
+        self._wal.commit()
         self._last_snapshot_upto = info.upto
         report = self.retention.apply(self.storage.dir)
         registry = self.obs.registry
@@ -300,6 +377,7 @@ class ReplicaPersister:
 
     def close(self, hard: bool = False) -> None:
         """Close the WAL. ``hard=True`` models SIGKILL: drop the buffer."""
+        self._archive.close()
         if self._wal is None:
             return
         if hard:
@@ -318,6 +396,30 @@ def _fingerprint(inner: Any) -> Tuple:
         inner.initial_val,
         tuple(sorted(inner._sent_twoa)),
     )
+
+
+def _resolve(
+    bodies: Dict[Tuple[int, BatchRef], CommandBatch],
+    segment: pathlib.Path,
+    slot: int,
+    value: Any,
+) -> Any:
+    """A journaled value in full: note a body, look a reference up.
+
+    *bodies* is per segment — a reference only ever points backwards
+    within the segment that holds it, so any valid prefix resolves.
+    """
+    if type(value) is CommandBatch:
+        bodies[(slot, value.ref)] = value
+    elif type(value) is BatchRef:
+        try:
+            return bodies[(slot, value)]
+        except KeyError:
+            raise RecoveryError(
+                f"{segment.name}: slot {slot} refers to batch {value.batch_id!r} "
+                "before journaling its body"
+            ) from None
+    return value
 
 
 def install_state(replica: Any, state: Dict[str, Any]) -> int:
@@ -477,19 +579,40 @@ def snapshot_chunks(codec: Any, replica: Any, request_id: str) -> List[Any]:
 def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
     """Offline summary of every node directory under *root*.
 
-    Powers ``python -m repro recover``: per node, the retained snapshots,
-    each WAL segment's record count and torn-tail status, and the highest
-    slot any record mentions — without constructing a replica.
+    Powers ``python -m repro recover``: per node, the applied-log
+    archive's valid extent, the retained images and whether the archive
+    covers the prefix each one names, each WAL segment's record count and
+    torn-tail status, and the highest slot any record mentions — without
+    constructing a replica.
     """
     rows: List[Dict[str, Any]] = []
     root = pathlib.Path(root)
     for node_dir in sorted(root.glob("node-*")):
         if not node_dir.is_dir():
             continue
-        snapshots = [
-            {"file": info.path.name, "upto": info.upto, "wal_seq": info.wal_seq}
-            for info in list_snapshots(node_dir)
-        ]
+        archive_path = node_dir / ARCHIVE_NAME
+        entries, good_bytes = 0, 0
+        prefixes = {(0, 0)}  # every (entries, bytes) an image may name
+        for commands, good_bytes in scan_archive(archive_path, codec):
+            entries += len(commands)
+            prefixes.add((entries, good_bytes))
+        file_bytes = archive_path.stat().st_size if archive_path.exists() else 0
+        snapshots = []
+        for info in list_snapshots(node_dir):
+            row = {"file": info.path.name, "upto": info.upto, "wal_seq": info.wal_seq}
+            try:
+                image = read_image(info)
+            except SnapshotError as exc:
+                row.update(covered=False, problem=str(exc))
+            else:
+                prefix = (image["log_entries"], image["archive_bytes"])
+                row.update(
+                    log_entries=prefix[0],
+                    archive_bytes=prefix[1],
+                    bytes=info.path.stat().st_size,
+                    covered=prefix in prefixes,
+                )
+            snapshots.append(row)
         decisions = 0
         slot_states = 0
         torn = 0
@@ -518,6 +641,11 @@ def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
         rows.append(
             {
                 "node": node_dir.name,
+                "archive": {
+                    "entries": entries,
+                    "bytes": good_bytes,
+                    "torn_tail": good_bytes != file_bytes,
+                },
                 "snapshots": snapshots,
                 "segments": segments,
                 "wal_decisions": decisions,
@@ -534,6 +662,7 @@ def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
 
 __all__ = [
     "NodeStorage",
+    "RecoveryError",
     "RecoveryResult",
     "ReplicaPersister",
     "TRANSFER_CHUNK_CHARS",

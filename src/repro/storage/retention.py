@@ -7,9 +7,16 @@ policy decides which snapshots to keep, every segment below the oldest
 kept snapshot's ``wal_seq`` is redundant — recovery from any retained
 snapshot never needs it.
 
-Keeping more than one snapshot (default 2) is deliberate: if the newest
-snapshot file were lost or unreadable, recovery falls back to the
-previous one plus the segments retained for *it*.
+Keeping more than one snapshot image (default 2) is deliberate:
+``ReplicaPersister.recover`` tries the retained images newest-first and
+skips one that does not parse, has the wrong format, or names an archive
+prefix that is not there (``storage.snapshot_fallbacks``), continuing
+from the previous image plus the segments retained for *it*. If images
+exist and none is usable it raises rather than replay the WAL alone —
+the segments below the images are gone.
+
+The applied-log archive is never trimmed here: every retained image
+names a prefix of it, and it only grows.
 """
 
 from __future__ import annotations

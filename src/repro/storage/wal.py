@@ -41,6 +41,7 @@ from ..obs import Observability, NULL_OBS
 
 #: length + crc32, both unsigned 32-bit big-endian.
 _HEADER = struct.Struct(">II")
+HEADER_BYTES = _HEADER.size
 
 #: A record claiming more than this is treated as torn-tail corruption.
 MAX_RECORD_BYTES = 16 * 1024 * 1024
@@ -82,14 +83,13 @@ class ScanResult:
     torn: bool  #: a partial/corrupt tail followed the valid prefix
 
 
-def scan_segment(path: pathlib.Path) -> ScanResult:
-    """Read every fully-written record of *path*, tolerating a torn tail.
+def scan_records(data: bytes) -> ScanResult:
+    """Every fully-written record at the head of *data*, tolerating a torn tail.
 
     Returns the longest prefix of valid records. Never raises on content:
     short headers, over-long lengths, short payloads, and CRC mismatches
     all simply end the scan (``torn=True``).
     """
-    data = path.read_bytes()
     payloads: List[bytes] = []
     offset = 0
     while True:
@@ -109,6 +109,11 @@ def scan_segment(path: pathlib.Path) -> ScanResult:
     return ScanResult(
         payloads=tuple(payloads), good_bytes=offset, torn=offset != len(data)
     )
+
+
+def scan_segment(path: pathlib.Path) -> ScanResult:
+    """:func:`scan_records` over one segment file."""
+    return scan_records(path.read_bytes())
 
 
 class WriteAheadLog:
@@ -233,6 +238,7 @@ def next_segment_seq(directory: pathlib.Path) -> int:
 
 
 __all__ = [
+    "HEADER_BYTES",
     "MAX_RECORD_BYTES",
     "ScanResult",
     "WriteAheadLog",
@@ -240,6 +246,7 @@ __all__ = [
     "next_segment_seq",
     "pack_record",
     "replay_directory",
+    "scan_records",
     "scan_segment",
     "segment_name",
     "segment_seq",

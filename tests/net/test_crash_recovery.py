@@ -10,12 +10,18 @@ survivors' retained outbound backlog is shed first, modeling a bounded
 retransmit buffer over a long outage — transfer must carry the node, not
 backlog replay), rebind its original port, and converge to the identical
 applied log and store as the survivors.
+
+The CI matrix runs this module once per wire codec: ``REPRO_SMOKE_CODEC``
+(``json`` default, or ``binary``) selects the clusters' codec, so the
+binary leg recovers a binary WAL, archive and image.
 """
 
 import asyncio
+import os
 from collections import deque
 
 from repro.net.cluster import LocalCluster
+from repro.net.codec import MessageCodec, make_codec
 from repro.net.loadgen import run_loadgen
 from repro.net.node import NodeServer
 from repro.net.wire import NodeHello
@@ -24,11 +30,19 @@ from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
 from repro.smr.client import put_get_workload
 from repro.smr.log import smr_factory
+from repro.storage import NodeStorage
+from repro.storage.snapshot import ARCHIVE_NAME
+from repro.storage.wal import list_segments, scan_records
 
 HARD_TIMEOUT = 120.0
 N = 5
 TOTAL = 400
 PART1, PART2 = 200, 320  # ops[:PART1] | ops[PART1:PART2] | ops[PART2:]
+
+
+def _smoke_codec() -> MessageCodec:
+    """The cluster-wide codec for this run, from the CI matrix env var."""
+    return make_codec(os.environ.get("REPRO_SMOKE_CODEC", "json"))
 
 
 def _factory(delta: float = 0.05, batch: int = 16):
@@ -65,6 +79,7 @@ async def _kill_restart_rejoin(data_dir):
         N,
         _factory(),
         serve_clients=True,
+        codec=_smoke_codec(),
         data_dir=str(data_dir),
         snapshot_every=32,
         outbox_limit=2000,
@@ -127,7 +142,12 @@ async def _full_cluster_reboot(data_dir):
     """Every node stops; a fresh cluster over the same data dir resumes."""
     count = 120
     boot = LocalCluster(
-        3, _factory(), serve_clients=True, data_dir=str(data_dir), snapshot_every=16
+        3,
+        _factory(),
+        serve_clients=True,
+        codec=_smoke_codec(),
+        data_dir=str(data_dir),
+        snapshot_every=16,
     )
     async with boot:
         report = await run_loadgen(
@@ -141,8 +161,22 @@ async def _full_cluster_reboot(data_dir):
         await boot.wait_logs_converged(timeout=30.0, expected_commands=count)
         expected_log = [c.command_id for c in boot.nodes[0].process.store.log]
 
+    # What recovery is about to read is written in the matrix leg's codec.
+    node_dir = NodeStorage(data_dir, 0).dir
+    framed = node_dir.joinpath(ARCHIVE_NAME).read_bytes()
+    for segment in list_segments(node_dir):
+        framed += segment.read_bytes()
+    payloads = scan_records(framed).payloads
+    assert payloads
+    assert {payload[0] for payload in payloads} == {boot.codec.wire_version}
+
     reboot = LocalCluster(
-        3, _factory(), serve_clients=True, data_dir=str(data_dir), snapshot_every=16
+        3,
+        _factory(),
+        serve_clients=True,
+        codec=_smoke_codec(),
+        data_dir=str(data_dir),
+        snapshot_every=16,
     )
     async with reboot:
         # No load at all: the applied logs must come back from disk.
@@ -182,13 +216,20 @@ async def _rebalance_dest_leader_crash(data_dir):
 
     slots = 16
     cluster = ShardedCluster(
-        2, 3, _factory(), slots=slots, data_dir=str(data_dir), snapshot_every=32
+        2,
+        3,
+        _factory(),
+        codec=_smoke_codec(),
+        slots=slots,
+        data_dir=str(data_dir),
+        snapshot_every=32,
     )
     async with cluster:
         boot_map = cluster.placement
         router = ShardRouter(
             cluster.addresses_by_group,
             cluster.placement,
+            codec=cluster.codec,
             client_id="crash-move",
         )
         try:

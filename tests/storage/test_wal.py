@@ -4,7 +4,9 @@ The hypothesis properties pin the two contracts the crash-recovery path
 leans on: records round-trip bit-exactly through the frame format (and
 typed records through the wire codec), and a segment truncated at *any*
 byte boundary reopens to exactly the prefix of fully-written records —
-never an exception, never a phantom record.
+never an exception, never a phantom record — and, for a segment the
+persister wrote with batch bodies by reference, never a reference whose
+body fell beyond the cut.
 """
 
 import pytest
@@ -13,8 +15,16 @@ from hypothesis import strategies as st
 
 from repro.core.values import BOTTOM
 from repro.net.codec import MessageCodec
-from repro.smr.kvstore import KVCommand
-from repro.storage import WalDecision, WalSlotState, decode_record, encode_record
+from repro.smr.kvstore import CommandBatch, KVCommand
+from repro.smr.log import SMRReplica
+from repro.storage import (
+    NodeStorage,
+    ReplicaPersister,
+    WalDecision,
+    WalSlotState,
+    decode_record,
+    encode_record,
+)
 from repro.storage.wal import (
     MAX_RECORD_BYTES,
     WriteAheadLog,
@@ -156,6 +166,45 @@ class TestTornTail:
 
 _payloads = st.lists(st.binary(max_size=64), max_size=8)
 
+_REFERENCED = {}
+
+
+def _batch(slot):
+    return CommandBatch(
+        tuple(
+            KVCommand(op="put", key=f"k{i}", value=slot, command_id=f"b{slot}.{i}")
+            for i in range(3)
+        ),
+        batch_id=f"__batch:0:{slot}__",
+    )
+
+
+def _persister(directory, replica):
+    return ReplicaPersister(NodeStorage(directory, 0), replica, CODEC, fsync=False)
+
+
+def _referenced_segment(tmp_path_factory):
+    """Bytes of one segment as the persister writes it for four batched
+    slots — vote (body, then a reference to it), then decision (a
+    reference) — and the end offset of each slot's decision record."""
+    if not _REFERENCED:
+        replica = SMRReplica(0, 5, 2, 2)
+        persister = _persister(tmp_path_factory.mktemp("referenced"), replica)
+        persister.recover()
+        decided_at = []
+        for slot in range(4):
+            batch = _batch(slot)
+            replica.restore_slot_state(slot, 0, 0, value=batch, initial_value=batch)
+            replica.dirty_slots.add(slot)
+            persister.after_activation()
+            replica.restore_decided(slot, batch)
+            persister.after_activation()
+            decided_at.append(persister._wal.path.stat().st_size)
+        persister.close()
+        (segment,) = list_segments(persister.storage.dir)
+        _REFERENCED.update(blob=segment.read_bytes(), decided_at=decided_at)
+    return _REFERENCED["blob"], _REFERENCED["decided_at"]
+
 
 class TestProperties:
     @given(payloads=_payloads)
@@ -192,6 +241,23 @@ class TestProperties:
         assert result.payloads == tuple(expected)
         assert result.good_bytes == offset
         assert result.torn == (offset != cut)
+
+        # The same for a segment holding bodies by reference: whatever
+        # prefix survives, every reference in it resolves, so recovery
+        # restores exactly the slots whose decision fits below the cut.
+        blob, decided_at = _referenced_segment(tmp_path_factory)
+        cut = data.draw(st.integers(min_value=0, max_value=len(blob)))
+        directory = tmp_path_factory.mktemp("wal")
+        NodeStorage(directory, 0).dir.joinpath(segment_name(1)).write_bytes(blob[:cut])
+        replica = SMRReplica(0, 5, 2, 2)
+        persister = _persister(directory, replica)
+        persister.recover()
+        persister.close()
+        survived = sum(1 for end in decided_at if end <= cut)
+        assert replica.applied_upto == survived
+        assert replica.store.log == [
+            command for slot in range(survived) for command in _batch(slot).commands
+        ]
 
     @given(
         slot=st.integers(min_value=0, max_value=2**31),
