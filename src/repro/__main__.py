@@ -276,7 +276,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     from .net import run_cluster, start_node
     from .net.client import parse_address_list
-    from .net.codec import make_codec
     from .net.netlog import configure_logging
     from .net.node import KVService
 
@@ -285,7 +284,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     factory = _smr_net_factory(
         args.f, args.e, args.delta, batch=args.batch, window=args.window
     )
-    codec = make_codec(args.codec)
 
     if args.groups > 1:
         # Sharded in-process deployment: G groups × n replicas, group 0
@@ -304,7 +302,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 args.groups,
                 args.n,
                 factory,
-                codec=codec,
                 slots=args.slots,
                 data_dir=args.data_dir,
                 fsync=not args.no_fsync,
@@ -321,7 +318,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 print(
                     f"sharded cluster up: groups={args.groups} "
                     f"replicas/group={args.n} slots={args.slots} "
-                    f"f={args.f} e={args.e} codec={args.codec}"
+                    f"f={args.f} e={args.e}"
                 )
                 print(f"peers: {peers}")
                 print(f"drive it with: python -m repro loadgen --peers '{peers}'")
@@ -353,7 +350,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 args.node,
                 addresses,
                 factory,
-                codec=codec,
                 client_service=KVService(),
                 trace=args.trace,
                 data_dir=args.data_dir,
@@ -387,7 +383,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     # In-process LocalCluster deployment (all nodes, one event loop).
     def announce(cluster) -> None:
         peers = ",".join(f"{host}:{port}" for host, port in cluster.addresses)
-        print(f"cluster up: n={args.n} f={args.f} e={args.e} codec={args.codec}")
+        print(f"cluster up: n={args.n} f={args.f} e={args.e}")
         print(f"peers: {peers}")
         print(f"drive it with: python -m repro loadgen --peers {peers}")
         print(f"inspect it with: python -m repro stats --peers {peers}")
@@ -405,7 +401,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 data_dir=args.data_dir,
                 fsync=not args.no_fsync,
                 snapshot_every=args.snapshot_every,
-                codec=codec,
                 trace_sample=args.trace_sample,
                 timeseries_dir=args.timeseries,
             )
@@ -451,10 +446,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             wire = snapshot.get("wire") or {}
             wire_note = ""
             if wire:
-                registry_hash = wire.get("registry_hash", "")
                 wire_note = (
-                    f" codec={wire.get('codec', '?')}"
-                    f" registry={registry_hash[:8] if registry_hash else '?'}"
+                    f" registry={wire['registry_hash'][:8]}"
+                    f" links out/in/client={wire['peer_links_out']}/"
+                    f"{wire['peer_links_in']}/{wire['client_links']}"
                 )
             print(
                 f"node {pid}: fast={counters.get('consensus.decisions_fast', 0)} "
@@ -487,7 +482,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import time
 
     from .net.client import parse_address_list
-    from .net.codec import make_codec
     from .net.loadgen import run_loadgen
 
     key_skew = _parse_key_skew(args.key_skew)
@@ -505,7 +499,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 put_fraction=args.put_fraction,
                 seed=args.seed,
                 timeout=args.timeout,
-                codec=make_codec(args.codec),
                 pipeline=max(1, args.pipeline),
                 key_skew=key_skew,
                 collect_stats=args.stats,
@@ -520,7 +513,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 put_fraction=args.put_fraction,
                 seed=args.seed,
                 timeout=args.timeout,
-                codec=make_codec(args.codec),
                 pipeline=args.pipeline,
                 pin_proxy=None if args.pin_proxy < 0 else args.pin_proxy,
                 collect_stats=args.stats,
@@ -534,7 +526,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         "errors": report.errors[:10],
         "config": {
             "clients": args.clients,
-            "codec": args.codec,
             "count": args.count,
             "key_skew": args.key_skew,
             "pipeline": args.pipeline,
@@ -587,7 +578,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
     import asyncio
 
     from .net.client import parse_address_list
-    from .net.codec import make_codec
     from .net.top import run_top
 
     if ";" in args.peers:
@@ -604,7 +594,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
                 addresses,
                 interval=args.interval,
                 iterations=args.iterations,
-                codec=make_codec(args.codec),
                 clear=not args.no_clear,
                 groups=groups,
             )
@@ -854,14 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --data-dir: snapshot + rotate the WAL every this many "
         "applied slots (default 256)",
     )
-    cluster.add_argument(
-        "--codec",
-        default="json",
-        choices=["json", "binary"],
-        help="preferred wire format (default json; binary is the compact "
-        "v2 fast path, negotiated per connection so mixed clusters and "
-        "older peers interoperate)",
-    )
     cluster.set_defaults(fn=_cmd_cluster)
     stats = sub.add_parser(
         "stats", help="scrape a live cluster's metrics and merge them"
@@ -924,13 +905,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="outstanding commands per connection (default 1 = closed loop)",
     )
     loadgen.add_argument(
-        "--codec",
-        default="json",
-        choices=["json", "binary"],
-        help="preferred wire format for client links (negotiated with each "
-        "proxy; a json-only proxy downgrades the link transparently)",
-    )
-    loadgen.add_argument(
         "--pin-proxy",
         type=int,
         default=0,
@@ -989,12 +963,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="render this many frames then exit (default: until Ctrl-C)",
-    )
-    top.add_argument(
-        "--codec",
-        default="json",
-        choices=["json", "binary"],
-        help="preferred wire format for the scrape connections",
     )
     top.add_argument(
         "--no-clear",

@@ -33,16 +33,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
 from ..smr.kvstore import KVCommand
-from .codec import (
-    SUPPORTED_WIRE_VERSIONS,
-    WIRE_VERSION_JSON,
-    CodecError,
-    FrameDecoder,
-    MessageCodec,
-    read_frame,
-)
-from .node import _READ_CHUNK, Address, enable_nodelay
-from .wire import ClientHello, ClientReply, ClientSubmit, HelloAck, WrongShard
+from .codec import CodecError, FrameDecoder, MessageCodec, read_frame
+from .node import _READ_CHUNK, Address, dial
+from .wire import ClientHello, ClientReply, ClientSubmit, WrongShard
 
 
 class ClientError(ReproError):
@@ -102,12 +95,6 @@ class KVClient:
         self._seq = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        # Wire version negotiated with the current proxy; re-negotiated on
-        # every (re)connect, so failover to an older node degrades to JSON.
-        self._link_version = WIRE_VERSION_JSON
-        # Whether the current proxy records spans (from its HelloAck);
-        # trace ids are only stamped onto submits when it does.
-        self.trace_supported = False
         # Proxy blacklist: proxies that recently failed us, with the time
         # of the failure. Avoided until the cooldown elapses so a crashed
         # node does not cost one timeout per designated command.
@@ -124,39 +111,14 @@ class KVClient:
     async def _ensure_connected(self) -> None:
         if self._writer is not None:
             return
-        host, port = self.addresses[self.proxy]
-        self._reader, self._writer = await asyncio.open_connection(host, port)
-        enable_nodelay(self._writer)
-        # The hello always travels as v1 so any server build can read it;
-        # announcing a higher max invites a HelloAck naming the agreed
-        # version. A server that never answers is a pre-negotiation build:
-        # fall back to JSON after the hello timeout.
-        self._writer.write(
-            self.codec.encode(
-                ClientHello(
-                    self.client_id,
-                    max_wire_version=self.codec.max_wire_version,
-                    registry_hash=self.codec.registry_hash,
-                    trace_ok=True,
-                ),
-                WIRE_VERSION_JSON,
-            )
+        # A refused handshake raises HandshakeRefused, a ConnectionError:
+        # the request paths fail over to the next proxy like on any drop.
+        self._reader, self._writer = await dial(
+            self.addresses[self.proxy],
+            self.codec,
+            ClientHello(self.client_id),
+            self.hello_timeout,
         )
-        await self._writer.drain()
-        self._link_version = WIRE_VERSION_JSON
-        self.trace_supported = False
-        if self.codec.max_wire_version > WIRE_VERSION_JSON:
-            try:
-                ack = await asyncio.wait_for(
-                    read_frame(self._reader, self.codec), self.hello_timeout
-                )
-            except (asyncio.TimeoutError, CodecError):
-                return
-            if isinstance(ack, HelloAck) and ack.wire_version in SUPPORTED_WIRE_VERSIONS:
-                self._link_version = min(
-                    ack.wire_version, self.codec.max_wire_version
-                )
-                self.trace_supported = bool(ack.trace_ok)
 
     async def close(self) -> None:
         if self._writer is not None:
@@ -199,7 +161,7 @@ class KVClient:
         failures still rotate to the other proxies, and a preferred proxy
         that recently failed is skipped until its cooldown elapses.
         ``trace_id`` asks the proxy to span-trace this command end to
-        end; it is only stamped when the proxy's handshake agreed.
+        end; a proxy that records no spans ignores it.
 
         Against a *sharded* node the returned frame may be a
         :class:`~repro.net.wire.WrongShard` redirect instead of a reply —
@@ -218,11 +180,9 @@ class KVClient:
                 request_id = f"{self.client_id}:{self._seq}"
                 self._seq += 1
                 assert self._writer is not None
-                stamped = trace_id if trace_id and self.trace_supported else ""
                 self._writer.write(
                     self.codec.encode(
-                        ClientSubmit(request_id, command, trace_id=stamped),
-                        self._link_version,
+                        ClientSubmit(request_id, command, trace_id=trace_id or "")
                     )
                 )
                 await self._writer.drain()
@@ -280,7 +240,7 @@ class KVClient:
         re-submit everything not yet completed; after ``max_attempts``
         rounds a :class:`ClientError` reports how much is left.
         ``traces`` maps command ids to trace ids to stamp onto their
-        submits (ignored when the proxy's handshake declined spans).
+        submits (ignored by a proxy that records no spans).
 
         A ``WrongShard`` redirect also completes a command for *this*
         run: the command leaves the pending window and lands in
@@ -342,8 +302,7 @@ class KVClient:
         """One connection's worth of open-loop submission."""
         assert self._reader is not None and self._writer is not None
         reader, writer = self._reader, self._writer
-        link_version = self._link_version
-        if traces is None or not self.trace_supported:
+        if traces is None:
             traces = {}
         # Bulk receive mirrors the server's serve loops: one read() per
         # TCP burst of replies instead of two readexactly() per frame.
@@ -365,8 +324,7 @@ class KVClient:
                                 request_id,
                                 command,
                                 trace_id=traces.get(command.command_id, ""),
-                            ),
-                            link_version,
+                            )
                         )
                     )
                     sent_at[command.command_id] = now

@@ -39,11 +39,10 @@ class LocalCluster:
         Builds one :class:`ClientService` per node; pass
         ``KVService`` (the default when ``serve_clients=True``) for the
         replicated KV store, or ``None`` for bare consensus clusters.
-    codecs:
-        Optional per-node codec overrides (pid -> codec) on top of the
-        shared ``codec`` — how mixed-codec clusters are built in tests:
-        give some nodes a binary-preferring codec (or a v1-only one) and
-        per-link negotiation sorts out every pairing.
+    trace_samples:
+        Optional per-node span overrides (pid -> sample or ``None``) on
+        top of ``trace_sample`` — how mixed traced/untraced clusters are
+        built in tests.
     """
 
     def __init__(
@@ -53,7 +52,6 @@ class LocalCluster:
         serve_clients: bool = False,
         client_service_factory: Optional[Callable[[], ClientService]] = None,
         codec: Optional[MessageCodec] = None,
-        codecs: Optional[Dict[ProcessId, MessageCodec]] = None,
         host: str = "127.0.0.1",
         base_port: int = 0,
         trace: bool = False,
@@ -70,7 +68,6 @@ class LocalCluster:
             raise ConfigurationError(f"need at least one node, got n={n}")
         self.n = n
         self.codec = codec if codec is not None else MessageCodec()
-        self._codecs = dict(codecs) if codecs else {}
         if client_service_factory is None and serve_clients:
             client_service_factory = KVService
         # Everything restart(pid) needs to rebuild a node in place.
@@ -83,9 +80,6 @@ class LocalCluster:
         self._snapshot_every = snapshot_every
         self._outbox_limit = outbox_limit
         self._trace_sample = trace_sample
-        # Per-node span overrides (pid -> sample or None), same idiom as
-        # ``codecs``: how mixed traced/untraced clusters are built in
-        # tests — per-link trace negotiation sorts out every pairing.
         self._trace_samples = dict(trace_samples) if trace_samples else None
         self._timeseries_dir = timeseries_dir
         self._timeseries_interval = timeseries_interval
@@ -105,7 +99,7 @@ class LocalCluster:
             pid,
             self.n,
             self._factory,
-            codec=self._codecs.get(pid, self.codec),
+            codec=self.codec,
             host=self._host,
             port=port,
             client_service=(

@@ -1,4 +1,4 @@
-"""Wire codec: length-prefixed frames in two negotiable body formats.
+"""Wire codec: length-prefixed frames, binary v2 bodies after a v1 hello.
 
 The live runtime (:mod:`repro.net.node`) moves the *same* frozen message
 dataclasses the simulator delivers in memory — ``Propose``, ``TwoB``,
@@ -11,7 +11,7 @@ frozensets, and nested messages.
 Frame layout
 ------------
 
-Every frame, in either format, is::
+Every frame is::
 
     +-------------------+---------+----------------------+
     | length  (4B, BE)  | version |        body          |
@@ -19,13 +19,16 @@ Every frame, in either format, is::
 
 ``length`` counts the version byte plus the body. The version byte names
 the body format, so a decoder never needs out-of-band state to read a
-frame — negotiation (below) only governs what a sender *writes*.
+frame.
 
-Version 1 — JSON (debug/compat default)
-~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~
+Version 1 — JSON (handshake and legacy payloads)
+~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~
 
-The body is JSON with a small tagging scheme for the Python shapes JSON
-cannot express natively:
+Hellos and the :class:`~repro.net.wire.HelloAck` travel as v1 — keyed by
+wire name, so two ends can compare registries before any id-keyed frame
+is sent — and WAL/archive payloads written by earlier builds are v1.
+Nothing else is written in it. The body is JSON with a small tagging
+scheme for the Python shapes JSON cannot express natively:
 
 ========================  ==========================================
 Python value              encoding
@@ -40,8 +43,8 @@ Python value              encoding
 registered dataclass      ``{"__t": "rec", "k": name, "v": {...}}``
 ========================  ==========================================
 
-Version 2 — binary (the fast path)
-~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~
+Version 2 — binary (every frame after the hello)
+~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~
 
 A compact tag-prefixed encoding, roughly half the bytes and none of the
 intermediate tagged-tree allocation of the JSON path:
@@ -66,15 +69,14 @@ tag byte           value
 Record fields travel *positionally* in dataclass field order; the u16
 type id comes from a deterministic table — registry names sorted, then
 numbered — so both ends derive the same ids without exchanging them.
-The Hello handshake carries a hash of that table
-(:attr:`MessageCodec.registry_hash`) and negotiation falls back to JSON
-when the hashes differ, so registry skew degrades to the name-keyed
-format instead of decoding garbage. A decoded body must consume the
-payload exactly; trailing bytes, truncated varints, and unknown tags or
-type ids all raise :class:`CodecError`. The reader and writer are built
-once per registry generation, and each record class gets a generated
-decoder and encoder the first time it is seen (``docs/WIRE.md``
-§ Compiled layouts).
+The hello carries a hash of that table
+(:attr:`MessageCodec.registry_hash`) and an acceptor refuses a dialer
+whose hash differs, so registry skew fails the handshake instead of
+decoding garbage. A decoded body must consume the payload exactly;
+trailing bytes, truncated varints, and unknown tags or type ids all raise
+:class:`CodecError`. The reader and writer are built once per registry
+generation, and each record class gets a generated decoder and encoder
+the first time it is seen (``docs/WIRE.md`` § Compiled layouts).
 
 In both formats, sets are serialized in a canonical order (v1: sorted by
 the member's JSON rendering; v2: sorted by the member's binary encoding)
@@ -82,27 +84,14 @@ so the encoding of a message is a pure function of its value — the same
 property :func:`repro.core.messages.message_sort_key` gives the
 schedulers, carried over to the wire.
 
-Negotiation
------------
-
-``wire_version`` is a codec's *send preference* (1 = JSON, the default;
-2 = binary, opt-in via ``cluster --codec binary``); ``max_wire_version``
-is the highest version it can decode. The first frame on a connection
-(``NodeHello``/``ClientHello``, always sent as v1 so anything can read
-it) announces the dialer's preference; a receiver answers a ``>= 2``
-announcement with a ``HelloAck`` naming ``min(theirs, ours)``, and the
-dialer speaks that version from then on. No ack within the hello timeout
-means an old peer: fall back to v1. Negotiation is per connection, so
-mixed-version clusters interoperate link by link.
-
 The :class:`MessageRegistry` maps dataclass names to classes. The default
 registry (:func:`default_registry`) walks every concrete
 :class:`~repro.core.messages.Message` subclass defined by ``core``,
 ``omega``, ``protocols``, ``smr``, ``storage`` (WAL records share the
 wire encoding), and :mod:`repro.net.wire`, plus the
 payload structs that ride inside messages (``KVCommand``, EPaxos
-``Command``). Version or registry mismatches raise :class:`CodecError`
-rather than decoding garbage.
+``Command``). Unknown versions or registry mismatches raise
+:class:`CodecError` rather than decoding garbage.
 """
 
 from __future__ import annotations
@@ -114,16 +103,13 @@ import json
 import struct
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
-from ..core.errors import ReproError
+from ..core.errors import ConfigurationError, ReproError
 from ..core.values import BOTTOM, is_bottom
 
-#: The JSON format; kept under its historical name — v1 frames are
-#: byte-identical to every release before the binary codec existed.
-WIRE_VERSION = 1
+#: The JSON format: hellos, and payloads written by earlier builds.
 WIRE_VERSION_JSON = 1
-#: The compact binary format (opt-in, negotiated per connection).
+#: The compact binary format: every frame after the hello.
 WIRE_VERSION_BINARY = 2
-SUPPORTED_WIRE_VERSIONS = (WIRE_VERSION_JSON, WIRE_VERSION_BINARY)
 
 #: Frames larger than this are rejected — a corrupt length prefix should
 #: fail loudly, not allocate gigabytes.
@@ -253,14 +239,13 @@ def default_registry() -> MessageRegistry:
     return registry
 
 
-def make_codec(name: str = "json", registry: Optional[MessageRegistry] = None) -> "MessageCodec":
-    """Build a codec from a CLI-level format name (``json`` or ``binary``)."""
-    versions = {"json": WIRE_VERSION_JSON, "binary": WIRE_VERSION_BINARY}
-    if name not in versions:
-        raise CodecError(
-            f"unknown codec {name!r}; expected one of {sorted(versions)}"
+def make_codec(name: str = "binary", registry: Optional[MessageRegistry] = None) -> "MessageCodec":
+    """Build the codec by format name; ``binary`` is the only one."""
+    if name != "binary":
+        raise ConfigurationError(
+            f"unknown codec {name!r}; every link speaks 'binary'"
         )
-    return MessageCodec(registry, wire_version=versions[name])
+    return MessageCodec(registry)
 
 
 def _append_uvarint(buf: bytearray, n: int) -> None:
@@ -567,30 +552,16 @@ def _build_writer(
 class MessageCodec:
     """Encode/decode registered dataclasses to/from wire frames.
 
-    ``wire_version`` is the format :meth:`encode` emits by default (the
-    codec's send preference); ``max_wire_version`` is the highest version
-    :meth:`decode_payload` accepts — pass ``1`` to emulate a v1-only peer
-    for negotiation-fallback tests. Decoding always dispatches on the
-    frame's own version byte within that ceiling.
+    :meth:`encode` writes v2 unless told otherwise (only hellos are);
+    :meth:`decode_payload` reads either version by the frame's own
+    version byte.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MessageRegistry] = None,
-        wire_version: int = WIRE_VERSION_JSON,
-        max_wire_version: int = WIRE_VERSION_BINARY,
-    ) -> None:
-        if wire_version not in SUPPORTED_WIRE_VERSIONS:
-            raise CodecError(f"unsupported wire version {wire_version!r}")
-        if max_wire_version not in SUPPORTED_WIRE_VERSIONS:
-            raise CodecError(f"unsupported max wire version {max_wire_version!r}")
-        if wire_version > max_wire_version:
-            raise CodecError(
-                f"preferred version {wire_version} above ceiling {max_wire_version}"
-            )
+    #: The version a hello announces; every build of this codec speaks v2.
+    max_wire_version = WIRE_VERSION_BINARY
+
+    def __init__(self, registry: Optional[MessageRegistry] = None) -> None:
         self.registry = registry if registry is not None else default_registry()
-        self.wire_version = wire_version
-        self.max_wire_version = max_wire_version
         # Derived tables, rebuilt when the registry's generation moves.
         self._tables_generation = -1
         self._fields_by_type: Dict[Type, Tuple[str, ...]] = {}
@@ -630,9 +601,8 @@ class MessageCodec:
     def registry_hash(self) -> str:
         """Fingerprint of the sorted wire-name table (hex, 16 chars).
 
-        Carried in the Hello handshake: two ends whose hashes differ
-        derive different binary type ids, so negotiation keeps such a
-        link on JSON, where records are keyed by name.
+        Carried in the hello: two ends whose hashes differ derive
+        different binary type ids, so the acceptor refuses the link.
         """
         self._tables()
         return self._registry_hash
@@ -645,17 +615,8 @@ class MessageCodec:
             self._fields_by_type[cls] = names
         return names
 
-    def negotiate(self, peer_max: int, peer_registry_hash: str = "") -> int:
-        """The version this codec agrees to speak with an announced peer."""
-        version = min(peer_max, self.max_wire_version, WIRE_VERSION_BINARY)
-        if version >= WIRE_VERSION_BINARY and peer_registry_hash and (
-            peer_registry_hash != self.registry_hash
-        ):
-            return WIRE_VERSION_JSON
-        return max(version, WIRE_VERSION_JSON)
-
     # ------------------------------------------------------------------
-    # Object <-> JSON-able tree (the v1 body).
+    # Object <-> JSON-able tree (the v1 body; snapshot images use it too).
     # ------------------------------------------------------------------
 
     def to_jsonable(self, obj: Any) -> Any:
@@ -740,15 +701,13 @@ class MessageCodec:
     # Frames.
     # ------------------------------------------------------------------
 
-    def encode_payload(self, obj: Any, version: Optional[int] = None) -> bytes:
+    def encode_payload(self, obj: Any, version: int = WIRE_VERSION_BINARY) -> bytes:
         """Serialize *obj* into a frame payload (version byte + body).
 
         This is the unit :mod:`repro.storage` journals: a WAL record is
-        exactly a frame payload, so disk state round-trips under either
-        format and a recovering codec dispatches on the version byte.
+        exactly a frame payload, so a recovering codec dispatches on the
+        version byte and still reads v1 payloads earlier builds wrote.
         """
-        if version is None:
-            version = self.wire_version
         if version == WIRE_VERSION_BINARY:
             self._tables()
             buf = bytearray((WIRE_VERSION_BINARY,))
@@ -761,7 +720,7 @@ class MessageCodec:
             return bytes((WIRE_VERSION_JSON,)) + body
         raise CodecError(f"cannot encode wire version {version!r}")
 
-    def encode(self, obj: Any, version: Optional[int] = None) -> bytes:
+    def encode(self, obj: Any, version: int = WIRE_VERSION_BINARY) -> bytes:
         """Serialize *obj* into one length-prefixed frame."""
         payload = self.encode_payload(obj, version)
         if len(payload) > MAX_FRAME_BYTES:
@@ -775,7 +734,7 @@ class MessageCodec:
 
         Accepts ``bytes``, ``bytearray``, or ``memoryview`` (what the
         framing layer hands over). Dispatches on the payload's version
-        byte up to ``max_wire_version``.
+        byte.
         """
         if not len(payload):
             raise CodecError("empty frame payload")
@@ -791,7 +750,7 @@ class MessageCodec:
             except (UnicodeDecodeError, ValueError) as exc:
                 raise CodecError(f"undecodable frame body: {exc}") from None
             return self.from_jsonable(tree)
-        if version == WIRE_VERSION_BINARY and self.max_wire_version >= WIRE_VERSION_BINARY:
+        if version == WIRE_VERSION_BINARY:
             self._tables()
             end = len(body)
             try:
@@ -806,7 +765,7 @@ class MessageCodec:
                 )
             return value
         raise CodecError(
-            f"wire version mismatch: got {version}, speak <= {self.max_wire_version}"
+            f"wire version mismatch: got {version}, speak <= {WIRE_VERSION_BINARY}"
         )
 
     def decode(self, frame: Any) -> Any:

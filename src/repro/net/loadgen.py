@@ -38,7 +38,7 @@ from ..obs import critical_paths, merge_span_events, stage_breakdown
 from ..smr.client import ClientOp, put_get_workload
 from ..verify.metrics import MetricsRecorder, VerificationMetrics
 from .client import ClientError, KVClient, PipelineError
-from .codec import WIRE_VERSION_BINARY, MessageCodec
+from .codec import MessageCodec
 from .node import Address
 from .stats import scrape_cluster
 
@@ -64,7 +64,6 @@ class LoadReport:
     results: Dict[str, Any] = field(default_factory=dict)
     errors: List[str] = field(default_factory=list)
     pipeline: int = 1
-    wire_codec: str = "json"
     cluster_stats: Optional[Dict[str, Any]] = None
     cluster_traces: Optional[Dict[int, List[Any]]] = None
     trace_paths: Optional[List[Dict[str, Any]]] = None
@@ -105,7 +104,6 @@ class LoadReport:
             "failed": self.failed,
             "duplicates": self.duplicates,
             "pipeline": self.pipeline,
-            "wire_codec": self.wire_codec,
             "wall_seconds": round(self.wall_seconds, 4),
             "throughput_per_sec": round(self.throughput, 1),
         }
@@ -192,8 +190,8 @@ async def run_loadgen(
     trace id (``c.<prefix>.<i>``). On clusters whose nodes record spans
     the stamped commands come back as merged per-command critical paths
     (``trace_paths``) and a per-stage latency breakdown split by
-    decision path (``trace_breakdown``); against span-less nodes the
-    handshake strips the ids and the knob is a no-op.
+    decision path (``trace_breakdown``); span-less nodes ignore the
+    ids and the knob is a no-op.
     """
     if clients < 1:
         raise ConfigurationError(f"need at least one client, got {clients}")
@@ -328,11 +326,6 @@ async def run_loadgen(
         results={c[0]: c[1] for c in completions if not c[4]},
         errors=errors,
         pipeline=pipeline,
-        wire_codec=(
-            "binary"
-            if shared_codec.wire_version == WIRE_VERSION_BINARY
-            else "json"
-        ),
         cluster_stats=cluster_stats,
         cluster_traces=cluster_traces,
         trace_paths=trace_paths,

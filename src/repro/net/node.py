@@ -29,6 +29,12 @@ Activations stay single-threaded: everything runs on one event loop, and
 each handler is a plain synchronous call, so the determinism contract of
 :mod:`repro.core.process` needs no locks.
 
+Every link opens with a v1 hello and the acceptor's
+:class:`~repro.net.wire.HelloAck`; after that both directions speak binary
+v2. :func:`dial` is the one dial-side handshake — peer senders, clients,
+stats scrapes and state transfer all go through it — and the acceptor
+refuses a hello from a different registry or a pre-v2 build.
+
 Client connections (first frame :class:`~repro.net.wire.ClientHello`) are
 handed to a pluggable service; :class:`KVService` adapts them onto an
 :class:`~repro.smr.log.SMRReplica` by injecting
@@ -39,13 +45,14 @@ and answering once the replica applied the command.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import pathlib
 import socket
 import time
 from collections import deque
 from itertools import islice
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.errors import ConfigurationError, ProtocolError, SchedulerError
 from ..core.messages import Message
@@ -69,7 +76,7 @@ from ..storage.recovery import (
 )
 from .codec import (
     MAX_FRAME_BYTES,
-    SUPPORTED_WIRE_VERSIONS,
+    WIRE_VERSION_BINARY,
     WIRE_VERSION_JSON,
     CodecError,
     FrameDecoder,
@@ -104,6 +111,60 @@ def enable_nodelay(writer: asyncio.StreamWriter) -> None:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     except (OSError, ValueError):
         pass  # not a TCP socket (unix pipe in tests); nothing to disable
+
+
+class HandshakeRefused(ConnectionError):
+    """The acceptor refused the hello: a different registry or wire version.
+
+    A ``ConnectionError``, so every dialer's existing failure path applies:
+    peer senders back off and retry, clients fail over.
+    """
+
+
+async def dial(
+    address: Address,
+    codec: MessageCodec,
+    hello: Union[NodeHello, ClientHello],
+    timeout: float,
+) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Connect to *address* and shake hands; the link then speaks v2.
+
+    *hello* names the dialer (``NodeHello(pid)`` or
+    ``ClientHello(client_id)``); this stamps it with the codec's wire
+    version and registry hash, writes it as v1 and waits up to *timeout*
+    for the :class:`HelloAck`. Raises :class:`HandshakeRefused` naming
+    both registry hashes when the acceptor refused, and ``OSError``,
+    ``asyncio.TimeoutError``, ``asyncio.IncompleteReadError`` or
+    :class:`CodecError` when it could not be reached or did not answer.
+    """
+    reader, writer = await asyncio.wait_for(asyncio.open_connection(*address), timeout)
+    try:
+        enable_nodelay(writer)
+        hello = dataclasses.replace(
+            hello,
+            max_wire_version=codec.max_wire_version,
+            registry_hash=codec.registry_hash,
+        )
+        writer.write(codec.encode(hello, WIRE_VERSION_JSON))
+        await writer.drain()
+        ack = await asyncio.wait_for(read_frame(reader, codec), timeout)
+        if not isinstance(ack, HelloAck):
+            raise HandshakeRefused(
+                f"{address[0]}:{address[1]} answered the hello with "
+                f"{type(ack).__name__}, not HelloAck"
+            )
+        if (
+            ack.wire_version != WIRE_VERSION_BINARY
+            or ack.registry_hash != codec.registry_hash
+        ):
+            raise HandshakeRefused(
+                f"{address[0]}:{address[1]} refused the hello: registry "
+                f"{codec.registry_hash} here, {ack.registry_hash or '?'} there"
+            )
+    except BaseException:
+        writer.close()
+        raise
+    return reader, writer
 
 
 class _NodeContext(Context):
@@ -365,23 +426,16 @@ class NodeServer:
         self._t0 = 0.0
         self._timer_generation: Dict[str, int] = {}
         self._timer_handles: Dict[str, asyncio.TimerHandle] = {}
-        # Outboxes hold (frame, message) pairs: a broadcast encodes once at
-        # this node's preferred wire version and the same bytes object is
-        # queued for every peer; a sender whose link negotiated a
-        # *different* version re-encodes from the message, so mixed-codec
-        # clusters interoperate.
-        self._outbox: Dict[ProcessId, Deque[Tuple[bytes, Message]]] = {}
+        # Outboxes hold encoded frames: a broadcast encodes once and the
+        # same bytes object is queued for every peer.
+        self._outbox: Dict[ProcessId, Deque[bytes]] = {}
         self._outbox_wake: Dict[ProcessId, asyncio.Event] = {}
         self._tasks: List[asyncio.Task] = []
         self._writers: Set[asyncio.StreamWriter] = set()
-        # Per-link negotiation outcomes, surfaced in stats snapshots:
-        # outbound peer links (we dialed), inbound peer links (they
-        # dialed), client links by agreed version, and which outbound
-        # links agreed to carry Traced envelopes.
-        self._link_versions: Dict[ProcessId, int] = {}
-        self._peer_links_in: Dict[ProcessId, int] = {}
-        self._client_link_versions: Dict[int, int] = {}
-        self._link_trace: Dict[ProcessId, bool] = {}
+        # Live links, surfaced by wire_info(): peers we hold an outbound
+        # link to, and the inbound peer and client connections served.
+        self._peers_out: Set[ProcessId] = set()
+        self._links_in = {"peer": 0, "client": 0}
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -527,25 +581,23 @@ class NodeServer:
             asyncio.get_event_loop().call_soon(self._deliver_self, message)
             return
         outbound = message
-        if self._spans_enabled and self._link_trace.get(dst):
+        if self._spans_enabled:
             outbound = self._maybe_wrap(message, "send", dst=dst)
         frame = self.codec.encode(outbound)
         self.obs.registry.inc(f"sent_bytes.{label}", len(frame))
-        self._enqueue(dst, frame, outbound)
+        self._enqueue(dst, frame)
 
     def _broadcast(self, message: Message, include_self: bool) -> None:
         """Encode once, enqueue the same frame for every peer.
 
-        When spans are on and at least one outbound link agreed to carry
-        trace context, a traced slot's frame is wrapped (and encoded)
-        once; senders whose link did *not* agree strip the envelope
-        per-frame instead (see :meth:`_peer_sender`), so the homogeneous
-        case keeps the encode-once fast path. Self-delivery always gets
-        the bare message — no wire, no envelope.
+        When spans are on, a traced slot's frame is wrapped in
+        :class:`Traced` (and encoded) once for all peers; a span-less
+        peer unwraps and drops the envelope on receipt. Self-delivery
+        always gets the bare message — no wire, no envelope.
         """
         label = message_label(message)
         outbound = message
-        if self._spans_enabled and any(self._link_trace.values()):
+        if self._spans_enabled:
             outbound = self._maybe_wrap(message, "bcast")
         frame = self.codec.encode(outbound)
         peers = self.n - 1
@@ -554,7 +606,7 @@ class NodeServer:
         for dst in range(self.n):
             if dst == self.pid:
                 continue
-            self._enqueue(dst, frame, outbound)
+            self._enqueue(dst, frame)
         if include_self:
             asyncio.get_event_loop().call_soon(self._deliver_self, message)
 
@@ -574,9 +626,9 @@ class NodeServer:
         )
         return Traced(trace_id, self.pid, seq, message)
 
-    def _enqueue(self, dst: ProcessId, frame: bytes, message: Message) -> None:
+    def _enqueue(self, dst: ProcessId, frame: bytes) -> None:
         queue = self._outbox[dst]
-        queue.append((frame, message))
+        queue.append(frame)
         if self.outbox_limit is not None and len(queue) > self.outbox_limit:
             # Bounded retransmit buffer: against a long-dead peer the
             # oldest frames are shed, degrading that link from reliable
@@ -654,56 +706,44 @@ class NodeServer:
         queue = self._outbox[peer]
         wake = self._outbox_wake[peer]
         backoff = self.reconnect_initial
+        registry = self.obs.registry
         while not self._crashed:
             try:
-                reader, writer = await asyncio.open_connection(*self._addresses[peer])
-            except OSError as exc:
-                self.log.debug(
-                    "peer %d unreachable (%s); retry in %.2fs",
-                    peer,
-                    type(exc).__name__,
-                    backoff,
+                _reader, writer = await dial(
+                    self._addresses[peer],
+                    self.codec,
+                    NodeHello(self.pid),
+                    self.hello_timeout,
                 )
-                self.obs.registry.inc(f"net.reconnects.p{peer}")
+            except (
+                OSError,
+                asyncio.TimeoutError,
+                asyncio.IncompleteReadError,
+                CodecError,
+            ) as exc:
+                if isinstance(exc, HandshakeRefused):
+                    self.log.error("link to peer %d refused: %s", peer, exc)
+                else:
+                    self.log.debug(
+                        "peer %d unreachable (%s); retry in %.2fs",
+                        peer,
+                        type(exc).__name__,
+                        backoff,
+                    )
+                registry.inc(f"net.reconnects.p{peer}")
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.reconnect_max)
                 continue
+            if self._crashed:
+                # stop() may have cancelled us mid-handshake; on 3.11
+                # wait_for swallows that cancellation when the ack lands
+                # in the same tick, so re-check and bail rather than
+                # re-entering the send loop with the cancel lost.
+                writer.close()
+                return
+            backoff = self.reconnect_initial
+            self._peers_out.add(peer)
             try:
-                enable_nodelay(writer)
-                link_version, link_trace = await self._shake_hands(
-                    reader,
-                    writer,
-                    NodeHello(
-                        self.pid,
-                        max_wire_version=self.codec.max_wire_version,
-                        registry_hash=self.codec.registry_hash,
-                        trace_ok=self._spans_enabled,
-                    ),
-                )
-                if self._crashed:
-                    # stop() may have cancelled us mid-handshake; on 3.11
-                    # wait_for swallows that cancellation when the ack
-                    # lands in the same tick, so re-check and bail rather
-                    # than re-entering the send loop with the cancel lost.
-                    return
-                if link_version != self.codec.wire_version:
-                    self.log.info(
-                        "link to peer %d speaks wire v%d (we prefer v%d)",
-                        peer,
-                        link_version,
-                        self.codec.wire_version,
-                    )
-                backoff = self.reconnect_initial
-                self._link_versions[peer] = link_version
-                self._link_trace[peer] = bool(link_trace) and self._spans_enabled
-                reencode = link_version != self.codec.wire_version
-                # A link whose peer declined trace context must not see
-                # Traced envelopes: strip (re-encode the inner message)
-                # per frame. Only possible when this node records spans
-                # at all, so the untraced fast path stays branch-free.
-                strip = self._spans_enabled and not self._link_trace[peer]
-                registry = self.obs.registry
-                encode = self.codec.encode
                 while True:
                     while not queue:
                         wake.clear()
@@ -712,24 +752,8 @@ class NodeServer:
                     # only after it succeeds, so everything written when a
                     # connection dies is re-sent on reconnect. Frames
                     # queued during the await are left for the next burst.
-                    # Outbox frames are pre-encoded at our preferred
-                    # version; a link that negotiated the other format
-                    # re-encodes from the message object instead.
                     burst = len(queue)
-                    if reencode or strip:
-                        parts: List[bytes] = []
-                        for frame, message in islice(queue, burst):
-                            if strip and type(message) is Traced:
-                                parts.append(encode(message.inner, link_version))
-                            elif reencode:
-                                parts.append(encode(message, link_version))
-                            else:
-                                parts.append(frame)
-                        writer.write(b"".join(parts))
-                    else:
-                        writer.write(
-                            b"".join(frame for frame, _message in islice(queue, burst))
-                        )
+                    writer.write(b"".join(islice(queue, burst)))
                     started = time.perf_counter()
                     await writer.drain()
                     stall = time.perf_counter() - started
@@ -746,8 +770,8 @@ class NodeServer:
                     type(exc).__name__,
                     len(queue),
                 )
-                continue
             finally:
+                self._peers_out.discard(peer)
                 try:
                     writer.close()
                 except Exception as exc:
@@ -755,64 +779,34 @@ class NodeServer:
                         "closing link to peer %d raised %r", peer, exc
                     )
 
-    async def _shake_hands(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        hello: Message,
-    ) -> Tuple[int, bool]:
-        """Send *hello* and negotiate the link (dialer side).
-
-        Returns ``(wire_version, trace_ok)``. The hello is always written
-        as v1 so any receiver can read it. When this codec can speak
-        beyond v1, wait for the receiver's :class:`HelloAck`; a silent
-        receiver (a pre-negotiation build) or an undecodable answer means
-        fall back to JSON — and no trace context — never stall. Trace
-        agreement needs an explicit ``trace_ok`` on the ack, so a legacy
-        peer is never sent a :class:`Traced` envelope.
-        """
-        writer.write(self.codec.encode(hello, WIRE_VERSION_JSON))
-        await writer.drain()
-        if self.codec.max_wire_version <= WIRE_VERSION_JSON:
-            return WIRE_VERSION_JSON, False
-        try:
-            ack = await asyncio.wait_for(
-                read_frame(reader, self.codec), self.hello_timeout
-            )
-        except (asyncio.TimeoutError, asyncio.IncompleteReadError, CodecError):
-            return WIRE_VERSION_JSON, False
-        if isinstance(ack, HelloAck) and ack.wire_version in SUPPORTED_WIRE_VERSIONS:
-            version = min(ack.wire_version, self.codec.max_wire_version)
-            return version, bool(ack.trace_ok)
-        return WIRE_VERSION_JSON, False
-
     async def _ack_hello(
-        self, hello: Message, writer: asyncio.StreamWriter
-    ) -> int:
-        """Answer an inbound hello; returns the link's agreed version.
+        self, hello: Union[NodeHello, ClientHello], writer: asyncio.StreamWriter
+    ) -> bool:
+        """Answer an inbound hello; ``False`` when it was refused.
 
-        A hello announcing only v1 is a legacy dialer that will not read
-        an ack — stay silent and speak JSON. Anything newer gets a
-        :class:`HelloAck` (written as v1) naming the agreed version and
-        whether this node records spans (the dialer's go-ahead to send
-        trace context).
+        The :class:`HelloAck` (written as v1) always carries this node's
+        registry hash, so a refused dialer can name both ends. A dialer
+        below v2, or one whose registry differs, would misread every
+        id-keyed frame: it is refused, counted and logged, and the caller
+        closes the link before reading anything else from it.
         """
-        peer_max = getattr(hello, "max_wire_version", WIRE_VERSION_JSON)
-        peer_hash = getattr(hello, "registry_hash", "")
-        version = self.codec.negotiate(peer_max, peer_hash)
-        if peer_max > WIRE_VERSION_JSON:
-            writer.write(
-                self.codec.encode(
-                    HelloAck(
-                        version,
-                        self.codec.registry_hash,
-                        trace_ok=self._spans_enabled,
-                    ),
-                    WIRE_VERSION_JSON,
-                )
+        ours = self.codec.registry_hash
+        accepted = (
+            hello.max_wire_version >= WIRE_VERSION_BINARY
+            and hello.registry_hash == ours
+        )
+        ack = HelloAck(WIRE_VERSION_BINARY if accepted else 0, ours)
+        writer.write(self.codec.encode(ack, WIRE_VERSION_JSON))
+        await writer.drain()
+        if not accepted:
+            self.obs.registry.inc("net.hello_rejected")
+            self.log.error(
+                "refused %r: this node speaks wire v%d, registry %s",
+                hello,
+                WIRE_VERSION_BINARY,
+                ours,
             )
-            await writer.drain()
-        return version
+        return accepted
 
     # ------------------------------------------------------------------
     # Inbound connections: peers deliver, clients converse.
@@ -843,17 +837,20 @@ class NodeServer:
                 hello = self.codec.decode_payload(payload)
             except (asyncio.IncompleteReadError, ConnectionError, CodecError):
                 return
-            if isinstance(hello, NodeHello):
-                version = await self._ack_hello(hello, writer)
-                self._peer_links_in[hello.pid] = version
-                await self._serve_peer(reader, hello.pid)
-            elif isinstance(hello, ClientHello):
-                wire_version = await self._ack_hello(hello, writer)
-                self._client_link_versions[wire_version] = (
-                    self._client_link_versions.get(wire_version, 0) + 1
-                )
-                await self._serve_client(reader, writer, wire_version)
-            # Anything else: close silently (port scanners, bad handshakes).
+            # Anything but a hello: close silently (port scanners).
+            if not isinstance(hello, (NodeHello, ClientHello)):
+                return
+            if not await self._ack_hello(hello, writer):
+                return
+            kind = "peer" if isinstance(hello, NodeHello) else "client"
+            self._links_in[kind] += 1
+            try:
+                if isinstance(hello, NodeHello):
+                    await self._serve_peer(reader, hello.pid)
+                else:
+                    await self._serve_client(reader, writer)
+            finally:
+                self._links_in[kind] -= 1
         finally:
             self._writers.discard(writer)
             try:
@@ -917,19 +914,14 @@ class NodeServer:
         return inner
 
     async def _serve_client(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        wire_version: int = WIRE_VERSION_JSON,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         # Served even with no client service attached: stats are a
         # property of the runtime, not of the KV layer, so a consensus-only
         # node still answers ``StatsRequest``.
         replies: "asyncio.Queue[Message]" = asyncio.Queue()
         loop = asyncio.get_event_loop()
-        flusher = loop.create_task(
-            self._flush_replies(replies, writer, wire_version)
-        )
+        flusher = loop.create_task(self._flush_replies(replies, writer))
         self._tasks.append(flusher)
         decoder = FrameDecoder(self.codec)
         try:
@@ -961,10 +953,7 @@ class NodeServer:
                 self._tasks.remove(flusher)
 
     async def _flush_replies(
-        self,
-        replies: "asyncio.Queue[Message]",
-        writer: asyncio.StreamWriter,
-        wire_version: int = WIRE_VERSION_JSON,
+        self, replies: "asyncio.Queue[Message]", writer: asyncio.StreamWriter
     ) -> None:
         encode = self.codec.encode
         while True:
@@ -973,7 +962,7 @@ class NodeServer:
             # pipelined clients complete many commands per activation.
             while not replies.empty():
                 batch.append(replies.get_nowait())
-            writer.write(b"".join(encode(reply, wire_version) for reply in batch))
+            writer.write(b"".join(encode(reply) for reply in batch))
             await writer.drain()
 
     async def _serve_http(
@@ -1173,32 +1162,17 @@ class NodeServer:
         return snapshot
 
     def wire_info(self) -> Dict[str, Any]:
-        """Negotiated codec state, per connection (JSON-safe).
+        """This node's registry hash and live link counts (JSON-safe).
 
-        Closes the PR 6 observability gap: without this, a mixed-codec
-        cluster is indistinguishable from a uniform one when scraping.
-        Keys are strings so the dict survives both wire formats.
+        ``peer_links_out`` counts peers this node holds an open link to;
+        ``peer_links_in`` and ``client_links`` count the inbound peer and
+        client connections it is serving right now.
         """
         return {
-            "codec": "json" if self.codec.wire_version == WIRE_VERSION_JSON else "binary",
-            "wire_version": self.codec.wire_version,
-            "max_wire_version": self.codec.max_wire_version,
             "registry_hash": self.codec.registry_hash,
-            "peer_links_out": {
-                str(peer): version
-                for peer, version in sorted(self._link_versions.items())
-            },
-            "peer_links_in": {
-                str(peer): version
-                for peer, version in sorted(self._peer_links_in.items())
-            },
-            "client_links": {
-                str(version): count
-                for version, count in sorted(self._client_link_versions.items())
-            },
-            "traced_links": sorted(
-                peer for peer, agreed in self._link_trace.items() if agreed
-            ),
+            "peer_links_out": len(self._peers_out),
+            "peer_links_in": self._links_in["peer"],
+            "client_links": self._links_in["client"],
         }
 
     def _stats_reply(self, request: StatsRequest) -> StatsReply:

@@ -18,8 +18,8 @@ import asyncio
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import merge_decision_records, merge_snapshots
-from .codec import WIRE_VERSION_JSON, CodecError, MessageCodec, read_frame
-from .node import Address, enable_nodelay
+from .codec import CodecError, MessageCodec, read_frame
+from .node import Address, dial
 from .wire import ClientHello, StatsReply, StatsRequest
 
 
@@ -38,22 +38,15 @@ async def fetch_node_stats(
     node, direct callers get the real cause.
     """
     codec = codec if codec is not None else MessageCodec()
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(*address), timeout
-    )
+    reader, writer = await dial(address, codec, ClientHello(client_id), timeout)
     try:
-        enable_nodelay(writer)
-        # Control-plane conversation, not the hot path: stay on v1 end to
-        # end (hello announces nothing, so the server answers in JSON).
-        writer.write(codec.encode(ClientHello(client_id), WIRE_VERSION_JSON))
         writer.write(
             codec.encode(
                 StatsRequest(
                     request_id=f"{client_id}:0",
                     include_trace=include_trace,
                     include_spans=include_spans,
-                ),
-                WIRE_VERSION_JSON,
+                )
             )
         )
         await writer.drain()
@@ -262,19 +255,16 @@ def describe_cluster_stats(view: Dict[str, Any]) -> str:
     )
     if sent:
         parts.append(f"bytes sent: {sent:,}")
-    wires = []
-    for pid in sorted(
-        (pid for pid, snap in view["nodes"].items() if snap is not None), key=str
-    ):
-        wire = view["nodes"][pid].get("wire")
-        if not wire:
-            continue
-        registry_hash = wire.get("registry_hash", "")
-        label = pid if isinstance(pid, str) else f"n{pid}"
-        wires.append(
-            f"{label}={wire.get('codec', '?')}"
-            f"@{registry_hash[:8] if registry_hash else '?'}"
-        )
+    wires = [
+        snapshot["wire"]
+        for snapshot in view["nodes"].values()
+        if snapshot is not None and "wire" in snapshot
+    ]
     if wires:
-        parts.append("wire: " + " ".join(wires))
+        parts.append(
+            "wire: registry "
+            + "/".join(sorted({wire["registry_hash"] for wire in wires}))
+            + f", {sum(wire['peer_links_out'] for wire in wires)} peer links"
+            + f", {sum(wire['client_links'] for wire in wires)} client links"
+        )
     return "; ".join(parts)

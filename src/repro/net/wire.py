@@ -19,25 +19,23 @@ frame:
 * ``ClientHello(client_id)`` — a client link. Bidirectional:
   ``ClientSubmit`` frames flow in, ``ClientReply`` frames flow out.
 
-Codec negotiation
------------------
+Handshake
+---------
 
-Hello frames are always encoded as wire version 1 (JSON) so any peer can
-read them. A dialer that can speak the binary format announces it via
-``max_wire_version``/``registry_hash``; a receiver that understands the
-announcement answers with :class:`HelloAck` naming the agreed version
-(``min`` of both ends' maxima, downgraded to 1 on a registry-hash
-mismatch), and the dialer speaks that version for the rest of the
-connection. A dialer announcing ``max_wire_version <= 1`` is a legacy
-peer: no ack is sent and the link stays on JSON — which is also the
-fallback when an announced dialer hears no ack within the hello timeout.
+The hello and its ack are the only frames written as wire version 1
+(JSON, keyed by name), so any build can read them and compare registries
+before an id-keyed frame is sent. The hello announces the dialer's
+``max_wire_version`` and ``registry_hash``; the acceptor answers with a :class:`HelloAck`
+carrying its own hash. When both ends speak v2 over the same registry
+the ack says ``wire_version=2`` and every later frame, in both
+directions, is binary v2. Otherwise the ack says ``0`` and the acceptor
+closes the link: the dialer gets an error naming both hashes
+(:class:`repro.net.node.HandshakeRefused`) and retries on its backoff
+schedule. :func:`repro.net.node.dial` is the dial side.
 
-Trace negotiation rides the same handshake: a dialer that records spans
-sets ``trace_ok`` on its hello, the receiver echoes its own span support
-on the :class:`HelloAck`, and only links where *both* ends agreed carry
-:class:`Traced` envelopes. A legacy or span-less peer never sees a trace
-frame — the sender unwraps before encoding for that link — so traced and
-untraced nodes interoperate exactly like mixed-codec ones.
+A node that records spans wraps sampled SMR frames in :class:`Traced`
+for every peer; a span-less receiver unwraps and drops the envelope, so
+traced and untraced nodes interoperate without agreeing on anything.
 """
 
 from __future__ import annotations
@@ -54,45 +52,41 @@ class NodeHello(Message):
     """First frame on a peer link: identifies the dialing node.
 
     ``max_wire_version`` announces the highest frame format the dialer
-    can speak (1 = the JSON default, so a hello without the field decodes
-    as a legacy peer); ``registry_hash`` fingerprints its wire-name table
-    so binary type ids are only trusted between identical registries.
+    can speak (a hello without the field decodes as 1, a pre-v2 build);
+    ``registry_hash`` fingerprints its wire-name table so binary type ids
+    are only trusted between identical registries.
     """
 
     pid: int
     max_wire_version: int = 1
     registry_hash: str = ""
-    trace_ok: bool = False
 
 
 @dataclass(frozen=True)
 class ClientHello(Message):
     """First frame on a client link: identifies the client session.
 
-    Carries the same negotiation fields as :class:`NodeHello`.
+    Carries the same handshake fields as :class:`NodeHello`.
     """
 
     client_id: str
     max_wire_version: int = 1
     registry_hash: str = ""
-    trace_ok: bool = False
 
 
 @dataclass(frozen=True)
 class HelloAck(Message):
-    """The receiver's answer to a hello that announced ``>= 2``.
+    """The acceptor's answer to every hello.
 
-    Always encoded as wire version 1. ``wire_version`` is the format both
-    sides speak from here on; ``registry_hash`` is the receiver's table
-    fingerprint (diagnostic — a mismatch already forces ``wire_version``
-    to 1). ``trace_ok`` reports whether the receiver records spans — the
-    dialer only sends :class:`Traced` envelopes (or trace-stamped
-    submits) when both ends said yes.
+    Always encoded as wire version 1. ``wire_version`` is 2 when the link
+    is accepted — both sides speak binary v2 from here on — and 0 when it
+    is refused, after which the acceptor closes the link.
+    ``registry_hash`` is the acceptor's table fingerprint, so a refused
+    dialer can report both.
     """
 
     wire_version: int
     registry_hash: str = ""
-    trace_ok: bool = False
 
 
 @dataclass(frozen=True)
@@ -101,10 +95,10 @@ class Traced(Message):
 
     ``trace_id`` names the sampled command batch, ``origin`` is the node
     that minted it (the sealing proxy), ``parent`` is the sender-side
-    span seq this frame causally follows. Only sent on links where the
-    handshake agreed ``trace_ok`` on both ends; the receiver records a
-    ``recv`` span and processes ``inner`` exactly as if it had arrived
-    bare, so tracing never changes protocol behavior.
+    span seq this frame causally follows. A receiver that records spans
+    records a ``recv`` span; every receiver processes ``inner`` exactly
+    as if it had arrived bare, so tracing never changes protocol
+    behavior.
     """
 
     trace_id: str

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..analysis.stats import summarize
 from ..core.errors import ConfigurationError
 from ..net.client import ClientError, PipelineError
-from ..net.codec import WIRE_VERSION_BINARY, MessageCodec
+from ..net.codec import MessageCodec
 from ..net.loadgen import LoadReport
 from ..net.node import Address
 from ..net.stats import scrape_sharded_cluster
@@ -147,11 +147,6 @@ async def run_sharded_loadgen(
         results={c[0]: c[1] for c in completions if not c[4]},
         errors=errors,
         pipeline=pipeline,
-        wire_codec=(
-            "binary"
-            if shared_codec.wire_version == WIRE_VERSION_BINARY
-            else "json"
-        ),
         cluster_stats=cluster_stats,
         placement_epoch=max(
             (router.placement.epoch for router in routers),

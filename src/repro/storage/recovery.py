@@ -443,6 +443,38 @@ def install_state(replica: Any, state: Dict[str, Any]) -> int:
     return len(replica.store.log) - before
 
 
+async def _fetch_document(
+    address: Tuple[str, int], codec: Any, client_id: str, request: Any, timeout: float
+) -> Optional[str]:
+    """Send *request* on a fresh client link; join the chunks it answers.
+
+    Returns ``None`` when the peer hosts no replica.
+    """
+    from ..net.codec import read_frame
+    from ..net.node import dial
+    from ..net.wire import ClientHello, SnapshotChunk
+
+    reader, writer = await dial(address, codec, ClientHello(client_id), timeout)
+    try:
+        writer.write(codec.encode(request))
+        await writer.drain()
+        parts: List[str] = []
+        while True:
+            frame = await asyncio.wait_for(read_frame(reader, codec), timeout)
+            if not isinstance(frame, SnapshotChunk) or frame.request_id != request.request_id:
+                continue
+            if frame.upto < 0:
+                return None  # peer hosts no replica
+            parts.append(frame.payload)
+            if frame.last:
+                return "".join(parts)
+    finally:
+        try:
+            writer.close()
+        except Exception:
+            pass
+
+
 async def fetch_snapshot(
     address: Tuple[str, int],
     codec: Any,
@@ -457,38 +489,17 @@ async def fetch_snapshot(
     ``CodecError`` on transport problems — callers iterate peers and
     tolerate individual failures.
     """
-    from ..net.codec import WIRE_VERSION_JSON, read_frame
-    from ..net.wire import ClientHello, SnapshotChunk, SnapshotRequest
+    from ..net.wire import SnapshotRequest
 
     request_id = f"{client_id}:{uuid.uuid4().hex[:8]}"
-    reader, writer = await asyncio.wait_for(asyncio.open_connection(*address), timeout)
-    try:
-        # Control-plane conversation: stay on v1 end to end (the hello
-        # announces nothing, so the server answers in JSON too).
-        writer.write(codec.encode(ClientHello(client_id), WIRE_VERSION_JSON))
-        writer.write(
-            codec.encode(
-                SnapshotRequest(request_id=request_id, from_slot=from_slot),
-                WIRE_VERSION_JSON,
-            )
-        )
-        await writer.drain()
-        parts: List[str] = []
-        while True:
-            frame = await asyncio.wait_for(read_frame(reader, codec), timeout)
-            if not isinstance(frame, SnapshotChunk) or frame.request_id != request_id:
-                continue
-            if frame.upto < 0:
-                return None  # peer hosts no replica
-            parts.append(frame.payload)
-            if frame.last:
-                break
-        return deserialize_replica_state(codec, "".join(parts))
-    finally:
-        try:
-            writer.close()
-        except Exception:
-            pass
+    text = await _fetch_document(
+        address,
+        codec,
+        client_id,
+        SnapshotRequest(request_id=request_id, from_slot=from_slot),
+        timeout,
+    )
+    return None if text is None else deserialize_replica_state(codec, text)
 
 
 async def fetch_range_state(
@@ -503,41 +514,22 @@ async def fetch_range_state(
     """Pull one fenced range's state from a node over the client link.
 
     The rebalance mover's transfer leg: same chunked protocol as
-    :func:`fetch_snapshot` (the PR-5 snapshot-transfer frames), but the
-    request names a hash-slot range and the stream carries a range
-    document. Returns ``None`` when the peer hosts no replica.
+    :func:`fetch_snapshot`, but the request names a hash-slot range and
+    the stream carries a range document. Returns ``None`` when the peer
+    hosts no replica.
     """
-    from ..net.codec import WIRE_VERSION_JSON, read_frame
-    from ..net.wire import ClientHello, RangeSnapshotRequest, SnapshotChunk
+    from ..net.wire import RangeSnapshotRequest
     from .snapshot import deserialize_range_state
 
     request_id = f"{client_id}:{uuid.uuid4().hex[:8]}"
-    reader, writer = await asyncio.wait_for(asyncio.open_connection(*address), timeout)
-    try:
-        writer.write(codec.encode(ClientHello(client_id), WIRE_VERSION_JSON))
-        writer.write(
-            codec.encode(
-                RangeSnapshotRequest(request_id=request_id, lo=lo, hi=hi, slots=slots),
-                WIRE_VERSION_JSON,
-            )
-        )
-        await writer.drain()
-        parts: List[str] = []
-        while True:
-            frame = await asyncio.wait_for(read_frame(reader, codec), timeout)
-            if not isinstance(frame, SnapshotChunk) or frame.request_id != request_id:
-                continue
-            if frame.upto < 0:
-                return None  # peer hosts no replica
-            parts.append(frame.payload)
-            if frame.last:
-                break
-        return deserialize_range_state(codec, "".join(parts))
-    finally:
-        try:
-            writer.close()
-        except Exception:
-            pass
+    text = await _fetch_document(
+        address,
+        codec,
+        client_id,
+        RangeSnapshotRequest(request_id=request_id, lo=lo, hi=hi, slots=slots),
+        timeout,
+    )
+    return None if text is None else deserialize_range_state(codec, text)
 
 
 def range_state_chunks(

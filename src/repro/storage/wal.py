@@ -120,8 +120,8 @@ class WriteAheadLog:
     """One open segment: buffered appends, explicit group commits.
 
     ``fsync=False`` keeps the write+flush (the OS still sees every commit)
-    but skips the ``os.fsync`` — the ``--no-fsync`` operating mode whose
-    cost difference ``benchmarks/bench_net.py`` measures.
+    but skips the ``os.fsync`` — the ``--no-fsync`` operating mode, whose
+    cost difference ``tests/net/test_perf_smoke.py`` guards.
     """
 
     def __init__(

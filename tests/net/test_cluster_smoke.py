@@ -9,19 +9,11 @@ endpoint is scraped mid-run — with the crashed node still in the address
 book — and must report ballot-0 fast decisions and conflict-free merged
 per-slot records. Each scenario is wrapped in a hard ``asyncio.wait_for``
 so a wedged cluster fails the test instead of hanging the job.
-
-The CI matrix runs this module once per wire codec: ``REPRO_SMOKE_CODEC``
-(``json``, the default, or ``binary``) selects the cluster-wide codec, so
-live≡sim equivalence and crash-recovery are proven under both formats.
-A dedicated mixed-codec scenario (one binary node, one JSON node, one
-v1-only node) additionally pins per-link negotiation under crashes.
 """
 
 import asyncio
-import os
 
 from repro.net.cluster import LocalCluster
-from repro.net.codec import WIRE_VERSION_JSON, MessageCodec, make_codec
 from repro.net.loadgen import run_loadgen
 from repro.net.stats import scrape_cluster
 from repro.omega import static_omega_factory
@@ -31,11 +23,6 @@ from repro.smr.log import smr_factory
 
 #: Hard wall per scenario; normal runtime is a few seconds.
 HARD_TIMEOUT = 120.0
-
-
-def _smoke_codec() -> MessageCodec:
-    """The cluster-wide codec for this run, from the CI matrix env var."""
-    return make_codec(os.environ.get("REPRO_SMOKE_CODEC", "json"))
 
 
 def _factory(delta: float = 0.05):
@@ -48,7 +35,7 @@ def _factory(delta: float = 0.05):
     )
 
 
-async def _crash_and_serve(n: int, count: int, seed: int, clients: int, codecs=None):
+async def _crash_and_serve(n: int, count: int, seed: int, clients: int):
     """Serve *count* commands on an *n*-node cluster; crash node n-1 mid-run.
 
     The workload is split so the crash deterministically lands mid-run:
@@ -65,7 +52,7 @@ async def _crash_and_serve(n: int, count: int, seed: int, clients: int, codecs=N
     )
     cut = max(1, count // 3)
     async with LocalCluster(
-        n, _factory(), serve_clients=True, codec=_smoke_codec(), codecs=codecs
+        n, _factory(), serve_clients=True
     ) as cluster:
         before = await run_loadgen(
             cluster.addresses,
@@ -139,23 +126,3 @@ def test_smoke_five_nodes_with_crash():
     )
     assert report.throughput > 0
 
-
-def test_smoke_mixed_codec_cluster_with_crash():
-    """Per-link negotiation survives a crash in a codec-heterogeneous cluster.
-
-    Node 0 prefers binary, node 1 JSON, node 2 is a true v1-only build;
-    the crash scenario then kills node 2, so failover and convergence run
-    over links that negotiated different wire versions.
-    """
-    codecs = {
-        0: make_codec("binary"),
-        1: make_codec("json"),
-        2: MessageCodec(max_wire_version=WIRE_VERSION_JSON),
-    }
-    report = asyncio.run(
-        asyncio.wait_for(
-            _crash_and_serve(3, 60, seed=13, clients=4, codecs=codecs),
-            HARD_TIMEOUT,
-        )
-    )
-    assert report.throughput > 0

@@ -2,9 +2,10 @@
 
 The codec's contract is that anything a :class:`~repro.core.process.Process`
 can ``ctx.send`` round-trips bit-exactly through the wire format — under
-*both* formats: the hypothesis tests below run each derived strategy
-through the JSON (v1) and binary (v2) encoders, plus a cross-codec oracle
-(the two decoders must agree on every value). The strategy for each
+*both* formats: binary (v2) is what every link speaks, and JSON (v1) is
+what hellos and earlier builds' WAL payloads are written in. The
+hypothesis tests below run each derived strategy through both encoders,
+plus a cross-format oracle (the two decoders must agree on every value). The strategy for each
 registered dataclass is derived from its field annotations, so adding a
 new message type to any protocol automatically extends the property.
 """
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import ConfigurationError
 from repro.core.messages import Message
 from repro.core.values import BOTTOM
 from repro.net.codec import (
@@ -23,7 +25,6 @@ from repro.net.codec import (
     MAX_FRAME_BYTES,
     MAX_PENDING_BYTES,
     MessageCodec,
-    WIRE_VERSION,
     WIRE_VERSION_BINARY,
     WIRE_VERSION_JSON,
     default_registry,
@@ -35,8 +36,7 @@ from repro.smr.kvstore import BatchRef, CommandBatch, KVCommand
 from repro.smr.log import BodyRequest, Slotted, SubmitCommand
 
 CODEC = MessageCodec()
-CODEC_BINARY = MessageCodec(wire_version=WIRE_VERSION_BINARY)
-CODECS = {"json": CODEC, "binary": CODEC_BINARY}
+VERSIONS = {"json": WIRE_VERSION_JSON, "binary": WIRE_VERSION_BINARY}
 REGISTRY = CODEC.registry
 
 
@@ -174,34 +174,30 @@ _any_registered = st.sampled_from(REGISTRY.types()).flatmap(_strategy_for_type)
 
 
 class TestRoundTripProperty:
-    @pytest.mark.parametrize("name", sorted(CODECS))
+    @pytest.mark.parametrize("name", sorted(VERSIONS))
     @settings(max_examples=300, deadline=None)
     @given(message=_any_registered)
     def test_encode_decode_identity(self, name, message):
-        codec = CODECS[name]
-        assert codec.decode(codec.encode(message)) == message
+        version = VERSIONS[name]
+        assert CODEC.decode(CODEC.encode(message, version)) == message
 
-    @pytest.mark.parametrize("name", sorted(CODECS))
+    @pytest.mark.parametrize("name", sorted(VERSIONS))
     @settings(max_examples=100, deadline=None)
     @given(message=_any_registered)
     def test_encoding_is_canonical(self, name, message):
         # Same value => same bytes (sets are serialized in sorted order).
-        codec = CODECS[name]
-        assert codec.encode(message) == codec.encode(
-            codec.decode(codec.encode(message))
-        )
+        version = VERSIONS[name]
+        frame = CODEC.encode(message, version)
+        assert CODEC.encode(CODEC.decode(frame), version) == frame
 
     @settings(max_examples=200, deadline=None)
     @given(message=_any_registered)
     def test_cross_codec_oracle(self, message):
         # The two formats are views of the same value: decoding the binary
-        # encoding must equal decoding the JSON encoding, and either codec
-        # (both decode-capable up to v2) must read the other's frames.
-        from_json = CODEC.decode(CODEC.encode(message))
-        from_binary = CODEC_BINARY.decode(CODEC_BINARY.encode(message))
+        # encoding must equal decoding the JSON encoding.
+        from_json = CODEC.decode(CODEC.encode(message, WIRE_VERSION_JSON))
+        from_binary = CODEC.decode(CODEC.encode(message))
         assert from_json == from_binary == message
-        assert CODEC.decode(CODEC_BINARY.encode(message)) == message
-        assert CODEC_BINARY.decode(CODEC.encode(message)) == message
 
     @settings(max_examples=150, deadline=None)
     @given(body=st.binary(max_size=64))
@@ -211,12 +207,12 @@ class TestRoundTripProperty:
         # — never any other exception, never a partial/trailing parse.
         payload = bytes((WIRE_VERSION_BINARY,)) + body
         try:
-            value = CODEC_BINARY.decode_payload(payload)
+            value = CODEC.decode_payload(payload)
         except CodecError:
             return
         # Anything accepted must re-encode canonically (full consumption
         # means it was a complete, self-consistent body).
-        assert CODEC_BINARY.encode_payload(value) is not None
+        assert CODEC.encode_payload(value) is not None
 
     @settings(max_examples=150, deadline=None)
     @given(body=st.binary(max_size=64))
@@ -312,11 +308,11 @@ class TestFrameDecoder:
 
     def test_binary_frames_interleave_with_json_frames(self):
         # Per-frame version dispatch: one stream may carry both formats
-        # (a link that renegotiated, or a WAL written under two flags).
+        # (a v1 hello before v2 frames, or a WAL written across an upgrade).
         frames = [
-            CODEC.encode(NodeHello(pid=1)),
-            CODEC_BINARY.encode(Propose(value="v")),
-            CODEC.encode(TwoB(ballot=3, value=BOTTOM)),
+            CODEC.encode(NodeHello(pid=1), WIRE_VERSION_JSON),
+            CODEC.encode(Propose(value="v")),
+            CODEC.encode(TwoB(ballot=3, value=BOTTOM), WIRE_VERSION_JSON),
         ]
         decoder = FrameDecoder(CODEC)
         out = decoder.feed(b"".join(frames))
@@ -341,14 +337,14 @@ class TestFrameDecoder:
         with pytest.raises(CodecError, match="buffered bytes"):
             decoder.feed(b"more")
 
-    @pytest.mark.parametrize("name", sorted(CODECS))
+    @pytest.mark.parametrize("name", sorted(VERSIONS))
     def test_decode_error_mid_burst_leaves_the_buffer_resizable(self, name):
         # The failing frame's view is still referenced by the traceback
         # when the decoder compacts; it must have been released, or the
         # bytearray raises BufferError there and on every later feed.
-        codec = CODECS[name]
-        good = codec.encode(NodeHello(pid=1))
-        bad = bytearray(codec.encode(Propose(value="v")))
+        codec = CODEC
+        good = codec.encode(NodeHello(pid=1), VERSIONS[name])
+        bad = bytearray(codec.encode(Propose(value="v"), VERSIONS[name]))
         bad[-1:] = b""
         bad[:4] = (len(bad) - 4).to_bytes(4, "big")  # complete frame, cut body
         burst = good * (70000 // len(good))  # dead prefix past the compaction mark
@@ -368,12 +364,6 @@ class TestErrors:
         with pytest.raises(CodecError, match="version"):
             CODEC.decode(bytes(frame))
 
-    def test_v1_only_codec_rejects_binary_frames(self):
-        v1_only = MessageCodec(max_wire_version=WIRE_VERSION_JSON)
-        frame = CODEC_BINARY.encode(NodeHello(pid=0))
-        with pytest.raises(CodecError, match="version"):
-            v1_only.decode(frame)
-
     def test_unknown_wire_type(self):
         with pytest.raises(CodecError, match="unknown wire type"):
             CODEC.from_jsonable({"__t": "rec", "k": "NoSuchMessage", "v": {}})
@@ -392,7 +382,7 @@ class TestErrors:
             CODEC.decode_payload(payload)
 
     def test_binary_trailing_bytes_rejected(self):
-        payload = CODEC_BINARY.encode_payload(NodeHello(pid=0)) + b"\x00"
+        payload = CODEC.encode_payload(NodeHello(pid=0)) + b"\x00"
         with pytest.raises(CodecError, match="trailing"):
             CODEC.decode_payload(payload)
 
@@ -403,7 +393,7 @@ class TestErrors:
         with pytest.raises(CodecError, match="not registered"):
             CODEC.to_jsonable(NotOnTheWire())
         with pytest.raises(CodecError, match="not registered"):
-            CODEC_BINARY.encode_payload(NotOnTheWire())
+            CODEC.encode_payload(NotOnTheWire())
 
     def test_registry_collision_rejected(self):
         registry = default_registry()
@@ -412,16 +402,18 @@ class TestErrors:
 
     def test_garbage_body_rejected(self):
         frame = CODEC.encode(NodeHello(pid=0))
-        payload = bytes([WIRE_VERSION]) + b"{not json"
+        payload = bytes([WIRE_VERSION_JSON]) + b"{not json"
         with pytest.raises(CodecError, match="undecodable"):
             CODEC.decode_payload(payload)
         del frame
 
     def test_make_codec_names(self):
-        assert make_codec("json").wire_version == WIRE_VERSION_JSON
-        assert make_codec("binary").wire_version == WIRE_VERSION_BINARY
-        with pytest.raises(CodecError, match="unknown codec"):
-            make_codec("msgpack")
+        for codec in (make_codec("binary"), make_codec(), MessageCodec()):
+            assert codec.encode(NodeHello(pid=0))[4] == WIRE_VERSION_BINARY
+            assert codec.max_wire_version == WIRE_VERSION_BINARY
+        for name in ("json", "msgpack"):
+            with pytest.raises(ConfigurationError, match="unknown codec"):
+                make_codec(name)
 
 
 class TestBinaryFormat:
@@ -440,17 +432,16 @@ class TestBinaryFormat:
                 request_id="r", command_id="c", result=None, commit_seconds=0.01
             ),
         ):
-            json_frame = CODEC.encode(message)
-            binary_frame = CODEC_BINARY.encode(message)
+            json_frame = CODEC.encode(message, WIRE_VERSION_JSON)
+            binary_frame = CODEC.encode(message)
             assert len(binary_frame) <= 0.6 * len(json_frame), message
 
     def test_registry_hash_is_deterministic_and_skew_sensitive(self):
-        # Codecs over equal registries agree (these two were built from
-        # default_registry() at the same import); adding a type skews the
+        # Codecs over equal registries agree; adding a type skews the
         # name table and must change the fingerprint. Registries are
         # compared same-time: other test modules define local probe
         # Message subclasses, so default_registry() drifts across a session.
-        assert CODEC.registry_hash == CODEC_BINARY.registry_hash
+        assert CODEC.registry_hash == MessageCodec(CODEC.registry).registry_hash
         base = default_registry()
         skewed = default_registry()
         assert MessageCodec(base).registry_hash == MessageCodec(skewed).registry_hash
@@ -459,15 +450,6 @@ class TestBinaryFormat:
             MessageCodec(base).registry_hash != MessageCodec(skewed).registry_hash
         )
 
-    def test_negotiate(self):
-        binary = CODEC_BINARY
-        assert binary.negotiate(2, binary.registry_hash) == WIRE_VERSION_BINARY
-        assert binary.negotiate(2, "") == WIRE_VERSION_BINARY
-        assert binary.negotiate(1, binary.registry_hash) == WIRE_VERSION_JSON
-        assert binary.negotiate(2, "deadbeef") == WIRE_VERSION_JSON
-        v1_only = MessageCodec(max_wire_version=WIRE_VERSION_JSON)
-        assert v1_only.negotiate(2, v1_only.registry_hash) == WIRE_VERSION_JSON
-
     def test_encode_is_a_pure_function_of_the_value(self):
         # No cache sits in front of the encoder: equal messages give equal
         # frames because the bytes depend on the value alone, whichever
@@ -475,12 +457,13 @@ class TestBinaryFormat:
         unhashable = ClientReply(
             request_id="r", command_id="c", result=[1, 2], commit_seconds=0.0
         )
-        for codec in CODECS.values():
-            first = codec.encode(TwoB(ballot=4, value="hot"))
-            assert codec.encode(TwoB(ballot=4, value="hot")) == first
-            assert codec.encode(TwoB(ballot=5, value="hot")) != first
+        codec = CODEC
+        for version in VERSIONS.values():
+            first = codec.encode(TwoB(ballot=4, value="hot"), version)
+            assert codec.encode(TwoB(ballot=4, value="hot"), version) == first
+            assert codec.encode(TwoB(ballot=5, value="hot"), version) != first
             assert codec.decode(first) == TwoB(ballot=4, value="hot")
             # An unhashable payload is a value like any other.
-            frame = codec.encode(unhashable)
-            assert codec.encode(dataclasses.replace(unhashable)) == frame
+            frame = codec.encode(unhashable, version)
+            assert codec.encode(dataclasses.replace(unhashable), version) == frame
             assert codec.decode(frame) == unhashable

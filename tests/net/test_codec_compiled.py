@@ -51,7 +51,7 @@ def _repo_registry() -> MessageRegistry:
 
 
 def _codec() -> MessageCodec:
-    return MessageCodec(_repo_registry(), wire_version=WIRE_VERSION_BINARY)
+    return MessageCodec(_repo_registry())
 
 
 def _hot_shapes():
@@ -228,7 +228,7 @@ class TestCompiledAgreesWithGeneric:
     each field's bytes on its own does the same for the decoder.
     """
 
-    CODEC = MessageCodec(wire_version=WIRE_VERSION_BINARY)
+    CODEC = MessageCodec()
 
     @settings(max_examples=400, deadline=None)
     @given(message=_any_registered)

@@ -1,27 +1,37 @@
-"""Per-connection codec negotiation on the live runtime.
+"""The link handshake on the live runtime: v1 hello, then binary v2.
 
-The contract under test: ``--codec`` is a *preference*, not a protocol
-fork. Every pairing of {json-preferring, binary-preferring, v1-only}
-nodes and clients must converge on the same replicated log, because each
-link independently negotiates the best format both ends speak and falls
-back to JSON whenever in doubt (old peer, registry skew, no ack).
+The contract under test: every link opens with a v1 hello and a
+``HelloAck``; an accepted link speaks binary v2 in both directions, and a
+hello from a different registry or a pre-v2 build is refused with both
+registry hashes named — never downgraded, never decoded past the hello,
+and retried only on the backoff schedule.
 """
 
 import asyncio
+import logging
+import time
+
+import pytest
 
 from repro.net.client import KVClient
 from repro.net.cluster import LocalCluster
 from repro.net.codec import (
-    WIRE_VERSION_BINARY,
     WIRE_VERSION_JSON,
     MessageCodec,
-    make_codec,
+    MessageRegistry,
+    default_registry,
+    read_frame,
 )
 from repro.net.loadgen import run_loadgen
+from repro.net.stats import fetch_node_stats
+from repro.net.node import HandshakeRefused, KVService, NodeServer, dial
+from repro.net.wire import ClientHello, ClientSubmit, HelloAck, NodeHello
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
 from repro.smr import check_logs_consistent
+from repro.smr.kvstore import KVCommand
 from repro.smr.log import smr_factory
+from repro.storage.recovery import fetch_range_state, fetch_snapshot
 
 HARD_TIMEOUT = 60.0
 
@@ -42,6 +52,34 @@ def _run(coroutine):
     asyncio.run(asyncio.wait_for(coroutine, HARD_TIMEOUT))
 
 
+def _filtered_codec(drop: str = "WrongShard") -> MessageCodec:
+    """A codec whose registry lacks one wire name: a skewed build."""
+    full = default_registry()
+    registry = MessageRegistry()
+    for name in full.names():
+        if name != drop:
+            registry.register(full.type_of(name), name=name)
+    return MessageCodec(registry)
+
+
+def _attempts_within(window: float, initial: float, cap: float) -> int:
+    """Connect attempts a backed-off dialer can make in *window* seconds."""
+    attempts, elapsed, backoff = 1, 0.0, initial
+    while elapsed + backoff <= window:
+        elapsed += backoff
+        backoff = min(backoff * 2, cap)
+        attempts += 1
+    return attempts
+
+
+async def _wait_until(predicate, timeout=10.0, poll=0.02):
+    async def loop():
+        while not predicate():
+            await asyncio.sleep(poll)
+
+    await asyncio.wait_for(loop(), timeout)
+
+
 async def _drive(cluster: LocalCluster, count: int = 40) -> None:
     async with cluster:
         report = await run_loadgen(
@@ -57,89 +95,137 @@ async def _drive(cluster: LocalCluster, count: int = 40) -> None:
 
 
 def test_all_binary_cluster_converges():
-    _run(_drive(LocalCluster(3, _factory(), serve_clients=True, codec=make_codec("binary"))))
-
-
-def test_mixed_codec_cluster_converges():
-    # Node 0 prefers binary, node 1 JSON, node 2 is a true v1-only build
-    # (cannot even decode v2): every pairing must negotiate something
-    # both ends speak, including the v1-only node acking JSON.
-    codecs = {
-        0: make_codec("binary"),
-        1: make_codec("json"),
-        2: MessageCodec(max_wire_version=WIRE_VERSION_JSON),
-    }
-    _run(
-        _drive(
-            LocalCluster(
-                3,
-                _factory(),
-                serve_clients=True,
-                codec=make_codec("binary"),
-                codecs=codecs,
-            )
-        )
-    )
+    _run(_drive(LocalCluster(3, _factory(), serve_clients=True)))
 
 
 def test_binary_peers_actually_negotiate_v2():
     async def live():
-        cluster = LocalCluster(
-            3, _factory(), serve_clients=False, codec=make_codec("binary")
-        )
-        async with cluster:
-            node = cluster.nodes[0]
-            # Drive the real handshake helper against the live peer.
-            reader, writer = await asyncio.open_connection(
-                *cluster.addresses[1]
+        async with LocalCluster(3, _factory(), serve_clients=False) as cluster:
+            # Every node dials every peer, and every hello is accepted.
+            await _wait_until(
+                lambda: all(
+                    node.wire_info()["peer_links_out"] == 2
+                    and node.wire_info()["peer_links_in"] == 2
+                    for node in cluster.nodes
+                )
+            )
+            acceptor = cluster.nodes[1]
+            _reader, writer = await dial(
+                acceptor.address, cluster.codec, NodeHello(0), timeout=1.0
             )
             try:
-                from repro.net.wire import NodeHello
-
-                version, trace_ok = await node._shake_hands(
-                    reader,
-                    writer,
-                    NodeHello(
-                        0,
-                        max_wire_version=node.codec.max_wire_version,
-                        registry_hash=node.codec.registry_hash,
-                    ),
-                )
-                assert version == WIRE_VERSION_BINARY
-                # Neither end records spans: the link must stay untraced.
-                assert trace_ok is False
+                await _wait_until(lambda: acceptor.wire_info()["peer_links_in"] == 3)
             finally:
                 writer.close()
+            counters = acceptor.obs.snapshot()["counters"]
+            assert "net.hello_rejected" not in counters
 
     _run(live())
 
 
-def test_registry_skew_downgrades_to_json():
+def test_registry_skew_is_refused_with_both_hashes(caplog):
+    window = 2.0
+
     async def live():
-        cluster = LocalCluster(
-            3, _factory(), serve_clients=False, codec=make_codec("binary")
+        skewed = _filtered_codec()
+        assert skewed.registry_hash != MessageCodec().registry_hash
+        nodes = [
+            NodeServer(pid, 3, _factory(), codec=skewed if pid == 2 else None)
+            for pid in range(3)
+        ]
+        started = time.perf_counter()
+        served_senders = []
+        for node in nodes[:2]:
+            serve_peer = node._serve_peer
+
+            async def spy(reader, sender, serve_peer=serve_peer):
+                served_senders.append(sender)
+                await serve_peer(reader, sender)
+
+            node._serve_peer = spy
+        addresses = [await node.bind() for node in nodes]
+        for node in nodes:
+            await node.launch(addresses)
+        try:
+            # The dialer's error names both registries.
+            with pytest.raises(HandshakeRefused) as refused:
+                await dial(addresses[0], skewed, NodeHello(2), timeout=1.0)
+            assert skewed.registry_hash in str(refused.value)
+            assert nodes[0].codec.registry_hash in str(refused.value)
+            await asyncio.sleep(window)
+            elapsed = time.perf_counter() - started
+        finally:
+            for node in nodes:
+                await node.stop()
+        return nodes, served_senders, elapsed
+
+    with caplog.at_level(logging.ERROR, logger="repro.net"):
+        nodes, served_senders, elapsed = asyncio.run(
+            asyncio.wait_for(live(), HARD_TIMEOUT)
         )
-        async with cluster:
-            node = cluster.nodes[0]
-            reader, writer = await asyncio.open_connection(*cluster.addresses[1])
-            try:
-                from repro.net.wire import NodeHello
+    counters = [node.obs.snapshot()["counters"] for node in nodes]
+    # Both acceptors of node 2's hellos refused them, and node 2 refused
+    # theirs; the good pair still linked up with each other.
+    assert counters[0].get("net.hello_rejected", 0) >= 1
+    assert counters[1].get("net.hello_rejected", 0) >= 1
+    assert counters[2].get("net.hello_rejected", 0) >= 2
+    assert set(served_senders) == {0, 1}
+    # No frame past the hello was ever decoded on a refused link.
+    assert not any(name.startswith("recv_bytes.") for name in counters[2])
+    # Both ends logged the refusal with the other side's registry.
+    refusals = [r.getMessage() for r in caplog.records if "refused" in r.getMessage()]
+    assert any(nodes[2].codec.registry_hash in text for text in refusals)
+    assert any(nodes[0].codec.registry_hash in text for text in refusals)
+    # Retries follow the backoff schedule: no reconnect storm.
+    bound = _attempts_within(
+        elapsed, nodes[2].reconnect_initial, nodes[2].reconnect_max
+    )
+    for peer in (0, 1):
+        attempts = counters[2].get(f"net.reconnects.p{peer}", 0)
+        assert 1 <= attempts <= bound, (peer, attempts, bound)
+    assert counters[0].get("net.reconnects.p2", 0) <= bound
 
-                version, _ = await node._shake_hands(
-                    reader,
-                    writer,
-                    NodeHello(0, max_wire_version=2, registry_hash="00ff00ff00ff00ff"),
+
+def test_pre_v2_client_is_refused_before_any_frame_is_decoded():
+    async def live():
+        # Bound, not launched: the acceptor alone, no peer links.
+        node = NodeServer(0, 3, _factory(), client_service=KVService())
+        decoded = []
+        decode_payload = node.codec.decode_payload
+
+        def counting(payload):
+            decoded.append(payload[0])
+            return decode_payload(payload)
+
+        node.codec.decode_payload = counting
+        address = await node.bind()
+        try:
+            reader, writer = await asyncio.open_connection(*address)
+            # A pre-v2 client: bare v1 hello, then a v1 submit right away.
+            writer.write(node.codec.encode(ClientHello("legacy"), WIRE_VERSION_JSON))
+            writer.write(
+                node.codec.encode(
+                    ClientSubmit("legacy:0", KVCommand("put", "k", "v", "legacy-1")),
+                    WIRE_VERSION_JSON,
                 )
-                assert version == WIRE_VERSION_JSON
-            finally:
-                writer.close()
+            )
+            await writer.drain()
+            ack = await read_frame(reader, MessageCodec())
+            assert await reader.read() == b""  # the acceptor closed the link
+            writer.close()
+        finally:
+            await node.stop()
+        return node, ack, decoded
 
-    _run(live())
+    node, ack, decoded = asyncio.run(asyncio.wait_for(live(), HARD_TIMEOUT))
+    assert ack == HelloAck(0, node.codec.registry_hash)
+    assert decoded == [WIRE_VERSION_JSON]  # the hello, nothing after it
+    assert node.obs.snapshot()["counters"]["net.hello_rejected"] == 1
 
 
-def test_silent_receiver_falls_back_to_json():
-    # A server that never answers the hello (pre-negotiation build)
-    # must downgrade the dialer to JSON after the hello timeout, not hang.
+def test_silent_receiver_fails_the_handshake():
+    # A server that never answers the hello must fail the dial after the
+    # hello timeout — the request path then fails over — not hang.
     async def live():
         async def mute(reader, writer):
             await asyncio.sleep(10)
@@ -148,13 +234,12 @@ def test_silent_receiver_falls_back_to_json():
         port = server.sockets[0].getsockname()[1]
         try:
             client = KVClient(
-                [("127.0.0.1", port)],
-                client_id="probe",
-                codec=make_codec("binary"),
-                hello_timeout=0.2,
+                [("127.0.0.1", port)], client_id="probe", hello_timeout=0.2
             )
-            await client._ensure_connected()
-            assert client._link_version == WIRE_VERSION_JSON
+            started = time.perf_counter()
+            with pytest.raises(asyncio.TimeoutError):
+                await client._ensure_connected()
+            assert time.perf_counter() - started < 2.0
             await client.close()
         finally:
             server.close()
@@ -165,17 +250,12 @@ def test_silent_receiver_falls_back_to_json():
 
 def test_binary_client_negotiates_with_binary_cluster():
     async def live():
-        cluster = LocalCluster(
-            3, _factory(), serve_clients=True, codec=make_codec("binary")
-        )
-        async with cluster:
-            client = KVClient(
-                cluster.addresses, client_id="c0", codec=make_codec("binary")
-            )
+        async with LocalCluster(3, _factory(), serve_clients=True) as cluster:
+            client = KVClient(cluster.addresses, client_id="c0", codec=cluster.codec)
             try:
                 reply = await client.put("k", "v")
-                assert client._link_version == WIRE_VERSION_BINARY
                 assert reply.result is None or reply.result == "v"
+                assert cluster.nodes[client.proxy].wire_info()["client_links"] == 1
                 reply = await client.get("k")
                 assert reply.result == "v"
             finally:
@@ -184,23 +264,64 @@ def test_binary_client_negotiates_with_binary_cluster():
     _run(live())
 
 
-def test_v1_only_client_talks_to_binary_cluster():
+def test_client_fails_over_past_a_skewed_proxy():
     async def live():
-        cluster = LocalCluster(
-            3, _factory(), serve_clients=True, codec=make_codec("binary")
-        )
-        async with cluster:
-            client = KVClient(
+        async with LocalCluster(3, _factory(), serve_clients=True) as cluster:
+            good = KVClient(cluster.addresses, client_id="good", codec=cluster.codec)
+            skewed = KVClient(
                 cluster.addresses,
-                client_id="legacy",
-                codec=MessageCodec(max_wire_version=WIRE_VERSION_JSON),
+                client_id="skewed",
+                codec=_filtered_codec(),
+                max_attempts=2,
+                backoff_initial=0.01,
             )
             try:
-                await client.put("old", "school")
-                assert client._link_version == WIRE_VERSION_JSON
-                reply = await client.get("old")
-                assert reply.result == "school"
+                assert (await good.put("k", "v")).command_id
+                with pytest.raises(Exception) as failed:
+                    await skewed.put("k", "w")
+            finally:
+                await good.close()
+                await skewed.close()
+            return cluster, failed.value
+
+    cluster, error = asyncio.run(asyncio.wait_for(live(), HARD_TIMEOUT))
+    assert "refused the hello" in str(error)
+    assert sum(
+        node.obs.snapshot()["counters"].get("net.hello_rejected", 0)
+        for node in cluster.nodes
+    ) == 2
+
+
+def test_control_plane_fetches_shake_hands_first():
+    # Every answer arrives after a HelloAck, so a fetcher that skipped
+    # the shared handshake would read the ack as its reply and fail.
+    async def live():
+        async with LocalCluster(3, _factory(), serve_clients=True) as cluster:
+            node = cluster.nodes[0]
+            accepted = []
+            ack_hello = node._ack_hello
+
+            async def spy(hello, writer):
+                ok = await ack_hello(hello, writer)
+                accepted.append((getattr(hello, "client_id", None), ok))
+                return ok
+
+            node._ack_hello = spy
+            client = KVClient(cluster.addresses, client_id="cp", codec=cluster.codec)
+            try:
+                await client.put("moved", "v")
             finally:
                 await client.close()
+            await cluster.wait_logs_converged(timeout=20.0, expected_commands=1)
+            stats = await fetch_node_stats(node.address, cluster.codec)
+            state = await fetch_snapshot(node.address, cluster.codec)
+            ranged = await fetch_range_state(node.address, cluster.codec, 0, 16, 16)
+            return accepted, stats, state, ranged
 
-    _run(live())
+    accepted, stats, state, ranged = asyncio.run(asyncio.wait_for(live(), HARD_TIMEOUT))
+    assert stats.pid == 0
+    assert state["log_entries"] == 1
+    assert ranged["data"] == {"moved": "v"}
+    assert ("stats-scraper", True) in accepted
+    assert ("snapshot-fetch", True) in accepted
+    assert ("range-fetch", True) in accepted

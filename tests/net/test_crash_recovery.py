@@ -10,21 +10,15 @@ survivors' retained outbound backlog is shed first, modeling a bounded
 retransmit buffer over a long outage — transfer must carry the node, not
 backlog replay), rebind its original port, and converge to the identical
 applied log and store as the survivors.
-
-The CI matrix runs this module once per wire codec: ``REPRO_SMOKE_CODEC``
-(``json`` default, or ``binary``) selects the clusters' codec, so the
-binary leg recovers a binary WAL, archive and image.
 """
 
 import asyncio
-import os
 from collections import deque
 
 from repro.net.cluster import LocalCluster
-from repro.net.codec import MessageCodec, make_codec
+from repro.net.codec import WIRE_VERSION_BINARY
 from repro.net.loadgen import run_loadgen
 from repro.net.node import NodeServer
-from repro.net.wire import NodeHello
 from repro.net.stats import describe_cluster_stats, scrape_cluster
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
@@ -38,11 +32,6 @@ HARD_TIMEOUT = 120.0
 N = 5
 TOTAL = 400
 PART1, PART2 = 200, 320  # ops[:PART1] | ops[PART1:PART2] | ops[PART2:]
-
-
-def _smoke_codec() -> MessageCodec:
-    """The cluster-wide codec for this run, from the CI matrix env var."""
-    return make_codec(os.environ.get("REPRO_SMOKE_CODEC", "json"))
 
 
 def _factory(delta: float = 0.05, batch: int = 16):
@@ -79,7 +68,6 @@ async def _kill_restart_rejoin(data_dir):
         N,
         _factory(),
         serve_clients=True,
-        codec=_smoke_codec(),
         data_dir=str(data_dir),
         snapshot_every=32,
         outbox_limit=2000,
@@ -145,7 +133,6 @@ async def _full_cluster_reboot(data_dir):
         3,
         _factory(),
         serve_clients=True,
-        codec=_smoke_codec(),
         data_dir=str(data_dir),
         snapshot_every=16,
     )
@@ -161,20 +148,19 @@ async def _full_cluster_reboot(data_dir):
         await boot.wait_logs_converged(timeout=30.0, expected_commands=count)
         expected_log = [c.command_id for c in boot.nodes[0].process.store.log]
 
-    # What recovery is about to read is written in the matrix leg's codec.
+    # What recovery is about to read was written in binary v2.
     node_dir = NodeStorage(data_dir, 0).dir
     framed = node_dir.joinpath(ARCHIVE_NAME).read_bytes()
     for segment in list_segments(node_dir):
         framed += segment.read_bytes()
     payloads = scan_records(framed).payloads
     assert payloads
-    assert {payload[0] for payload in payloads} == {boot.codec.wire_version}
+    assert {payload[0] for payload in payloads} == {WIRE_VERSION_BINARY}
 
     reboot = LocalCluster(
         3,
         _factory(),
         serve_clients=True,
-        codec=_smoke_codec(),
         data_dir=str(data_dir),
         snapshot_every=16,
     )
@@ -219,7 +205,6 @@ async def _rebalance_dest_leader_crash(data_dir):
         2,
         3,
         _factory(),
-        codec=_smoke_codec(),
         slots=slots,
         data_dir=str(data_dir),
         snapshot_every=32,
@@ -316,12 +301,8 @@ def test_outbox_limit_sheds_oldest_frames():
     node = NodeServer(0, 3, _factory(), outbox_limit=2)
     node._outbox[1] = deque()
     node._outbox_wake[1] = asyncio.Event()
-    messages = [NodeHello(pid=index) for index in range(5)]
     for index in range(5):
-        node._enqueue(1, bytes([index]), messages[index])
-    assert list(node._outbox[1]) == [
-        (b"\x03", messages[3]),
-        (b"\x04", messages[4]),
-    ]
+        node._enqueue(1, bytes([index]))
+    assert list(node._outbox[1]) == [b"\x03", b"\x04"]
     counters = node.obs.registry.snapshot()["counters"]
     assert counters["net.outbox_dropped.p1"] == 3

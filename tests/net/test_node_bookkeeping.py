@@ -58,9 +58,8 @@ def test_broadcast_encodes_the_frame_once():
     node._outbox = {1: deque(), 2: deque()}
     node._outbox_wake = {1: asyncio.Event(), 2: asyncio.Event()}
     node._broadcast(NodeHello(pid=0), include_self=False)
-    first, second = node._outbox[1][0], node._outbox[2][0]
-    assert first[0] is second[0]  # the same bytes object, not a re-encoding
-    assert first[1] is second[1]  # and the same message, for re-encoding links
+    # The same bytes object, not a re-encoding.
+    assert node._outbox[1][0] is node._outbox[2][0]
 
 
 class TestWriterBookkeeping:

@@ -2,15 +2,15 @@
 
 CI-grade guard for the throughput path: a pipelined load generator
 against a 3-node batching ``LocalCluster`` must clear a deliberately
-generous throughput floor (~1/8 of what an idle dev machine measures in
-``benchmarks/bench_net.py``) with zero failures. The goal is to catch a
+generous throughput floor (a small fraction of what an idle dev machine
+measures with ``benchmarks/e2e``) with zero failures. The goal is to catch a
 path regression that silently serializes the pipeline — not to measure;
 the benchmark owns the real numbers. Every scenario carries its own hard
 ``asyncio`` timeout so a wedged cluster fails fast instead of hanging CI.
 
 The observability budget rides along: metrics are on by default with a
-stated ceiling of 5% throughput cost (``docs/OBSERVABILITY.md``), which
-``benchmarks/bench_net.py`` measures precisely. Here the default-on run
+stated ceiling of 5% throughput cost (``docs/OBSERVABILITY.md``), whose
+per-layer cost ``benchmarks/e2e`` reports as ``obs.est_us_per_cmd``. Here the default-on run
 is compared against a run with every node's registry nulled out (best of
 three interleaved runs a side), with a deliberately loose guard (no worse
 than 30% below metrics-off) so shared CI runners don't flake — a counter
@@ -22,7 +22,6 @@ import asyncio
 import tempfile
 
 from repro.net.cluster import LocalCluster
-from repro.net.codec import make_codec
 from repro.net.loadgen import run_loadgen
 from repro.obs import Observability
 from repro.omega import static_omega_factory
@@ -36,11 +35,6 @@ COMMANDS = 1500
 #: slower, but an accidentally-serialized path lands near the ~350/s
 #: closed-loop figure and fails this clearly.
 THROUGHPUT_FLOOR = 250.0
-#: The binary codec's floor is 1.5× the JSON floor — the same ratio the
-#: codec is required to deliver over the PR-3 baseline in
-#: ``benchmarks/results/baseline_net.json``, scaled down to smoke levels
-#: so shared runners don't flake.
-BINARY_THROUGHPUT_FLOOR = 1.5 * THROUGHPUT_FLOOR
 #: Loose CI guard for the metrics-on/metrics-off ratio; the real ≤5%
 #: budget is tracked by the benchmark, not this smoke test.
 OVERHEAD_GUARD = 0.70
@@ -69,7 +63,6 @@ async def _pipelined_run(
     metrics: bool = True,
     data_dir: str | None = None,
     fsync: bool = True,
-    codec_name: str = "json",
     trace_sample: int | None = None,
     client_trace_sample: int = 0,
 ) -> float:
@@ -80,7 +73,6 @@ async def _pipelined_run(
         serve_clients=True,
         data_dir=data_dir,
         fsync=fsync,
-        codec=make_codec(codec_name),
         trace_sample=trace_sample,
     )
     if not metrics:
@@ -130,24 +122,6 @@ def test_pipelined_throughput_clears_the_floor():
     asyncio.run(asyncio.wait_for(live(), HARD_TIMEOUT))
 
 
-def test_binary_codec_clears_a_higher_floor():
-    """``--codec binary`` must clear 1.5× the JSON smoke floor.
-
-    This is the CI-level gate for the codec acceptance criterion; the
-    measured speedup itself is recorded by ``benchmarks/bench_net.py``
-    under the ``codec`` dimension of ``baseline_net.json``.
-    """
-
-    async def live():
-        throughput = await _pipelined_run(codec_name="binary")
-        assert throughput >= BINARY_THROUGHPUT_FLOOR, (
-            f"binary-codec pipelined throughput {throughput:,.0f}/s below "
-            f"the {BINARY_THROUGHPUT_FLOOR:,.0f}/s smoke floor"
-        )
-
-    asyncio.run(asyncio.wait_for(live(), HARD_TIMEOUT))
-
-
 def test_metrics_overhead_stays_bounded():
     """Default-on metrics must not meaningfully tax the hot path."""
 
@@ -192,9 +166,9 @@ def test_fsync_overhead_stays_bounded():
 
     Same durable cluster twice — WAL on in both runs, ``fsync`` on vs
     off (the CLI's ``--no-fsync``) — so the ratio isolates the fsync
-    syscall cost from the journaling cost. The precise number lives in
-    ``benchmarks/bench_net.py`` (``results/durability_net.json``); this
-    guard only catches a collapse, e.g. losing the group in group commit.
+    syscall cost from the journaling cost. The end-to-end number is
+    ``benchmarks/e2e``'s ``kv_durable`` workload; this guard only catches
+    a collapse, e.g. losing the group in group commit.
     """
 
     async def live():

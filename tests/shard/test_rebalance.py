@@ -17,12 +17,10 @@ Two layers of evidence, mirroring the repo's live≡sim method:
 """
 
 import asyncio
-import os
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.codec import make_codec
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
 from repro.shard import MoveReport, ShardRouter, ShardedCluster
@@ -241,13 +239,9 @@ def _factory(delta: float = 0.05):
     )
 
 
-def _smoke_codec():
-    return make_codec(os.environ.get("REPRO_SMOKE_CODEC", "json"))
-
-
 async def _live_move_during_load():
     async with ShardedCluster(
-        2, 3, _factory(), codec=_smoke_codec(), slots=SLOTS
+        2, 3, _factory(), slots=SLOTS
     ) as cluster:
         router = ShardRouter(
             cluster.addresses_by_group,

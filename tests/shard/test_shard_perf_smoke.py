@@ -7,8 +7,8 @@ capacity. The honest in-process figure is **capacity mode**: each group
 of a 4-group deployment is driven *in isolation* through the full
 sharded routing path, and the aggregate is the sum — exactly what G
 independent leader pipelines provide once deployed on separate hosts.
-``benchmarks/bench_shard.py`` records both this figure and the
-concurrent-load ratio; this smoke test only gates the floor:
+This smoke test gates the floor (``benchmarks/e2e``'s ``kv_sharded``
+workload measures the concurrent-load figure):
 
     aggregate 4-group capacity ≥ 2.5 × single-group throughput
 
@@ -18,9 +18,7 @@ key through one group, or a router that locks across groups) lands near
 """
 
 import asyncio
-import os
 
-from repro.net.codec import make_codec
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
 from repro.shard import ShardedCluster, run_sharded_loadgen
@@ -44,10 +42,6 @@ def _factory():
         batch_size=64,
         window=1,
     )
-
-
-def _smoke_codec():
-    return make_codec(os.environ.get("REPRO_SMOKE_CODEC", "json"))
 
 
 def _group_keys(placement, group, key_space=KEY_SPACE):
@@ -78,14 +72,14 @@ async def _drive(cluster, keys, count=COMMANDS, seed=0):
 
 async def _capacity_scaling():
     async with ShardedCluster(
-        1, 3, _factory(), codec=_smoke_codec(), slots=SLOTS
+        1, 3, _factory(), slots=SLOTS
     ) as single:
         single_throughput = await _drive(
             single, _group_keys(single.placement, 0)
         )
 
     async with ShardedCluster(
-        4, 3, _factory(), codec=_smoke_codec(), slots=SLOTS
+        4, 3, _factory(), slots=SLOTS
     ) as sharded:
         per_group = []
         for group in range(4):

@@ -11,9 +11,7 @@ single-node one.
 """
 
 import asyncio
-import os
 
-from repro.net.codec import make_codec
 from repro.net.stats import describe_cluster_stats, scrape_sharded_cluster
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
@@ -39,13 +37,9 @@ def _factory(delta: float = 0.05):
     )
 
 
-def _smoke_codec():
-    return make_codec(os.environ.get("REPRO_SMOKE_CODEC", "json"))
-
-
 async def _boot_spread_and_scrape():
     async with ShardedCluster(
-        GROUPS, REPLICAS, _factory(), codec=_smoke_codec(), slots=SLOTS
+        GROUPS, REPLICAS, _factory(), slots=SLOTS
     ) as cluster:
         report = await run_sharded_loadgen(
             cluster.addresses_by_group,
@@ -106,7 +100,7 @@ def test_sharded_cluster_spreads_and_applies_exactly_once():
 async def _zipf_skew_still_exact():
     """A skewed workload changes the traffic split, not the safety story."""
     async with ShardedCluster(
-        GROUPS, REPLICAS, _factory(), codec=_smoke_codec(), slots=SLOTS
+        GROUPS, REPLICAS, _factory(), slots=SLOTS
     ) as cluster:
         report = await run_sharded_loadgen(
             cluster.addresses_by_group,
@@ -131,7 +125,7 @@ def test_zipf_skewed_load_stays_exactly_once():
 
 async def _outage_views():
     async with ShardedCluster(
-        GROUPS, REPLICAS, _factory(), codec=_smoke_codec(), slots=SLOTS
+        GROUPS, REPLICAS, _factory(), slots=SLOTS
     ) as cluster:
         groups = cluster.addresses_by_group
 

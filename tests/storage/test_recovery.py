@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.codec import MessageCodec, make_codec
+from repro.net.codec import WIRE_VERSION_BINARY, WIRE_VERSION_JSON, MessageCodec
 from repro.obs import Observability
 from repro.smr.kvstore import BatchRef, CommandBatch, KVCommand
 from repro.smr.log import SMRReplica
@@ -38,11 +38,23 @@ from repro.storage import (
 from repro.storage import recovery as recovery_module
 from repro.storage import snapshot as snapshot_module
 from repro.storage.snapshot import ARCHIVE_NAME, snapshot_name
-from repro.storage.wal import pack_record, segment_name
+from repro.storage.wal import pack_record, scan_records, segment_name
 
 N, F, E = 5, 2, 2
 CODEC = MessageCodec()
-CODECS = {"json": make_codec("json"), "binary": make_codec("binary")}
+
+
+class _PreBinaryCodec(MessageCodec):
+    """Writes every WAL and archive payload as v1, as earlier builds did."""
+
+    def encode_payload(self, obj, version=WIRE_VERSION_JSON):
+        return super().encode_payload(obj, version)
+
+
+#: ``json``: the files an earlier build wrote, every payload v1 — the
+#: format a current node must still recover from. ``binary``: what every
+#: build writes now.
+CODECS = {"json": _PreBinaryCodec(), "binary": MessageCodec()}
 
 
 def _replica(pid=0):
@@ -123,7 +135,7 @@ class TestSnapshotRoundTrip:
 
 
 class TestPersisterCycle:
-    #: ``TestPersisterCycleBinary`` below reruns every test on the v2 codec.
+    #: On v1 payloads; ``TestPersisterCycleBinary`` reruns every test on v2.
     codec = CODECS["json"]
 
     def test_journal_crash_recover_rebuilds_the_store(self, tmp_path):
@@ -413,6 +425,42 @@ def _two_images_and_a_tail(root, codec):
     persister.close(hard=True)
     assert [info.upto for info in list_snapshots(persister.storage.dir)] == [8, 12]
     return persister, _state(a)
+
+
+def _payload_versions(framed):
+    return {payload[0] for payload in scan_records(framed).payloads}
+
+
+class TestLegacyPayloads:
+    def test_v1_payloads_recover_exactly_and_the_next_snapshot_writes_v2(
+        self, tmp_path
+    ):
+        crashed, expected = _two_images_and_a_tail(tmp_path, CODECS["json"])
+        node_dir = crashed.storage.dir
+        archive = crashed.storage.archive_path
+        legacy = archive.read_bytes()
+        assert _payload_versions(legacy) == {WIRE_VERSION_JSON}
+        for segment in list_segments(node_dir):
+            assert _payload_versions(segment.read_bytes()) <= {WIRE_VERSION_JSON}
+
+        b = _replica()
+        persister = _persister(tmp_path, b, codec=MessageCodec(), snapshot_every=4)
+        persister.recover()
+        assert _state(b) == expected
+        _decide_batches(b, range(14, 18))
+        persister.after_activation()
+        _decide_batches(b, [18])  # one decision left in the WAL tail
+        persister.after_activation()
+        persister.close()
+        assert list_snapshots(node_dir)[-1].upto > 14
+        appended = archive.read_bytes()[len(legacy):]
+        assert appended and _payload_versions(appended) == {WIRE_VERSION_BINARY}
+        newest = list_segments(node_dir)[-1]
+        assert _payload_versions(newest.read_bytes()) == {WIRE_VERSION_BINARY}
+
+        c = _replica()
+        _persister(tmp_path, c).recover()
+        assert _state(c) == _state(b)
 
 
 @pytest.mark.parametrize("codec", CODECS.values(), ids=CODECS)
