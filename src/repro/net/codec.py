@@ -69,7 +69,7 @@ tag byte           value
 Record fields travel *positionally* in dataclass field order; the u16
 type id comes from a deterministic table — registry names sorted, then
 numbered — so both ends derive the same ids without exchanging them.
-The hello carries a hash of that table
+The hello carries a hash of that table and each type's field layout
 (:attr:`MessageCodec.registry_hash`) and an acceptor refuses a dialer
 whose hash differs, so registry skew fails the handshake instead of
 decoding garbage. A decoded body must consume the payload exactly;
@@ -592,17 +592,17 @@ class MessageCodec:
         self._fields_by_type = fields_by_type
         self._read = _build_reader(layouts)
         self._write = _build_writer(tag_by_type, fields_by_type)
-        self._registry_hash = hashlib.sha256(
-            "\n".join(names).encode("utf-8")
-        ).hexdigest()[:16]
+        table = "\n".join(f"{name}({','.join(fields_by_type[cls])})" for cls, name, _ in layouts)
+        self._registry_hash = hashlib.sha256(table.encode("utf-8")).hexdigest()[:16]
         self._tables_generation = self.registry.generation
 
     @property
     def registry_hash(self) -> str:
-        """Fingerprint of the sorted wire-name table (hex, 16 chars).
+        """Fingerprint of the sorted wire-type table (hex, 16 chars).
 
-        Carried in the hello: two ends whose hashes differ derive
-        different binary type ids, so the acceptor refuses the link.
+        One ``name(field1,field2,…)`` line per type — v2 records are
+        positional, so layouts count as much as names. Carried in the
+        hello: the acceptor refuses a link whose hash differs.
         """
         self._tables()
         return self._registry_hash

@@ -71,9 +71,9 @@ from ..storage.recovery import (
     NodeStorage,
     ReplicaPersister,
     fetch_snapshot,
-    range_state_chunks,
-    snapshot_chunks,
+    transfer_chunks,
 )
+from ..storage.snapshot import SnapshotError
 from .codec import (
     MAX_FRAME_BYTES,
     WIRE_VERSION_BINARY,
@@ -936,11 +936,8 @@ class NodeServer:
                 for request, _size in batch:
                     if isinstance(request, StatsRequest):
                         replies.put_nowait(self._stats_reply(request))
-                    elif isinstance(request, SnapshotRequest):
-                        for chunk in self._snapshot_reply(request):
-                            replies.put_nowait(chunk)
-                    elif isinstance(request, RangeSnapshotRequest):
-                        for chunk in self._range_snapshot_reply(request):
+                    elif isinstance(request, (SnapshotRequest, RangeSnapshotRequest)):
+                        for chunk in self._transfer_reply(request):
                             replies.put_nowait(chunk)
                     elif (
                         isinstance(request, ClientSubmit)
@@ -1051,32 +1048,17 @@ class NodeServer:
                 handle.write(json.dumps(row) + "\n")
             registry.inc("obs.timeseries_rows")
 
-    def _snapshot_reply(self, request: SnapshotRequest) -> List[SnapshotChunk]:
-        """Serve a state-transfer request from the *live* replica.
-
-        Serialization happens synchronously on the event loop, so the
-        shipped state is a consistent point-in-time view (no activation
-        can interleave). Non-replica processes answer with a terminal
-        ``upto=-1`` chunk so the fetcher can move on to the next peer.
-        """
-        if not isinstance(self.process, SMRReplica):
-            return [
-                SnapshotChunk(
-                    request_id=request.request_id, seq=0, last=True, upto=-1, payload=""
-                )
-            ]
-        chunks = snapshot_chunks(self.codec, self.process, request.request_id)
-        self.obs.registry.inc("storage.snapshots_served")
-        return chunks
-
-    def _range_snapshot_reply(
-        self, request: RangeSnapshotRequest
+    def _transfer_reply(
+        self, request: Union[SnapshotRequest, RangeSnapshotRequest]
     ) -> List[SnapshotChunk]:
-        """Serve a hash-slot range extraction for a rebalance.
+        """Serve a state or range transfer from the *live* replica.
 
-        Same chunk stream as full state transfer; the payload is a range
-        document. Only meaningful once the range is fenced at this group
-        — the fence makes the extracted state final.
+        Rendering happens synchronously on the event loop, so the shipped
+        state is a consistent point-in-time view (no activation can
+        interleave). A range is only meaningful once it is fenced at this
+        group — the fence makes the extracted state final. Non-replica
+        processes answer with a terminal ``upto=-1`` chunk so the fetcher
+        can move on to the next peer.
         """
         if not isinstance(self.process, SMRReplica):
             return [
@@ -1084,16 +1066,11 @@ class NodeServer:
                     request_id=request.request_id, seq=0, last=True, upto=-1, payload=""
                 )
             ]
-        chunks = range_state_chunks(
-            self.codec,
-            self.process,
-            request.request_id,
-            request.lo,
-            request.hi,
-            request.slots,
+        ranged = isinstance(request, RangeSnapshotRequest)
+        self.obs.registry.inc(
+            "storage.range_snapshots_served" if ranged else "storage.snapshots_served"
         )
-        self.obs.registry.inc("storage.range_snapshots_served")
-        return chunks
+        return transfer_chunks(self.codec, self.process, request)
 
     # ------------------------------------------------------------------
     # Catch-up: pull a peer's state instead of replaying history.
@@ -1102,14 +1079,17 @@ class NodeServer:
     async def _catch_up_from_peers(
         self, rounds: int = 5, initial_delay: float = 0.25
     ) -> None:
-        """Fetch and install a peer snapshot while behind the cluster.
+        """Fetch and install a peer's state while behind the cluster.
 
         Runs once after launch (only on storage-enabled nodes): each
-        round asks peers — nearest pid first — for their live state and
-        installs it when their applied frontier is ahead of ours. Stops
-        when no reachable peer is ahead (fresh boots converge on the
-        first round) or after *rounds* installs; from there the normal
-        message flow keeps the node current.
+        round sends peers — nearest pid first — our frontier and log
+        length, and installs the image plus log suffix a peer that is
+        ahead answers with. Stops when no reachable peer is ahead (fresh
+        boots converge on the first round, one empty chunk per peer) or
+        after *rounds* installs; from there the normal message flow keeps
+        the node current. A malformed image or a suffix that does not
+        extend our log is counted in ``storage.transfer_rejected`` and
+        the next peer is tried.
         """
         assert self.persister is not None
         await asyncio.sleep(initial_delay)
@@ -1121,17 +1101,26 @@ class NodeServer:
             for step in range(1, self.n):
                 peer = (self.pid + step) % self.n
                 try:
-                    state = await fetch_snapshot(
+                    image = await fetch_snapshot(
                         self._addresses[peer],
                         self.codec,
                         client_id=f"catchup-{self.pid}",
+                        applied_upto=replica.applied_upto,
+                        log_entries=len(replica.store.log),
                         timeout=5.0,
                     )
                 except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError, CodecError):
                     continue
-                if state is None or self._crashed:
+                except SnapshotError as exc:
+                    self._refuse_transfer(peer, exc)
                     continue
-                installed = self.persister.install_remote(state)
+                if image is None or self._crashed:
+                    continue
+                try:
+                    installed = self.persister.install_remote(image)
+                except SnapshotError as exc:
+                    self._refuse_transfer(peer, exc)
+                    continue
                 if installed > 0:
                     self.log.info(
                         "caught up from peer %d: +%d log entries (frontier %d)",
@@ -1143,6 +1132,11 @@ class NodeServer:
                     break
             if not progressed:
                 return
+
+    def _refuse_transfer(self, peer: int, exc: SnapshotError) -> None:
+        """A peer's image was malformed or its suffix not anchored on our log."""
+        self.log.warning("refused state from peer %d: %s", peer, exc)
+        self.obs.registry.inc("storage.transfer_rejected")
 
     # ------------------------------------------------------------------
     # Observability.

@@ -186,31 +186,34 @@ class RangeSnapshotRequest(Message):
 
 @dataclass(frozen=True)
 class SnapshotRequest(Message):
-    """Ask a node for its live replica state (sent on a client link).
+    """Ask a node for the state a receiver lacks (sent on a client link).
 
-    The server answers with a stream of :class:`SnapshotChunk` frames
-    carrying one serialized snapshot document (the exact format
-    ``repro.storage.snapshot`` writes to disk — state transfer is a
-    snapshot that never touches disk). ``from_slot`` is advisory: the
-    current server always ships full state (the applied log is the
-    convergence witness, so partial transfer would need a log-digest
-    protocol); it exists so a future incremental server stays
-    wire-compatible.
+    ``applied_upto`` and ``log_entries`` are the receiver's applied
+    frontier and applied-log length. A server whose frontier is not
+    beyond ``applied_upto`` answers with one empty terminal
+    :class:`SnapshotChunk` carrying its own ``upto``. One that is ahead
+    streams its *image* — the document :mod:`repro.storage.snapshot`
+    writes to disk (map, frontier, decided tail), rendered from live
+    state — with the log suffix ``log[log_entries:]`` in place of the
+    archive prefix, and the command id of entry ``log_entries - 1`` as
+    the anchor the receiver checks its own log against. An empty
+    receiver (``log_entries=0``) gets the whole log.
     """
 
     request_id: str
-    from_slot: int = 0
+    applied_upto: int = 0
+    log_entries: int = 0
 
 
 @dataclass(frozen=True)
 class SnapshotChunk(Message):
-    """One piece of a serialized replica state.
+    """One piece of a transfer document (an image or a range document).
 
-    ``upto`` is the serving replica's applied frontier at serialization
-    time; ``upto < 0`` means the node hosts no SMR replica and the
-    request cannot be served. ``seq`` orders chunks, ``last`` marks the
-    end of the stream; concatenating the ``payload`` strings in sequence
-    yields the snapshot document.
+    ``upto`` is the serving replica's applied frontier when it answered;
+    ``upto < 0`` means the node hosts no SMR replica and the request
+    cannot be served. ``seq`` orders chunks, ``last`` marks the end of
+    the stream; concatenating the ``payload`` strings in sequence yields
+    the document, which is empty when the server is not ahead.
     """
 
     request_id: str

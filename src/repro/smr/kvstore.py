@@ -356,24 +356,17 @@ class KVStore:
     def snapshot(self) -> Dict[str, Any]:
         return dict(self.data)
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Full-fidelity state for durability: the map and the log.
+    @classmethod
+    def from_state(cls, state: Dict[str, Any]) -> "KVStore":
+        """Rebuild a store from ``{"data": map, "log": applied log}``.
 
         :meth:`snapshot` is the *observable* state (the map); restore
         also needs the applied command log (the cross-replica convergence
         witness checked by ``check_logs_consistent`` and the cluster
-        tests). The applied-id set is not part of the state: it is a
-        function of the log, and :meth:`from_state` rebuilds it.
-        """
-        return {"data": dict(self.data), "log": list(self.log)}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "KVStore":
-        """Rebuild a store from :meth:`snapshot_state` output.
-
-        ``applied_ids`` is derived from the two places :meth:`apply` adds
-        to it: every logged command's own id, plus the ids a logged
-        ``shard_install`` carried in from the range's previous home.
+        tests). ``applied_ids`` is not part of the state: it is derived
+        from the two places :meth:`apply` adds to it — every logged
+        command's own id, plus the ids a logged ``shard_install`` carried
+        in from the range's previous home.
         """
         store = cls()
         store.data = dict(state["data"])

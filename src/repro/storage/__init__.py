@@ -25,9 +25,8 @@ from .recovery import (
     fetch_range_state,
     fetch_snapshot,
     inspect_data_dir,
-    install_state,
-    range_state_chunks,
-    snapshot_chunks,
+    install_image,
+    transfer_chunks,
 )
 from .retention import RetentionPolicy, RetentionReport
 from .snapshot import (
@@ -35,11 +34,9 @@ from .snapshot import (
     SnapshotError,
     SnapshotInfo,
     deserialize_range_state,
-    deserialize_replica_state,
     serialize_range_state,
     list_snapshots,
     load_snapshot,
-    serialize_replica_state,
     write_snapshot,
 )
 from .wal import WriteAheadLog, list_segments, pack_record, scan_segment
@@ -61,20 +58,17 @@ __all__ = [
     "atomic_write_text",
     "decode_record",
     "deserialize_range_state",
-    "deserialize_replica_state",
     "encode_record",
     "fetch_range_state",
     "fetch_snapshot",
     "inspect_data_dir",
-    "install_state",
+    "install_image",
     "list_segments",
     "list_snapshots",
     "load_snapshot",
     "pack_record",
-    "range_state_chunks",
     "scan_segment",
     "serialize_range_state",
-    "serialize_replica_state",
-    "snapshot_chunks",
+    "transfer_chunks",
     "write_snapshot",
 ]

@@ -15,13 +15,14 @@ Three cooperating pieces, all built from the primitives in this package:
   write-ahead property without per-record fsyncs.
 * Recovery + state transfer — :meth:`ReplicaPersister.recover` rebuilds
   a replica from snapshot + WAL before launch; :func:`fetch_snapshot`
-  pulls a peer's *live* serialized state over the client-link protocol
-  (``SnapshotRequest`` → ``SnapshotChunk`` stream) and
-  :func:`install_state` grafts it in, which is how a restarted node
-  catches up without replaying the full message history. This is the
-  paper's recovery story made operational: the consensus-level rule
-  (1B value selection from n−f−e votes, Theorems 5/6) governs per-slot
-  recovery, while snapshot+WAL+transfer governs process recovery.
+  sends a peer the local frontier and log length and gets back one empty
+  chunk if the peer is not ahead, else its *live* image plus the log
+  suffix the receiver lacks, anchored on the receiver's last entry
+  (:meth:`ReplicaPersister.install_remote` splices it in). Both paths
+  install through :func:`install_image`. This is the paper's recovery
+  story made operational: the consensus-level rule (1B value selection
+  from n−f−e votes, Theorems 5/6) governs per-slot recovery, while
+  snapshot+WAL+transfer governs process recovery.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ from .snapshot import (
     AppliedLogArchive,
     SnapshotError,
     SnapshotInfo,
-    deserialize_replica_state,
+    decode_image,
+    deserialize_range_state,
     list_snapshots,
     load_snapshot,
     read_image,
     scan_archive,
-    serialize_replica_state,
+    serialize_range_state,
+    transfer_image,
     write_snapshot,
 )
 from .wal import WriteAheadLog, list_segments, next_segment_seq, scan_segment
@@ -166,10 +169,8 @@ class ReplicaPersister:
             # Cut the archive back to the image's prefix before anything
             # can be appended behind an orphan (possibly torn) tail.
             self._archive.open_at(state["log_entries"], state["archive_bytes"])
-            replica.restore_store(state["store"], state["applied_upto"])
+            install_image(replica, state, state["log"])
             snapshot_entries = len(replica.store.log)
-            for slot in sorted(state["decided_tail"]):
-                replica.restore_decided(slot, state["decided_tail"][slot])
             self._last_snapshot_upto = replica.applied_upto
             registry.inc("storage.snapshot_loaded")
         replayed = 0
@@ -355,15 +356,23 @@ class ReplicaPersister:
     # State transfer (receiver side).
     # ------------------------------------------------------------------
 
-    def install_remote(self, state: Dict[str, Any]) -> int:
-        """Install a peer's serialized state; returns new log entries.
+    def install_remote(self, image: Dict[str, Any]) -> int:
+        """Install a peer's transfer image; returns new log entries.
 
         A no-op (returns 0) unless the peer's applied frontier is ahead.
-        On install the local durable artifacts are refreshed immediately
-        (snapshot + rotation), so a crash right after catch-up does not
-        have to transfer again.
+        Raises :class:`SnapshotError`, with the replica untouched, when
+        the image's suffix is not anchored on the local log. On install
+        the local durable artifacts are refreshed immediately (snapshot +
+        rotation), so a crash right after catch-up does not have to
+        transfer again.
         """
-        installed = install_state(self.replica, state)
+        replica = self.replica
+        if image["applied_upto"] <= replica.applied_upto:
+            return 0
+        before = len(replica.store.log)
+        log = spliced_log(replica.store.log, image)
+        install_image(replica, image, log)
+        installed = len(log) - before
         if installed > 0:
             registry = self.obs.registry
             registry.inc("storage.snapshot_transfers")
@@ -422,25 +431,37 @@ def _resolve(
     return value
 
 
-def install_state(replica: Any, state: Dict[str, Any]) -> int:
-    """Graft a serialized peer state onto *replica* if it is ahead.
+def install_image(replica: Any, image: Dict[str, Any], log: List[Any]) -> None:
+    """Adopt *image* over applied log *log*: recovery and transfer alike.
 
-    Safe because decided logs are prefix-consistent across replicas: if
-    the peer's applied frontier is beyond ours, its applied command log
-    is an extension of ours, so replacing the store wholesale and jumping
-    the frontier preserves every local observation. Local slot machinery
-    below the new frontier is truncated (its races are already settled;
-    any of our uncommitted commands are re-queued by the truncation).
+    The store and frontier wholesale, then the decided tail, then the
+    slot machinery below the new frontier is truncated (re-queueing our
+    uncommitted commands there). Safe for transfer because decided logs
+    are prefix-consistent: a peer whose frontier is beyond ours holds an
+    extension of our log.
     """
-    upto = state["applied_upto"]
-    if upto <= replica.applied_upto:
-        return 0
-    before = len(replica.store.log)
-    replica.restore_store(state["store"], upto)
-    for slot in sorted(state["decided_tail"]):
-        replica.restore_decided(slot, state["decided_tail"][slot])
+    replica.restore_store({"data": image["data"], "log": log}, image["applied_upto"])
+    tail = image["decided_tail"]
+    for slot in sorted(tail):
+        replica.restore_decided(slot, tail[slot])
     replica.truncate_below(replica.applied_upto)
-    return len(replica.store.log) - before
+
+
+def spliced_log(log: List[Any], image: Dict[str, Any]) -> List[Any]:
+    """*log* with a transfer image's suffix spliced on at its anchor.
+
+    Raises :class:`SnapshotError` unless the local entry just below the
+    suffix carries the anchor's command id (``None``: no entry).
+    """
+    suffix = image["suffix"]
+    base = image["log_entries"] - len(suffix)
+    mine = log[base - 1].command_id if 0 < base <= len(log) else None
+    if base < 0 or base > len(log) or mine != image["anchor"]:
+        raise SnapshotError(
+            f"transfer suffix anchored at entry {base - 1} ({image['anchor']!r}) "
+            f"does not extend this log of {len(log)} entries ({mine!r} there)"
+        )
+    return log[:base] + suffix
 
 
 async def _fetch_document(
@@ -448,7 +469,8 @@ async def _fetch_document(
 ) -> Optional[str]:
     """Send *request* on a fresh client link; join the chunks it answers.
 
-    Returns ``None`` when the peer hosts no replica.
+    Returns ``None`` when the peer hosts no replica, ``""`` when it
+    answered with one empty chunk.
     """
     from ..net.codec import read_frame
     from ..net.node import dial
@@ -479,27 +501,29 @@ async def fetch_snapshot(
     address: Tuple[str, int],
     codec: Any,
     client_id: str = "snapshot-fetch",
-    from_slot: int = 0,
+    applied_upto: int = 0,
+    log_entries: int = 0,
     timeout: float = 10.0,
 ) -> Optional[Dict[str, Any]]:
-    """Pull one peer's live replica state over the client-link protocol.
+    """Pull one peer's transfer image over the client-link protocol.
 
-    Returns the decoded state tree, or ``None`` when the peer does not
-    host an SMR replica. Raises ``OSError``/``asyncio.TimeoutError``/
-    ``CodecError`` on transport problems — callers iterate peers and
-    tolerate individual failures.
+    *applied_upto* and *log_entries* describe the receiver: the peer
+    answers only if its frontier is beyond *applied_upto*, with the log
+    from entry *log_entries* on. Returns the decoded image, or ``None``
+    when the peer is not ahead or hosts no SMR replica. Raises
+    ``OSError``/``asyncio.TimeoutError``/``CodecError`` on transport
+    problems and :class:`SnapshotError` on a malformed image — callers
+    iterate peers and tolerate individual failures.
     """
     from ..net.wire import SnapshotRequest
 
-    request_id = f"{client_id}:{uuid.uuid4().hex[:8]}"
-    text = await _fetch_document(
-        address,
-        codec,
-        client_id,
-        SnapshotRequest(request_id=request_id, from_slot=from_slot),
-        timeout,
+    request = SnapshotRequest(
+        f"{client_id}:{uuid.uuid4().hex[:8]}", applied_upto, log_entries
     )
-    return None if text is None else deserialize_replica_state(codec, text)
+    text = await _fetch_document(address, codec, client_id, request, timeout)
+    if not text:
+        return None
+    return decode_image(codec, text, f"transfer from {address}", on_disk=False)
 
 
 async def fetch_range_state(
@@ -519,53 +543,35 @@ async def fetch_range_state(
     hosts no replica.
     """
     from ..net.wire import RangeSnapshotRequest
-    from .snapshot import deserialize_range_state
 
-    request_id = f"{client_id}:{uuid.uuid4().hex[:8]}"
-    text = await _fetch_document(
-        address,
-        codec,
-        client_id,
-        RangeSnapshotRequest(request_id=request_id, lo=lo, hi=hi, slots=slots),
-        timeout,
-    )
+    request = RangeSnapshotRequest(f"{client_id}:{uuid.uuid4().hex[:8]}", lo, hi, slots)
+    text = await _fetch_document(address, codec, client_id, request, timeout)
     return None if text is None else deserialize_range_state(codec, text)
 
 
-def range_state_chunks(
-    codec: Any, replica: Any, request_id: str, lo: int, hi: int, slots: int
-) -> List[Any]:
-    """Serve side of range transfer: serialize + chunk one slot range."""
-    from ..net.wire import SnapshotChunk
-    from .snapshot import serialize_range_state
+def transfer_chunks(codec: Any, replica: Any, request: Any) -> List[Any]:
+    """Serve side of both transfers: the chunk stream answering *request*.
 
-    text = serialize_range_state(codec, replica, lo, hi, slots)
-    return _chunked(text, request_id, replica.applied_upto)
+    A range request gets the range document; a state request gets the
+    transfer image if this replica is ahead of the receiver, else one
+    empty chunk (nothing is rendered).
+    """
+    from ..net.wire import RangeSnapshotRequest, SnapshotChunk
 
-
-def _chunked(text: str, request_id: str, upto: int) -> List[Any]:
-    from ..net.wire import SnapshotChunk
-
-    chunks = []
-    total = max(1, (len(text) + TRANSFER_CHUNK_CHARS - 1) // TRANSFER_CHUNK_CHARS)
-    for seq in range(total):
-        part = text[seq * TRANSFER_CHUNK_CHARS : (seq + 1) * TRANSFER_CHUNK_CHARS]
-        chunks.append(
-            SnapshotChunk(
-                request_id=request_id,
-                seq=seq,
-                last=seq == total - 1,
-                upto=upto,
-                payload=part,
-            )
+    if isinstance(request, RangeSnapshotRequest):
+        text = serialize_range_state(
+            codec, replica, request.lo, request.hi, request.slots
         )
-    return chunks
-
-
-def snapshot_chunks(codec: Any, replica: Any, request_id: str) -> List[Any]:
-    """Serve side of state transfer: serialize + chunk a live replica."""
-    text = serialize_replica_state(codec, replica)
-    return _chunked(text, request_id, replica.applied_upto)
+    elif replica.applied_upto > request.applied_upto:
+        text = transfer_image(codec, replica, request.log_entries)
+    else:
+        text = ""
+    size = TRANSFER_CHUNK_CHARS
+    parts = [text[start : start + size] for start in range(0, len(text), size)] or [""]
+    return [
+        SnapshotChunk(request.request_id, seq, seq == len(parts) - 1, replica.applied_upto, part)
+        for seq, part in enumerate(parts)
+    ]
 
 
 def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
@@ -593,7 +599,7 @@ def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
         for info in list_snapshots(node_dir):
             row = {"file": info.path.name, "upto": info.upto, "wal_seq": info.wal_seq}
             try:
-                image = read_image(info)
+                image = read_image(codec, info)
             except SnapshotError as exc:
                 row.update(covered=False, problem=str(exc))
             else:
@@ -660,6 +666,7 @@ __all__ = [
     "TRANSFER_CHUNK_CHARS",
     "fetch_snapshot",
     "inspect_data_dir",
-    "install_state",
-    "snapshot_chunks",
+    "install_image",
+    "spliced_log",
+    "transfer_chunks",
 ]

@@ -24,12 +24,11 @@ never O(history):
 The applied-id set is in neither: it is a function of the log and
 ``KVStore.from_state`` rebuilds it.
 
-:func:`serialize_replica_state` is the one-document form of the same
-state (log included) for live state *transfer* over
-``SnapshotRequest``/``SnapshotChunk`` — the receiver may hold nothing.
-State is rendered through the wire codec, so commands, batches, and
-``BOTTOM`` round-trip bit-exactly and a document written by one node
-decodes on any other.
+State *transfer* ships the same image (:func:`render_image` renders
+both) with the log suffix the receiver lacks in place of the archive
+prefix (:func:`transfer_image`), and one decoder reads both
+(:func:`decode_image`). Values go through the wire codec, so commands,
+batches, and ``BOTTOM`` round-trip bit-exactly on any node.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
 from ..obs import Observability, NULL_OBS
+from ..smr.kvstore import KVCommand, key_slot
 from .files import atomic_write_text
 from .wal import HEADER_BYTES, pack_record, scan_records
 
@@ -201,55 +201,79 @@ def read_archive_prefix(
 
 
 # ----------------------------------------------------------------------
-# Images and the transfer document.
+# The image, on disk and on the wire.
 # ----------------------------------------------------------------------
 
 
-def _decided_tail(replica: Any) -> Dict[int, Any]:
-    return {
-        slot: value
-        for slot, value in replica.decided.items()
-        if slot >= replica.applied_upto
-    }
-
-
-def _check_format(tree: Any, what: str) -> None:
+def _parse(text: str, what: str) -> Dict[str, Any]:
+    try:
+        tree = json.loads(text)
+    except ValueError as exc:
+        raise SnapshotError(f"{what}: unreadable document: {exc}") from None
     fmt = tree.get("format") if isinstance(tree, dict) else None
     if fmt != SNAPSHOT_FORMAT:
-        raise SnapshotError(f"{what} format {fmt!r}, expected {SNAPSHOT_FORMAT}")
+        raise SnapshotError(f"{what}: format {fmt!r}, expected {SNAPSHOT_FORMAT}")
+    return tree
 
 
-def serialize_replica_state(codec: Any, replica: Any) -> str:
-    """Render *replica*'s durable state, log included, as one JSON document.
-
-    What a peer serving ``SnapshotRequest`` ships: its *current* state,
-    complete, because the receiver may be empty. O(history) — the on-disk
-    snapshot (:func:`write_snapshot`) is the O(delta) form.
-    """
+def render_image(codec: Any, replica: Any, **log: Any) -> str:
+    """*replica*'s image as one JSON document, for disk and wire alike:
+    the map, the frontier, the decided tail, and *log* — the fields that
+    say where the applied log comes from."""
+    upto = replica.applied_upto
+    tail = {slot: value for slot, value in replica.decided.items() if slot >= upto}
     tree = {
         "format": SNAPSHOT_FORMAT,
-        "applied_upto": replica.applied_upto,
-        "store": codec.to_jsonable(replica.store.snapshot_state()),
-        "decided_tail": codec.to_jsonable(_decided_tail(replica)),
-        "log_entries": len(replica.store.log),
+        "applied_upto": upto,
+        "data": codec.to_jsonable(replica.store.data),
+        "decided_tail": codec.to_jsonable(tail),
+        **log,
     }
     return json.dumps(tree, separators=(",", ":"), sort_keys=True)
 
 
-def deserialize_replica_state(codec: Any, text: str) -> Dict[str, Any]:
-    """Parse a :func:`serialize_replica_state` document into Python state.
+def transfer_image(codec: Any, replica: Any, base: int) -> str:
+    """The image for a receiver holding *base* log entries: O(live + delta).
 
-    Returns ``{"applied_upto", "store", "decided_tail", "log_entries"}``
-    with fully decoded values (commands, batches).
+    The log travels as ``suffix`` = ``log[base:]`` behind ``anchor``, the
+    command id of entry ``base - 1`` (``None`` for *base* 0: the whole log).
     """
-    tree = json.loads(text)
-    _check_format(tree, "replica-state")
-    return {
-        "applied_upto": int(tree["applied_upto"]),
-        "store": codec.from_jsonable(tree["store"]),
-        "decided_tail": codec.from_jsonable(tree["decided_tail"]),
-        "log_entries": int(tree.get("log_entries", 0)),
-    }
+    log = replica.store.log
+    base = max(0, min(base, len(log)))
+    return render_image(
+        codec,
+        replica,
+        log_entries=len(log),
+        anchor=log[base - 1].command_id if base else None,
+        suffix=codec.to_jsonable(log[base:]),
+    )
+
+
+def decode_image(codec: Any, text: str, what: str, on_disk: bool) -> Dict[str, Any]:
+    """The one decoder of an image, read from disk or off the wire.
+
+    Returns the image's fields decoded: ``archive_bytes`` for a disk
+    image, ``anchor`` and ``suffix`` (commands) for a transfer image.
+    Raises only :class:`SnapshotError`.
+    """
+    tree = _parse(text, f"{what}: snapshot")
+    try:
+        image = {
+            "applied_upto": int(tree["applied_upto"]),
+            "log_entries": int(tree["log_entries"]),
+            "data": dict(codec.from_jsonable(tree["data"])),
+            "decided_tail": dict(codec.from_jsonable(tree["decided_tail"])),
+        }
+        if on_disk:
+            image["archive_bytes"] = int(tree["archive_bytes"])
+        else:
+            image["anchor"] = tree["anchor"]
+            image["suffix"] = list(codec.from_jsonable(tree["suffix"]))
+            if not all(type(command) is KVCommand for command in image["suffix"]):
+                raise TypeError("suffix holds a non-command")
+    except (ReproError, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotError(f"{what}: malformed image: {exc!r}") from None
+    return image
 
 
 def serialize_range_state(
@@ -265,7 +289,6 @@ def serialize_range_state(
     at the serving replica: the fence refuses further range applies, so
     the extracted document is final no matter when it is taken.
     """
-    from ..smr.kvstore import key_slot
 
     def in_range(key: str) -> bool:
         return bool(key) and not key.startswith("__") and lo <= key_slot(key, slots) < hi
@@ -290,13 +313,9 @@ def serialize_range_state(
 
 def deserialize_range_state(codec: Any, text: str) -> Dict[str, Any]:
     """Parse a :func:`serialize_range_state` document."""
-    tree = json.loads(text)
-    fmt = tree.get("format")
-    if fmt != SNAPSHOT_FORMAT or tree.get("kind") != "range":
-        raise ValueError(
-            f"range-state format {fmt!r}/{tree.get('kind')!r}, "
-            f"expected {SNAPSHOT_FORMAT}/'range'"
-        )
+    tree = _parse(text, "range-state")
+    if tree.get("kind") != "range":
+        raise SnapshotError(f"range-state: kind {tree.get('kind')!r}, expected 'range'")
     return {
         "lo": int(tree["lo"]),
         "hi": int(tree["hi"]),
@@ -327,64 +346,33 @@ def write_snapshot(
             f"the applied log only {len(log)}"
         )
     archive.append(codec, log[archive.entries :])
-    tree = {
-        "format": SNAPSHOT_FORMAT,
-        "applied_upto": replica.applied_upto,
-        "data": codec.to_jsonable(replica.store.data),
-        "decided_tail": codec.to_jsonable(_decided_tail(replica)),
-        "log_entries": archive.entries,
-        "archive_bytes": archive.size,
-    }
-    text = json.dumps(tree, separators=(",", ":"), sort_keys=True)
+    text = render_image(
+        codec, replica, log_entries=archive.entries, archive_bytes=archive.size
+    )
     path = directory / snapshot_name(replica.applied_upto, wal_seq)
     atomic_write_text(path, text, durable=True)
     archive.obs.registry.gauge("storage.snapshot_bytes").set(len(text))
     return SnapshotInfo(path=path, upto=replica.applied_upto, wal_seq=wal_seq)
 
 
-def read_image(info: SnapshotInfo) -> Dict[str, Any]:
-    """One image's JSON tree, format checked; values still codec-tagged.
-
-    Raises :class:`SnapshotError` for a file that does not parse, is not
-    format :data:`SNAPSHOT_FORMAT`, or lacks the archive prefix fields.
-    """
+def read_image(codec: Any, info: SnapshotInfo) -> Dict[str, Any]:
+    """One image on disk, decoded by :func:`decode_image`."""
     try:
-        tree = json.loads(info.path.read_text())
-    except (OSError, ValueError) as exc:
+        text = info.path.read_text()
+    except OSError as exc:
         raise SnapshotError(f"{info.path.name}: unreadable image: {exc}") from None
-    _check_format(tree, f"{info.path.name}: snapshot")
-    try:
-        tree["log_entries"] = int(tree["log_entries"])
-        tree["archive_bytes"] = int(tree["archive_bytes"])
-        tree["applied_upto"] = int(tree["applied_upto"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotError(f"{info.path.name}: malformed image: {exc!r}") from None
-    return tree
+    return decode_image(codec, text, info.path.name, on_disk=True)
 
 
 def load_snapshot(codec: Any, info: SnapshotInfo) -> Dict[str, Any]:
-    """Decode one image together with the archive prefix it names.
+    """One image plus ``log``, the archive prefix it names.
 
-    Returns the same shape as :func:`deserialize_replica_state` plus
-    ``archive_bytes``. Raises :class:`SnapshotError` if either half is
-    unusable.
+    Raises :class:`SnapshotError` if either half is unusable.
     """
-    tree = read_image(info)
-    log = read_archive_prefix(
-        info.path.parent / ARCHIVE_NAME, codec, tree["log_entries"], tree["archive_bytes"]
-    )
-    try:
-        data = codec.from_jsonable(tree["data"])
-        decided_tail = codec.from_jsonable(tree["decided_tail"])
-    except (ReproError, KeyError, TypeError) as exc:
-        raise SnapshotError(f"{info.path.name}: malformed image: {exc!r}") from None
-    return {
-        "applied_upto": tree["applied_upto"],
-        "store": {"data": data, "log": log},
-        "decided_tail": decided_tail,
-        "log_entries": tree["log_entries"],
-        "archive_bytes": tree["archive_bytes"],
-    }
+    image = read_image(codec, info)
+    prefix = (image["log_entries"], image["archive_bytes"])
+    image["log"] = read_archive_prefix(info.path.parent / ARCHIVE_NAME, codec, *prefix)
+    return image
 
 
 __all__ = [
@@ -393,15 +381,16 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SnapshotError",
     "SnapshotInfo",
+    "decode_image",
     "deserialize_range_state",
-    "deserialize_replica_state",
     "list_snapshots",
     "load_snapshot",
     "read_archive_prefix",
     "read_image",
+    "render_image",
     "scan_archive",
     "serialize_range_state",
-    "serialize_replica_state",
     "snapshot_name",
+    "transfer_image",
     "write_snapshot",
 ]

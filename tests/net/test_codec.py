@@ -416,6 +416,19 @@ class TestErrors:
                 make_codec(name)
 
 
+@dataclasses.dataclass(frozen=True)
+class _LayoutProbeOld:
+    request_id: str
+    from_slot: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class _LayoutProbeNew:
+    request_id: str
+    applied_upto: int = 0
+    log_entries: int = 0
+
+
 class TestBinaryFormat:
     def test_hot_messages_are_much_smaller_than_json(self):
         # The headline property the microbenchmark pins precisely: the
@@ -449,6 +462,13 @@ class TestBinaryFormat:
         assert (
             MessageCodec(base).registry_hash != MessageCodec(skewed).registry_hash
         )
+        # Same names, different fields: v2 records are positional, so the
+        # layout is part of the fingerprint too.
+        older, newer = default_registry(), default_registry()
+        older.register(_LayoutProbeOld, name="ZZLayoutProbe")
+        newer.register(_LayoutProbeNew, name="ZZLayoutProbe")
+        assert older.names() == newer.names()
+        assert MessageCodec(older).registry_hash != MessageCodec(newer).registry_hash
 
     def test_encode_is_a_pure_function_of_the_value(self):
         # No cache sits in front of the encoder: equal messages give equal

@@ -31,7 +31,7 @@ from repro.storage.records import WalDecision
 
 from .test_codec import _any_registered
 
-REGISTRY_HASH = "0a9dfa542a93b522"
+REGISTRY_HASH = "bbac3a43f6855816"
 
 
 def _repo_registry() -> MessageRegistry:

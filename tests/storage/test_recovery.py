@@ -1,13 +1,15 @@
 """Snapshot round-trip, persister recovery cycle, retention, transfer.
 
 These tests drive :class:`~repro.storage.recovery.ReplicaPersister`
-against real :class:`~repro.smr.log.SMRReplica` instances entirely
-offline (no event loop): journal → crash → recover must rebuild the
-identical store, a snapshot must bound what the WAL replays, and what a
-snapshot costs must depend on the commands applied since the last one,
-not on history. Nothing here reads a clock.
+against real :class:`~repro.smr.log.SMRReplica` instances offline (the
+catch-up test runs one node's loop with the network stubbed out):
+journal → crash → recover must rebuild the identical store, a snapshot
+must bound what the WAL replays, and what a snapshot or a state
+transfer costs must depend on live state plus the commands the other
+side lacks, not on history. Nothing here reads a clock.
 """
 
+import asyncio
 import json
 import shutil
 
@@ -16,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.codec import WIRE_VERSION_BINARY, WIRE_VERSION_JSON, MessageCodec
+from repro.net.node import NodeServer
+from repro.net.wire import SnapshotRequest
 from repro.obs import Observability
 from repro.smr.kvstore import BatchRef, CommandBatch, KVCommand
 from repro.smr.log import SMRReplica
@@ -26,18 +30,20 @@ from repro.storage import (
     RetentionPolicy,
     WalDecision,
     WalSlotState,
+    SnapshotError,
     decode_record,
-    deserialize_replica_state,
     inspect_data_dir,
-    install_state,
+    install_image,
     list_segments,
     list_snapshots,
+    load_snapshot,
     scan_segment,
-    serialize_replica_state,
+    transfer_chunks,
 )
 from repro.storage import recovery as recovery_module
 from repro.storage import snapshot as snapshot_module
-from repro.storage.snapshot import ARCHIVE_NAME, snapshot_name
+from repro.storage.recovery import fetch_snapshot, spliced_log
+from repro.storage.snapshot import decode_image, snapshot_name
 from repro.storage.wal import pack_record, scan_records, segment_name
 
 N, F, E = 5, 2, 2
@@ -109,15 +115,41 @@ def _wal_values(codec, segment):
     return values
 
 
+def _serve(donor, receiver):
+    """What *donor* streams back for *receiver*'s ``SnapshotRequest``:
+    the chunks and the document they join into."""
+    request = SnapshotRequest("r", receiver.applied_upto, len(receiver.store.log))
+    chunks = transfer_chunks(CODEC, donor, request)
+    return chunks, "".join(chunk.payload for chunk in chunks)
+
+
+def _image(donor, receiver):
+    """*donor*'s transfer image for *receiver*, decoded."""
+    return decode_image(CODEC, _serve(donor, receiver)[1], "transfer", on_disk=False)
+
+
+def _fetch(monkeypatch, text, applied_upto=0, log_entries=0):
+    """``fetch_snapshot`` against a peer whose stream joins into *text*."""
+
+    async def answer(address, codec, client_id, request, timeout):
+        return text
+
+    monkeypatch.setattr(recovery_module, "_fetch_document", answer)
+    return asyncio.run(
+        fetch_snapshot(("peer", 0), CODEC, applied_upto=applied_upto, log_entries=log_entries)
+    )
+
+
 class TestSnapshotRoundTrip:
     def test_replica_state_round_trips(self):
         a = _replica()
         _decide(a, range(5))
-        state = deserialize_replica_state(CODEC, serialize_replica_state(CODEC, a))
-        assert state["applied_upto"] == 5
-        assert state["log_entries"] == 5
         b = _replica(pid=1)
-        b.restore_store(state["store"], state["applied_upto"])
+        image = _image(a, b)
+        assert image["applied_upto"] == 5
+        assert image["log_entries"] == 5
+        install_image(b, image, spliced_log(b.store.log, image))
+        assert b.applied_upto == 5
         assert b.store.data == a.store.data
         assert b.store.applied_ids == a.store.applied_ids
         assert [c.command_id for c in b.store.log] == [
@@ -130,8 +162,49 @@ class TestSnapshotRoundTrip:
         # Slot 4 decided but slot 3 missing: 4 stays in the unapplied tail.
         assert a.restore_decided(4, _command(4))
         assert a.applied_upto == 3
-        state = deserialize_replica_state(CODEC, serialize_replica_state(CODEC, a))
-        assert set(state["decided_tail"]) == {4}
+        image = _image(a, _replica(pid=1))
+        assert set(image["decided_tail"]) == {4}
+
+    def test_disk_and_wire_images_share_one_renderer_and_one_decoder(
+        self, tmp_path, monkeypatch
+    ):
+        a = _replica()
+        persister = _persister(tmp_path, a, snapshot_every=4)
+        persister.recover()
+        _decide_batches(a, range(4))
+        assert a.restore_decided(5, _batch(5))  # a decided tail
+        persister.after_activation()
+        persister.close()
+        (info,) = list_snapshots(persister.storage.dir)
+        disk = json.loads(info.path.read_text())
+        text = _serve(a, _replica(pid=1))[1]
+        wire = json.loads(text)
+        # One image: the two differ only in where the log comes from.
+        assert disk.pop("archive_bytes") > 0
+        assert wire.pop("anchor") is None
+        assert list(CODEC.from_jsonable(wire.pop("suffix"))) == a.store.log
+        assert disk == wire
+
+        decoded = []
+        decode = snapshot_module.decode_image
+
+        def spy(codec, text, what, on_disk):
+            decoded.append(on_disk)
+            return decode(codec, text, what, on_disk)
+
+        monkeypatch.setattr(snapshot_module, "decode_image", spy)
+        monkeypatch.setattr(recovery_module, "decode_image", spy)
+        loaded = load_snapshot(CODEC, info)
+        fetched = _fetch(monkeypatch, text)
+        assert decoded == [True, False]
+        assert fetched["log_entries"] == loaded["log_entries"] == 12
+        assert fetched["suffix"] == loaded["log"] == a.store.log
+        for key in ("applied_upto", "data", "decided_tail"):
+            assert fetched[key] == loaded[key]
+        for on_disk in (True, False):
+            for bad in ("{", "[]", '{"format": 2}', '{"format": 2, "data": 5}'):
+                with pytest.raises(SnapshotError):
+                    decode(CODEC, bad, "bad", on_disk)
 
 
 class TestPersisterCycle:
@@ -288,28 +361,107 @@ class TestRetention:
         assert list_segments(tmp_path)
 
 
+def _donor(commands, keys=64, per_slot=100):
+    """A replica that applied *commands* puts over *keys* keys, in slots
+    of *per_slot*; ids and values are fixed-width, so only the number
+    of commands varies between donors."""
+    donor = _replica()
+    for slot in range(commands // per_slot):
+        batch = CommandBatch(
+            tuple(
+                KVCommand(
+                    op="put",
+                    key=f"k{i % keys:02d}",
+                    value=f"{i:06d}",
+                    command_id=f"c{i:06d}",
+                )
+                for i in range(slot * per_slot, (slot + 1) * per_slot)
+            ),
+            batch_id=f"__batch:0:{slot:05d}__",
+        )
+        assert donor.restore_decided(slot, batch)
+    return donor
+
+
 class TestStateTransfer:
+    def test_payload_is_live_state_plus_delta_not_history(self):
+        sizes = []
+        for commands in (2_000, 20_000):
+            donor = _donor(commands)
+            behind = SnapshotRequest("r", donor.applied_upto - 1, commands - 100)
+            text = "".join(
+                chunk.payload for chunk in transfer_chunks(CODEC, donor, behind)
+            )
+            image = decode_image(CODEC, text, "transfer", on_disk=False)
+            assert [c.command_id for c in image["suffix"]] == [
+                c.command_id for c in donor.store.log[-100:]
+            ]
+            assert image["anchor"] == f"c{commands - 101:06d}"
+            sizes.append(len(text))
+        # Ten times the history, the same payload: live map + 100 commands.
+        assert abs(sizes[1] - sizes[0]) <= 0.1 * sizes[0]
+
     def test_install_state_grafts_a_leading_peer(self):
         ahead = _replica()
         _decide(ahead, range(6))
         behind = _replica(pid=1)
         _decide(behind, range(2))
-        state = deserialize_replica_state(
-            CODEC, serialize_replica_state(CODEC, ahead)
-        )
-        installed = install_state(behind, state)
-        assert installed == 4
+        image = _image(ahead, behind)
+        assert [c.command_id for c in image["suffix"]] == [f"c{s}" for s in range(2, 6)]
+        assert image["anchor"] == "c1"
+        install_image(behind, image, spliced_log(behind.store.log, image))
         assert behind.applied_upto == 6
         assert behind.store.data == ahead.store.data
+        assert behind.store.log == ahead.store.log
 
-    def test_install_state_from_stale_peer_is_a_noop(self):
+    def test_install_state_from_stale_peer_is_a_noop(self, tmp_path, monkeypatch):
         ahead = _replica()
         _decide(ahead, range(6))
-        stale = deserialize_replica_state(
-            CODEC, serialize_replica_state(CODEC, _replica(pid=1))
-        )
-        assert install_state(ahead, stale) == 0
-        assert ahead.applied_upto == 6
+        level = _replica(pid=1)
+        _decide(level, range(6))
+        for donor in (_replica(pid=2), level):
+            chunks, text = _serve(donor, ahead)
+            assert len(chunks) == 1 and chunks[0].last and text == ""
+            assert chunks[0].upto == donor.applied_upto
+        decoded = []
+        monkeypatch.setattr(recovery_module, "decode_image", decoded.append)
+        assert _fetch(monkeypatch, "", ahead.applied_upto, len(ahead.store.log)) is None
+        assert decoded == []
+        # An image from a peer that stopped being ahead before it landed.
+        stale = _image(level, _replica(pid=3))
+        persister = _persister(tmp_path, ahead)
+        persister.recover()
+        assert persister.install_remote(stale) == 0
+        assert ahead.applied_upto == 6 and len(ahead.store.log) == 6
+
+    def test_anchor_mismatch_is_refused_and_leaves_the_receiver_untouched(
+        self, tmp_path
+    ):
+        behind = _replica()
+        persister = _persister(tmp_path, behind)
+        persister.recover()
+        _decide(behind, range(2))
+        persister.after_activation()
+        before = _state(behind)
+        other = _replica(pid=1)  # a different history of the same length
+        for slot in range(6):
+            assert other.restore_decided(slot, _command(slot, prefix="x"))
+        image = _image(other, behind)
+        assert image["anchor"] == "x1"
+        with pytest.raises(SnapshotError, match="does not extend this log"):
+            persister.install_remote(image)
+        assert _state(behind) == before and behind.applied_upto == 2
+        persister.close()
+
+    def test_empty_receiver_gets_the_whole_log(self):
+        ahead = _replica()
+        _decide_batches(ahead, range(4))
+        empty = _replica(pid=1)
+        image = _image(ahead, empty)
+        assert image["anchor"] is None
+        assert image["suffix"] == ahead.store.log
+        install_image(empty, image, spliced_log(empty.store.log, image))
+        assert _state(empty) == _state(ahead)
 
     def test_install_remote_persists_the_transfer(self, tmp_path):
         behind = _replica()
@@ -317,16 +469,48 @@ class TestStateTransfer:
         persister.recover()
         ahead = _replica(pid=1)
         _decide(ahead, range(5))
-        state = deserialize_replica_state(
-            CODEC, serialize_replica_state(CODEC, ahead)
-        )
-        assert persister.install_remote(state) == 5
+        assert persister.install_remote(_image(ahead, behind)) == 5
         persister.close()
         # The transfer was rolled into a local snapshot immediately.
         fresh = _replica()
         recovered = _persister(tmp_path, fresh).recover()
         assert recovered.snapshot is not None
         assert fresh.applied_upto == 5
+
+    def test_catch_up_skips_bad_peers_and_installs_from_a_good_one(
+        self, tmp_path, monkeypatch
+    ):
+        node = NodeServer(
+            0, N, lambda pid, n: SMRReplica(pid, n, F, E), data_dir=str(tmp_path), fsync=False
+        )
+        node.persister.recover()
+        node._addresses = [("peer", pid) for pid in range(N)]
+        good = _replica(pid=3)
+        _decide(good, range(6))
+        forked = _replica(pid=2)  # as far ahead, but its log is another one
+        for slot in range(6):
+            assert forked.restore_decided(slot, _command(slot, prefix="x"))
+        behind = _replica()
+        _decide(behind, range(2))
+        node.process.restore_store({"data": behind.store.data, "log": behind.store.log}, 2)
+        answers = {
+            1: '{"format":2,"applied_upto":9}',  # malformed: fields missing
+            2: _serve(forked, behind)[1],  # anchored on another log
+            3: _serve(good, behind)[1],
+            4: "",  # not ahead
+        }
+
+        async def answer(address, codec, client_id, request, timeout):
+            return answers[address[1]]
+
+        monkeypatch.setattr(recovery_module, "_fetch_document", answer)
+        asyncio.run(node._catch_up_from_peers(initial_delay=0))
+        node.persister.close()
+        assert _state(node.process) == _state(good)
+        counters = node.obs.registry.snapshot()["counters"]
+        assert counters["storage.snapshot_transfers"] == 1
+        # Peer 1 in both rounds, peer 2 in the first (level in the second).
+        assert counters["storage.transfer_rejected"] == 3
 
 
 class TestInspect:
