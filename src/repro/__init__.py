@@ -17,8 +17,8 @@ The library provides:
   scenario batteries;
 * :mod:`repro.smr` / :mod:`repro.wan` — the replicated KV service and
   wide-area deployment modeling;
-* :mod:`repro.obs` — per-node metrics, decision-path records, and the
-  opt-in event trace shared by the simulator and the live runtime;
+* :mod:`repro.obs` — per-node metrics, decision-path records, and
+  opt-in per-command spans shared by the simulator and the live runtime;
 * :mod:`repro.analysis` — the E1–E10 experiment harness.
 
 Quickstart::

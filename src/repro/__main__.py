@@ -296,6 +296,16 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             print("--node runs one single-group process; it cannot combine "
                   "with --groups (boot each group separately instead)")
             return 2
+        # ShardedCluster records no spans and writes no time series;
+        # refuse rather than drop the flag without a word.
+        for flag, value in (
+            ("--trace-sample", args.trace_sample),
+            ("--timeseries", args.timeseries),
+        ):
+            if value is not None:
+                print(f"{flag} is not supported with --groups (boot each "
+                      "group separately instead)")
+                return 2
 
         async def run_sharded() -> None:
             cluster = ShardedCluster(
@@ -306,7 +316,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 data_dir=args.data_dir,
                 fsync=not args.no_fsync,
                 snapshot_every=args.snapshot_every,
-                trace=args.trace,
             )
             await cluster.start()
             try:
@@ -351,7 +360,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 addresses,
                 factory,
                 client_service=KVService(),
-                trace=args.trace,
                 data_dir=args.data_dir,
                 fsync=not args.no_fsync,
                 snapshot_every=args.snapshot_every,
@@ -397,7 +405,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 duration=args.duration,
                 base_port=args.base_port,
                 on_ready=announce,
-                trace=args.trace,
                 data_dir=args.data_dir,
                 fsync=not args.no_fsync,
                 snapshot_every=args.snapshot_every,
@@ -429,7 +436,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         view = asyncio.run(
             scrape_cluster(
                 parse_address_list(args.peers),
-                include_trace=args.trace,
                 timeout=args.timeout,
             )
         )
@@ -490,6 +496,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         # routers instead of single-cluster clients.
         from .shard import parse_group_addresses, run_sharded_loadgen
 
+        if args.trace_sample:
+            # The shard router stamps no trace ids; refuse rather than
+            # drop the flag without a word.
+            print("--trace-sample is not supported with ';'-separated "
+                  "(sharded) peers")
+            return 2
         report = asyncio.run(
             run_sharded_loadgen(
                 parse_group_addresses(args.peers),
@@ -516,7 +528,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 pipeline=args.pipeline,
                 pin_proxy=None if args.pin_proxy < 0 else args.pin_proxy,
                 collect_stats=args.stats,
-                collect_trace=args.trace,
                 trace_sample=args.trace_sample,
                 key_skew=key_skew,
             )
@@ -536,8 +547,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         },
         "unix_time": round(time.time(), 3),
     }
-    if report.cluster_traces is not None:
-        payload["traces"] = report.cluster_traces
     if args.record is not None:
         from .storage import atomic_write_text
 
@@ -797,11 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="host:port,... address book for --node mode",
     )
     cluster.add_argument(
-        "--trace",
-        action="store_true",
-        help="enable the per-node flight-recorder event trace (opt-in)",
-    )
-    cluster.add_argument(
         "--trace-sample",
         type=int,
         default=None,
@@ -852,11 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="host:port,... of the cluster's nodes; separate per-group "
         "lists with ';' to scrape a sharded deployment",
-    )
-    stats.add_argument(
-        "--trace",
-        action="store_true",
-        help="also pull each node's retained flight-recorder events",
     )
     stats.add_argument(
         "--timeout", type=float, default=5.0, help="per-node scrape timeout"
@@ -917,12 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scrape every node's metrics after the run and merge them "
         "into the report (fast-path ratio, per-message counters)",
-    )
-    loadgen.add_argument(
-        "--trace",
-        action="store_true",
-        help="also pull each node's flight-recorder events (implies --stats "
-        "scrape; nodes must have been launched with tracing on)",
     )
     loadgen.add_argument(
         "--trace-sample",

@@ -65,7 +65,7 @@ class Context(ABC):
 
     @property
     def obs(self) -> Observability:
-        """Observability sink (metrics registry + event trace).
+        """Observability sink (metrics registry + span recorder).
 
         Instrumented schedulers — the discrete-event simulator and the
         live node runtime — override this with the activated node's real

@@ -54,7 +54,6 @@ class LocalCluster:
         codec: Optional[MessageCodec] = None,
         host: str = "127.0.0.1",
         base_port: int = 0,
-        trace: bool = False,
         data_dir: Optional[str] = None,
         fsync: bool = True,
         snapshot_every: int = 256,
@@ -74,7 +73,6 @@ class LocalCluster:
         self._factory = factory
         self._client_service_factory = client_service_factory
         self._host = host
-        self._trace = trace
         self._data_dir = data_dir
         self._fsync = fsync
         self._snapshot_every = snapshot_every
@@ -107,7 +105,6 @@ class LocalCluster:
                 if self._client_service_factory
                 else None
             ),
-            trace=self._trace,
             data_dir=self._data_dir,
             fsync=self._fsync,
             snapshot_every=self._snapshot_every,
@@ -267,7 +264,6 @@ async def run_cluster(
     serve_clients: bool = True,
     base_port: int = 0,
     on_ready: Optional[Callable[[LocalCluster], None]] = None,
-    trace: bool = False,
     data_dir: Optional[str] = None,
     fsync: bool = True,
     snapshot_every: int = 256,
@@ -286,7 +282,6 @@ async def run_cluster(
         serve_clients=serve_clients,
         codec=codec,
         base_port=base_port,
-        trace=trace,
         data_dir=data_dir,
         fsync=fsync,
         snapshot_every=snapshot_every,

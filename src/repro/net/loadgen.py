@@ -65,7 +65,6 @@ class LoadReport:
     errors: List[str] = field(default_factory=list)
     pipeline: int = 1
     cluster_stats: Optional[Dict[str, Any]] = None
-    cluster_traces: Optional[Dict[int, List[Any]]] = None
     trace_paths: Optional[List[Dict[str, Any]]] = None
     trace_breakdown: Optional[Dict[str, Any]] = None
     # Sharded-run provenance (set by repro.shard.loadgen): the map epoch
@@ -165,7 +164,6 @@ async def run_loadgen(
     pipeline: int = 1,
     pin_proxy: Optional[int] = 0,
     collect_stats: bool = False,
-    collect_trace: bool = False,
     trace_sample: int = 0,
     key_skew: Optional[float] = None,
 ) -> LoadReport:
@@ -182,9 +180,7 @@ async def run_loadgen(
     ``collect_stats`` scrapes every node's observability snapshot after
     the run and merges it into the report (``cluster_stats``), putting
     the fast-path ratio and per-message-type counters next to the
-    latency table in ``--record`` artifacts; ``collect_trace``
-    additionally pulls each node's retained flight-recorder events
-    (only meaningful when the nodes were launched with tracing on).
+    latency table in ``--record`` artifacts.
 
     ``trace_sample=N`` stamps every Nth command with a client-minted
     trace id (``c.<prefix>.<i>``). On clusters whose nodes record spans
@@ -288,18 +284,15 @@ async def run_loadgen(
     wall = time.perf_counter() - started
 
     cluster_stats: Optional[Dict[str, Any]] = None
-    cluster_traces: Optional[Dict[int, List[Any]]] = None
     trace_paths: Optional[List[Dict[str, Any]]] = None
     trace_stage_breakdown: Optional[Dict[str, Any]] = None
-    if collect_stats or collect_trace or trace_sample:
+    if collect_stats or trace_sample:
         cluster_stats = await scrape_cluster(
             addresses,
             codec=shared_codec,
-            include_trace=collect_trace,
             include_spans=bool(trace_sample),
             timeout=timeout,
         )
-        cluster_traces = cluster_stats.pop("traces", None)
         cluster_spans = cluster_stats.pop("spans", None)
         if cluster_spans:
             trace_paths = critical_paths(merge_span_events(cluster_spans))
@@ -307,7 +300,7 @@ async def run_loadgen(
         elif trace_sample:
             trace_paths = []
             trace_stage_breakdown = stage_breakdown([])
-        if not collect_stats and not collect_trace:
+        if not collect_stats:
             # Spans were the only reason we scraped; don't surprise the
             # caller with a full cluster snapshot they didn't ask for.
             cluster_stats = None
@@ -327,7 +320,6 @@ async def run_loadgen(
         errors=errors,
         pipeline=pipeline,
         cluster_stats=cluster_stats,
-        cluster_traces=cluster_traces,
         trace_paths=trace_paths,
         trace_breakdown=trace_stage_breakdown,
     )

@@ -61,7 +61,6 @@ from ..core.values import MaybeValue
 from ..obs import (
     Observability,
     SpanRecorder,
-    TraceRecorder,
     message_label,
     prometheus_text,
     timeseries_row,
@@ -338,7 +337,6 @@ class NodeServer:
         reconnect_max: float = 1.0,
         hello_timeout: float = 1.0,
         obs: Optional[Observability] = None,
-        trace: bool = False,
         trace_sample: Optional[int] = None,
         data_dir: Optional[str] = None,
         fsync: bool = True,
@@ -370,16 +368,15 @@ class NodeServer:
         self.reconnect_initial = reconnect_initial
         self.reconnect_max = reconnect_max
         self.hello_timeout = hello_timeout
-        # Metrics are on by default; the flight-recorder trace and span
-        # recorder are opt-in (``trace=True`` / ``trace_sample=N``) or
-        # bring-your-own via ``obs``. ``trace_sample=0`` records spans but
-        # mints no traces of its own — the follower configuration, which
-        # adopts traces arriving from clients and peers.
+        # Metrics are on by default; the span recorder is opt-in
+        # (``trace_sample=N``) or bring-your-own via ``obs``.
+        # ``trace_sample=0`` records spans but mints no traces of its own
+        # — the follower configuration, which adopts traces arriving from
+        # clients and peers.
         self.obs = (
             obs
             if obs is not None
             else Observability(
-                trace=TraceRecorder() if trace else None,
                 spans=(
                     SpanRecorder(sample=trace_sample)
                     if trace_sample is not None
@@ -1170,9 +1167,6 @@ class NodeServer:
         }
 
     def _stats_reply(self, request: StatsRequest) -> StatsReply:
-        trace: Tuple = ()
-        if request.include_trace and self.obs.trace.enabled:
-            trace = tuple(self.obs.trace.events())
         spans: Tuple = ()
         if request.include_spans and self.obs.spans.enabled:
             spans = tuple(self.obs.spans.events())
@@ -1180,7 +1174,6 @@ class NodeServer:
             request_id=request.request_id,
             pid=self.pid,
             snapshot=self.stats_snapshot(),
-            trace=trace,
             spans=spans,
         )
 
@@ -1191,7 +1184,6 @@ def start_node(
     factory: ProcessFactory,
     codec: Optional[MessageCodec] = None,
     client_service: Optional[ClientService] = None,
-    trace: bool = False,
     trace_sample: Optional[int] = None,
     data_dir: Optional[str] = None,
     fsync: bool = True,
@@ -1214,7 +1206,6 @@ def start_node(
         host=host,
         port=port,
         client_service=client_service,
-        trace=trace,
         trace_sample=trace_sample,
         data_dir=data_dir,
         fsync=fsync,

@@ -26,7 +26,6 @@ from .wire import ClientHello, StatsReply, StatsRequest
 async def fetch_node_stats(
     address: Address,
     codec: Optional[MessageCodec] = None,
-    include_trace: bool = False,
     include_spans: bool = False,
     timeout: float = 5.0,
     client_id: str = "stats-scraper",
@@ -44,7 +43,6 @@ async def fetch_node_stats(
             codec.encode(
                 StatsRequest(
                     request_id=f"{client_id}:0",
-                    include_trace=include_trace,
                     include_spans=include_spans,
                 )
             )
@@ -64,7 +62,6 @@ async def fetch_node_stats(
 async def scrape_cluster(
     addresses: Sequence[Address],
     codec: Optional[MessageCodec] = None,
-    include_trace: bool = False,
     include_spans: bool = False,
     timeout: float = 5.0,
     group: Optional[int] = None,
@@ -73,9 +70,8 @@ async def scrape_cluster(
 
     Returns ``{"nodes": {pid: snapshot|None}, "merged": ...,
     "decisions": ..., "fast_path_ratio": r, "unreachable": [pid, ...]}``
-    (plus ``"traces": {pid: [...]}`` when *include_trace* and a node
-    returned events, and ``"spans": {pid: [...]}`` likewise under
-    *include_spans*). Node keys come from each reply's own ``pid``;
+    (plus ``"spans": {pid: [...]}`` when *include_spans* and a node
+    returned events). Node keys come from each reply's own ``pid``;
     unreachable entries fall back to the address-book index.
 
     ``group`` tags every node key as ``"g<group>:n<pid>"`` instead of the
@@ -89,7 +85,6 @@ async def scrape_cluster(
             reply = await fetch_node_stats(
                 address,
                 codec=shared,
-                include_trace=include_trace,
                 include_spans=include_spans,
                 timeout=timeout,
                 client_id=f"stats-scraper-{index}",
@@ -106,7 +101,6 @@ async def scrape_cluster(
         return pid if group is None else f"g{group}:n{pid}"
 
     nodes: Dict[Any, Optional[Dict[str, Any]]] = {}
-    traces: Dict[Any, List[Any]] = {}
     spans: Dict[Any, List[Any]] = {}
     unreachable: List[Any] = []
     for pid, reply in results:
@@ -115,8 +109,6 @@ async def scrape_cluster(
             unreachable.append(label(pid))
             continue
         nodes[label(pid)] = reply.snapshot
-        if reply.trace:
-            traces[label(pid)] = list(reply.trace)
         if reply.spans:
             spans[label(pid)] = [dict(event) for event in reply.spans]
     merged = merge_snapshots(snapshot for snapshot in nodes.values())
@@ -134,8 +126,6 @@ async def scrape_cluster(
         "fast_path_ratio": decisions["fast_path_ratio"],
         "unreachable": sorted(unreachable),
     }
-    if traces:
-        view["traces"] = traces
     if spans:
         view["spans"] = spans
     return view

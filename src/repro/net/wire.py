@@ -229,13 +229,11 @@ class StatsRequest(Message):
 
     Answered regardless of whether the node hosts a client service —
     statistics are a property of the runtime, not of the KV layer. Set
-    ``include_trace`` to also receive the node's retained flight-recorder
-    events (only meaningful when the node was launched with tracing on);
-    ``include_spans`` likewise pulls the retained span-recorder window.
+    ``include_spans`` to also receive the node's retained span-recorder
+    window (only meaningful when the node records spans).
     """
 
     request_id: str
-    include_trace: bool = False
     include_spans: bool = False
 
 
@@ -248,12 +246,11 @@ class StatsReply(Message):
     the hosted process is an SMR replica;
     :func:`repro.obs.merge_snapshots` /
     :func:`repro.obs.merge_decision_records` fold replies cluster-wide.
-    ``trace`` carries the retained ring-buffer events when requested;
+    The decision records are the node's one per-decision record.
     ``spans`` carries the span-recorder window when ``include_spans``.
     """
 
     request_id: str
     pid: int
     snapshot: Any
-    trace: Any = ()
     spans: Any = ()

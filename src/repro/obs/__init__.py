@@ -1,16 +1,15 @@
 """repro.obs — cluster-wide observability for both runtimes.
 
 The paper's whole point is *which decisions complete in two message
-delays*; this package makes that measurable. It has three parts:
+delays*; this package makes that measurable. It has four parts:
 
 * :mod:`~repro.obs.registry` — a low-overhead per-node metrics registry
   (counters, high-water gauges, fixed-bucket mergeable histograms) that
   stays **on by default**;
-* :mod:`~repro.obs.trace` — an **opt-in** structured event trace with a
-  bounded flight-recorder ring buffer, dumpable as JSONL;
 * :mod:`~repro.obs.decisions` — per-slot decision records tagged
   ``fast | slow | learned`` and their cluster-wide merge, yielding the
-  **fast-path ratio** that empirically checks Theorems 5/6;
+  **fast-path ratio** that empirically checks Theorems 5/6 — the one
+  per-decision record;
 * :mod:`~repro.obs.spans` — **opt-in** causal per-command spans sampled
   at batch seal and carried across the wire, merged into per-command
   critical paths that split fast-path from recovery-path latency;
@@ -27,7 +26,7 @@ harness (arena, rounds-as-arena, explorer worlds) inherits the no-op
 Metric names are identical in both runtimes — a simulated run and a
 live run of the same seeded workload produce directly comparable
 snapshots (``tests/net/test_stats.py`` pins that). The full metric
-catalogue and trace schema live in ``docs/OBSERVABILITY.md``.
+catalogue and span schema live in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
@@ -63,7 +62,6 @@ from .spans import (
     merge_span_events,
     stage_breakdown,
 )
-from .trace import DEFAULT_CAPACITY, NullTrace, TraceRecorder
 
 #: Cache of per-message-type counter suffixes, keyed by the concrete
 #: (outer, inner) types so envelope messages such as ``Slotted`` report
@@ -93,39 +91,32 @@ def message_label(message: Any) -> str:
 
 
 class Observability:
-    """One node's metrics registry plus its (optional) event trace.
+    """One node's metrics registry plus its (optional) span recorder.
 
-    Handed out through ``ctx.obs``; the pair is deliberately tiny so the
+    Handed out through ``ctx.obs``; the bundle is deliberately tiny so the
     hot paths touch at most two attribute lookups before a counter add.
     """
 
-    __slots__ = ("registry", "trace", "spans", "node")
+    __slots__ = ("registry", "spans", "node")
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        trace: Optional[TraceRecorder] = None,
         spans: Optional[SpanRecorder] = None,
         node: Optional[int] = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.trace = trace if trace is not None else NullTrace()
         self.spans = spans if spans is not None else NullSpans()
         self.node = node
 
     @classmethod
     def disabled(cls, node: Optional[int] = None) -> "Observability":
-        """Metrics *and* trace off — what ``NULL_OBS`` hands out."""
-        return cls(
-            registry=NullRegistry(), trace=NullTrace(), spans=NullSpans(), node=node
-        )
+        """Metrics *and* spans off — what ``NULL_OBS`` hands out."""
+        return cls(registry=NullRegistry(), spans=NullSpans(), node=node)
 
     def snapshot(self) -> Dict[str, Any]:
-        """Registry snapshot plus retained trace/span lengths (JSON-safe)."""
+        """Registry snapshot plus retained span lengths (JSON-safe)."""
         snapshot = self.registry.snapshot()
-        if self.trace.enabled:
-            snapshot["trace_events"] = len(self.trace)
-            snapshot["trace_dropped"] = self.trace.dropped
         if self.spans.enabled:
             snapshot["span_events"] = len(self.spans)
             snapshot["span_dropped"] = self.spans.dropped
@@ -138,7 +129,6 @@ NULL_OBS = Observability.disabled()
 
 __all__ = [
     "Counter",
-    "DEFAULT_CAPACITY",
     "DEFAULT_SPAN_CAPACITY",
     "Gauge",
     "Histogram",
@@ -147,13 +137,11 @@ __all__ = [
     "NULL_SPANS",
     "NullRegistry",
     "NullSpans",
-    "NullTrace",
     "Observability",
     "PATH_FAST",
     "PATH_LEARNED",
     "PATH_SLOW",
     "SpanRecorder",
-    "TraceRecorder",
     "critical_path",
     "critical_paths",
     "decision_record",

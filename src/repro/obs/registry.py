@@ -1,7 +1,8 @@
 """Low-overhead metrics: counters, gauges, and mergeable histograms.
 
-The registry is the per-node half of the observability layer (the other
-half is the event trace in :mod:`repro.obs.trace`). Its design goals, in
+The registry is the always-on per-node part of the observability layer
+(per-slot decision records live in :mod:`repro.obs.decisions`, sampled
+per-command spans in :mod:`repro.obs.spans`). Its design goals, in
 order:
 
 1. **Cheap on the hot path.** Incrementing a counter is one dict lookup

@@ -12,12 +12,12 @@ whether it went the 2Δ fast path or the recovery path), how long apply
 and reply took.  That decomposition is the paper's two-step latency
 argument made measurable on the live stack.
 
-Design mirrors :class:`repro.obs.trace.TraceRecorder`: a bounded ring
-that never renumbers ``seq`` (so gaps reveal drops), events are plain
-JSON-safe dicts, and the null variant costs one attribute check on the
-hot path.  Sampling is decided exactly once per slot — at the sealing
-proxy — and every downstream stage merely checks "is this slot
-traced?", so the un-sampled hot path stays at a dict miss.
+A :class:`SpanRecorder` is a bounded ring that never renumbers ``seq``
+(so gaps reveal drops), events are plain JSON-safe dicts, and the null
+variant costs one attribute check on the hot path.  Sampling is decided
+exactly once per slot — at the sealing proxy — and every downstream
+stage merely checks "is this slot traced?", so the un-sampled hot path
+stays at a dict miss.
 
 Clock-skew rule: stage *deltas* are only ever computed between events
 recorded on the same node (the origin proxy), so merged critical paths

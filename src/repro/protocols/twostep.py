@@ -519,15 +519,9 @@ class TwoStepProcess(Process):
         self.decided = value
         self.decided_path = path
         self.decided_ballot = ballot
-        obs = ctx.obs
-        obs.registry.inc(
+        ctx.obs.registry.inc(
             "consensus.decisions_fast" if path == "fast" else "consensus.decisions_slow"
         )
-        if obs.trace.enabled:  # repr(value) of a batch is not free
-            obs.trace.emit(
-                "decide", pid=self.pid, path=path, ballot=ballot, value=repr(value),
-                t=ctx.now,
-            )
         ctx.decide(value)
         ctx.cancel_timer(BALLOT_TIMER)
         if self.config.broadcast_decide:
@@ -541,13 +535,7 @@ class TwoStepProcess(Process):
         self.decided = value
         self.decided_path = "learned"
         self.decided_ballot = None
-        obs = ctx.obs
-        obs.registry.inc("consensus.decisions_learned")
-        if obs.trace.enabled:
-            obs.trace.emit(
-                "decide", pid=self.pid, path="learned", ballot=None, value=repr(value),
-                t=ctx.now,
-            )
+        ctx.obs.registry.inc("consensus.decisions_learned")
         ctx.decide(value)
         ctx.cancel_timer(BALLOT_TIMER)
 

@@ -55,7 +55,6 @@ class ShardedCluster:
         data_dir: Optional[str] = None,
         fsync: bool = True,
         snapshot_every: int = 256,
-        trace: bool = False,
     ) -> None:
         if groups < 1:
             raise ConfigurationError(f"need at least one group, got {groups}")
@@ -73,7 +72,6 @@ class ShardedCluster:
                 data_dir=f"{data_dir}/group-{group}" if data_dir else None,
                 fsync=fsync,
                 snapshot_every=snapshot_every,
-                trace=trace,
             )
 
     def _service_factory(self, group: int) -> Callable[[], ShardedKVService]:

@@ -71,6 +71,31 @@ class TestClusterCli:
         assert main(["cluster", "--node", "0"]) == 2
         assert "--peers" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--trace-sample", "4"), ("--timeseries", "ts")]
+    )
+    def test_sharded_cluster_refuses_flags_it_would_drop(self, flag, value, capsys):
+        argv = ["cluster", "--groups", "2", "--duration", "0", flag, value]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().out
+
+    def test_sharded_loadgen_refuses_trace_sample(self, capsys):
+        peers = "127.0.0.1:1,127.0.0.1:2;127.0.0.1:3,127.0.0.1:4"
+        argv = ["loadgen", "--peers", peers, "--count", "1", "--timeout", "0.1",
+                "--trace-sample", "4"]
+        assert main(argv) == 2
+        assert "--trace-sample" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["cluster", "stats", "loadgen"])
+    def test_trace_flag_is_gone(self, command, capsys):
+        argv = [command, "--trace"]
+        if command != "cluster":
+            argv += ["--peers", "127.0.0.1:1"]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+
     def test_loadgen_parser_defaults(self):
         args = build_parser().parse_args(
             ["loadgen", "--peers", "127.0.0.1:9400,127.0.0.1:9401"]

@@ -31,7 +31,7 @@ from repro.storage.records import WalDecision
 
 from .test_codec import _any_registered
 
-REGISTRY_HASH = "bbac3a43f6855816"
+REGISTRY_HASH = "e3ce607b96fd85af"
 
 
 def _repo_registry() -> MessageRegistry:

@@ -55,9 +55,12 @@ class TestScrapeCluster:
                 single = await fetch_node_stats(
                     cluster.addresses[0], codec=cluster.codec
                 )
-                return view, single
+                decided = {
+                    node.pid: set(node.process.decided) for node in cluster.nodes
+                }
+                return view, single, decided
 
-        view, single = _run(live())
+        view, single, decided = _run(live())
 
         assert view["unreachable"] == []
         counters = view["merged"]["counters"]
@@ -70,50 +73,23 @@ class TestScrapeCluster:
         assert view["decisions"]["conflicts"] == []
         assert view["decisions"]["slots"]
         assert view["merged"]["histograms"]["smr.commit_seconds"]["count"] > 0
-        for snapshot in view["nodes"].values():
+        # Decision records are each node's one per-decision record: one
+        # per decided slot, each with its path, ballot and decision time.
+        for pid, snapshot in view["nodes"].items():
             assert snapshot is not None
-            assert "decisions" in snapshot
+            records = snapshot["decisions"]
+            assert {record["slot"] for record in records} == decided[pid]
+            for record in records:
+                assert record["path"] in ("fast", "slow", "learned")
+                assert (record["ballot"] is None) == (record["path"] == "learned")
+                assert record["decided_at"] is not None
         text = describe_cluster_stats(view)
         assert "fast-path ratio" in text
 
         # Single-node fetch: the reply identifies itself and carries the
-        # same snapshot shape; no trace was requested, none rides along.
+        # same snapshot shape.
         assert single.pid == 0
         assert "counters" in single.snapshot
-        assert single.trace == ()
-
-    def test_trace_is_opt_in_and_carries_decide_events(self):
-        ops = put_get_workload(6, keys=("k",), proxies=[0, 1, 2], seed=4)
-
-        async def live():
-            async with LocalCluster(
-                3, _factory(), serve_clients=True, trace=True
-            ) as cluster:
-                report = await run_loadgen(
-                    cluster.addresses, clients=1, ops=ops, codec=cluster.codec
-                )
-                assert report.failed == 0, report.errors
-                await cluster.wait_logs_converged(
-                    timeout=20.0, expected_commands=len(ops)
-                )
-                plain = await scrape_cluster(cluster.addresses, codec=cluster.codec)
-                traced = await scrape_cluster(
-                    cluster.addresses, codec=cluster.codec, include_trace=True
-                )
-                return plain, traced
-
-        plain, traced = _run(live())
-
-        # Without include_trace the events stay on the node.
-        assert "traces" not in plain
-        # Trace-enabled nodes report their retained window in snapshots.
-        assert plain["nodes"][0]["trace_events"] > 0
-        assert "traces" in traced
-        events = [event for trace in traced["traces"].values() for event in trace]
-        assert any(event["kind"] == "decide" for event in events)
-        for trace in traced["traces"].values():
-            sequences = [event["seq"] for event in trace]
-            assert sequences == sorted(sequences)
 
     def test_loadgen_collects_stats_into_the_record(self):
         ops = put_get_workload(8, keys=("k",), proxies=[0, 1, 2], seed=5)

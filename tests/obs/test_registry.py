@@ -222,10 +222,9 @@ class TestObservability:
     def test_default_is_live_registry_null_trace(self):
         obs = Observability(node=3)
         obs.registry.inc("x")
-        obs.trace.emit("ignored")  # NullTrace: no-op
         snapshot = obs.snapshot()
         assert snapshot["counters"] == {"x": 1}
-        assert "trace_events" not in snapshot
+        assert "span_events" not in snapshot  # spans stay off by default
 
     def test_disabled_writes_nothing(self):
         obs = Observability.disabled(node=1)

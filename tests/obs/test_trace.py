@@ -1,90 +1,17 @@
-"""Unit tests for the flight-recorder trace and decision-record merge."""
+"""Unit tests for the per-slot decision-record merge.
 
-import io
-import json
-
-import pytest
+Decision records are each node's one per-decision record (path, ballot,
+value id, decision time); the merge folds them cluster-wide.
+"""
 
 from repro.obs import (
     PATH_FAST,
     PATH_LEARNED,
     PATH_SLOW,
-    NullTrace,
-    TraceRecorder,
     decision_record,
     merge_decision_records,
     slot_paths,
 )
-
-
-class TestTraceRecorder:
-    def test_records_in_order_with_fields(self):
-        trace = TraceRecorder(capacity=8)
-        trace.emit("decide", slot=0, path="fast")
-        trace.emit("timer", t=1.5)
-        events = trace.events()
-        assert [event["kind"] for event in events] == ["decide", "timer"]
-        assert events[0] == {"seq": 0, "kind": "decide", "slot": 0, "path": "fast"}
-        assert events[1]["t"] == 1.5
-        assert len(trace) == 2
-        assert trace.dropped == 0
-
-    def test_ring_evicts_oldest_first(self):
-        trace = TraceRecorder(capacity=3)
-        for index in range(5):
-            trace.emit("e", index=index)
-        events = trace.events()
-        # Two oldest evicted; the retained window is the most recent 3.
-        assert [event["index"] for event in events] == [2, 3, 4]
-        assert trace.dropped == 2
-        assert len(trace) == 3
-
-    def test_eviction_never_renumbers_seq(self):
-        trace = TraceRecorder(capacity=2)
-        for _ in range(5):
-            trace.emit("e")
-        # seq keeps climbing; the gap at the front shows dropped history.
-        assert [event["seq"] for event in trace.events()] == [3, 4]
-        trace.emit("e")
-        assert trace.events()[-1]["seq"] == 5
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TraceRecorder(capacity=0)
-
-    def test_clear(self):
-        trace = TraceRecorder(capacity=4)
-        trace.emit("e")
-        trace.clear()
-        assert len(trace) == 0
-        trace.emit("e")
-        assert trace.events()[0]["seq"] == 1  # seq survives clear
-
-    def test_dump_jsonl_to_stream(self):
-        trace = TraceRecorder(capacity=4)
-        trace.emit("decide", slot=1)
-        trace.emit("decide", slot=2)
-        sink = io.StringIO()
-        assert trace.dump_jsonl(sink) == 2
-        lines = sink.getvalue().splitlines()
-        assert len(lines) == 2
-        assert json.loads(lines[0])["slot"] == 1
-        assert json.loads(lines[1])["slot"] == 2
-
-    def test_dump_jsonl_to_path(self, tmp_path):
-        trace = TraceRecorder(capacity=4)
-        trace.emit("e", index=7)
-        path = tmp_path / "trace.jsonl"
-        assert trace.dump_jsonl(str(path)) == 1
-        assert json.loads(path.read_text().strip())["index"] == 7
-
-    def test_null_trace_is_inert(self):
-        trace = NullTrace()
-        trace.emit("anything", heavy="payload")
-        assert len(trace) == 0
-        assert trace.events() == []
-        assert trace.enabled is False
-        assert TraceRecorder.enabled is True
 
 
 class TestMergeDecisionRecords:
