@@ -107,6 +107,22 @@ def _emit_json(payload: object) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
 
 
+class _UsageError(Exception):
+    """Bad command-line input: :func:`main` prints it and exits 2."""
+
+
+def _peer_groups(args: argparse.Namespace) -> Dict[int, List[Tuple[str, int]]]:
+    """``--peers`` of stats, loadgen and top as ``{group: addresses}``:
+    ``;`` separates groups, and a list without one is group 0."""
+    from .net.client import ClientError
+    from .shard import parse_group_addresses
+
+    try:
+        return parse_group_addresses(args.peers)
+    except ClientError as exc:
+        raise _UsageError(f"--peers: {exc}")
+
+
 def _cmd_list(_: argparse.Namespace) -> int:
     print("experiments:", ", ".join(sorted(_EXPERIMENTS)))
     print("witnesses:   witness task <f> <e> | witness object <f> <e>")
@@ -288,8 +304,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     if args.groups > 1:
         # Sharded in-process deployment: G groups × n replicas, group 0
         # doubling as the placement-map catalog. Peers are announced in
-        # the `;`-separated per-group form the sharded loadgen/stats/top
-        # commands parse.
+        # the `;`-separated per-group form the loadgen/stats/top commands
+        # parse.
         from .shard import ShardedCluster
 
         if args.node is not None:
@@ -420,25 +436,18 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .net.client import parse_address_list
-    from .net.stats import describe_cluster_stats, scrape_cluster
+    from .net.stats import (
+        describe_cluster_stats,
+        scrape_cluster,
+        scrape_sharded_cluster,
+    )
 
-    if ";" in args.peers:
-        # `;`-separated per-group address lists: a sharded deployment.
-        from .net.stats import scrape_sharded_cluster
-        from .shard import parse_group_addresses
-
-        groups = parse_group_addresses(args.peers)
-        view = asyncio.run(
-            scrape_sharded_cluster(groups, timeout=args.timeout)
-        )
-    else:
-        view = asyncio.run(
-            scrape_cluster(
-                parse_address_list(args.peers),
-                timeout=args.timeout,
-            )
-        )
+    groups = _peer_groups(args)
+    view = asyncio.run(
+        scrape_cluster(groups[0], timeout=args.timeout)
+        if len(groups) == 1
+        else scrape_sharded_cluster(groups, timeout=args.timeout)
+    )
     if args.json:
         _emit_json(view)
     else:
@@ -479,7 +488,7 @@ def _parse_key_skew(value: Optional[str]) -> Optional[float]:
     try:
         return float(text)
     except ValueError:
-        raise SystemExit(f"--key-skew expects zipf:<exponent>, got {value!r}")
+        raise _UsageError(f"--key-skew expects zipf:<exponent>, got {value!r}")
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
@@ -487,41 +496,26 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import pathlib
     import time
 
-    from .net.client import parse_address_list
+    from .net.client import ClientError
     from .net.loadgen import run_loadgen
 
+    for flag, value, least in (
+        ("--clients", args.clients, 1),
+        ("--pipeline", args.pipeline, 1),
+        ("--trace-sample", args.trace_sample, 0),
+        ("--key-space", args.key_space, 1),
+    ):
+        if value < least:
+            raise _UsageError(f"{flag} must be >= {least}, got {value}")
     key_skew = _parse_key_skew(args.key_skew)
-    if ";" in args.peers:
-        # `;`-separated per-group address lists: route through shard-aware
-        # routers instead of single-cluster clients.
-        from .shard import parse_group_addresses, run_sharded_loadgen
-
-        if args.trace_sample:
-            # The shard router stamps no trace ids; refuse rather than
-            # drop the flag without a word.
-            print("--trace-sample is not supported with ';'-separated "
-                  "(sharded) peers")
-            return 2
-        report = asyncio.run(
-            run_sharded_loadgen(
-                parse_group_addresses(args.peers),
-                clients=args.clients,
-                count=args.count,
-                key_space=args.key_space,
-                put_fraction=args.put_fraction,
-                seed=args.seed,
-                timeout=args.timeout,
-                pipeline=max(1, args.pipeline),
-                key_skew=key_skew,
-                collect_stats=args.stats,
-            )
-        )
-    else:
+    groups = _peer_groups(args)
+    try:
         report = asyncio.run(
             run_loadgen(
-                parse_address_list(args.peers),
+                groups,
                 clients=args.clients,
                 count=args.count,
+                keys=[f"key-{index}" for index in range(args.key_space)],
                 put_fraction=args.put_fraction,
                 seed=args.seed,
                 timeout=args.timeout,
@@ -532,6 +526,11 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
                 key_skew=key_skew,
             )
         )
+    except ClientError as exc:
+        # The workers record their own failures; what escapes is the
+        # placement fetch from an unreachable catalog group.
+        print(f"loadgen: {exc}")
+        return 1
     payload = {
         "loadgen": report.to_record(),
         "errors": report.errors[:10],
@@ -539,6 +538,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
             "clients": args.clients,
             "count": args.count,
             "key_skew": args.key_skew,
+            "key_space": args.key_space,
             "pipeline": args.pipeline,
             "pin_proxy": args.pin_proxy,
             "put_fraction": args.put_fraction,
@@ -586,25 +586,17 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .net.client import parse_address_list
     from .net.top import run_top
 
-    if ";" in args.peers:
-        from .shard import parse_group_addresses
-
-        groups = parse_group_addresses(args.peers)
-        addresses = [address for nodes in groups.values() for address in nodes]
-    else:
-        groups = None
-        addresses = parse_address_list(args.peers)
+    groups = _peer_groups(args)
     try:
         asyncio.run(
             run_top(
-                addresses,
+                [address for nodes in groups.values() for address in nodes],
                 interval=args.interval,
                 iterations=args.iterations,
                 clear=not args.no_clear,
-                groups=groups,
+                groups=groups if len(groups) > 1 else None,
             )
         )
     except KeyboardInterrupt:
@@ -874,7 +866,11 @@ def build_parser() -> argparse.ArgumentParser:
         "lists with ';' to drive a sharded deployment",
     )
     loadgen.add_argument(
-        "--clients", type=int, default=4, help="concurrent closed-loop clients"
+        "--clients",
+        type=int,
+        default=4,
+        help="concurrent load workers, each with its own connection to "
+        "every group (default 4)",
     )
     loadgen.add_argument("--count", type=int, default=100, help="total commands")
     loadgen.add_argument(
@@ -887,8 +883,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--key-space",
         type=int,
         default=32,
-        help="distinct keys in the sharded workload's pool (default 32; "
-        "single-cluster runs keep their built-in key set)",
+        help="distinct keys key-0..key-<N-1> in the workload's pool "
+        "(default 32, for one group or many)",
     )
     loadgen.add_argument(
         "--put-fraction", type=float, default=0.7, help="fraction of puts"
@@ -907,9 +903,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--pin-proxy",
         type=int,
         default=0,
-        help="proxy all pipelined workers target (default 0, the Ω leader; "
-        "-1 spreads workers round-robin; ignored when --pipeline 1, where "
-        "each op keeps its workload-assigned proxy)",
+        help="proxy, within every group, that all pipelined workers target "
+        "(default 0, the Ω leader; -1 spreads workers round-robin; ignored "
+        "when --pipeline 1, where each op keeps its workload-assigned proxy)",
     )
     loadgen.add_argument(
         "--stats",
@@ -981,6 +977,9 @@ def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except _UsageError as exc:
+        print(exc)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         try:

@@ -12,8 +12,9 @@ the code of the protocols unchanged:
   ``loop.call_later`` timers (simulator-identical semantics);
 * :mod:`~repro.net.client` — KV client with timeouts, retry/backoff, and
   proxy failover;
-* :mod:`~repro.net.loadgen` — closed-loop load generator replaying the
-  simulator's seeded workloads for like-for-like latency tables;
+* :mod:`~repro.net.loadgen` — the one load generator, for one group or
+  G groups (closed loop or pipelined), replaying the simulator's seeded
+  workloads for like-for-like latency tables;
 * :mod:`~repro.net.cluster` — :class:`LocalCluster`, the in-process
   harness tests and CI boot (real TCP, one event loop, no subprocesses).
 

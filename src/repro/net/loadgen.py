@@ -1,24 +1,22 @@
-"""Load generator for the live cluster: closed-loop and pipelined modes.
+"""The load generator: one or G groups, closed loop or pipelined.
 
-The default mode spawns *N* concurrent :class:`~repro.net.client.KVClient`
-sessions, each driving its share of a workload one command at a time
-(closed loop: submit, wait for the reply, submit the next). The workload
-is produced by the *same* seeded generator the simulator uses —
-:func:`repro.smr.client.put_get_workload` — so a live run and an E10
-simulation of the same ``(count, keys, seed)`` execute the identical
-command sequence against the identical proxy assignment, making their
-latency tables directly comparable.
+``run_loadgen`` takes a group map; a single cluster is ``{0: addresses}``.
+Each worker drives its own :class:`~repro.shard.ShardRouter`, which
+routes every command to the group owning its key, follows ``WrongShard``
+redirects and counts completions per group. The workload comes from the
+seeded generator the simulator uses, :func:`repro.smr.client.put_get_workload`,
+so a single-group live run and an E10 simulation of the same
+``(count, keys, seed)`` execute the identical command sequence against
+the identical proxy assignment, and their latency tables compare directly.
 
-``pipeline > 1`` switches to the open-loop mode that can actually
-saturate a batching cluster: each worker keeps that many commands
-outstanding on one connection (:meth:`KVClient.run_pipelined`). Pipelined
-workers pin to ``pin_proxy`` (default proxy 0, the static Ω leader)
-instead of honouring per-op proxy assignments: funnelling the open-loop
-firehose through one proxy keeps consensus slots uncontended — under the
+``pipeline == 1`` is the closed loop: submit, wait for the reply, submit
+the next, each to the op's designated proxy. ``pipeline > 1`` is the
+open loop that saturates a batching cluster: each worker keeps that many
+commands outstanding per group, pinned to ``pin_proxy`` (default 0, the
+static Ω leader). One proxy keeps consensus slots uncontended: under the
 object variant's red conjunct, saturated *distinct* proxies racing the
-same slot all refuse each other's values and stall on the 2Δ ballot
-timer. Pass ``pin_proxy=None`` to spread workers round-robin across
-proxies and measure exactly that collision regime.
+same slot refuse each other's values and stall on the 2Δ ballot timer;
+``pin_proxy=None`` spreads workers round-robin to measure that regime.
 
 Reports reuse the :mod:`repro.verify.metrics` layer (``kind="loadgen"``,
 one unit = one completed command) for throughput, and
@@ -30,17 +28,20 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.stats import Summary, summarize
 from ..core.errors import ConfigurationError
 from ..obs import critical_paths, merge_span_events, stage_breakdown
 from ..smr.client import ClientOp, put_get_workload
 from ..verify.metrics import MetricsRecorder, VerificationMetrics
-from .client import ClientError, KVClient, PipelineError
+from .client import ClientError, PipelineError
 from .codec import MessageCodec
 from .node import Address
-from .stats import scrape_cluster
+from .stats import scrape_cluster, scrape_sharded_cluster
+
+if TYPE_CHECKING:
+    from ..shard.placement import PlacementMap
 
 
 @dataclass
@@ -67,11 +68,11 @@ class LoadReport:
     cluster_stats: Optional[Dict[str, Any]] = None
     trace_paths: Optional[List[Dict[str, Any]]] = None
     trace_breakdown: Optional[Dict[str, Any]] = None
-    # Sharded-run provenance (set by repro.shard.loadgen): the map epoch
+    # Routing provenance, summed over the workers' routers: the map epoch
     # the run finished on, completed commands per group, and how many
     # WrongShard redirects the routers followed along the way.
-    placement_epoch: Optional[int] = None
-    group_commands: Optional[Dict[int, int]] = None
+    placement_epoch: int = 0
+    group_commands: Dict[int, int] = field(default_factory=dict)
     redirects: int = 0
 
     @property
@@ -119,13 +120,11 @@ class LoadReport:
         # error strings ride along so a --record artifact of a degraded
         # run explains itself.
         record["errors_sample"] = list(self.errors[:5])
-        if self.placement_epoch is not None:
-            record["placement_epoch"] = self.placement_epoch
-            record["group_commands"] = {
-                str(group): count
-                for group, count in sorted((self.group_commands or {}).items())
-            }
-            record["redirects"] = self.redirects
+        record["placement_epoch"] = self.placement_epoch
+        record["group_commands"] = {
+            str(group): count for group, count in sorted(self.group_commands.items())
+        }
+        record["redirects"] = self.redirects
         if self.cluster_stats is not None:
             counters = self.cluster_stats["merged"]["counters"]
             record["fast_path_ratio"] = self.cluster_stats["fast_path_ratio"]
@@ -150,7 +149,7 @@ class LoadReport:
 
 
 async def run_loadgen(
-    addresses: Sequence[Address],
+    groups: Mapping[int, Sequence[Address]],
     clients: int = 4,
     count: int = 100,
     keys: Sequence[str] = ("alpha", "beta", "gamma"),
@@ -166,16 +165,15 @@ async def run_loadgen(
     collect_stats: bool = False,
     trace_sample: int = 0,
     key_skew: Optional[float] = None,
+    placement: Optional[PlacementMap] = None,
 ) -> LoadReport:
-    """Drive *count* commands through the cluster at *addresses*.
+    """Drive *count* commands through the deployment at *groups*.
 
-    The command sequence and proxy assignment come from
-    :func:`put_get_workload` with the given seed (or pass explicit *ops*);
-    commands are dealt round-robin to *clients* concurrent sessions. With
-    ``pipeline == 1`` (default) each session runs closed-loop, pinned to
-    the op's designated proxy with failover; with ``pipeline > 1`` each
-    session keeps that many commands outstanding on one connection, pinned
-    to ``pin_proxy`` (or spread round-robin when ``pin_proxy is None``).
+    The key placement is *placement* when given; otherwise one group owns
+    every key, and G > 1 groups read the map from the catalog group. The
+    commands and proxy assignment come from :func:`put_get_workload` with
+    the given seed (or pass explicit *ops*), dealt round-robin to
+    *clients* concurrent workers.
 
     ``collect_stats`` scrapes every node's observability snapshot after
     the run and merges it into the report (``cluster_stats``), putting
@@ -183,12 +181,18 @@ async def run_loadgen(
     latency table in ``--record`` artifacts.
 
     ``trace_sample=N`` stamps every Nth command with a client-minted
-    trace id (``c.<prefix>.<i>``). On clusters whose nodes record spans
-    the stamped commands come back as merged per-command critical paths
+    trace id (``c.<prefix>.<i>``). On nodes that record spans the
+    stamped commands come back as merged per-command critical paths
     (``trace_paths``) and a per-stage latency breakdown split by
     decision path (``trace_breakdown``); span-less nodes ignore the
     ids and the knob is a no-op.
     """
+    # Deferred: repro.shard is built on repro.net, so importing it at
+    # module level would be circular.
+    from ..shard.catalog import CATALOG_GROUP, fetch_placement
+    from ..shard.placement import PlacementMap
+    from ..shard.router import ShardRouter
+
     if clients < 1:
         raise ConfigurationError(f"need at least one client, got {clients}")
     if pipeline < 1:
@@ -196,11 +200,23 @@ async def run_loadgen(
     if trace_sample < 0:
         raise ConfigurationError(f"trace_sample must be >= 0, got {trace_sample}")
     shared_codec = codec if codec is not None else MessageCodec()
+    if placement is None:
+        if len(groups) == 1:
+            # Not fetched: a catalog read would append a command to the
+            # log of a plain (unsharded) KV service.
+            placement = PlacementMap.initial(1)
+        else:
+            placement = await fetch_placement(
+                groups[CATALOG_GROUP], codec=shared_codec,
+                client_id=f"{client_id_prefix}-catalog", timeout=timeout,
+            )
+            if placement is None:
+                raise ClientError("catalog group has no placement map published")
     if ops is None:
         ops = put_get_workload(
             count,
             keys=keys,
-            proxies=list(range(len(addresses))),
+            proxies=list(range(max(len(nodes) for nodes in groups.values()))),
             put_fraction=put_fraction,
             seed=seed,
             key_skew=key_skew,
@@ -216,67 +232,56 @@ async def run_loadgen(
     recorder = MetricsRecorder("loadgen")
     completions: List[Tuple[str, Any, float, float, bool]] = []
     errors: List[str] = []
+    routers: List[ShardRouter] = []
 
-    def record(command_id, reply, elapsed) -> None:
+    def record(reply: Any, elapsed: float) -> None:
         recorder.units += 1
         completions.append(
-            (command_id, reply.result, reply.commit_seconds, elapsed, reply.duplicate)
+            (reply.command_id, reply.result, reply.commit_seconds, elapsed, reply.duplicate)
         )
 
-    async def closed_loop_worker(index: int, share: List[ClientOp]) -> None:
-        client = KVClient(
-            addresses,
-            client_id=f"{client_id_prefix}-{index}",
+    async def worker(index: int, share: List[ClientOp]) -> None:
+        router = ShardRouter(
+            groups,
+            placement,
             codec=shared_codec,
+            client_id=f"{client_id_prefix}-{index}",
             timeout=timeout,
             max_attempts=max_attempts,
         )
+        routers.append(router)
         try:
-            for op in share:
-                begin = time.perf_counter()
-                try:
-                    reply = await client.submit(
-                        op.command,
-                        proxy=op.proxy,
-                        trace_id=trace_ids.get(op.command.command_id),
-                    )
-                except ClientError as exc:
-                    errors.append(str(exc))
-                    continue
-                record(op.command.command_id, reply, time.perf_counter() - begin)
-        finally:
-            await client.close()
-
-    async def pipelined_worker(index: int, share: List[ClientOp]) -> None:
-        client = KVClient(
-            addresses,
-            client_id=f"{client_id_prefix}-{index}",
-            codec=shared_codec,
-            timeout=timeout,
-            max_attempts=max_attempts,
-        )
-        proxy = pin_proxy if pin_proxy is not None else index % len(addresses)
-        try:
-            await client.run_pipelined(
-                [op.command for op in share],
-                window=pipeline,
-                proxy=proxy,
-                on_reply=lambda reply, elapsed: record(
-                    reply.command_id, reply, elapsed
-                ),
-                traces=trace_ids if trace_ids else None,
-            )
+            if pipeline == 1:
+                for op in share:
+                    begin = time.perf_counter()
+                    try:
+                        reply = await router.submit(
+                            op.command,
+                            proxy=op.proxy,
+                            trace_id=trace_ids.get(op.command.command_id),
+                        )
+                    except ClientError as exc:
+                        errors.append(str(exc))
+                        continue
+                    record(reply, time.perf_counter() - begin)
+            else:
+                await router.run_pipelined(
+                    [op.command for op in share],
+                    window=pipeline,
+                    proxy=pin_proxy if pin_proxy is not None else index,
+                    on_reply=record,
+                    traces=trace_ids if trace_ids else None,
+                )
         except PipelineError as exc:
-            # Mirror the closed-loop path: one error entry per unfinished
-            # command, completed work already recorded via on_reply.
+            # One error entry per unfinished command, as the closed loop
+            # keeps; completed work is already recorded via on_reply.
             for command_id in exc.pending:
                 errors.append(f"command {command_id!r} incomplete: {exc}")
         except ClientError as exc:
             errors.append(str(exc))
         finally:
-            await client.close()
+            await router.close()
 
-    worker = closed_loop_worker if pipeline == 1 else pipelined_worker
     started = time.perf_counter()
     await asyncio.gather(
         *(worker(index, share) for index, share in enumerate(shares))
@@ -287,12 +292,17 @@ async def run_loadgen(
     trace_paths: Optional[List[Dict[str, Any]]] = None
     trace_stage_breakdown: Optional[Dict[str, Any]] = None
     if collect_stats or trace_sample:
-        cluster_stats = await scrape_cluster(
-            addresses,
-            codec=shared_codec,
-            include_spans=bool(trace_sample),
-            timeout=timeout,
-        )
+        if len(groups) == 1:
+            # Bare pids and one merged decision record, as for any cluster.
+            cluster_stats = await scrape_cluster(
+                groups[0], codec=shared_codec,
+                include_spans=bool(trace_sample), timeout=timeout,
+            )
+        else:
+            cluster_stats = await scrape_sharded_cluster(
+                groups, codec=shared_codec,
+                include_spans=bool(trace_sample), timeout=timeout,
+            )
         cluster_spans = cluster_stats.pop("spans", None)
         if cluster_spans:
             trace_paths = critical_paths(merge_span_events(cluster_spans))
@@ -305,6 +315,10 @@ async def run_loadgen(
             # caller with a full cluster snapshot they didn't ask for.
             cluster_stats = None
 
+    group_commands: Dict[int, int] = {}
+    for router in routers:
+        for group, completed in router.group_commands.items():
+            group_commands[group] = group_commands.get(group, 0) + completed
     commit_samples = [c[2] for c in completions if not c[4]]
     client_samples = [c[3] for c in completions]
     return LoadReport(
@@ -322,4 +336,10 @@ async def run_loadgen(
         cluster_stats=cluster_stats,
         trace_paths=trace_paths,
         trace_breakdown=trace_stage_breakdown,
+        placement_epoch=max(
+            (router.placement.epoch for router in routers),
+            default=placement.epoch,
+        ),
+        group_commands=group_commands,
+        redirects=sum(router.redirect_count for router in routers),
     )

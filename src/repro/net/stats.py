@@ -134,6 +134,7 @@ async def scrape_cluster(
 async def scrape_sharded_cluster(
     groups: Mapping[int, Sequence[Address]],
     codec: Optional[MessageCodec] = None,
+    include_spans: bool = False,
     timeout: float = 5.0,
 ) -> Dict[str, Any]:
     """Merge every group's scrape into one sharded-deployment view.
@@ -153,13 +154,22 @@ async def scrape_sharded_cluster(
     * ``unreachable`` — tagged node ids, and ``unreachable_groups`` —
       groups where *every* node was unreachable (a down group, a
       different failure class than a down replica),
-    * ``conflicts`` — the union of per-group conflict lists, tagged.
+    * ``conflicts`` — the union of per-group conflict lists, tagged,
+    * ``spans`` — with *include_spans*, every group's span events keyed
+      by tagged node id (trace ids are client-minted, so one command's
+      spans merge the same way whichever group it landed in).
     """
     shared = codec if codec is not None else MessageCodec()
     ordered = sorted(groups.items())
     views = await asyncio.gather(
         *(
-            scrape_cluster(addresses, codec=shared, timeout=timeout, group=group)
+            scrape_cluster(
+                addresses,
+                codec=shared,
+                include_spans=include_spans,
+                timeout=timeout,
+                group=group,
+            )
             for group, addresses in ordered
         )
     )
@@ -168,7 +178,9 @@ async def scrape_sharded_cluster(
     unreachable: List[Any] = []
     unreachable_groups: List[int] = []
     conflicts: List[str] = []
+    spans: Dict[Any, List[Any]] = {}
     for (group, _addresses), view in zip(ordered, views):
+        spans.update(view.pop("spans", {}))
         per_group[group] = view
         nodes.update(view["nodes"])
         unreachable.extend(view["unreachable"])
@@ -184,7 +196,7 @@ async def scrape_sharded_cluster(
     counters = merged["counters"]
     fast = counters.get("consensus.decisions_fast", 0)
     slow = counters.get("consensus.decisions_slow", 0)
-    return {
+    sharded: Dict[str, Any] = {
         "nodes": nodes,
         "merged": merged,
         "per_group": per_group,
@@ -196,6 +208,9 @@ async def scrape_sharded_cluster(
         "unreachable": sorted(unreachable),
         "unreachable_groups": unreachable_groups,
     }
+    if spans:
+        sharded["spans"] = spans
+    return sharded
 
 
 def describe_cluster_stats(view: Dict[str, Any]) -> str:

@@ -26,8 +26,10 @@ The moving parts:
 * :mod:`~repro.shard.rebalance` — the live range mover (fence →
   extract → install → publish → release) with the epoch-fencing rule
   that makes in-flight commands redirect instead of getting lost or
-  double-applied;
-* :mod:`~repro.shard.loadgen` — the sharded load generator.
+  double-applied.
+
+Load generation has no sharded twin: :func:`repro.net.loadgen.run_loadgen`
+drives a :class:`ShardRouter` per worker for one group or many.
 
 See ``docs/SHARDING.md`` for the map format, the fencing rule, and the
 rebalance sequence.
@@ -35,7 +37,6 @@ rebalance sequence.
 
 from .catalog import CATALOG_GROUP, CATALOG_KEY, fetch_placement, publish_placement
 from .cluster import ShardedCluster
-from .loadgen import run_sharded_loadgen
 from .placement import DEFAULT_SLOTS, PlacementMap, RangeAssignment
 from .rebalance import MOVE_STAGES, MoveReport, move_range
 from .router import ShardRouter, parse_group_addresses
@@ -56,5 +57,4 @@ __all__ = [
     "move_range",
     "parse_group_addresses",
     "publish_placement",
-    "run_sharded_loadgen",
 ]

@@ -118,11 +118,18 @@ class ShardRouter:
         command: KVCommand,
         group: Optional[int] = None,
         trace_id: Optional[str] = None,
+        proxy: Optional[int] = None,
     ) -> ClientReply:
-        """Submit one command, following redirects until it lands."""
+        """Submit one command, following redirects until it lands.
+
+        ``proxy`` is the preferred proxy within whichever group the
+        command lands in (see :meth:`KVClient.submit`).
+        """
         target = group if group is not None else self.group_for(command)
         for bounce in range(self.max_redirects + 1):
-            reply = await self.client_for(target).submit(command, trace_id=trace_id)
+            reply = await self.client_for(target).submit(
+                command, proxy=proxy, trace_id=trace_id
+            )
             if isinstance(reply, WrongShard):
                 self._observe_redirect(reply)
                 if group is None:
@@ -150,13 +157,15 @@ class ShardRouter:
         self,
         commands: Sequence[KVCommand],
         window: int = 16,
+        proxy: Optional[int] = None,
         on_reply: Optional[Callable[[ClientReply, float], None]] = None,
         traces: Optional[Dict[str, str]] = None,
     ) -> Dict[str, ClientReply]:
         """Drive *commands* pipelined across all groups concurrently.
 
         Commands are partitioned by the current map, each partition runs
-        through its group's client with up to *window* outstanding, and
+        through its group's client with up to *window* outstanding (on
+        *proxy*, when given, reduced modulo the group's size), and
         redirected commands re-partition for the next round (with any
         newer map from the redirects installed first). Returns replies
         keyed by ``command_id``; raises :class:`PipelineError` if work
@@ -189,7 +198,11 @@ class ShardRouter:
             outcomes = await asyncio.gather(
                 *(
                     self.client_for(group).run_pipelined(
-                        batch, window=window, on_reply=on_reply, traces=traces
+                        batch,
+                        window=window,
+                        proxy=proxy,
+                        on_reply=on_reply,
+                        traces=traces,
                     )
                     for group, batch in ordered
                 ),

@@ -1,10 +1,21 @@
 """Tests for the `python -m repro` command-line interface."""
 
+import asyncio
+import contextlib
 import json
+import threading
 
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.net.cluster import LocalCluster
+from repro.omega import static_omega_factory
+from repro.protocols.twostep import TwoStepConfig
+from repro.shard import ShardedCluster
+from repro.smr.log import smr_factory
+
+# One group, and two groups separated by ';'. Nothing listens on either.
+PEER_FORMS = ["127.0.0.1:1", "127.0.0.1:1;127.0.0.1:2"]
 
 
 class TestParser:
@@ -79,12 +90,37 @@ class TestClusterCli:
         assert main(argv) == 2
         assert flag in capsys.readouterr().out
 
-    def test_sharded_loadgen_refuses_trace_sample(self, capsys):
-        peers = "127.0.0.1:1,127.0.0.1:2;127.0.0.1:3,127.0.0.1:4"
-        argv = ["loadgen", "--peers", peers, "--count", "1", "--timeout", "0.1",
-                "--trace-sample", "4"]
+    @pytest.mark.parametrize("peers", PEER_FORMS)
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--pipeline", "0", "must be >= 1"),
+            ("--clients", "0", "must be >= 1"),
+            ("--trace-sample", "-1", "must be >= 0"),
+            ("--key-space", "0", "must be >= 1"),
+            ("--key-skew", "zipf:x", "expects zipf:<exponent>"),
+        ],
+    )
+    def test_loadgen_rejects_bad_input_before_dialing(
+        self, peers, flag, value, message, capsys
+    ):
+        argv = ["loadgen", "--peers", peers, "--timeout", "0.1", flag, value]
         assert main(argv) == 2
-        assert "--trace-sample" in capsys.readouterr().out
+        out = capsys.readouterr().out.strip()
+        assert out.startswith(f"{flag} {message}") and "\n" not in out
+
+    @pytest.mark.parametrize("command", ["loadgen", "stats", "top"])
+    @pytest.mark.parametrize("peers", ["bogus", "127.0.0.1:1;bogus"])
+    def test_bad_peers_exit_2_in_one_line(self, command, peers, capsys):
+        assert main([command, "--peers", peers]) == 2
+        out = capsys.readouterr().out.strip()
+        assert out.startswith("--peers: ") and "\n" not in out
+
+    def test_loadgen_unreachable_catalog_fails_in_one_line(self, capsys):
+        argv = ["loadgen", "--peers", PEER_FORMS[1], "--timeout", "0.1"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out.strip()
+        assert out.startswith("loadgen: ") and "\n" not in out
 
     @pytest.mark.parametrize("command", ["cluster", "stats", "loadgen"])
     def test_trace_flag_is_gone(self, command, capsys):
@@ -103,6 +139,72 @@ class TestClusterCli:
         assert args.clients == 4
         assert args.count == 100
         assert args.json is False
+
+
+def _factory():
+    delta = 0.05
+    return smr_factory(
+        1,
+        1,
+        delta=delta,
+        omega_factory=static_omega_factory(0),
+        consensus_config=TwoStepConfig(f=1, e=1, delta=delta, is_object=True),
+    )
+
+
+@contextlib.contextmanager
+def _serving(cluster):
+    """Run *cluster* on its own event loop thread while the CLI runs."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    try:
+        asyncio.run_coroutine_threadsafe(cluster.start(), loop).result(60)
+        yield cluster
+    finally:
+        asyncio.run_coroutine_threadsafe(cluster.stop(), loop).result(60)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(10)
+        assert not thread.is_alive(), "cluster event loop did not stop"
+        loop.close()
+
+
+def _peers(cluster):
+    groups = getattr(cluster, "addresses_by_group", None) or {0: cluster.addresses}
+    return ";".join(
+        ",".join(f"{host}:{port}" for host, port in addresses)
+        for _group, addresses in sorted(groups.items())
+    )
+
+
+class TestLoadgenCliLive:
+    """Every loadgen flag applies to both peer forms."""
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("pipeline", ["1", "4"])
+    def test_every_flag_on_both_peer_forms(self, groups, pipeline, capsys):
+        cluster = (
+            LocalCluster(3, _factory(), serve_clients=True)
+            if groups == 1
+            else ShardedCluster(groups, 3, _factory(), slots=16)
+        )
+        with _serving(cluster):
+            argv = [
+                "loadgen", "--peers", _peers(cluster), "--clients", "2",
+                "--count", "40", "--pipeline", pipeline, "--pin-proxy", "-1",
+                "--key-space", "8", "--key-skew", "zipf:0.5", "--stats",
+                "--trace-sample", "4", "--json",
+            ]
+            assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        record = payload["loadgen"]
+        assert record["completed"] == 40
+        assert sorted(record["group_commands"]) == [str(g) for g in range(groups)]
+        assert record["pipeline"] == int(pipeline)
+        assert record["fast_path_ratio"] is not None
+        # The nodes record no spans: sampling is on, and finds nothing.
+        assert record["traced_commands"] == 0
+        assert payload["config"]["key_space"] == 8
 
 
 class TestReport:

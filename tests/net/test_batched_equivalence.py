@@ -79,7 +79,7 @@ class TestBatchedEquivalence:
                 3, _batched_factory(0.5), serve_clients=True
             ) as cluster:
                 report = await run_loadgen(
-                    cluster.addresses, clients=1, ops=ops, codec=cluster.codec
+                    {0: cluster.addresses}, clients=1, ops=ops, codec=cluster.codec
                 )
                 await cluster.wait_logs_converged(
                     timeout=20.0, expected_commands=len(ops)

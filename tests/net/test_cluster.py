@@ -106,7 +106,7 @@ class TestKVEquivalence:
                 3, _smr_live_factory(), serve_clients=True
             ) as cluster:
                 report = await run_loadgen(
-                    cluster.addresses, clients=1, ops=ops, codec=cluster.codec
+                    {0: cluster.addresses}, clients=1, ops=ops, codec=cluster.codec
                 )
                 await cluster.wait_logs_converged(
                     timeout=20.0, expected_commands=len(ops)
@@ -187,11 +187,11 @@ def test_survivors_satisfy_consensus_safety_after_crash():
         ) as cluster:
             first, rest = ops[:3], ops[3:]
             await run_loadgen(
-                cluster.addresses, clients=1, ops=first, codec=cluster.codec
+                {0: cluster.addresses}, clients=1, ops=first, codec=cluster.codec
             )
             await cluster.crash(2)  # f=1 tolerated
             report = await run_loadgen(
-                cluster.addresses, clients=1, ops=rest, codec=cluster.codec
+                {0: cluster.addresses}, clients=1, ops=rest, codec=cluster.codec
             )
             assert report.failed == 0
             await cluster.wait_logs_converged(

@@ -55,7 +55,7 @@ async def _crash_and_serve(n: int, count: int, seed: int, clients: int):
         n, _factory(), serve_clients=True
     ) as cluster:
         before = await run_loadgen(
-            cluster.addresses,
+            {0: cluster.addresses},
             clients=clients,
             ops=ops[:cut],
             codec=cluster.codec,
@@ -72,7 +72,7 @@ async def _crash_and_serve(n: int, count: int, seed: int, clients: int):
         assert counters.get("consensus.decisions_fast", 0) > 0
         assert mid["decisions"]["conflicts"] == []
         after = await run_loadgen(
-            cluster.addresses,
+            {0: cluster.addresses},
             clients=clients,
             ops=ops[cut:],
             codec=cluster.codec,

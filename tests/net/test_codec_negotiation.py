@@ -83,7 +83,7 @@ async def _wait_until(predicate, timeout=10.0, poll=0.02):
 async def _drive(cluster: LocalCluster, count: int = 40) -> None:
     async with cluster:
         report = await run_loadgen(
-            cluster.addresses,
+            {0: cluster.addresses},
             clients=2,
             count=count,
             pipeline=8,

@@ -48,7 +48,7 @@ def _factory(delta: float = 0.05, batch: int = 16):
 
 async def _load(cluster, ops, expected):
     report = await run_loadgen(
-        cluster.addresses,
+        {0: cluster.addresses},
         clients=2,
         ops=ops,
         pipeline=32,
@@ -138,7 +138,7 @@ async def _full_cluster_reboot(data_dir):
     )
     async with boot:
         report = await run_loadgen(
-            boot.addresses,
+            {0: boot.addresses},
             clients=2,
             count=count,
             pipeline=32,

@@ -77,7 +77,7 @@ class TestMetricsEndpoint:
                 3, _factory(), serve_clients=True
             ) as cluster:
                 report = await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=2,
                     count=30,
                     codec=cluster.codec,
@@ -126,7 +126,7 @@ class TestMetricsEndpoint:
                 3, _factory(), serve_clients=True
             ) as cluster:
                 report = await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=2,
                     count=20,
                     codec=cluster.codec,
@@ -149,7 +149,7 @@ class TestWireInfo:
                 3, _factory(), serve_clients=True
             ) as cluster:
                 await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=1,
                     count=10,
                     codec=cluster.codec,
@@ -184,7 +184,7 @@ class TestTimeseries:
                 timeseries_interval=0.1,
             ) as cluster:
                 await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=1,
                     count=20,
                     codec=cluster.codec,
@@ -222,7 +222,7 @@ class TestTopView:
                 3, _factory(), serve_clients=True
             ) as cluster:
                 await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=2,
                     count=30,
                     codec=cluster.codec,

@@ -82,7 +82,7 @@ async def _pipelined_run(
             node.obs = Observability.disabled(node=node.pid)
     async with cluster:
         report = await run_loadgen(
-            cluster.addresses,
+            {0: cluster.addresses},
             clients=2,
             count=COMMANDS,
             pipeline=64,

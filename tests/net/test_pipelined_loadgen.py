@@ -48,7 +48,7 @@ class TestPipelinedLoadgen:
                 3, _batched_factory(), serve_clients=True
             ) as cluster:
                 report = await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=2,
                     count=count,
                     pipeline=8,
@@ -73,7 +73,7 @@ class TestPipelinedLoadgen:
     def test_pipeline_depth_must_be_positive(self):
         async def live():
             with pytest.raises(ConfigurationError, match="pipeline"):
-                await run_loadgen([("127.0.0.1", 1)], pipeline=0)
+                await run_loadgen({0: [("127.0.0.1", 1)]}, pipeline=0)
 
         _run(live())
 
@@ -91,7 +91,7 @@ class TestPipelinedLoadgen:
         async def live():
             # Nothing listens on port 1; every attempt fails fast.
             return await run_loadgen(
-                [("127.0.0.1", 1)],
+                {0: [("127.0.0.1", 1)]},
                 clients=2,
                 count=count,
                 pipeline=4,

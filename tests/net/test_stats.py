@@ -45,7 +45,7 @@ class TestScrapeCluster:
         async def live():
             async with LocalCluster(3, _factory(), serve_clients=True) as cluster:
                 report = await run_loadgen(
-                    cluster.addresses, clients=2, ops=ops, codec=cluster.codec
+                    {0: cluster.addresses}, clients=2, ops=ops, codec=cluster.codec
                 )
                 assert report.failed == 0, report.errors
                 await cluster.wait_logs_converged(
@@ -97,7 +97,7 @@ class TestScrapeCluster:
         async def live():
             async with LocalCluster(3, _factory(), serve_clients=True) as cluster:
                 return await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=2,
                     ops=ops,
                     codec=cluster.codec,
@@ -144,7 +144,7 @@ class TestLiveMatchesSimulated:
                 3, _factory(0.5, batch_size=4, window=2), serve_clients=True
             ) as cluster:
                 report = await run_loadgen(
-                    cluster.addresses, clients=1, ops=ops, codec=cluster.codec
+                    {0: cluster.addresses}, clients=1, ops=ops, codec=cluster.codec
                 )
                 assert report.failed == 0, report.errors
                 await cluster.wait_logs_converged(

@@ -49,7 +49,7 @@ class TestTracedLoadgen:
                 3, _factory(), serve_clients=True, trace_sample=0
             ) as cluster:
                 report = await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=2,
                     count=60,
                     pipeline=8,
@@ -90,7 +90,7 @@ class TestTracedLoadgen:
                 3, _factory(), serve_clients=True, trace_sample=1
             ) as cluster:
                 report = await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=2,
                     count=30,
                     pipeline=4,
@@ -135,7 +135,7 @@ class TestTraceInterop:
             untraced._unwrap_traced = spy
             async with cluster:
                 report = await run_loadgen(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     clients=3,
                     count=45,
                     trace_sample=3,

@@ -21,7 +21,8 @@ import asyncio
 
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
-from repro.shard import ShardedCluster, run_sharded_loadgen
+from repro.net.loadgen import run_loadgen
+from repro.shard import ShardedCluster
 from repro.smr.log import smr_factory
 
 HARD_TIMEOUT = 240.0
@@ -44,10 +45,10 @@ def _factory():
     )
 
 
-def _group_keys(placement, group, key_space=KEY_SPACE):
+def _group_keys(placement, group):
     keys = [
         key
-        for key in (f"key-{index}" for index in range(key_space))
+        for key in (f"key-{index}" for index in range(KEY_SPACE))
         if placement.group_for_key(key) == group
     ]
     assert keys, f"no keys hash to group {group}"
@@ -55,7 +56,7 @@ def _group_keys(placement, group, key_space=KEY_SPACE):
 
 
 async def _drive(cluster, keys, count=COMMANDS, seed=0):
-    report = await run_sharded_loadgen(
+    report = await run_loadgen(
         cluster.addresses_by_group,
         clients=2,
         count=count,

@@ -1,21 +1,33 @@
 """Live sharded cluster smoke: boot, spread, exactly-once, observability.
 
 A 2-group × 3-replica :class:`~repro.shard.ShardedCluster` (six real
-asyncio-TCP nodes in one loop) under the sharded load generator. The
+asyncio-TCP nodes in one loop) under the load generator. The
 obligations: commands land in the group their key hashes to and nowhere
 else (exactly-once across the deployment), every intra-group invariant
 the single-cluster suite checks still holds per group, and the sharded
 scrape renders per-group rows (``g<group>:n<pid>``) without pid
 collisions — including telling a whole-group outage apart from a
-single-node one.
+single-node one. Client-minted trace ids come back as critical paths
+whichever group a command landed in.
 """
 
 import asyncio
 
+import pytest
+
+from repro.net.cluster import LocalCluster
+from repro.net.codec import MessageCodec
+from repro.net.loadgen import run_loadgen
 from repro.net.stats import describe_cluster_stats, scrape_sharded_cluster
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
-from repro.shard import ShardedCluster, run_sharded_loadgen
+from repro.shard import (
+    CATALOG_GROUP,
+    PlacementMap,
+    ShardedCluster,
+    ShardedKVService,
+    publish_placement,
+)
 from repro.smr import check_logs_consistent
 from repro.smr.log import smr_factory
 
@@ -23,6 +35,7 @@ HARD_TIMEOUT = 120.0
 GROUPS, REPLICAS = 2, 3
 SLOTS = 16
 COUNT = 80
+KEYS = [f"key-{index}" for index in range(24)]
 
 
 def _factory(delta: float = 0.05):
@@ -37,16 +50,16 @@ def _factory(delta: float = 0.05):
     )
 
 
-async def _boot_spread_and_scrape():
+async def _boot_spread_and_scrape(pipeline):
     async with ShardedCluster(
         GROUPS, REPLICAS, _factory(), slots=SLOTS
     ) as cluster:
-        report = await run_sharded_loadgen(
+        report = await run_loadgen(
             cluster.addresses_by_group,
             clients=2,
             count=COUNT,
-            key_space=24,
-            pipeline=8,
+            keys=KEYS,
+            pipeline=pipeline,
             codec=cluster.codec,
             collect_stats=True,
         )
@@ -92,9 +105,29 @@ async def _boot_spread_and_scrape():
         rendered = describe_cluster_stats(view)
         assert "per-group fast-path" in rendered
 
+    # One loadgen, one record: a single plain cluster (G=1) reports the
+    # same fields, bar the per-group ratio only G>1 has.
+    async with LocalCluster(REPLICAS, _factory(), serve_clients=True) as single:
+        single_report = await run_loadgen(
+            {0: single.addresses},
+            clients=2,
+            count=COUNT,
+            keys=KEYS,
+            pipeline=pipeline,
+            codec=single.codec,
+            collect_stats=True,
+        )
+    assert single_report.failed == 0, single_report.errors
+    single_record = single_report.to_record()
+    assert single_record["group_commands"] == {"0": COUNT}
+    assert set(single_record) == set(record) - {"per_group_fast_path_ratio"}
 
-def test_sharded_cluster_spreads_and_applies_exactly_once():
-    asyncio.run(asyncio.wait_for(_boot_spread_and_scrape(), HARD_TIMEOUT))
+
+@pytest.mark.parametrize("pipeline", [1, 8])
+def test_sharded_cluster_spreads_and_applies_exactly_once(pipeline):
+    asyncio.run(
+        asyncio.wait_for(_boot_spread_and_scrape(pipeline), HARD_TIMEOUT)
+    )
 
 
 async def _zipf_skew_still_exact():
@@ -102,11 +135,11 @@ async def _zipf_skew_still_exact():
     async with ShardedCluster(
         GROUPS, REPLICAS, _factory(), slots=SLOTS
     ) as cluster:
-        report = await run_sharded_loadgen(
+        report = await run_loadgen(
             cluster.addresses_by_group,
             clients=2,
             count=60,
-            key_space=24,
+            keys=KEYS,
             pipeline=8,
             key_skew=1.2,
             codec=cluster.codec,
@@ -151,3 +184,54 @@ async def _outage_views():
 
 def test_group_outage_distinct_from_node_outage():
     asyncio.run(asyncio.wait_for(_outage_views(), HARD_TIMEOUT))
+
+
+async def _traced_across_groups():
+    """Span-recording groups, built the way ShardedCluster builds them."""
+    boot_map = PlacementMap.initial(GROUPS, SLOTS)
+    codec = MessageCodec()
+    clusters = {
+        group: LocalCluster(
+            REPLICAS,
+            _factory(),
+            codec=codec,
+            trace_sample=1,
+            client_service_factory=lambda group=group: ShardedKVService(
+                group, boot_map
+            ),
+        )
+        for group in range(GROUPS)
+    }
+    try:
+        for cluster in clusters.values():
+            await cluster.start()
+        groups = {group: cluster.addresses for group, cluster in clusters.items()}
+        await publish_placement(groups[CATALOG_GROUP], boot_map, codec=codec)
+        return await run_loadgen(
+            groups,
+            clients=2,
+            count=COUNT,
+            keys=KEYS,
+            pipeline=8,
+            trace_sample=4,
+            codec=codec,
+            client_id_prefix="xg",
+        )
+    finally:
+        for cluster in clusters.values():
+            await cluster.stop()
+
+
+def test_trace_sample_spans_every_group():
+    report = asyncio.run(asyncio.wait_for(_traced_across_groups(), HARD_TIMEOUT))
+    assert report.failed == 0, report.errors
+    stamped = [p for p in report.trace_paths if p["trace"].startswith("c.xg.")]
+    assert stamped, f"no client-minted critical paths in {report.trace_paths}"
+    for path in stamped:
+        for stage in ("queue", "consensus", "apply", "reply", "total"):
+            assert stage in path["stages"], f"missing {stage} in {path}"
+    # Origins are group-tagged node ids: the sampled commands that came
+    # back landed in both groups.
+    origins = {path["origin"].split(":")[0] for path in stamped}
+    assert origins == {f"g{group}" for group in range(GROUPS)}
+    assert report.trace_breakdown["counts"]
