@@ -27,7 +27,8 @@ transports:
 
 Activations stay single-threaded: everything runs on one event loop, and
 each handler is a plain synchronous call, so the determinism contract of
-:mod:`repro.core.process` needs no locks.
+:mod:`repro.core.process` needs no locks. (A durable node's file I/O runs
+on its storage writer thread, which never touches process state.)
 
 Every link opens with a v1 hello and the acceptor's
 :class:`~repro.net.wire.HelloAck`; after that both directions speak binary
@@ -40,6 +41,13 @@ handed to a pluggable service; :class:`KVService` adapts them onto an
 :class:`~repro.smr.log.SMRReplica` by injecting
 :class:`~repro.smr.log.SubmitCommand` as the reserved ``CLIENT`` sender
 and answering once the replica applied the command.
+
+A node with a data directory holds its output, not its loop: each
+activation's peer frames are staged, and while any WAL commit handed to
+the storage writer is not yet durable they wait in an ordered hold
+tagged with the newest ticket — together with client replies and
+transfer chunks. The writer's completion report releases every entry
+its ticket covers, in order (see :mod:`repro.storage.recovery`).
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ import pathlib
 import socket
 import time
 from collections import deque
+from functools import partial
 from itertools import islice
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -244,6 +253,9 @@ class KVService(ClientService):
                 f"KVService needs an SMRReplica process, got {type(replica).__name__}"
             )
         command_id = request.command.command_id
+        # *reply* holds these two answers, like any other, while the
+        # node's latest records are not durable: the result or commit
+        # they report may be in flight.
         if command_id in replica.results:
             # A retry of a command this proxy already answered.
             reply(self._result_reply(node, request.request_id, command_id))
@@ -307,6 +319,19 @@ class KVService(ClientService):
             commit_seconds=max(commit, 0.0),
             trace_id=trace_id,
         )
+
+
+class _Held:
+    """One hold entry: output that became ready while ticket *tag* (the
+    newest handed to the storage writer) was not yet durable."""
+
+    __slots__ = ("tag", "since", "frames", "replies")
+
+    def __init__(self, tag: int) -> None:
+        self.tag = tag
+        self.since = time.perf_counter()
+        self.frames: List[Tuple[ProcessId, bytes]] = []
+        self.replies: List[Tuple[Callable[[Message], None], Message]] = []
 
 
 #: Bulk-receive size for the serve loops: one ``read()`` per TCP burst,
@@ -413,6 +438,15 @@ class NodeServer:
                 fsync=fsync,
                 snapshot_every=snapshot_every,
             )
+        # Where a sent frame goes: straight to its outbox, or — with a
+        # persister — onto this activation's staged frames, which
+        # _flush_staged sends or holds until their records are durable.
+        self._post: Callable[[ProcessId, bytes], None] = (
+            self._enqueue if self.persister is None else self._stage
+        )
+        self._staged: List[Tuple[ProcessId, bytes]] = []
+        self._held: Deque[_Held] = deque()
+        self._held_frames = 0
 
         self.decisions: List[Tuple[float, MaybeValue]] = []
         self.errors: List[BaseException] = []
@@ -487,6 +521,9 @@ class NodeServer:
                     result.segments_scanned,
                     result.torn_segments,
                 )
+            self.persister.writer.notify = partial(
+                loop.call_soon_threadsafe, self._on_durable
+            )
         for peer in range(self.n):
             if peer == self.pid:
                 continue
@@ -507,9 +544,15 @@ class NodeServer:
         ``hard=True`` models SIGKILL for the durability layer: buffered
         (never-committed) WAL records are dropped instead of flushed, so
         tests exercise real recovery from a torn tail, not a graceful
-        shutdown that quietly fsyncs everything.
+        shutdown that quietly fsyncs everything. Either way held output
+        never leaves, and the storage writer is joined before this
+        returns: a restarted node never recovers a directory that a
+        thread of its predecessor is still writing.
         """
         self._crashed = True
+        self._held.clear()
+        self._held_frames = 0
+        self._staged.clear()
         for handle in self._timer_handles.values():
             handle.cancel()
         self._timer_handles.clear()
@@ -551,12 +594,13 @@ class NodeServer:
             self.log.exception("activation raised %r", exc)
             raise
         finally:
-            # Persist before polling the client service: replies must not
-            # leave for a decision that is not yet durable. Both run
-            # before this activation returns to the event loop, i.e.
-            # before any sender task can write this activation's frames.
+            # Persist before anything leaves: the commit is handed to the
+            # storage writer, and this activation's frames — and, through
+            # the hold-aware reply callables, its replies — wait in the
+            # hold until the writer reports it durable.
             if self.persister is not None and not self._crashed:
                 self.persister.after_activation()
+                self._flush_staged()
             if self.client_service is not None and not self._crashed:
                 self.client_service.poll(self)
 
@@ -582,7 +626,7 @@ class NodeServer:
             outbound = self._maybe_wrap(message, "send", dst=dst)
         frame = self.codec.encode(outbound)
         self.obs.registry.inc(f"sent_bytes.{label}", len(frame))
-        self._enqueue(dst, frame)
+        self._post(dst, frame)
 
     def _broadcast(self, message: Message, include_self: bool) -> None:
         """Encode once, enqueue the same frame for every peer.
@@ -600,10 +644,11 @@ class NodeServer:
         peers = self.n - 1
         self.obs.registry.inc(f"sent.{label}", peers + (1 if include_self else 0))
         self.obs.registry.inc(f"sent_bytes.{label}", len(frame) * peers)
+        post = self._post
         for dst in range(self.n):
             if dst == self.pid:
                 continue
-            self._enqueue(dst, frame)
+            post(dst, frame)
         if include_self:
             asyncio.get_event_loop().call_soon(self._deliver_self, message)
 
@@ -640,6 +685,87 @@ class NodeServer:
         # means the link (or the peer) is slower than the offered load.
         self.obs.registry.gauge_max(f"net.outbox_hwm.p{dst}", len(queue))
         self._outbox_wake[dst].set()
+
+    # ------------------------------------------------------------------
+    # The hold: output waits for its records, the loop does not.
+    # ------------------------------------------------------------------
+
+    def _stage(self, dst: ProcessId, frame: bytes) -> None:
+        self._staged.append((dst, frame))
+
+    def _flush_staged(self) -> None:
+        """End of an activation: its frames go out, or into the hold if
+        any record handed to the writer is not durable yet."""
+        must_hold = self._must_hold()  # even without frames: it releases
+        staged = self._staged
+        if not staged:
+            return
+        if must_hold:
+            self._hold_entry(self.persister.writer.issued).frames.extend(staged)
+            self._held_frames += len(staged)
+            self.obs.registry.gauge_max("storage.held_frames_hwm", self._held_frames)
+            self._staged = []
+            return
+        for dst, frame in staged:
+            self._enqueue(dst, frame)
+        staged.clear()
+
+    def _reply_when_durable(self, put: Callable[[Message], None], message: Message) -> None:
+        """A client-link answer: sent now, or held behind the newest ticket.
+
+        Every answer read from replica state (results, duplicate and
+        retry answers, transfer chunks) may rest on records still in
+        flight, so it waits like a frame would.
+        """
+        if self._must_hold():
+            self._hold_entry(self.persister.writer.issued).replies.append((put, message))
+        else:
+            put(message)
+
+    def _must_hold(self) -> bool:
+        """Whether output must wait: a handed-off record is not durable.
+
+        Collects first when the writer finished jobs whose report is
+        still queued on the loop, so nothing waits on a stale view.
+        """
+        writer = self.persister.writer
+        if writer.uncollected:
+            self._on_durable()
+        return writer.durable < writer.issued
+
+    def _hold_entry(self, tag: int) -> _Held:
+        held = self._held
+        if held and held[-1].tag == tag:
+            return held[-1]
+        entry = _Held(tag)
+        held.append(entry)
+        return entry
+
+    def _on_durable(self) -> None:
+        """The writer finished jobs: release, in order, every held entry
+        whose ticket is now durable (runs on the loop)."""
+        if self._crashed:
+            return
+        writer = self.persister.writer
+        durable = writer.collect()
+        held = self._held
+        if held and held[0].tag <= durable:
+            now = time.perf_counter()
+            observe = self.obs.registry.observe
+            while held and held[0].tag <= durable:
+                entry = held.popleft()
+                for dst, frame in entry.frames:
+                    self._enqueue(dst, frame)
+                for put, message in entry.replies:
+                    put(message)
+                self._held_frames -= len(entry.frames)
+                observe("storage.durable_wait_seconds", now - entry.since)
+        failure = writer.failure
+        if failure is not None and failure not in self.errors:
+            # Fail-stop: nothing handed off later can turn durable, so
+            # everything held stays held.
+            self.errors.append(failure)
+            self.log.error("storage writer failed, output held: %r", failure)
 
     def _deliver_self(self, message: Message) -> None:
         if not self._crashed:
@@ -917,6 +1043,10 @@ class NodeServer:
         # property of the runtime, not of the KV layer, so a consensus-only
         # node still answers ``StatsRequest``.
         replies: "asyncio.Queue[Message]" = asyncio.Queue()
+        put = replies.put_nowait
+        # Stats describe the runtime and never wait; every other answer
+        # waits in the hold while records are in flight.
+        reply = put if self.persister is None else partial(self._reply_when_durable, put)
         loop = asyncio.get_event_loop()
         flusher = loop.create_task(self._flush_replies(replies, writer))
         self._tasks.append(flusher)
@@ -932,15 +1062,15 @@ class NodeServer:
                     return
                 for request, _size in batch:
                     if isinstance(request, StatsRequest):
-                        replies.put_nowait(self._stats_reply(request))
+                        put(self._stats_reply(request))
                     elif isinstance(request, (SnapshotRequest, RangeSnapshotRequest)):
                         for chunk in self._transfer_reply(request):
-                            replies.put_nowait(chunk)
+                            reply(chunk)
                     elif (
                         isinstance(request, ClientSubmit)
                         and self.client_service is not None
                     ):
-                        self.client_service.submit(self, request, replies.put_nowait)
+                        self.client_service.submit(self, request, reply)
         finally:
             flusher.cancel()
             if flusher in self._tasks:

@@ -168,8 +168,11 @@ class ShardRouter:
         *proxy*, when given, reduced modulo the group's size), and
         redirected commands re-partition for the next round (with any
         newer map from the redirects installed first). Returns replies
-        keyed by ``command_id``; raises :class:`PipelineError` if work
-        remains after the redirect budget.
+        keyed by ``command_id``; raises :class:`PipelineError` (caused
+        by the last client failure) if work remains after the redirect
+        budget, or after a round that completed nothing and saw no
+        redirect — every client there already spent its attempt budget,
+        so another round would only spend it again.
         """
         remaining: Dict[str, KVCommand] = {}
         for command in commands:
@@ -179,9 +182,9 @@ class ShardRouter:
         replies: Dict[str, ClientReply] = {}
         overrides: Dict[str, int] = {}  # command_id -> group a redirect named
         last_error: Optional[BaseException] = None
+        if not remaining:
+            return replies
         for round_index in range(self.max_redirects + 1):
-            if not remaining:
-                return replies
             if round_index:
                 await asyncio.sleep(
                     min(self.redirect_backoff * round_index, 0.5)
@@ -209,6 +212,7 @@ class ShardRouter:
                 return_exceptions=True,
             )
             overrides = {}
+            progressed = False
             for (group, _batch), outcome in zip(ordered, outcomes):
                 if isinstance(outcome, PipelineError):
                     last_error = outcome
@@ -219,21 +223,26 @@ class ShardRouter:
                     done = outcome
                 for command_id, reply in done.items():
                     if remaining.pop(command_id, None) is not None:
+                        progressed = True
                         replies[command_id] = reply
                         self.group_commands[group] = (
                             self.group_commands.get(group, 0) + 1
                         )
                 for command_id, redirect in self._clients[group].redirects.items():
                     self._observe_redirect(redirect)
+                    progressed = True
                     if redirect.group in self.groups:
                         overrides[command_id] = redirect.group
+            if not remaining:
+                return replies
+            if not progressed:
+                break
         raise PipelineError(
             f"{len(remaining)} of {len(remaining) + len(replies)} sharded "
-            f"commands incomplete after {self.max_redirects} redirect rounds: "
-            f"{last_error!r}",
+            f"commands incomplete after {round_index + 1} round(s): {last_error!r}",
             replies=replies,
             pending=sorted(remaining),
-        )
+        ) from last_error
 
 
 def parse_group_addresses(text: str) -> Dict[int, List[Address]]:

@@ -8,11 +8,21 @@ Three cooperating pieces, all built from the primitives in this package:
   bound port for stable restarts).
 * :class:`ReplicaPersister` — the live persistence hook. The node
   runtime calls :meth:`ReplicaPersister.after_activation` at the end of
-  every activation, *before* the event loop yields: since activations
-  are synchronous and sender tasks only run when the loop yields, every
-  WAL record lands (and is group-commit fsynced) before any frame or
-  client reply produced by that activation can reach the wire — the
-  write-ahead property without per-record fsyncs.
+  every activation: it journals the activation's state changes and
+  hands them, as one group commit, to the node's
+  :class:`~repro.storage.writer.StorageWriter`, which returns a ticket
+  and does the ``write`` + ``fsync`` on its own thread. The loop does
+  not wait; the *outbox* does. The runtime stages the activation's peer
+  frames and client replies, and while any ticket is not yet durable
+  they join an ordered hold tagged with the newest ticket. When the
+  writer reports ticket *t* durable, every held entry tagged ≤ *t*
+  leaves, in order, so no frame overtakes an earlier one and nothing
+  reaches the wire before the records it depends on — the write-ahead
+  property without per-record fsyncs and without blocking the loop.
+  Snapshots are rendered on the loop and written by the same thread in
+  crash-safe order: archive append + fsync, image temp + fsync + rename
+  + directory fsync, close of the old segment, the new segment's first
+  commit, retention.
 * Recovery + state transfer — :meth:`ReplicaPersister.recover` rebuilds
   a replica from snapshot + WAL before launch; :func:`fetch_snapshot`
   sends a peer the local frontier and log length and gets back one empty
@@ -32,13 +42,14 @@ import json
 import pathlib
 import uuid
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..obs import Observability, NULL_OBS
 from ..smr.kvstore import BatchRef, CommandBatch
 from .files import atomic_write_text
 from .records import WalDecision, WalSlotState, decode_record, encode_record
-from .retention import RetentionPolicy
+from .retention import RetentionPolicy, RetentionReport
 from .snapshot import (
     ARCHIVE_NAME,
     AppliedLogArchive,
@@ -55,6 +66,7 @@ from .snapshot import (
     write_snapshot,
 )
 from .wal import WriteAheadLog, list_segments, next_segment_seq, scan_segment
+from .writer import WRITER_THREAD_NAME, StorageWriter
 
 #: SnapshotChunk payload size (characters of the JSON document per frame).
 TRANSFER_CHUNK_CHARS = 256 * 1024
@@ -73,9 +85,11 @@ class NodeStorage:
     def segments(self) -> List[pathlib.Path]:
         return list_segments(self.dir)
 
-    def new_segment(self, fsync: bool, obs: Observability = NULL_OBS) -> WriteAheadLog:
+    def new_segment(
+        self, fsync: bool, writer: StorageWriter, obs: Observability = NULL_OBS
+    ) -> WriteAheadLog:
         return WriteAheadLog.create(
-            self.dir, next_segment_seq(self.dir), fsync=fsync, obs=obs
+            self.dir, next_segment_seq(self.dir), writer, fsync=fsync, obs=obs
         )
 
     # -- snapshots -----------------------------------------------------
@@ -143,7 +157,11 @@ class ReplicaPersister:
         self.snapshot_every = snapshot_every
         self.retention = retention if retention is not None else RetentionPolicy()
         self._wal: Optional[WriteAheadLog] = None
-        self._archive = AppliedLogArchive(storage.archive_path, fsync=fsync, obs=obs)
+        #: This node's one storage thread: WAL, archive, images, retention.
+        self.writer = StorageWriter(f"{WRITER_THREAD_NAME} {storage.dir}")
+        self._archive = AppliedLogArchive(
+            storage.archive_path, self.writer, fsync=fsync, obs=obs
+        )
         # Durable-state caches: what the current WAL segment (or the image
         # under it) already covers, so after_activation journals only
         # genuine changes. All three restart empty with every segment.
@@ -158,7 +176,11 @@ class ReplicaPersister:
     # ------------------------------------------------------------------
 
     def recover(self) -> RecoveryResult:
-        """Rebuild the replica from snapshot + WAL; open a fresh segment."""
+        """Rebuild the replica from snapshot + WAL; open a fresh segment.
+
+        Returns once what recovery wrote (the snapshot consolidating the
+        replay) is on disk.
+        """
         replica = self.replica
         registry = self.obs.registry
         info, state = self._load_newest_usable_snapshot()
@@ -205,7 +227,7 @@ class ReplicaPersister:
         registry.inc("storage.replayed_entries", replayed)
         # All writes go to a brand-new segment: old ones stay read-only,
         # so append-after-torn-tail-truncation can never corrupt history.
-        self._wal = self.storage.new_segment(self.fsync, obs=self.obs)
+        self._wal = self.storage.new_segment(self.fsync, self.writer, obs=self.obs)
         result = RecoveryResult(
             snapshot=info,
             snapshot_entries=snapshot_entries,
@@ -220,6 +242,7 @@ class ReplicaPersister:
             # retire the segments we just consumed.
             self._write_snapshot()
         replica.dirty_slots.clear()  # everything replayed is durable
+        self.writer.drain()
         return result
 
     def _load_newest_usable_snapshot(
@@ -253,7 +276,8 @@ class ReplicaPersister:
     # ------------------------------------------------------------------
 
     def after_activation(self) -> None:
-        """Journal this activation's state changes, then group-commit."""
+        """Journal this activation's state changes, then hand off a group
+        commit (and a snapshot, when one is due) to :attr:`writer`."""
         replica = self.replica
         wal = self._wal
         if wal is None:
@@ -316,10 +340,12 @@ class ReplicaPersister:
         """Archive + image, then rotate, then retire what they cover.
 
         Only called with an empty WAL buffer (after a commit, or outside
-        any activation), so every stage leaves a recoverable directory:
-        archive tail without image — cut off on recovery; image without
-        rotation — the old segment replays as no-ops; rotation without
-        retention — extra files, retired by the next snapshot.
+        any activation). Everything is rendered here and written by
+        :attr:`writer` in the order it is queued, so every stage leaves a
+        recoverable directory: archive tail without image — cut off on
+        recovery; image without rotation — the old segment replays as
+        no-ops; rotation without retention — extra files, retired by the
+        next snapshot.
         """
         replica = self.replica
         assert self._wal is not None
@@ -330,7 +356,7 @@ class ReplicaPersister:
         # Rotate: the snapshot covers every record in segments < next_seq.
         self._wal.close()
         self._wal = WriteAheadLog.create(
-            self.storage.dir, next_seq, fsync=self.fsync, obs=self.obs
+            self.storage.dir, next_seq, self.writer, fsync=self.fsync, obs=self.obs
         )
         truncated = replica.truncate_below(replica.applied_upto)
         # The new segment starts knowing nothing: slots still open are
@@ -344,13 +370,15 @@ class ReplicaPersister:
                 self._journal_slot_state(slot, replica._slots[slot])
         self._wal.commit()
         self._last_snapshot_upto = info.upto
-        report = self.retention.apply(self.storage.dir)
+        self.writer.call(partial(self.retention.apply, self.storage.dir), self._retired)
         registry = self.obs.registry
         registry.inc("storage.snapshots_written")
         registry.inc("storage.truncated_slots", truncated)
-        if report.deleted:
-            registry.inc("storage.retention_deleted_files", report.deleted)
         return info
+
+    def _retired(self, report: RetentionReport) -> None:
+        if report.deleted:
+            self.obs.registry.inc("storage.retention_deleted_files", report.deleted)
 
     # ------------------------------------------------------------------
     # State transfer (receiver side).
@@ -385,15 +413,24 @@ class ReplicaPersister:
     # ------------------------------------------------------------------
 
     def close(self, hard: bool = False) -> None:
-        """Close the WAL. ``hard=True`` models SIGKILL: drop the buffer."""
+        """Close the WAL and stop the writer once what it holds is written.
+
+        ``hard=True`` models SIGKILL: the uncommitted buffer is dropped,
+        and a writer failure is not raised. Either way the writer thread
+        is joined before this returns.
+        """
         self._archive.close()
-        if self._wal is None:
-            return
-        if hard:
-            self._wal.abandon()
-        else:
-            self._wal.close()
-        self._wal = None
+        if self._wal is not None:
+            if hard:
+                self._wal.abandon()
+            else:
+                self._wal.close()
+            self._wal = None
+        try:
+            if not hard:
+                self.writer.drain()
+        finally:
+            self.writer.stop()
 
 
 def _fingerprint(inner: Any) -> Tuple:

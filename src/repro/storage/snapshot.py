@@ -34,10 +34,10 @@ batches, and ``BOTTOM`` round-trip bit-exactly on any node.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
@@ -45,6 +45,7 @@ from ..obs import Observability, NULL_OBS
 from ..smr.kvstore import KVCommand, key_slot
 from .files import atomic_write_text
 from .wal import HEADER_BYTES, pack_record, scan_records
+from .writer import StorageWriter
 
 #: Bumped on incompatible snapshot tree changes. 2: the applied log left
 #: the snapshot file for the archive, and ``applied_ids`` is derived.
@@ -99,14 +100,21 @@ def list_snapshots(directory: pathlib.Path) -> List[SnapshotInfo]:
 class AppliedLogArchive:
     """Writer for one node's applied command log on disk.
 
-    ``entries``/``size`` name the prefix written so far — what the next
-    image records. :meth:`open_at` must run before :meth:`append`.
+    ``entries``/``size`` name the prefix handed to *writer* so far — what
+    the next image records; the image is queued behind the append, so it
+    never lands before its prefix. :meth:`open_at` must run before
+    :meth:`append`.
     """
 
     def __init__(
-        self, path: pathlib.Path, fsync: bool = True, obs: Observability = NULL_OBS
+        self,
+        path: pathlib.Path,
+        writer: StorageWriter,
+        fsync: bool = True,
+        obs: Observability = NULL_OBS,
     ) -> None:
         self.path = pathlib.Path(path)
+        self.writer = writer
         self.fsync = fsync
         self.obs = obs
         self.entries = 0
@@ -126,7 +134,7 @@ class AppliedLogArchive:
         self.size = size
 
     def append(self, codec: Any, commands: Sequence[Any]) -> None:
-        """Write *commands* behind the current prefix and sync them."""
+        """Encode *commands* here; queue their write + fsync on the writer."""
         assert self._file is not None, "open_at() must run before append()"
         records = [
             pack_record(codec.encode_payload(tuple(commands[start : start + ARCHIVE_CHUNK])))
@@ -135,20 +143,20 @@ class AppliedLogArchive:
         if not records:
             return
         blob = b"".join(records)
-        self._file.write(blob)
-        self._file.flush()
-        registry = self.obs.registry
-        if self.fsync:
-            os.fsync(self._file.fileno())
-            registry.inc("storage.archive_fsyncs")
+        self.writer.write(self._file, blob, self.fsync, self._synced)
         self.entries += len(commands)
         self.size += len(blob)
+        registry = self.obs.registry
         registry.inc("storage.archive_appends", len(records))
         registry.inc("storage.archive_bytes", len(blob))
 
+    def _synced(self, seconds: Optional[float]) -> None:
+        if seconds is not None:
+            self.obs.registry.inc("storage.archive_fsyncs")
+
     def close(self) -> None:
         if self._file is not None:
-            self._file.close()
+            self.writer.call(self._file.close)
             self._file = None
 
 
@@ -334,10 +342,11 @@ def write_snapshot(
 ) -> SnapshotInfo:
     """Persist *replica*'s state: archive the new log tail, then the image.
 
-    The order is the crash-safety argument: the archive is synced before
-    the image naming its new prefix becomes visible, so a crash in
+    Both are rendered here and written by the archive's writer, in that
+    order. The order is the crash-safety argument: the archive is synced
+    before the image naming its new prefix becomes visible, so a crash in
     between leaves an orphan tail (cut off by the next recovery), never
-    an image without its log.
+    an image without its log. Returns once both are queued.
     """
     log = replica.store.log
     if archive.entries > len(log):
@@ -350,7 +359,7 @@ def write_snapshot(
         codec, replica, log_entries=archive.entries, archive_bytes=archive.size
     )
     path = directory / snapshot_name(replica.applied_upto, wal_seq)
-    atomic_write_text(path, text, durable=True)
+    archive.writer.call(partial(atomic_write_text, path, text, durable=True))
     archive.obs.registry.gauge("storage.snapshot_bytes").set(len(text))
     return SnapshotInfo(path=path, upto=replica.applied_upto, wal_seq=wal_seq)
 

@@ -15,11 +15,12 @@ contract a crashed ``write()`` leaves behind on a POSIX file. Torn-tail
 scans therefore never raise; corruption truncates, it does not poison.
 
 Writes are group-committed: :meth:`WriteAheadLog.append` only buffers,
-and :meth:`WriteAheadLog.commit` flushes every buffered record with one
-``write`` + one ``fsync``. The caller (the replica persister) commits
-once per activation, so all records produced by one message delivery
-share a single fsync — the classic group-commit batching — and nothing
-leaves the process before it is on disk.
+and :meth:`WriteAheadLog.commit` hands every buffered record, joined into
+one blob, to the node's :class:`~repro.storage.writer.StorageWriter`,
+whose thread does the ``write`` + ``fsync`` (coalescing commits that
+queued up behind an fsync in flight). The caller (the replica persister)
+commits once per activation; what depends on the records waits for the
+commit's ticket to turn durable (see :mod:`repro.storage.recovery`).
 
 A log directory holds numbered segment files (``wal-<seq>.log``). The
 writer only ever *creates* segments — recovery scans old ones read-only
@@ -28,16 +29,15 @@ and rotation starts a fresh one — so append-after-truncate never happens.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import re
 import struct
-import time
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from ..obs import Observability, NULL_OBS
+from .writer import StorageWriter
 
 #: length + crc32, both unsigned 32-bit big-endian.
 _HEADER = struct.Struct(">II")
@@ -121,13 +121,15 @@ class WriteAheadLog:
 
     ``fsync=False`` keeps the write+flush (the OS still sees every commit)
     but skips the ``os.fsync`` — the ``--no-fsync`` operating mode, whose
-    cost difference ``tests/net/test_perf_smoke.py`` guards.
+    cost difference ``tests/net/test_perf_smoke.py`` guards. *writer* is
+    the node's storage thread, which does every write.
     """
 
     def __init__(
         self,
         path: pathlib.Path,
         seq: int,
+        writer: StorageWriter,
         fsync: bool = True,
         obs: Observability = NULL_OBS,
     ) -> None:
@@ -138,6 +140,7 @@ class WriteAheadLog:
         # Exclusive create: the writer never appends to a pre-existing
         # segment (recovery reads those; rotation always starts fresh).
         self._file = open(self.path, "xb")
+        self.writer = writer
         self._pending: List[bytes] = []
         self._closed = False
 
@@ -146,18 +149,19 @@ class WriteAheadLog:
         cls,
         directory: pathlib.Path,
         seq: int,
+        writer: StorageWriter,
         fsync: bool = True,
         obs: Observability = NULL_OBS,
     ) -> "WriteAheadLog":
         directory.mkdir(parents=True, exist_ok=True)
-        return cls(directory / segment_name(seq), seq, fsync=fsync, obs=obs)
+        return cls(directory / segment_name(seq), seq, writer, fsync=fsync, obs=obs)
 
     @property
     def pending_records(self) -> int:
         return len(self._pending)
 
     def append(self, payload: bytes) -> None:
-        """Buffer one record; durable only after the next :meth:`commit`."""
+        """Buffer one record; durable only once the next :meth:`commit` is."""
         if self._closed:
             raise ValueError(f"WAL segment {self.path.name} is closed")
         if len(payload) > MAX_RECORD_BYTES:
@@ -168,29 +172,29 @@ class WriteAheadLog:
         self.obs.registry.inc("storage.wal_appends")
 
     def commit(self) -> int:
-        """Write + (optionally) fsync every buffered record; returns count.
+        """Hand every buffered record to the writer; returns the count.
 
-        One ``write`` and at most one ``fsync`` regardless of how many
-        records were appended since the last commit — the group-commit
-        batching that makes per-activation durability affordable.
+        One blob, hence at most one ``write`` and one ``fsync`` however
+        many records were appended since the last commit — the
+        group-commit batching that makes per-activation durability
+        affordable. The records are durable once the writer's
+        ``durable`` ticket reaches its ``issued`` one as of this call.
         """
         if not self._pending:
             return 0
         blob = b"".join(self._pending)
         count = len(self._pending)
         self._pending.clear()
-        self._file.write(blob)
-        self._file.flush()
-        if self.fsync:
-            started = time.perf_counter()
-            os.fsync(self._file.fileno())
-            self.obs.registry.observe(
-                "storage.fsync_seconds", time.perf_counter() - started
-            )
-            self.obs.registry.inc("storage.wal_fsyncs")
+        self.writer.write(self._file, blob, self.fsync, self._synced)
         self.obs.registry.inc("storage.wal_commits")
         self.obs.registry.inc("storage.wal_bytes", len(blob))
         return count
+
+    def _synced(self, seconds: Optional[float]) -> None:
+        """The writer's report of one coalesced write (on the loop)."""
+        if seconds is not None:
+            self.obs.registry.observe("storage.fsync_seconds", seconds)
+            self.obs.registry.inc("storage.wal_fsyncs")
 
     def close(self) -> None:
         """Commit what is buffered, then close the segment."""
@@ -198,19 +202,16 @@ class WriteAheadLog:
             return
         self.commit()
         self._closed = True
-        self._file.close()
+        self.writer.call(self._file.close)
 
     def abandon(self) -> None:
         """Close without committing — the kill -9 path in tests.
 
-        Buffered (never-written) records are dropped on the floor, exactly
+        Buffered (never-committed) records are dropped on the floor, exactly
         like process memory at SIGKILL; everything already committed stays.
         """
-        if self._closed:
-            return
         self._pending.clear()
-        self._closed = True
-        self._file.close()
+        self.close()
 
 
 def replay_directory(directory: pathlib.Path) -> Tuple[List[bytes], int]:

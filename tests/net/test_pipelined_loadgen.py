@@ -12,11 +12,14 @@ import asyncio
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.net.client import ClientError, KVClient
+from repro.net.client import ClientError, KVClient, PipelineError
 from repro.net.cluster import LocalCluster
 from repro.net.loadgen import run_loadgen
 from repro.omega import static_omega_factory
+from repro.net.wire import ClientReply, WrongShard
 from repro.protocols.twostep import TwoStepConfig
+from repro.shard import ShardRouter
+from repro.shard.placement import PlacementMap
 from repro.smr import KVCommand, check_logs_consistent
 from repro.smr.log import smr_factory
 
@@ -107,6 +110,88 @@ class TestPipelinedLoadgen:
         record = report.to_record()
         assert record["failed"] == count
         assert record["errors_sample"] == report.errors[:5]
+
+
+def _puts(count):
+    return [
+        KVCommand(op="put", key=f"k{i}", value=i, command_id=f"r{i}")
+        for i in range(count)
+    ]
+
+
+class _ScriptedClient:
+    """Stands in for a group's ``KVClient``: each run plays the next
+    scripted outcome — ``"redirect"`` bounces every command back to this
+    group, ``"fail"`` completes nothing, ``"ok"`` completes everything."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.runs = 0
+        self.redirects = {}
+
+    async def run_pipelined(self, commands, window, proxy, on_reply, traces):
+        self.runs += 1
+        step = self.script.pop(0)
+        self.redirects = {}
+        if step == "redirect":
+            self.redirects = {
+                command.command_id: WrongShard("q", command.command_id, 0, 0, {})
+                for command in commands
+            }
+            return {}
+        if step == "fail":
+            raise PipelineError("scripted failure: incomplete", {}, [])
+        return {
+            command.command_id: ClientReply("q", command.command_id, None, 0.0)
+            for command in commands
+        }
+
+
+class TestRouterGivesUp:
+    def test_dead_cluster_fails_within_twice_one_clients_budget(self):
+        """A round that completes nothing and sees no redirect is the last."""
+        dead = [("127.0.0.1", 1)]
+        commands = _puts(6)
+
+        async def timed(runner):
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(PipelineError) as raised:
+                await runner.run_pipelined(commands, window=4)
+            await runner.close()
+            return loop.time() - started, raised.value
+
+        async def live():
+            client = KVClient(dead, client_id="budget", timeout=0.2, max_attempts=2)
+            router = ShardRouter(
+                {0: dead}, PlacementMap.initial(1), timeout=0.2, max_attempts=2
+            )
+            return await timed(client), await timed(router)
+
+        (budget, _), (elapsed, error) = _run(live())
+        assert elapsed < 2 * budget, (elapsed, budget)
+        assert "incomplete" in str(error) and len(error.pending) == len(commands)
+        assert isinstance(error.__cause__, PipelineError)
+
+    def test_a_redirect_round_without_progress_still_retries(self):
+        router = ShardRouter(
+            {0: [("127.0.0.1", 1)]}, PlacementMap.initial(1), redirect_backoff=0.0
+        )
+        scripted = _ScriptedClient(["redirect", "redirect", "ok"])
+        router._clients[0] = scripted
+        replies = _run(router.run_pipelined(_puts(3)))
+        assert scripted.runs == 3 and len(replies) == 3
+        assert router.redirect_count == 6
+
+    def test_a_failed_round_after_redirects_stops_the_run(self):
+        router = ShardRouter(
+            {0: [("127.0.0.1", 1)]}, PlacementMap.initial(1), redirect_backoff=0.0
+        )
+        scripted = _ScriptedClient(["redirect", "fail", "ok"])
+        router._clients[0] = scripted
+        with pytest.raises(PipelineError, match="after 2 round"):
+            _run(router.run_pipelined(_puts(3)))
+        assert scripted.runs == 2
 
 
 class TestRunPipelined:

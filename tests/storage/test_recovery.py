@@ -45,6 +45,7 @@ from repro.storage import snapshot as snapshot_module
 from repro.storage.recovery import fetch_snapshot, spliced_log
 from repro.storage.snapshot import decode_image, snapshot_name
 from repro.storage.wal import pack_record, scan_records, segment_name
+from repro.storage.writer import StorageWriter
 
 N, F, E = 5, 2, 2
 CODEC = MessageCodec()
@@ -671,6 +672,7 @@ class TestSnapshotCost:
             del handed[:]
             _decide_batches(a, range(interval * every, (interval + 1) * every))
             persister.after_activation()
+            persister.writer.drain()
             image = list_snapshots(persister.storage.dir)[-1]
             assert image.upto == (interval + 1) * every
             # No snapshot file contains the applied log.
@@ -756,6 +758,7 @@ class TestSnapshotCrashStages:
         node_dir = persister.storage.dir
         _decide_batches(a, range(4))
         persister.after_activation()  # the first snapshot lands whole
+        persister.writer.drain()
         assert [info.upto for info in list_snapshots(node_dir)] == [4]
 
         def crash(*args, **kwargs):
@@ -769,8 +772,11 @@ class TestSnapshotCrashStages:
             else:  # rotated, retention never ran
                 patch.setattr(persister.retention, "apply", crash)
             _decide_batches(a, range(4, 8))
+            # Rotation fails on the loop; the other stages on the writer,
+            # which reports the failure when drained.
             with pytest.raises(_Crash):
                 persister.after_activation()
+                persister.writer.drain()
         persister.close(hard=True)
         expected = _state(a)
         archive = persister.storage.archive_path
@@ -874,10 +880,12 @@ def _cut_template(tmp_path_factory, name):
             for info in list_snapshots(crashed.storage.dir)
         ]
         assert prefixes[-1] == archive.stat().st_size
-        orphan = snapshot_module.AppliedLogArchive(archive, fsync=False)
+        writer = StorageWriter()
+        orphan = snapshot_module.AppliedLogArchive(archive, writer, fsync=False)
         orphan.open_at(36, prefixes[-1])
         orphan.append(CODECS[name], expected[0][36:])
         orphan.close()
+        writer.stop()
         _CUT_TEMPLATES[name] = (root, expected, prefixes, archive.stat().st_size)
     return _CUT_TEMPLATES[name]
 
@@ -979,6 +987,7 @@ class TestWalBodiesByReference:
         persister.after_activation()
         _decide_batches(a, range(2))
         persister.after_activation()  # snapshot: rotates to a new segment
+        persister.writer.drain()
         # Retention already retired the old segment (the one image needs
         # none below its wal_seq), and the new one knows nothing of it: the
         # open slot's state is there again, body in full.

@@ -36,8 +36,17 @@ from repro.storage.wal import (
     segment_name,
     segment_seq,
 )
+from repro.storage.writer import StorageWriter
 
 CODEC = MessageCodec()
+
+
+@pytest.fixture
+def writer():
+    """The storage thread a segment's writes run on; readers drain it."""
+    writer = StorageWriter()
+    yield writer
+    writer.stop()
 
 
 class TestSegmentNaming:
@@ -59,8 +68,8 @@ class TestSegmentNaming:
 
 
 class TestWriteAheadLog:
-    def test_append_is_buffered_until_commit(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path, 1, fsync=False)
+    def test_append_is_buffered_until_commit(self, tmp_path, writer):
+        wal = WriteAheadLog.create(tmp_path, 1, writer, fsync=False)
         wal.append(b"alpha")
         wal.append(b"beta")
         assert wal.pending_records == 2
@@ -68,54 +77,58 @@ class TestWriteAheadLog:
         assert scan_segment(wal.path).payloads == ()
         assert wal.commit() == 2
         assert wal.pending_records == 0
+        writer.drain()  # the commit's write runs on the storage writer
         assert scan_segment(wal.path).payloads == (b"alpha", b"beta")
         wal.close()
 
-    def test_commit_without_pending_is_noop(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path, 1, fsync=False)
+    def test_commit_without_pending_is_noop(self, tmp_path, writer):
+        wal = WriteAheadLog.create(tmp_path, 1, writer, fsync=False)
         assert wal.commit() == 0
         wal.close()
 
-    def test_abandon_drops_uncommitted_records(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path, 1, fsync=False)
+    def test_abandon_drops_uncommitted_records(self, tmp_path, writer):
+        wal = WriteAheadLog.create(tmp_path, 1, writer, fsync=False)
         wal.append(b"durable")
         wal.commit()
         wal.append(b"lost-at-sigkill")
         wal.abandon()
+        writer.drain()
         assert scan_segment(wal.path).payloads == (b"durable",)
 
-    def test_close_commits_the_tail(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path, 1, fsync=False)
+    def test_close_commits_the_tail(self, tmp_path, writer):
+        wal = WriteAheadLog.create(tmp_path, 1, writer, fsync=False)
         wal.append(b"tail")
         wal.close()
+        writer.drain()
         assert scan_segment(wal.path).payloads == (b"tail",)
 
-    def test_writer_never_appends_to_existing_segment(self, tmp_path):
-        WriteAheadLog.create(tmp_path, 1, fsync=False).close()
+    def test_writer_never_appends_to_existing_segment(self, tmp_path, writer):
+        WriteAheadLog.create(tmp_path, 1, writer, fsync=False).close()
         with pytest.raises(FileExistsError):
-            WriteAheadLog.create(tmp_path, 1, fsync=False)
+            WriteAheadLog.create(tmp_path, 1, writer, fsync=False)
 
-    def test_closed_segment_rejects_appends(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path, 1, fsync=False)
+    def test_closed_segment_rejects_appends(self, tmp_path, writer):
+        wal = WriteAheadLog.create(tmp_path, 1, writer, fsync=False)
         wal.close()
         with pytest.raises(ValueError):
             wal.append(b"late")
 
-    def test_oversize_record_rejected(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path, 1, fsync=False)
+    def test_oversize_record_rejected(self, tmp_path, writer):
+        wal = WriteAheadLog.create(tmp_path, 1, writer, fsync=False)
         with pytest.raises(ValueError):
             wal.append(b"x" * (MAX_RECORD_BYTES + 1))
         wal.close()
 
-    def test_fsync_mode_records_fsync_counters(self, tmp_path):
+    def test_fsync_mode_records_fsync_counters(self, tmp_path, writer):
         from repro.obs import Observability
 
         obs = Observability(node=0)
-        wal = WriteAheadLog.create(tmp_path, 1, fsync=True, obs=obs)
+        wal = WriteAheadLog.create(tmp_path, 1, writer, fsync=True, obs=obs)
         wal.append(b"one")
         wal.append(b"two")
         wal.commit()
         wal.close()
+        writer.drain()  # the fsync's report reaches the registry here
         counters = obs.registry.snapshot()["counters"]
         assert counters["storage.wal_appends"] == 2
         # One group commit, hence one fsync for both records.
@@ -199,6 +212,7 @@ def _referenced_segment(tmp_path_factory):
             persister.after_activation()
             replica.restore_decided(slot, batch)
             persister.after_activation()
+            persister.writer.drain()
             decided_at.append(persister._wal.path.stat().st_size)
         persister.close()
         (segment,) = list_segments(persister.storage.dir)
@@ -211,10 +225,12 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_committed_records_round_trip(self, tmp_path_factory, payloads):
         directory = tmp_path_factory.mktemp("wal")
-        wal = WriteAheadLog.create(directory, 1, fsync=False)
+        writer = StorageWriter()
+        wal = WriteAheadLog.create(directory, 1, writer, fsync=False)
         for payload in payloads:
             wal.append(payload)
         wal.close()
+        writer.stop()
         result = scan_segment(wal.path)
         assert result.payloads == tuple(payloads)
         assert not result.torn
