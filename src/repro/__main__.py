@@ -43,6 +43,7 @@ from .analysis import (
     render_records,
 )
 from .bounds import object_lower_bound_witness, task_lower_bound_witness
+from .core.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,8 @@ def _emit_json(payload: object) -> None:
 
 
 class _UsageError(Exception):
-    """Bad command-line input: :func:`main` prints it and exits 2."""
+    """Bad command-line input: :func:`main` prints it and exits 2, as it
+    does a :class:`ConfigurationError` the library raises for one."""
 
 
 def _peer_groups(args: argparse.Namespace) -> Dict[int, List[Tuple[str, int]]]:
@@ -290,10 +292,11 @@ def _smr_net_factory(
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .net import run_cluster, start_node
+    from .net import LocalCluster, start_node
     from .net.client import parse_address_list
     from .net.netlog import configure_logging
     from .net.node import KVService
+    from .shard import ShardedCluster
 
     if args.log_level is not None:
         configure_logging(args.log_level)
@@ -301,133 +304,90 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         args.f, args.e, args.delta, batch=args.batch, window=args.window
     )
 
-    if args.groups > 1:
-        # Sharded in-process deployment: G groups × n replicas, group 0
-        # doubling as the placement-map catalog. Peers are announced in
-        # the `;`-separated per-group form the loadgen/stats/top commands
-        # parse.
-        from .shard import ShardedCluster
+    async def hold() -> None:
+        """Serve for --duration seconds, or until Ctrl-C."""
+        if args.duration is None:
+            await asyncio.Event().wait()
+        else:
+            await asyncio.sleep(args.duration)
 
-        if args.node is not None:
-            print("--node runs one single-group process; it cannot combine "
-                  "with --groups (boot each group separately instead)")
-            return 2
-        # ShardedCluster records no spans and writes no time series;
-        # refuse rather than drop the flag without a word.
-        for flag, value in (
-            ("--trace-sample", args.trace_sample),
-            ("--timeseries", args.timeseries),
-        ):
-            if value is not None:
-                print(f"{flag} is not supported with --groups (boot each "
-                      "group separately instead)")
-                return 2
-
-        async def run_sharded() -> None:
-            cluster = ShardedCluster(
-                args.groups,
-                args.n,
-                factory,
-                slots=args.slots,
-                data_dir=args.data_dir,
-                fsync=not args.no_fsync,
-                snapshot_every=args.snapshot_every,
-            )
-            await cluster.start()
-            try:
-                by_group = cluster.addresses_by_group
-                peers = ";".join(
-                    ",".join(f"{host}:{port}" for host, port in by_group[g])
-                    for g in sorted(by_group)
-                )
-                print(
-                    f"sharded cluster up: groups={args.groups} "
-                    f"replicas/group={args.n} slots={args.slots} "
-                    f"f={args.f} e={args.e}"
-                )
-                print(f"peers: {peers}")
-                print(f"drive it with: python -m repro loadgen --peers '{peers}'")
-                print(f"inspect it with: python -m repro stats --peers '{peers}'")
-                sys.stdout.flush()
-                if args.duration is not None:
-                    await asyncio.sleep(args.duration)
-                else:
-                    while True:
-                        await asyncio.sleep(3600)
-            finally:
-                await cluster.stop()
-
-        try:
-            asyncio.run(run_sharded())
-        except KeyboardInterrupt:
-            pass
-        return 0
-
-    if args.node is not None:
+    async def run_one(addresses: List[Tuple[str, int]]) -> None:
         # One real node of a multi-process deployment.
-        if not args.peers:
-            print("--node requires --peers host:port,... for the full address book")
-            return 2
-        addresses = parse_address_list(args.peers)
-
-        async def run_one() -> None:
-            node = start_node(
-                args.node,
-                addresses,
-                factory,
-                client_service=KVService(),
-                data_dir=args.data_dir,
-                fsync=not args.no_fsync,
-                snapshot_every=args.snapshot_every,
-                trace_sample=args.trace_sample,
-                timeseries_path=(
-                    f"{args.timeseries}/node-{args.node}.jsonl"
-                    if args.timeseries
-                    else None
-                ),
-            )
-            await node.bind()
-            print(f"node {args.node} serving on {node.host}:{node.port}")
-            await node.launch(addresses)
-            try:
-                if args.duration is not None:
-                    await asyncio.sleep(args.duration)
-                else:
-                    while True:
-                        await asyncio.sleep(3600)
-            finally:
-                await node.stop()
-
+        node = start_node(
+            args.node,
+            addresses,
+            factory,
+            client_service=KVService(),
+            data_dir=args.data_dir,
+            fsync=not args.no_fsync,
+            snapshot_every=args.snapshot_every,
+            trace_sample=args.trace_sample,
+            timeseries_path=(
+                f"{args.timeseries}/node-{args.node}.jsonl"
+                if args.timeseries
+                else None
+            ),
+        )
+        await node.bind()
+        print(f"node {args.node} serving on {node.host}:{node.port}")
+        await node.launch(addresses)
         try:
-            asyncio.run(run_one())
-        except KeyboardInterrupt:
-            pass
-        return 0
+            await hold()
+        finally:
+            await node.stop()
 
-    # In-process LocalCluster deployment (all nodes, one event loop).
-    def announce(cluster) -> None:
-        peers = ",".join(f"{host}:{port}" for host, port in cluster.addresses)
-        print(f"cluster up: n={args.n} f={args.f} e={args.e}")
-        print(f"peers: {peers}")
-        print(f"drive it with: python -m repro loadgen --peers {peers}")
-        print(f"inspect it with: python -m repro stats --peers {peers}")
-        sys.stdout.flush()
-
-    try:
-        asyncio.run(
-            run_cluster(
-                args.n,
-                factory,
-                duration=args.duration,
-                base_port=args.base_port,
-                on_ready=announce,
-                data_dir=args.data_dir,
-                fsync=not args.no_fsync,
-                snapshot_every=args.snapshot_every,
-                trace_sample=args.trace_sample,
-                timeseries_dir=args.timeseries,
+    async def run_in_process() -> None:
+        # Every node of every group on one event loop. One group is a
+        # plain KV cluster; G groups shard the keyspace, group 0 doubling
+        # as the placement-map catalog.
+        options = dict(
+            base_port=args.base_port,
+            data_dir=args.data_dir,
+            fsync=not args.no_fsync,
+            snapshot_every=args.snapshot_every,
+            trace_sample=args.trace_sample,
+            timeseries_dir=args.timeseries,
+        )
+        cluster = (
+            LocalCluster(args.n, factory, serve_clients=True, **options)
+            if args.groups == 1
+            else ShardedCluster(
+                args.groups, args.n, factory, slots=args.slots, **options
             )
         )
+        await cluster.start()
+        try:
+            peers = ";".join(
+                ",".join(f"{host}:{port}" for host, port in addresses)
+                for _group, addresses in sorted(cluster.addresses_by_group.items())
+            )
+            print(
+                f"cluster up: groups={args.groups} n={args.n} "
+                f"f={args.f} e={args.e}"
+            )
+            print(f"peers: {peers}")
+            print(f"drive it with: python -m repro loadgen --peers '{peers}'")
+            print(f"inspect it with: python -m repro stats --peers '{peers}'")
+            sys.stdout.flush()
+            await hold()
+        finally:
+            await cluster.stop()
+
+    if args.node is None:
+        run = run_in_process()
+    else:
+        if args.groups != 1:
+            raise _UsageError(
+                "--node runs one single-group process; it cannot combine with "
+                "--groups (boot each group separately instead)"
+            )
+        if not args.peers:
+            raise _UsageError(
+                "--node requires --peers host:port,... for the full address book"
+            )
+        run = run_one(parse_address_list(args.peers))
+    try:
+        asyncio.run(run)
     except KeyboardInterrupt:
         pass
     return 0
@@ -436,18 +396,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .net.stats import (
-        describe_cluster_stats,
-        scrape_cluster,
-        scrape_sharded_cluster,
-    )
+    from .net.stats import describe_cluster_stats, scrape_cluster
 
-    groups = _peer_groups(args)
-    view = asyncio.run(
-        scrape_cluster(groups[0], timeout=args.timeout)
-        if len(groups) == 1
-        else scrape_sharded_cluster(groups, timeout=args.timeout)
-    )
+    view = asyncio.run(scrape_cluster(_peer_groups(args), timeout=args.timeout))
     if args.json:
         _emit_json(view)
     else:
@@ -592,11 +543,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
     try:
         asyncio.run(
             run_top(
-                [address for nodes in groups.values() for address in nodes],
+                groups,
                 interval=args.interval,
                 iterations=args.iterations,
                 clear=not args.no_clear,
-                groups=groups if len(groups) > 1 else None,
             )
         )
     except KeyboardInterrupt:
@@ -747,7 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="consensus groups; >1 boots a sharded deployment (--n replicas "
-        "per group, group 0 is the placement-map catalog; default 1)",
+        "per group, group 0 is the placement-map catalog; default 1). Every "
+        "other flag applies per group",
     )
     cluster.add_argument(
         "--slots",
@@ -778,7 +729,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--base-port",
         type=int,
         default=9400,
-        help="first port; node i listens on base+i (0 = ephemeral)",
+        help="first port; group g's node i listens on base+g*n+i "
+        "(0 = ephemeral)",
     )
     cluster.add_argument(
         "--duration",
@@ -811,7 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="append one JSONL metrics row per node per second to "
-        "DIR/node-<pid>.jsonl while the cluster runs",
+        "DIR/node-<pid>.jsonl (DIR/group-<g>/node-<pid>.jsonl with "
+        "several groups) while the cluster runs",
     )
     cluster.add_argument(
         "--log-level",
@@ -823,7 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--data-dir",
         default=None,
         metavar="DIR",
-        help="journal + snapshot each node under DIR/node-<pid>/ and "
+        help="journal + snapshot each node under DIR/node-<pid>/ "
+        "(DIR/group-<g>/node-<pid>/ with several groups) and "
         "recover from it on restart (default: in-memory, crash-stop)",
     )
     cluster.add_argument(
@@ -977,7 +931,7 @@ def main(argv: List[str] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _UsageError as exc:
+    except (_UsageError, ConfigurationError) as exc:
         print(exc)
         return 2
     except BrokenPipeError:

@@ -16,14 +16,19 @@ the code of the protocols unchanged:
   G groups (closed loop or pipelined), replaying the simulator's seeded
   workloads for like-for-like latency tables;
 * :mod:`~repro.net.cluster` — :class:`LocalCluster`, the in-process
-  harness tests and CI boot (real TCP, one event loop, no subprocesses).
+  harness tests, CI and ``repro cluster`` boot (real TCP, one event
+  loop, no subprocesses); a G-group deployment is one per group
+  (:class:`~repro.shard.ShardedCluster`);
+* :mod:`~repro.net.stats` / :mod:`~repro.net.top` — one scrape view
+  for one group or G groups, behind ``repro stats``, ``repro top`` and
+  ``loadgen --stats``.
 
 This layer is beyond-paper engineering: the paper's claims are about the
 protocols, which stay byte-identical; see ``docs/PAPER_MAP.md``.
 """
 
 from .client import ClientError, KVClient, PipelineError, parse_address_list
-from .cluster import LocalCluster, run_cluster
+from .cluster import LocalCluster
 from .codec import (
     CodecError,
     FrameDecoder,
@@ -86,7 +91,6 @@ __all__ = [
     "node_logger",
     "parse_address_list",
     "render_top",
-    "run_cluster",
     "run_loadgen",
     "run_top",
     "scrape_cluster",

@@ -17,7 +17,7 @@ harmless and realistic.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..core.errors import ConfigurationError
 from ..core.process import ProcessFactory, ProcessId
@@ -25,6 +25,15 @@ from ..core.values import MaybeValue
 from ..smr.log import SMRReplica
 from .codec import MessageCodec
 from .node import Address, ClientService, KVService, NodeServer
+
+
+def is_data_command(command) -> bool:
+    """Client traffic, as opposed to control-plane log entries: reserved
+    ``__`` ids (gap-repair noops, shard config and catalog commands) or
+    operations on reserved ``__`` keys (the placement catalog)."""
+    return not command.command_id.startswith("__") and not command.key.startswith(
+        "__"
+    )
 
 
 class LocalCluster:
@@ -151,6 +160,11 @@ class LocalCluster:
     def addresses(self) -> List[Address]:
         return [node.address for node in self.nodes]
 
+    @property
+    def addresses_by_group(self) -> Dict[int, List[Address]]:
+        """One cluster is the one-group deployment: ``{0: addresses}``."""
+        return {0: self.addresses}
+
     # ------------------------------------------------------------------
     # Failure injection and survivor introspection.
     # ------------------------------------------------------------------
@@ -235,68 +249,22 @@ class LocalCluster:
 
         Convergence means: all survivors' applied command-id sequences are
         equal, and (when given) the shared log contains at least
-        ``expected_commands`` non-noop commands. Returns the shared
-        sequence. Noop fillers from gap repair count as log entries but
-        not as commands.
+        ``expected_commands`` data commands (:func:`is_data_command`).
+        Returns the shared sequence, control-plane entries included.
         """
-
-        def _applied(replica: SMRReplica) -> List[str]:
-            return [command.command_id for command in replica.store.log]
 
         async def _converged() -> List[str]:
             while True:
-                logs = [_applied(replica) for replica in self.survivor_replicas()]
+                replicas = self.survivor_replicas()
+                logs = [
+                    [command.command_id for command in replica.store.log]
+                    for replica in replicas
+                ]
                 if logs and all(log == logs[0] for log in logs):
-                    commands = [
-                        cid for cid in logs[0] if not cid.startswith("__noop")
-                    ]
-                    if expected_commands is None or len(commands) >= expected_commands:
+                    data = sum(map(is_data_command, replicas[0].store.log))
+                    if expected_commands is None or data >= expected_commands:
                         return logs[0]
                 await asyncio.sleep(poll)
 
         return await asyncio.wait_for(_converged(), timeout)
 
-
-async def run_cluster(
-    n: int,
-    factory: ProcessFactory,
-    duration: Optional[float] = None,
-    serve_clients: bool = True,
-    base_port: int = 0,
-    on_ready: Optional[Callable[[LocalCluster], None]] = None,
-    data_dir: Optional[str] = None,
-    fsync: bool = True,
-    snapshot_every: int = 256,
-    codec: Optional[MessageCodec] = None,
-    trace_sample: Optional[int] = None,
-    timeseries_dir: Optional[str] = None,
-) -> LocalCluster:
-    """Boot a cluster, optionally run for *duration* seconds, and stop.
-
-    The CLI's in-process deployment mode. With ``duration=None`` the
-    cluster runs until cancelled (Ctrl-C).
-    """
-    cluster = LocalCluster(
-        n,
-        factory,
-        serve_clients=serve_clients,
-        codec=codec,
-        base_port=base_port,
-        data_dir=data_dir,
-        fsync=fsync,
-        snapshot_every=snapshot_every,
-        trace_sample=trace_sample,
-        timeseries_dir=timeseries_dir,
-    )
-    await cluster.start()
-    if on_ready is not None:
-        on_ready(cluster)
-    try:
-        if duration is None:
-            while True:
-                await asyncio.sleep(3600)
-        else:
-            await asyncio.sleep(duration)
-    finally:
-        await cluster.stop()
-    return cluster

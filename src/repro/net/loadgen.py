@@ -38,7 +38,7 @@ from ..verify.metrics import MetricsRecorder, VerificationMetrics
 from .client import ClientError, PipelineError
 from .codec import MessageCodec
 from .node import Address
-from .stats import scrape_cluster, scrape_sharded_cluster
+from .stats import scrape_cluster
 
 if TYPE_CHECKING:
     from ..shard.placement import PlacementMap
@@ -134,13 +134,12 @@ class LoadReport:
                 "consensus.decisions_learned", 0
             )
             record["gap_repair_noops"] = counters.get("smr.gap_repair_noops", 0)
-            if "per_group_fast_path_ratio" in self.cluster_stats:
-                record["per_group_fast_path_ratio"] = {
-                    str(group): ratio
-                    for group, ratio in sorted(
-                        self.cluster_stats["per_group_fast_path_ratio"].items()
-                    )
-                }
+            record["per_group_fast_path_ratio"] = {
+                str(group): ratio
+                for group, ratio in sorted(
+                    self.cluster_stats["per_group_fast_path_ratio"].items()
+                )
+            }
             record["cluster_stats"] = self.cluster_stats
         if self.trace_paths is not None:
             record["traced_commands"] = len(self.trace_paths)
@@ -292,17 +291,10 @@ async def run_loadgen(
     trace_paths: Optional[List[Dict[str, Any]]] = None
     trace_stage_breakdown: Optional[Dict[str, Any]] = None
     if collect_stats or trace_sample:
-        if len(groups) == 1:
-            # Bare pids and one merged decision record, as for any cluster.
-            cluster_stats = await scrape_cluster(
-                groups[0], codec=shared_codec,
-                include_spans=bool(trace_sample), timeout=timeout,
-            )
-        else:
-            cluster_stats = await scrape_sharded_cluster(
-                groups, codec=shared_codec,
-                include_spans=bool(trace_sample), timeout=timeout,
-            )
+        cluster_stats = await scrape_cluster(
+            groups, codec=shared_codec,
+            include_spans=bool(trace_sample), timeout=timeout,
+        )
         cluster_spans = cluster_stats.pop("spans", None)
         if cluster_spans:
             trace_paths = critical_paths(merge_span_events(cluster_spans))

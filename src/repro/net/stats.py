@@ -2,12 +2,13 @@
 
 One :class:`~repro.net.wire.StatsRequest` per node over a short-lived
 client connection; replies merge with the helpers in :mod:`repro.obs`
-into the same ``{"nodes", "merged", "decisions", "fast_path_ratio"}``
-shape :meth:`repro.sim.simulation.Simulation.stats` returns, so the
-simulated and live views of one workload diff cleanly.
+into one view for one group or G groups, whose ``{"nodes", "merged",
+"decisions", "fast_path_ratio"}`` part has the shape
+:meth:`repro.sim.simulation.Simulation.stats` returns, so the simulated
+and live views of one workload diff cleanly.
 
 Dead nodes are tolerated: a node that cannot be reached contributes
-``None`` to ``nodes`` and its pid is listed under ``unreachable`` —
+``None`` to ``nodes`` and its label is listed under ``unreachable`` —
 scraping a cluster mid-crash-test is the whole point (the cluster-smoke
 CI job does exactly that while one node is down).
 """
@@ -60,162 +61,125 @@ async def fetch_node_stats(
 
 
 async def scrape_cluster(
-    addresses: Sequence[Address],
+    groups: Mapping[int, Sequence[Address]],
     codec: Optional[MessageCodec] = None,
     include_spans: bool = False,
     timeout: float = 5.0,
-    group: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Merge every reachable node's snapshot into one cluster view.
+    """Merge every reachable node of every group into one cluster view.
 
-    Returns ``{"nodes": {pid: snapshot|None}, "merged": ...,
-    "decisions": ..., "fast_path_ratio": r, "unreachable": [pid, ...]}``
-    (plus ``"spans": {pid: [...]}`` when *include_spans* and a node
-    returned events). Node keys come from each reply's own ``pid``;
-    unreachable entries fall back to the address-book index.
+    *groups* maps group id -> addresses; a plain cluster is
+    ``{0: addresses}``. Returns ``{"nodes": {label: snapshot|None},
+    "merged": ..., "decisions": ..., "fast_path_ratio": r,
+    "per_group_fast_path_ratio": {group: r}, "unreachable": [label, ...],
+    "unreachable_groups": [group, ...]}`` (plus ``"spans": {label:
+    [...]}`` when *include_spans* and a node returned events).
 
-    ``group`` tags every node key as ``"g<group>:n<pid>"`` instead of the
-    bare pid — in a sharded deployment every group numbers its replicas
-    0..R-1, so bare pids from different groups would collide in one view.
+    Labels are bare pids for one group and ``"g<group>:n<pid>"`` for
+    several, since every group numbers its replicas 0..R-1; a node's pid
+    comes from its reply, or from its address-book index when it is
+    unreachable. Runtime metrics (counters, gauges, histograms) merge
+    across all nodes. Decision records merge within each group only —
+    slot numbers are per-group consensus instances, so a cross-group
+    merge would fabricate conflicts — and ``decisions`` joins the groups'
+    results: their slots (keyed ``"g<group>:<slot>"`` for several
+    groups) and conflicts, and summed ``fast_slots``/``slow_slots``.
+    ``per_group_fast_path_ratio`` is the Theorem 5/6 check per group, and
+    ``unreachable_groups`` lists groups where *every* node was
+    unreachable — a down group, a different failure than a down replica.
     """
     shared = codec if codec is not None else MessageCodec()
+    tagged = len(groups) > 1
 
-    async def one(index: int, address: Address) -> Tuple[int, Optional[StatsReply]]:
+    async def one(
+        group: int, index: int, address: Address
+    ) -> Tuple[int, int, Optional[StatsReply]]:
         try:
             reply = await fetch_node_stats(
                 address,
                 codec=shared,
                 include_spans=include_spans,
                 timeout=timeout,
-                client_id=f"stats-scraper-{index}",
+                client_id=f"stats-scraper-{group}-{index}",
             )
-            return (reply.pid, reply)
+            return (group, reply.pid, reply)
         except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError, CodecError):
-            return (index, None)
+            return (group, index, None)
 
     results = await asyncio.gather(
-        *(one(index, address) for index, address in enumerate(addresses))
+        *(
+            one(group, index, address)
+            for group, addresses in sorted(groups.items())
+            for index, address in enumerate(addresses)
+        )
     )
 
-    def label(pid: int) -> Any:
-        return pid if group is None else f"g{group}:n{pid}"
+    def label(group: int, prefix: str, key: int) -> Any:
+        return f"g{group}:{prefix}{key}" if tagged else key
 
     nodes: Dict[Any, Optional[Dict[str, Any]]] = {}
+    members: Dict[int, Dict[Any, Optional[Dict[str, Any]]]] = {
+        group: {} for group in sorted(groups)
+    }
     spans: Dict[Any, List[Any]] = {}
-    unreachable: List[Any] = []
-    for pid, reply in results:
-        if reply is None:
-            nodes[label(pid)] = None
-            unreachable.append(label(pid))
-            continue
-        nodes[label(pid)] = reply.snapshot
-        if reply.spans:
-            spans[label(pid)] = [dict(event) for event in reply.spans]
-    merged = merge_snapshots(snapshot for snapshot in nodes.values())
-    decisions = merge_decision_records(
-        {
-            pid: snapshot.get("decisions", ())
-            for pid, snapshot in nodes.items()
-            if snapshot is not None
-        }
-    )
+    for group, pid, reply in results:
+        node = label(group, "n", pid)
+        snapshot = reply.snapshot if reply is not None else None
+        nodes[node] = members[group][node] = snapshot
+        if reply is not None and reply.spans:
+            spans[node] = [dict(event) for event in reply.spans]
+    per_group = {
+        group: merge_decision_records(
+            {
+                node: snapshot.get("decisions", ())
+                for node, snapshot in group_nodes.items()
+                if snapshot is not None
+            }
+        )
+        for group, group_nodes in members.items()
+    }
+    fast = sum(decided["fast_slots"] for decided in per_group.values())
+    slow = sum(decided["slow_slots"] for decided in per_group.values())
+    decisions = {
+        "slots": {
+            label(group, "", slot): record
+            for group, decided in per_group.items()
+            for slot, record in decided["slots"].items()
+        },
+        "conflicts": [
+            conflict
+            for decided in per_group.values()
+            for conflict in decided["conflicts"]
+        ],
+        "fast_slots": fast,
+        "slow_slots": slow,
+        "fast_path_ratio": (fast / (fast + slow)) if (fast + slow) else None,
+    }
     view: Dict[str, Any] = {
         "nodes": nodes,
-        "merged": merged,
+        "merged": merge_snapshots(nodes.values()),
         "decisions": decisions,
         "fast_path_ratio": decisions["fast_path_ratio"],
-        "unreachable": sorted(unreachable),
+        "per_group_fast_path_ratio": {
+            group: decided["fast_path_ratio"] for group, decided in per_group.items()
+        },
+        "unreachable": sorted(
+            node for node, snapshot in nodes.items() if snapshot is None
+        ),
+        "unreachable_groups": [
+            group
+            for group, group_nodes in members.items()
+            if group_nodes
+            and all(snapshot is None for snapshot in group_nodes.values())
+        ],
     }
     if spans:
         view["spans"] = spans
     return view
 
 
-async def scrape_sharded_cluster(
-    groups: Mapping[int, Sequence[Address]],
-    codec: Optional[MessageCodec] = None,
-    include_spans: bool = False,
-    timeout: float = 5.0,
-) -> Dict[str, Any]:
-    """Merge every group's scrape into one sharded-deployment view.
-
-    Each group is scraped with its ``g<group>:n<pid>`` tag, so per-node
-    rows never collide across groups. Runtime metrics (counters, gauges,
-    histograms) merge cluster-wide; **decision records do not** — slot
-    numbers are per-group consensus instances, so cross-group slot
-    merging would fabricate conflicts. Instead each group's decisions
-    merge within the group, and the view carries:
-
-    * ``per_group`` — each group's full :func:`scrape_cluster` view,
-    * ``per_group_fast_path_ratio`` — the Theorem 5/6 empirical check
-      per group (sharding must not change any group's intra-group
-      quorum behavior),
-    * ``fast_path_ratio`` — cluster-wide, from the merged counters,
-    * ``unreachable`` — tagged node ids, and ``unreachable_groups`` —
-      groups where *every* node was unreachable (a down group, a
-      different failure class than a down replica),
-    * ``conflicts`` — the union of per-group conflict lists, tagged,
-    * ``spans`` — with *include_spans*, every group's span events keyed
-      by tagged node id (trace ids are client-minted, so one command's
-      spans merge the same way whichever group it landed in).
-    """
-    shared = codec if codec is not None else MessageCodec()
-    ordered = sorted(groups.items())
-    views = await asyncio.gather(
-        *(
-            scrape_cluster(
-                addresses,
-                codec=shared,
-                include_spans=include_spans,
-                timeout=timeout,
-                group=group,
-            )
-            for group, addresses in ordered
-        )
-    )
-    per_group: Dict[int, Dict[str, Any]] = {}
-    nodes: Dict[Any, Optional[Dict[str, Any]]] = {}
-    unreachable: List[Any] = []
-    unreachable_groups: List[int] = []
-    conflicts: List[str] = []
-    spans: Dict[Any, List[Any]] = {}
-    for (group, _addresses), view in zip(ordered, views):
-        spans.update(view.pop("spans", {}))
-        per_group[group] = view
-        nodes.update(view["nodes"])
-        unreachable.extend(view["unreachable"])
-        if view["nodes"] and all(
-            snapshot is None for snapshot in view["nodes"].values()
-        ):
-            unreachable_groups.append(group)
-        conflicts.extend(
-            f"group {group}: {conflict}"
-            for conflict in view["decisions"]["conflicts"]
-        )
-    merged = merge_snapshots(snapshot for snapshot in nodes.values())
-    counters = merged["counters"]
-    fast = counters.get("consensus.decisions_fast", 0)
-    slow = counters.get("consensus.decisions_slow", 0)
-    sharded: Dict[str, Any] = {
-        "nodes": nodes,
-        "merged": merged,
-        "per_group": per_group,
-        "per_group_fast_path_ratio": {
-            group: view["fast_path_ratio"] for group, view in per_group.items()
-        },
-        "fast_path_ratio": (fast / (fast + slow)) if (fast + slow) else None,
-        "conflicts": conflicts,
-        "unreachable": sorted(unreachable),
-        "unreachable_groups": unreachable_groups,
-    }
-    if spans:
-        sharded["spans"] = spans
-    return sharded
-
-
 def describe_cluster_stats(view: Dict[str, Any]) -> str:
-    """One-paragraph human summary of a :func:`scrape_cluster` or
-    :func:`scrape_sharded_cluster` view."""
+    """One-paragraph human summary of a :func:`scrape_cluster` view."""
     counters = view["merged"]["counters"]
     fast = counters.get("consensus.decisions_fast", 0)
     slow = counters.get("consensus.decisions_slow", 0)
@@ -238,7 +202,7 @@ def describe_cluster_stats(view: Dict[str, Any]) -> str:
                 for group, group_ratio in sorted(per_group.items())
             )
         )
-    conflicts = view.get("conflicts") or view.get("decisions", {}).get("conflicts")
+    conflicts = view.get("decisions", {}).get("conflicts")
     if conflicts:
         parts.append(f"CONFLICTS: {conflicts}")
     if view.get("unreachable_groups"):

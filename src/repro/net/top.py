@@ -18,7 +18,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 from ..obs.export import _histogram_percentile
 from .codec import MessageCodec
 from .node import Address
-from .stats import scrape_cluster, scrape_sharded_cluster
+from .stats import scrape_cluster
 
 __all__ = ["render_top", "run_top"]
 
@@ -75,8 +75,8 @@ def render_top(
     total_rate = 0.0
     saw_rate = False
     for pid in sorted(nodes, key=str):
-        # Sharded scrapes key nodes as "g<group>:n<pid>" strings; plain
-        # cluster scrapes use bare int pids. Both render as one row.
+        # scrape_cluster keys nodes by bare int pid for one group and by
+        # "g<group>:n<pid>" for several. Both render as one row.
         label = pid if isinstance(pid, str) else f"n{pid}"
         snapshot = nodes[pid]
         if snapshot is None:
@@ -131,28 +131,23 @@ def render_top(
 
 
 async def run_top(
-    addresses: Sequence[Address],
+    groups: Mapping[int, Sequence[Address]],
     interval: float = 1.0,
     iterations: Optional[int] = None,
     codec: Optional[MessageCodec] = None,
     out: Callable[[str], None] = print,
     clear: bool = True,
-    groups: Optional[Mapping[int, Sequence[Address]]] = None,
 ) -> None:
-    """Scrape-and-render loop. ``iterations=None`` runs until cancelled;
-    tests pass a small count and a collector *out*. Pass ``groups``
-    (group id -> addresses) for a sharded deployment: rows become
-    ``g<group>:n<pid>`` and whole-group outages are flagged."""
+    """Scrape-and-render loop over *groups* (group id -> addresses; a
+    plain cluster is ``{0: addresses}``). ``iterations=None`` runs until
+    cancelled; tests pass a small count and a collector *out*."""
     shared = codec if codec is not None else MessageCodec()
     loop = asyncio.get_running_loop()
     prev: Optional[Dict[str, Any]] = None
     prev_t: Optional[float] = None
     count = 0
     while iterations is None or count < iterations:
-        if groups is not None:
-            view = await scrape_sharded_cluster(groups, codec=shared)
-        else:
-            view = await scrape_cluster(addresses, codec=shared)
+        view = await scrape_cluster(groups, codec=shared)
         now = loop.time()
         dt = (now - prev_t) if prev_t is not None else None
         frame = render_top(view, prev=prev, dt=dt)

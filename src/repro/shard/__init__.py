@@ -21,15 +21,19 @@ The moving parts:
 * :mod:`~repro.shard.router` — the client-side router: per-group
   pipelined connections, redirect-driven map refresh, exactly-once
   retries;
-* :mod:`~repro.shard.cluster` — :class:`ShardedCluster`, G × R live
-  nodes atop :class:`~repro.net.cluster.LocalCluster`;
+* :mod:`~repro.shard.cluster` — :class:`ShardedCluster`, one
+  :class:`~repro.net.cluster.LocalCluster` per group (same node options,
+  same convergence wait) plus the catalog seed and range moves;
 * :mod:`~repro.shard.rebalance` — the live range mover (fence →
   extract → install → publish → release) with the epoch-fencing rule
   that makes in-flight commands redirect instead of getting lost or
   double-applied.
 
-Load generation has no sharded twin: :func:`repro.net.loadgen.run_loadgen`
-drives a :class:`ShardRouter` per worker for one group or many.
+Nothing else has a sharded twin: ``repro cluster --groups G`` boots a
+:class:`ShardedCluster` with the options a single cluster takes,
+:func:`repro.net.loadgen.run_loadgen` drives a :class:`ShardRouter` per
+worker, and :func:`repro.net.stats.scrape_cluster` (behind ``repro
+stats`` and ``repro top``) returns one view, for one group or many.
 
 See ``docs/SHARDING.md`` for the map format, the fencing rule, and the
 rebalance sequence.

@@ -3,10 +3,11 @@
 :class:`ShardedCluster` composes G independent
 :class:`~repro.net.cluster.LocalCluster`\\ s — one per consensus group,
 each running the unmodified two-step protocol over its own R replicas,
-its own ports, and (when durability is on) its own per-group data
-directory. Group 0 doubles as the catalog group: its replicated KV log
-is the placement map's authority (see :mod:`repro.shard.catalog`), and
-:meth:`start` seeds it with the boot map.
+its own ports, and its own per-group WAL and time-series directories
+(when those are on). Group 0 doubles as the catalog group: its
+replicated KV log is the placement map's authority (see
+:mod:`repro.shard.catalog`), and :meth:`start` seeds it with the boot
+map.
 
 Each node's client service is a :class:`~repro.shard.service.ShardedKVService`
 constructed with its group id and the *boot* map. The boot map is
@@ -19,11 +20,11 @@ its own WAL, with no side channel.
 from __future__ import annotations
 
 import asyncio
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..core.errors import ConfigurationError
 from ..core.process import ProcessFactory, ProcessId
-from ..net.cluster import LocalCluster
+from ..net.cluster import LocalCluster, is_data_command
 from ..net.codec import MessageCodec
 from ..net.node import Address, NodeServer
 from ..smr.log import SMRReplica
@@ -33,16 +34,14 @@ from .rebalance import MoveReport, StageHook, move_range
 from .service import ShardedKVService
 
 
-def _is_data_command(command) -> bool:
-    """Routed client traffic, as opposed to control-plane log entries
-    (reserved ``__`` ids or operations on reserved ``__`` keys)."""
-    return not command.command_id.startswith("__") and not command.key.startswith(
-        "__"
-    )
-
-
 class ShardedCluster:
-    """G groups × R replicas of the live stack, shard-routed."""
+    """G groups × R replicas of the live stack, shard-routed.
+
+    Node options mean what they mean for :class:`LocalCluster`, laid out
+    per group: group g's node i listens on ``base_port + g*R + i``
+    (ephemeral when 0) and writes under ``data_dir/group-<g>/`` and
+    ``timeseries_dir/group-<g>/``.
+    """
 
     def __init__(
         self,
@@ -55,6 +54,9 @@ class ShardedCluster:
         data_dir: Optional[str] = None,
         fsync: bool = True,
         snapshot_every: int = 256,
+        base_port: int = 0,
+        trace_sample: Optional[int] = None,
+        timeseries_dir: Optional[str] = None,
     ) -> None:
         if groups < 1:
             raise ConfigurationError(f"need at least one group, got {groups}")
@@ -69,9 +71,14 @@ class ShardedCluster:
                 client_service_factory=self._service_factory(group),
                 codec=self.codec,
                 host=host,
+                base_port=base_port + group * replicas_per_group if base_port else 0,
                 data_dir=f"{data_dir}/group-{group}" if data_dir else None,
                 fsync=fsync,
                 snapshot_every=snapshot_every,
+                trace_sample=trace_sample,
+                timeseries_dir=(
+                    f"{timeseries_dir}/group-{group}" if timeseries_dir else None
+                ),
             )
 
     def _service_factory(self, group: int) -> Callable[[], ShardedKVService]:
@@ -140,36 +147,18 @@ class ShardedCluster:
     ) -> Dict[int, List[str]]:
         """Wait until every group's survivors applied identical logs.
 
-        ``expected_commands`` optionally gives a per-group floor of
-        non-reserved commands (ids not starting ``__``). Returns each
-        group's shared applied-id sequence.
+        ``expected_commands`` optionally gives a per-group floor of data
+        commands (:func:`~repro.net.cluster.is_data_command`). Returns
+        each group's shared applied-id sequence.
         """
-
-        async def _one(group: int, cluster: LocalCluster) -> Tuple[int, List[str]]:
-            async def _converged() -> List[str]:
-                floor = (expected_commands or {}).get(group)
-                while True:
-                    replicas = cluster.survivor_replicas()
-                    logs = [
-                        [c.command_id for c in replica.store.log]
-                        for replica in replicas
-                    ]
-                    if logs and all(log == logs[0] for log in logs):
-                        data = [
-                            c.command_id
-                            for c in replicas[0].store.log
-                            if _is_data_command(c)
-                        ]
-                        if floor is None or len(data) >= floor:
-                            return logs[0]
-                    await asyncio.sleep(0.02)
-
-            return group, await asyncio.wait_for(_converged(), timeout)
-
-        results = await asyncio.gather(
-            *(_one(group, cluster) for group, cluster in self.clusters.items())
+        floors = expected_commands or {}
+        logs = await asyncio.gather(
+            *(
+                cluster.wait_logs_converged(timeout, floors.get(group))
+                for group, cluster in self.clusters.items()
+            )
         )
-        return dict(results)
+        return dict(zip(self.clusters, logs))
 
     def group_logs(self) -> Dict[int, List[str]]:
         """Each group's applied *data* command ids (one survivor's view).
@@ -188,7 +177,7 @@ class ShardedCluster:
             logs[group] = [
                 command.command_id
                 for command in replicas[0].store.log
-                if _is_data_command(command)
+                if is_data_command(command)
             ]
         return logs
 

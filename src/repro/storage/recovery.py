@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from ..core.errors import ConfigurationError
 from ..obs import Observability, NULL_OBS
 from ..smr.kvstore import BatchRef, CommandBatch
 from .files import atomic_write_text
@@ -148,7 +149,9 @@ class ReplicaPersister:
         retention: Optional[RetentionPolicy] = None,
     ) -> None:
         if snapshot_every < 1:
-            raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
+            raise ConfigurationError(
+                f"snapshot_every must be >= 1, got {snapshot_every}"
+            )
         self.storage = storage
         self.replica = replica
         self.codec = codec

@@ -3,12 +3,16 @@
 import asyncio
 import contextlib
 import json
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.net.cluster import LocalCluster
+from repro.net.loadgen import run_loadgen
+from repro.net.stats import fetch_node_stats
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
 from repro.shard import ShardedCluster
@@ -83,12 +87,30 @@ class TestClusterCli:
         assert "--peers" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "flag, value", [("--trace-sample", "4"), ("--timeseries", "ts")]
+        "flags, message",
+        [
+            (["--n", "0"], "need at least one node"),
+            (["--snapshot-every", "0", "--data-dir", "DIR"], "snapshot_every must"),
+            (["--groups", "2", "--slots", "1"], "need at least one slot per group"),
+            (["--groups", "0"], "need at least one group"),
+            (["--groups", "-2"], "need at least one group"),
+        ],
+        ids=["n-0", "snapshot-every-0", "slots-1", "groups-0", "groups-neg"],
     )
-    def test_sharded_cluster_refuses_flags_it_would_drop(self, flag, value, capsys):
-        argv = ["cluster", "--groups", "2", "--duration", "0", flag, value]
+    def test_bad_cluster_input_exits_2_in_one_line(
+        self, flags, message, tmp_path, capsys
+    ):
+        argv = ["cluster", "--duration", "0.5", "--base-port", "0"] + [
+            str(tmp_path) if flag == "DIR" else flag for flag in flags
+        ]
         assert main(argv) == 2
-        assert flag in capsys.readouterr().out
+        out = capsys.readouterr().out.strip()
+        assert out.startswith(message) and "\n" not in out
+
+    def test_node_mode_refuses_groups(self, capsys):
+        argv = ["cluster", "--node", "0", "--groups", "2", "--peers", "127.0.0.1:1"]
+        assert main(argv) == 2
+        assert "--groups" in capsys.readouterr().out
 
     @pytest.mark.parametrize("peers", PEER_FORMS)
     @pytest.mark.parametrize(
@@ -170,11 +192,87 @@ def _serving(cluster):
 
 
 def _peers(cluster):
-    groups = getattr(cluster, "addresses_by_group", None) or {0: cluster.addresses}
     return ";".join(
         ",".join(f"{host}:{port}" for host, port in addresses)
-        for _group, addresses in sorted(groups.items())
+        for _group, addresses in sorted(cluster.addresses_by_group.items())
     )
+
+
+def _free_port_block(count):
+    """A first port P such that P..P+count-1 are all free right now."""
+    for _attempt in range(50):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            first = probe.getsockname()[1]
+        held = []
+        try:
+            for port in range(first, first + count):
+                held.append(socket.socket())
+                held[-1].bind(("127.0.0.1", port))
+            return first
+        except (OSError, OverflowError):
+            continue
+        finally:
+            for sock in held:
+                sock.close()
+    pytest.skip("no block of free ports found")
+
+
+class TestShardedClusterCli:
+    """`cluster --groups G` takes every node flag a single cluster takes."""
+
+    def test_groups_take_base_port_trace_sample_and_timeseries(
+        self, tmp_path, capsys
+    ):
+        groups, n = 2, 3
+        base = _free_port_block(groups * n)
+        layout = {
+            group: [("127.0.0.1", base + group * n + i) for i in range(n)]
+            for group in range(groups)
+        }
+        argv = [
+            "cluster", "--groups", str(groups), "--n", str(n),
+            "--base-port", str(base), "--trace-sample", "1",
+            "--timeseries", str(tmp_path), "--duration", "6",
+        ]
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(main(argv)))
+        thread.start()
+        out = ""
+        try:
+            # The peers line is printed once the catalog is seeded.
+            deadline = time.monotonic() + 30
+            while "peers: " not in out and time.monotonic() < deadline:
+                time.sleep(0.05)
+                out += capsys.readouterr().out
+            assert "peers: " in out, f"cluster never came up: {out!r}"
+
+            async def drive():
+                # Group 1's node 0 answers on base + n.
+                reply = await fetch_node_stats(layout[1][0], timeout=5.0)
+                assert reply.pid == 0
+                return await run_loadgen(
+                    layout, clients=2, count=24, keys=[f"k{i}" for i in range(8)],
+                    pipeline=4, trace_sample=1,
+                )
+
+            report = asyncio.run(drive())
+        finally:
+            thread.join(30)
+        assert not thread.is_alive() and codes == [0]
+        out += capsys.readouterr().out
+        peers = ";".join(
+            ",".join(f"{host}:{port}" for host, port in layout[group])
+            for group in range(groups)
+        )
+        assert f"peers: {peers}\n" in out
+        assert report.failed == 0, report.errors
+        # Spans were recorded in both groups: origins are tagged node ids.
+        origins = {path["origin"].split(":")[0] for path in report.trace_paths}
+        assert origins == {f"g{group}" for group in range(groups)}
+        for group in range(groups):
+            for pid in range(n):
+                assert (tmp_path / f"group-{group}" / f"node-{pid}.jsonl").is_file()
 
 
 class TestLoadgenCliLive:

@@ -65,7 +65,7 @@ async def _crash_and_serve(n: int, count: int, seed: int, clients: int):
         await cluster.crash(n - 1)
         # Mid-run scrape: the dead node is still in the address book, so
         # the scraper must tolerate it while the survivors keep serving.
-        mid = await scrape_cluster(cluster.addresses, codec=cluster.codec)
+        mid = await scrape_cluster({0: cluster.addresses}, codec=cluster.codec)
         assert mid["unreachable"] == [n - 1]
         assert mid["nodes"][n - 1] is None
         counters = mid["merged"]["counters"]
@@ -105,7 +105,7 @@ async def _crash_and_serve(n: int, count: int, seed: int, clients: int):
         # be conflict-free (no two survivors claim different values for
         # one slot) and the fast path must have fired under the stable
         # pid-0 leader.
-        final = await scrape_cluster(cluster.addresses, codec=cluster.codec)
+        final = await scrape_cluster({0: cluster.addresses}, codec=cluster.codec)
         assert final["decisions"]["conflicts"] == []
         assert final["merged"]["counters"]["consensus.decisions_fast"] > 0
         assert final["fast_path_ratio"] is not None

@@ -116,7 +116,7 @@ async def _kill_restart_rejoin(data_dir):
         transferred = counters.get("storage.transferred_entries", 0)
         assert 0 < transferred < len(restarted.process.store.log)
 
-        view = await scrape_cluster(cluster.addresses, codec=cluster.codec)
+        view = await scrape_cluster({0: cluster.addresses}, codec=cluster.codec)
         assert view["unreachable"] == []
         assert "storage:" in describe_cluster_stats(view)
         assert len(shared) >= TOTAL

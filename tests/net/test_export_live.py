@@ -133,7 +133,7 @@ class TestMetricsEndpoint:
                     client_id_prefix="coexist",
                 )
                 view = await scrape_cluster(
-                    cluster.addresses, codec=cluster.codec
+                    {0: cluster.addresses}, codec=cluster.codec
                 )
                 return report, view
 
@@ -156,7 +156,7 @@ class TestWireInfo:
                     client_id_prefix="wi",
                 )
                 view = await scrape_cluster(
-                    cluster.addresses, codec=cluster.codec
+                    {0: cluster.addresses}, codec=cluster.codec
                 )
                 return view
 
@@ -230,7 +230,7 @@ class TestTopView:
                 )
                 frames = []
                 await run_top(
-                    cluster.addresses,
+                    {0: cluster.addresses},
                     interval=0.1,
                     iterations=2,
                     codec=cluster.codec,
@@ -255,7 +255,7 @@ class TestTopView:
             ) as cluster:
                 await cluster.crash(2)
                 view = await scrape_cluster(
-                    cluster.addresses, codec=cluster.codec
+                    {0: cluster.addresses}, codec=cluster.codec
                 )
                 return view
 

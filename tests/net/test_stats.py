@@ -51,7 +51,7 @@ class TestScrapeCluster:
                 await cluster.wait_logs_converged(
                     timeout=20.0, expected_commands=len(ops)
                 )
-                view = await scrape_cluster(cluster.addresses, codec=cluster.codec)
+                view = await scrape_cluster({0: cluster.addresses}, codec=cluster.codec)
                 single = await fetch_node_stats(
                     cluster.addresses[0], codec=cluster.codec
                 )
@@ -83,6 +83,15 @@ class TestScrapeCluster:
                 assert record["path"] in ("fast", "slow", "learned")
                 assert (record["ballot"] is None) == (record["path"] == "learned")
                 assert record["decided_at"] is not None
+        # One group: bare pids, and decisions are exactly the one-group
+        # merge of the nodes' records — no group tags anywhere.
+        assert set(view["nodes"]) == {0, 1, 2}
+        assert view["decisions"] == merge_decision_records(
+            {pid: snapshot["decisions"] for pid, snapshot in view["nodes"].items()}
+        )
+        assert view["fast_path_ratio"] == view["decisions"]["fast_path_ratio"]
+        assert view["per_group_fast_path_ratio"] == {0: view["fast_path_ratio"]}
+        assert view["unreachable_groups"] == []
         text = describe_cluster_stats(view)
         assert "fast-path ratio" in text
 
@@ -150,7 +159,7 @@ class TestLiveMatchesSimulated:
                 await cluster.wait_logs_converged(
                     timeout=20.0, expected_commands=len(ops)
                 )
-                return await scrape_cluster(cluster.addresses, codec=cluster.codec)
+                return await scrape_cluster({0: cluster.addresses}, codec=cluster.codec)
 
         view = _run(live())
 

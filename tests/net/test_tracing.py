@@ -99,7 +99,7 @@ class TestTracedLoadgen:
                 )
                 assert report.failed == 0
                 view = await scrape_cluster(
-                    cluster.addresses, codec=cluster.codec, include_spans=True
+                    {0: cluster.addresses}, codec=cluster.codec, include_spans=True
                 )
                 return view
 
@@ -199,7 +199,7 @@ class TestTraceInterop:
                 finally:
                     await client.close()
                 view = await scrape_cluster(
-                    cluster.addresses, codec=cluster.codec, include_spans=True
+                    {0: cluster.addresses}, codec=cluster.codec, include_spans=True
                 )
                 return reply, view
 

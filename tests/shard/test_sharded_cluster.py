@@ -4,11 +4,11 @@ A 2-group × 3-replica :class:`~repro.shard.ShardedCluster` (six real
 asyncio-TCP nodes in one loop) under the load generator. The
 obligations: commands land in the group their key hashes to and nowhere
 else (exactly-once across the deployment), every intra-group invariant
-the single-cluster suite checks still holds per group, and the sharded
-scrape renders per-group rows (``g<group>:n<pid>``) without pid
-collisions — including telling a whole-group outage apart from a
-single-node one. Client-minted trace ids come back as critical paths
-whichever group a command landed in.
+the single-cluster suite checks still holds per group, and the one
+scrape view renders per-group rows (``g<group>:n<pid>``) without pid
+collisions — merging decisions within groups only, and telling a
+whole-group outage apart from a single-node one. Client-minted trace
+ids come back as critical paths whichever group a command landed in.
 """
 
 import asyncio
@@ -16,18 +16,11 @@ import asyncio
 import pytest
 
 from repro.net.cluster import LocalCluster
-from repro.net.codec import MessageCodec
 from repro.net.loadgen import run_loadgen
-from repro.net.stats import describe_cluster_stats, scrape_sharded_cluster
+from repro.net.stats import describe_cluster_stats, scrape_cluster
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
-from repro.shard import (
-    CATALOG_GROUP,
-    PlacementMap,
-    ShardedCluster,
-    ShardedKVService,
-    publish_placement,
-)
+from repro.shard import ShardedCluster
 from repro.smr import check_logs_consistent
 from repro.smr.log import smr_factory
 
@@ -93,7 +86,7 @@ async def _boot_spread_and_scrape(pipeline):
         for group in range(GROUPS):
             assert check_logs_consistent(cluster.survivor_replicas(group)) == []
 
-        # The sharded scrape collected during the run: per-group rows,
+        # The scrape collected during the run: per-group rows,
         # group-tagged, with per-group fast-path ratios for Theorems 5/6.
         view = report.cluster_stats
         assert set(view["nodes"]) == {
@@ -104,9 +97,20 @@ async def _boot_spread_and_scrape(pipeline):
         assert view["unreachable_groups"] == []
         rendered = describe_cluster_stats(view)
         assert "per-group fast-path" in rendered
+        # Decisions merge within each group: both groups decide slot 0,
+        # and that is two tagged slots, not a cross-group conflict. The
+        # ratio is per slot over all groups, as for one group.
+        decisions = view["decisions"]
+        assert decisions["conflicts"] == []
+        assert {"g0:0", "g1:0"} <= set(decisions["slots"])
+        fast, slow = decisions["fast_slots"], decisions["slow_slots"]
+        assert fast > 0
+        assert view["fast_path_ratio"] == fast / (fast + slow)
+        paths = [record["path"] for record in decisions["slots"].values()]
+        assert paths.count("fast") == fast and paths.count("slow") == slow
 
-    # One loadgen, one record: a single plain cluster (G=1) reports the
-    # same fields, bar the per-group ratio only G>1 has.
+    # One loadgen, one scrape, one record: a single plain cluster (G=1)
+    # reports the same fields.
     async with LocalCluster(REPLICAS, _factory(), serve_clients=True) as single:
         single_report = await run_loadgen(
             {0: single.addresses},
@@ -120,7 +124,8 @@ async def _boot_spread_and_scrape(pipeline):
     assert single_report.failed == 0, single_report.errors
     single_record = single_report.to_record()
     assert single_record["group_commands"] == {"0": COUNT}
-    assert set(single_record) == set(record) - {"per_group_fast_path_ratio"}
+    assert set(single_record) == set(record)
+    assert set(single_record["cluster_stats"]) == set(view)
 
 
 @pytest.mark.parametrize("pipeline", [1, 8])
@@ -164,7 +169,7 @@ async def _outage_views():
 
         # One node down: its tagged row is unreachable, no group flagged.
         await cluster.crash(1, 2)
-        view = await scrape_sharded_cluster(groups, codec=cluster.codec)
+        view = await scrape_cluster(groups, codec=cluster.codec)
         assert view["unreachable"] == ["g1:n2"]
         assert view["unreachable_groups"] == []
         assert view["nodes"]["g1:n2"] is None
@@ -173,7 +178,7 @@ async def _outage_views():
         # The whole group down is a different condition and says so.
         await cluster.crash(1, 0)
         await cluster.crash(1, 1)
-        view = await scrape_sharded_cluster(groups, codec=cluster.codec)
+        view = await scrape_cluster(groups, codec=cluster.codec)
         assert view["unreachable_groups"] == [1]
         assert sorted(view["unreachable"]) == ["g1:n0", "g1:n1", "g1:n2"]
         rendered = describe_cluster_stats(view)
@@ -187,39 +192,20 @@ def test_group_outage_distinct_from_node_outage():
 
 
 async def _traced_across_groups():
-    """Span-recording groups, built the way ShardedCluster builds them."""
-    boot_map = PlacementMap.initial(GROUPS, SLOTS)
-    codec = MessageCodec()
-    clusters = {
-        group: LocalCluster(
-            REPLICAS,
-            _factory(),
-            codec=codec,
-            trace_sample=1,
-            client_service_factory=lambda group=group: ShardedKVService(
-                group, boot_map
-            ),
-        )
-        for group in range(GROUPS)
-    }
-    try:
-        for cluster in clusters.values():
-            await cluster.start()
-        groups = {group: cluster.addresses for group, cluster in clusters.items()}
-        await publish_placement(groups[CATALOG_GROUP], boot_map, codec=codec)
+    """Span-recording groups: ``trace_sample`` reaches every group's nodes."""
+    async with ShardedCluster(
+        GROUPS, REPLICAS, _factory(), slots=SLOTS, trace_sample=1
+    ) as cluster:
         return await run_loadgen(
-            groups,
+            cluster.addresses_by_group,
             clients=2,
             count=COUNT,
             keys=KEYS,
             pipeline=8,
             trace_sample=4,
-            codec=codec,
+            codec=cluster.codec,
             client_id_prefix="xg",
         )
-    finally:
-        for cluster in clusters.values():
-            await cluster.stop()
 
 
 def test_trace_sample_spans_every_group():
