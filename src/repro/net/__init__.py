@@ -10,8 +10,8 @@ the code of the protocols unchanged:
 * :mod:`~repro.net.node` — one process per :class:`NodeServer`, with the
   :class:`~repro.core.process.Context` adapted onto transports and
   ``loop.call_later`` timers (simulator-identical semantics);
-* :mod:`~repro.net.client` — KV client with timeouts, retry/backoff, and
-  proxy failover;
+* :mod:`~repro.net.client` — KV client with one pipelined request path:
+  timeouts, retry/backoff, and proxy failover;
 * :mod:`~repro.net.loadgen` — the one load generator, for one group or
   G groups (closed loop or pipelined), replaying the simulator's seeded
   workloads for like-for-like latency tables;

@@ -3,10 +3,13 @@
 A :class:`KVClient` speaks the client side of the wire protocol in
 :mod:`repro.net.wire`: it connects to one proxy node (Schneider's
 client-to-proxy model, same as :mod:`repro.smr.client` simulates), sends
-:class:`~repro.net.wire.ClientSubmit` frames, and waits for the matching
-:class:`~repro.net.wire.ClientReply`.
+:class:`~repro.net.wire.ClientSubmit` frames, and reads the matching
+:class:`~repro.net.wire.ClientReply` frames back in bulk.
 
-Failure handling follows the standard closed-loop client recipe:
+:meth:`KVClient.run_pipelined` is the one request path: up to ``window``
+commands outstanding on one connection, submits coalesced into single
+writes. :meth:`KVClient.submit` is that path with a window of one. On
+failure the whole outstanding window fails over and is re-submitted:
 
 * each submission attempt gets a fresh ``request_id`` but keeps the
   command's ``command_id``, so retries are idempotent end-to-end (the
@@ -15,13 +18,6 @@ Failure handling follows the standard closed-loop client recipe:
   its address book and retries after exponential backoff;
 * replies are matched by ``command_id`` rather than ``request_id`` so a
   late reply to an earlier attempt of the same command still completes it.
-
-:meth:`KVClient.run_pipelined` adds the open-loop mode: up to ``window``
-commands outstanding on one connection, submits coalesced into single
-writes, replies matched by ``command_id`` as they stream back. On a
-timeout or connection error the whole outstanding window fails over and is
-re-submitted — idempotence-by-id makes that safe, and replies for
-superseded attempts are dropped on the floor.
 """
 
 from __future__ import annotations
@@ -29,13 +25,18 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.errors import ReproError
 from ..smr.kvstore import KVCommand
-from .codec import CodecError, FrameDecoder, MessageCodec, read_frame
+from .codec import CodecError, FrameDecoder, MessageCodec
 from .node import _READ_CHUNK, Address, dial
 from .wire import ClientHello, ClientReply, ClientSubmit, WrongShard
+
+#: Cap on the exponential backoff between attempts, in seconds.
+BACKOFF_MAX = 1.0
+#: How long a proxy that failed us is skipped by failover, in seconds.
+DEAD_COOLDOWN = 10.0
 
 
 class ClientError(ReproError):
@@ -43,14 +44,14 @@ class ClientError(ReproError):
 
 
 class PipelineError(ClientError):
-    """A pipelined run exhausted its retry budget with work left over.
+    """A run exhausted its retry budget with work left over.
 
-    Unlike the closed-loop path — which fails one command at a time —
-    the open-loop path fails a whole outstanding window at once. This
-    subclass keeps the partial result addressable: ``replies`` holds
-    everything that *did* complete (by ``command_id``) and ``pending``
-    the command ids still unfinished, so the load generator can report
-    per-command outcomes instead of one opaque lump.
+    A run fails its whole outstanding window at once (a window of one for
+    :meth:`KVClient.submit`). This subclass keeps the partial result
+    addressable: ``replies`` holds everything that *did* complete (by
+    ``command_id``) and ``pending`` the command ids still unfinished, so
+    the load generator can report per-command outcomes instead of one
+    opaque lump.
     """
 
     def __init__(
@@ -65,7 +66,7 @@ class PipelineError(ClientError):
 
 
 class KVClient:
-    """One closed-loop client session against a live cluster."""
+    """One client session against a live cluster, pipelined or not."""
 
     def __init__(
         self,
@@ -75,9 +76,7 @@ class KVClient:
         timeout: float = 5.0,
         max_attempts: int = 8,
         backoff_initial: float = 0.05,
-        backoff_max: float = 1.0,
         proxy: int = 0,
-        dead_cooldown: float = 10.0,
         hello_timeout: float = 1.0,
     ) -> None:
         if not addresses:
@@ -88,9 +87,7 @@ class KVClient:
         self.timeout = timeout
         self.max_attempts = max_attempts
         self.backoff_initial = backoff_initial
-        self.backoff_max = backoff_max
         self.proxy = proxy % len(self.addresses)
-        self.dead_cooldown = dead_cooldown
         self.hello_timeout = hello_timeout
         self._seq = 0
         self._reader: Optional[asyncio.StreamReader] = None
@@ -112,7 +109,7 @@ class KVClient:
         if self._writer is not None:
             return
         # A refused handshake raises HandshakeRefused, a ConnectionError:
-        # the request paths fail over to the next proxy like on any drop.
+        # the request path fails over to the next proxy like on any drop.
         self._reader, self._writer = await dial(
             self.addresses[self.proxy],
             self.codec,
@@ -131,7 +128,7 @@ class KVClient:
 
     def _alive(self, proxy: int) -> bool:
         failed_at = self._dead.get(proxy)
-        return failed_at is None or time.monotonic() - failed_at > self.dead_cooldown
+        return failed_at is None or time.monotonic() - failed_at > DEAD_COOLDOWN
 
     def _fail_over(self) -> None:
         self._dead[self.proxy] = time.monotonic()
@@ -154,75 +151,24 @@ class KVClient:
         proxy: Optional[int] = None,
         trace_id: Optional[str] = None,
     ) -> ClientReply:
-        """Submit *command* and wait for its reply; retries with failover.
+        """:meth:`run_pipelined` for one command, with a window of one.
 
         ``proxy`` pins the preferred proxy for the first attempt (the load
         generator uses this to replay a workload's proxy assignment);
-        failures still rotate to the other proxies, and a preferred proxy
-        that recently failed is skipped until its cooldown elapses.
-        ``trace_id`` asks the proxy to span-trace this command end to
-        end; a proxy that records no spans ignores it.
-
-        Against a *sharded* node the returned frame may be a
+        ``trace_id`` asks the proxy to span-trace this command end to end.
+        Against a *sharded* node the result may be a
         :class:`~repro.net.wire.WrongShard` redirect instead of a reply —
-        callers in sharded deployments go through
-        :class:`repro.shard.ShardRouter`, which resolves redirects.
+        :class:`repro.shard.ShardRouter` resolves those.
         """
-        if proxy is not None:
-            preferred = proxy % len(self.addresses)
-            if preferred != self.proxy and self._alive(preferred):
-                await self.close()
-                self.proxy = preferred
-        last_error: Optional[BaseException] = None
-        for attempt in range(self.max_attempts):
-            try:
-                await self._ensure_connected()
-                request_id = f"{self.client_id}:{self._seq}"
-                self._seq += 1
-                assert self._writer is not None
-                self._writer.write(
-                    self.codec.encode(
-                        ClientSubmit(request_id, command, trace_id=trace_id or "")
-                    )
-                )
-                await self._writer.drain()
-                return await asyncio.wait_for(
-                    self._read_reply(command.command_id), self.timeout
-                )
-            except (
-                asyncio.TimeoutError,
-                asyncio.IncompleteReadError,
-                ConnectionError,
-                CodecError,
-                OSError,
-            ) as exc:
-                last_error = exc
-                await self.close()
-                self._fail_over()
-                await asyncio.sleep(
-                    min(self.backoff_initial * (2 ** attempt), self.backoff_max)
-                )
-        raise ClientError(
-            f"command {command.command_id!r} failed after "
-            f"{self.max_attempts} attempts: {last_error!r}"
+        replies = await self.run_pipelined(
+            [command],
+            window=1,
+            proxy=proxy,
+            traces={command.command_id: trace_id} if trace_id else None,
         )
-
-    async def _read_reply(self, command_id: str) -> ClientReply:
-        assert self._reader is not None
-        while True:
-            message = await read_frame(self._reader, self.codec)
-            if (
-                isinstance(message, (ClientReply, WrongShard))
-                and message.command_id == command_id
-            ):
-                # A WrongShard redirect completes the wait too: the caller
-                # (a sharded router, or a test) decides where to go next.
-                return message
-            # Replies to superseded attempts of other commands are dropped.
-
-    # ------------------------------------------------------------------
-    # The pipelined (open-loop) request path.
-    # ------------------------------------------------------------------
+        if command.command_id in replies:
+            return replies[command.command_id]
+        return self.redirects[command.command_id]  # type: ignore[return-value]
 
     async def run_pipelined(
         self,
@@ -282,7 +228,7 @@ class KVClient:
                 await self.close()
                 self._fail_over()
                 await asyncio.sleep(
-                    min(self.backoff_initial * (2 ** attempt), self.backoff_max)
+                    min(self.backoff_initial * (2 ** attempt), BACKOFF_MAX)
                 )
         raise PipelineError(
             f"{len(pending)} of {len(pending) + len(replies)} pipelined commands "
@@ -379,8 +325,8 @@ def parse_address_list(text: str) -> List[Address]:
         if not chunk:
             continue
         host, _, port = chunk.rpartition(":")
-        if not host or not port.isdigit():
-            raise ClientError(f"bad address {chunk!r}; expected host:port")
+        if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
+            raise ClientError(f"bad address {chunk!r}; expected host:port, port 1-65535")
         addresses.append((host, int(port)))
     if not addresses:
         raise ClientError(f"no addresses in {text!r}")

@@ -74,6 +74,7 @@ from ..obs import (
     prometheus_text,
     timeseries_row,
 )
+from ..smr.kvstore import KVCommand
 from ..smr.log import SMRReplica, SubmitCommand
 from ..storage.recovery import (
     NodeStorage,
@@ -1070,6 +1071,12 @@ class NodeServer:
                         isinstance(request, ClientSubmit)
                         and self.client_service is not None
                     ):
+                        command = request.command
+                        if not isinstance(command, KVCommand) or not command.command_id:
+                            # The trust boundary; returning closes the link.
+                            self.obs.registry.inc("net.submit_rejected")
+                            self.log.warning("refused submit %r: no command_id", request.request_id)
+                            return
                         self.client_service.submit(self, request, reply)
         finally:
             flusher.cancel()

@@ -113,7 +113,8 @@ class ClientSubmit(Message):
 
     ``request_id`` identifies this submission attempt; retries of the same
     command (same ``command_id``) carry fresh request ids, and the KV
-    store's idempotence-by-id makes re-submission safe.
+    store's idempotence-by-id makes re-submission safe. ``command`` must be
+    a :class:`KVCommand` with a non-empty ``command_id``, or the acceptor closes the link.
     """
 
     request_id: str

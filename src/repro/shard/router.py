@@ -23,12 +23,15 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..net.client import ClientError, KVClient, PipelineError
+from ..net.client import ClientError, KVClient, PipelineError, parse_address_list
 from ..net.codec import MessageCodec
 from ..net.node import Address
 from ..net.wire import ClientReply, WrongShard
 from ..smr.kvstore import KVCommand
 from .placement import PlacementMap
+
+#: Redirect rounds a run follows before giving up on what is left.
+MAX_REDIRECTS = 16
 
 
 class ShardRouter:
@@ -42,7 +45,6 @@ class ShardRouter:
         client_id: str = "router",
         timeout: float = 5.0,
         max_attempts: int = 8,
-        max_redirects: int = 16,
         redirect_backoff: float = 0.05,
     ) -> None:
         if not groups:
@@ -53,7 +55,7 @@ class ShardRouter:
         self.client_id = client_id
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.max_redirects = max_redirects
+        self.max_redirects = MAX_REDIRECTS
         self.redirect_backoff = redirect_backoff
         self._clients: Dict[int, KVClient] = {}
         #: total WrongShard redirects observed (all commands, all rounds)
@@ -90,8 +92,9 @@ class ShardRouter:
         """The group *command* routes to under the current map.
 
         Control-plane commands (``config``, ``noop``, reserved ``__``
-        keys) have no home range — callers address those to an explicit
-        group via the ``group=`` parameter.
+        keys) have no home range: callers submit those through the
+        group's :class:`~repro.net.client.KVClient`, as
+        :mod:`~repro.shard.catalog` and :mod:`~repro.shard.rebalance` do.
         """
         if (
             command.op not in ("get", "put", "cas")
@@ -100,7 +103,7 @@ class ShardRouter:
         ):
             raise ClientError(
                 f"command {command.command_id!r} is control-plane; "
-                f"pass an explicit group"
+                f"submit it through its group's KVClient"
             )
         return self.placement.group_for_key(command.key)
 
@@ -110,48 +113,33 @@ class ShardRouter:
             self.placement = PlacementMap.from_payload(redirect.placement)
 
     # ------------------------------------------------------------------
-    # Closed-loop submission.
+    # Submission.
     # ------------------------------------------------------------------
 
     async def submit(
         self,
         command: KVCommand,
-        group: Optional[int] = None,
         trace_id: Optional[str] = None,
         proxy: Optional[int] = None,
     ) -> ClientReply:
-        """Submit one command, following redirects until it lands.
+        """Submit one data command with a window of one.
 
-        ``proxy`` is the preferred proxy within whichever group the
-        command lands in (see :meth:`KVClient.submit`).
+        It runs on its group's :meth:`KVClient.run_pipelined`, so a closed
+        loop skips this router's per-round partition and ``gather``; only
+        a redirect sends it on through :meth:`run_pipelined`, which owns
+        redirect handling. ``proxy`` is the preferred proxy within the
+        group; :meth:`group_for` refuses control plane first.
         """
-        target = group if group is not None else self.group_for(command)
-        for bounce in range(self.max_redirects + 1):
-            reply = await self.client_for(target).submit(
-                command, proxy=proxy, trace_id=trace_id
-            )
-            if isinstance(reply, WrongShard):
-                self._observe_redirect(reply)
-                if group is None:
-                    target = (
-                        reply.group
-                        if reply.group in self.groups
-                        else self.placement.group_for_key(command.key)
-                    )
-                await asyncio.sleep(
-                    min(self.redirect_backoff * (bounce + 1), 0.5)
-                )
-                continue
-            self.group_commands[target] = self.group_commands.get(target, 0) + 1
-            return reply
-        raise ClientError(
-            f"command {command.command_id!r} still redirected after "
-            f"{self.max_redirects} hops (map epoch {self.placement.epoch})"
-        )
-
-    # ------------------------------------------------------------------
-    # Open-loop (pipelined) submission.
-    # ------------------------------------------------------------------
+        group = self.group_for(command)
+        client = self.client_for(group)
+        traces = {command.command_id: trace_id} if trace_id else None
+        run = dict(window=1, proxy=proxy, traces=traces)
+        replies = await client.run_pipelined([command], **run)
+        if command.command_id in replies:
+            self.group_commands[group] = self.group_commands.get(group, 0) + 1
+            return replies[command.command_id]
+        self._observe_redirect(client.redirects[command.command_id])
+        return (await self.run_pipelined([command], **run))[command.command_id]
 
     async def run_pipelined(
         self,
@@ -251,8 +239,6 @@ def parse_group_addresses(text: str) -> Dict[int, List[Address]]:
     ``host:port,host:port;host:port,...`` — groups separated by ``;`` in
     group-id order (group 0 first), nodes within a group by ``,``.
     """
-    from ..net.client import parse_address_list
-
     groups: Dict[int, List[Address]] = {}
     for index, chunk in enumerate(part for part in text.split(";") if part.strip()):
         groups[index] = parse_address_list(chunk)

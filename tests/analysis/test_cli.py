@@ -132,7 +132,9 @@ class TestClusterCli:
         assert out.startswith(f"{flag} {message}") and "\n" not in out
 
     @pytest.mark.parametrize("command", ["loadgen", "stats", "top"])
-    @pytest.mark.parametrize("peers", ["bogus", "127.0.0.1:1;bogus"])
+    @pytest.mark.parametrize(
+        "peers", ["bogus", "127.0.0.1:1;bogus", "127.0.0.1:70000", "127.0.0.1:0"]
+    )
     def test_bad_peers_exit_2_in_one_line(self, command, peers, capsys):
         assert main([command, "--peers", peers]) == 2
         out = capsys.readouterr().out.strip()

@@ -28,6 +28,8 @@ from repro.net.node import HandshakeRefused, KVService, NodeServer, dial
 from repro.net.wire import ClientHello, ClientSubmit, HelloAck, NodeHello
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
+from repro.shard import ShardedCluster, ShardRouter
+from repro.shard.placement import PlacementMap
 from repro.smr import check_logs_consistent
 from repro.smr.kvstore import KVCommand
 from repro.smr.log import smr_factory
@@ -221,6 +223,52 @@ def test_pre_v2_client_is_refused_before_any_frame_is_decoded():
     assert ack == HelloAck(0, node.codec.registry_hash)
     assert decoded == [WIRE_VERSION_JSON]  # the hello, nothing after it
     assert node.obs.snapshot()["counters"]["net.hello_rejected"] == 1
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["kv", "sharded"])
+@pytest.mark.parametrize(
+    "payload",
+    [KVCommand("put", "a", 1), 5],
+    ids=["command-without-id", "not-a-command"],
+)
+def test_malformed_submit_is_refused_and_the_link_closed(payload, sharded, caplog):
+    async def live():
+        if sharded:
+            harness = ShardedCluster(2, 3, _factory())
+        else:
+            harness = LocalCluster(3, _factory(), serve_clients=True)
+        async with harness as cluster:
+            if sharded:
+                nodes = [n for group in cluster.clusters.values() for n in group.nodes]
+                groups, placement = cluster.addresses_by_group, cluster.placement
+            else:
+                nodes = cluster.nodes
+                groups, placement = {0: cluster.addresses}, PlacementMap.initial(1)
+            reader, writer = await dial(
+                nodes[0].address, cluster.codec, ClientHello("raw"), timeout=1.0
+            )
+            writer.write(cluster.codec.encode(ClientSubmit("raw:0", payload)))
+            await writer.drain()
+            # The acceptor refuses the submit and closes the link.
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            pending = dict(nodes[0].client_service._pending)
+            router = ShardRouter(groups, placement, codec=cluster.codec)
+            try:
+                reply = await router.submit(KVCommand("put", "a", 2, command_id="good-1"))
+            finally:
+                await router.close()
+            return nodes, pending, reply
+
+    with caplog.at_level(logging.WARNING, logger="repro.net"):
+        nodes, pending, reply = asyncio.run(asyncio.wait_for(live(), HARD_TIMEOUT))
+    refusals = [r for r in caplog.records if "refused submit" in r.getMessage()]
+    assert len(refusals) == 1
+    assert pending == {}
+    assert reply.command_id == "good-1" and not reply.duplicate
+    assert [node.errors for node in nodes] == [[] for _ in nodes]
+    counters = nodes[0].obs.snapshot()["counters"]
+    assert counters["net.submit_rejected"] == 1
 
 
 def test_silent_receiver_fails_the_handshake():

@@ -4,7 +4,8 @@ Covers the client half of the throughput path: ``KVClient.run_pipelined``
 keeps a window of commands outstanding on one connection, the load
 generator's ``pipeline > 1`` mode drives whole workloads that way, and
 failover re-submits the outstanding window idempotently when the pinned
-proxy is gone.
+proxy is gone. ``submit`` at both client layers is the same path with a
+window of one; ``TestSubmitIsARunOfOne`` pins that contract.
 """
 
 import asyncio
@@ -18,7 +19,7 @@ from repro.net.loadgen import run_loadgen
 from repro.omega import static_omega_factory
 from repro.net.wire import ClientReply, WrongShard
 from repro.protocols.twostep import TwoStepConfig
-from repro.shard import ShardRouter
+from repro.shard import ShardRouter, ShardedCluster
 from repro.shard.placement import PlacementMap
 from repro.smr import KVCommand, check_logs_consistent
 from repro.smr.log import smr_factory
@@ -129,7 +130,7 @@ class _ScriptedClient:
         self.runs = 0
         self.redirects = {}
 
-    async def run_pipelined(self, commands, window, proxy, on_reply, traces):
+    async def run_pipelined(self, commands, window, proxy, on_reply=None, traces=None):
         self.runs += 1
         step = self.script.pop(0)
         self.redirects = {}
@@ -270,3 +271,80 @@ class TestRunPipelined:
                 assert client.proxy != 2  # the whole window failed over
 
         _run(live())
+
+
+class TestSubmitIsARunOfOne:
+    def test_submit_without_command_id_is_refused_before_dialing(self):
+        async def live():
+            client = KVClient([("127.0.0.1", 1)], client_id="noid", max_attempts=1)
+            dials = []
+            ensure_connected = client._ensure_connected
+
+            async def spy():
+                dials.append(client.proxy)
+                await ensure_connected()
+
+            client._ensure_connected = spy
+            try:
+                with pytest.raises(ClientError, match="command_id"):
+                    await client.submit(KVCommand(op="put", key="a", value=1))
+            finally:
+                await client.close()
+            return dials
+
+        assert _run(live()) == []
+
+    def test_submit_to_a_group_not_owning_the_key_returns_the_redirect(self):
+        async def live():
+            async with ShardedCluster(
+                2, 3, _batched_factory(delta=0.05), slots=16
+            ) as cluster:
+                key = next(
+                    f"k{i}" for i in range(1000)
+                    if cluster.placement.group_for_key(f"k{i}") == 1
+                )
+                client = KVClient(
+                    cluster.addresses_by_group[0],
+                    client_id="stray",
+                    codec=cluster.codec,
+                )
+                try:
+                    command = KVCommand(
+                        op="put", key=key, value=1, command_id="stray-1"
+                    )
+                    return await client.submit(command)
+                finally:
+                    await client.close()
+
+        redirect = _run(live())
+        assert isinstance(redirect, WrongShard)
+        assert redirect.command_id == "stray-1"
+        assert redirect.group == 1
+
+    def test_router_submit_runs_on_its_group_and_only_a_redirect_reroutes(self):
+        router = ShardRouter(
+            {0: [("127.0.0.1", 1)]}, PlacementMap.initial(1), redirect_backoff=0.0
+        )
+        scripted = _ScriptedClient(["ok", "redirect", "ok"])
+        router._clients[0] = scripted
+        reroutes = []
+        run_pipelined = router.run_pipelined
+
+        async def spy(commands, **options):
+            reroutes.append([c.command_id for c in commands])
+            return await run_pipelined(commands, **options)
+
+        router.run_pipelined = spy
+        first, second = _puts(2)
+        assert _run(router.submit(first)).command_id == "r0"
+        assert (scripted.runs, reroutes, router.redirect_count) == (1, [], 0)
+        assert _run(router.submit(second)).command_id == "r1"
+        assert (scripted.runs, reroutes, router.redirect_count) == (3, [["r1"]], 1)
+        assert router.group_commands == {0: 2}
+
+    def test_router_refuses_control_plane_before_creating_a_client(self):
+        router = ShardRouter({0: [("127.0.0.1", 1)]}, PlacementMap.initial(1))
+        config = KVCommand(op="config", key="", value={}, command_id="cfg-1")
+        with pytest.raises(ClientError, match="control-plane"):
+            _run(router.submit(config))
+        assert router._clients == {}
