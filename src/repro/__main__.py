@@ -565,9 +565,10 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         print(f"no such data directory: {root}", file=sys.stderr)
         return 2
     rows = inspect_data_dir(root, MessageCodec())
+    refused = 1 if any(row["problems"] for row in rows) else 0
     if args.json:
         _emit_json(rows)
-        return 0
+        return refused
     if not rows:
         print(f"{root}: no node-<pid> directories found")
         return 1
@@ -579,6 +580,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             else ""
         )
         print(f"{row['node']}{bound}:")
+        stamp, build = row["registry"]["stamp"], row["registry"]["build"]
+        stamp = "none" if stamp is None else stamp or "unreadable"
+        print(f"  registry stamp: {stamp} (this build: {build})")
         archive = row["archive"]
         torn = " TORN TAIL (cut off on recovery)" if archive["torn_tail"] else ""
         print(
@@ -604,6 +608,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             print("  no snapshots (recovery replays the WAL from scratch)")
         for seg in row["segments"]:
             torn = " TORN TAIL (truncated on recovery)" if seg["torn_tail"] else ""
+            if "problem" in seg:
+                torn += f" UNREADABLE ({seg['problem']})"
             print(
                 f"  {seg['file']}: {seg['records']} record(s), "
                 f"{seg['bytes']} valid byte(s){torn}"
@@ -613,7 +619,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
             f"{row['wal_slot_states']} slot-state record(s), "
             f"max slot {row['max_slot_seen']}"
         )
-    return 0
+        for problem in row["problems"]:
+            print(f"  REFUSED BY RECOVERY: {problem}")
+    return refused
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,8 +3,8 @@
 Everything the simulator runs, this package runs over real sockets with
 the code of the protocols unchanged:
 
-* :mod:`~repro.net.codec` — length-prefixed wire frames (binary v2 after
-  a v1 hello) over the repository's whole message vocabulary;
+* :mod:`~repro.net.codec` — length-prefixed wire frames (binary v2, the
+  one body format) over the repository's whole message vocabulary;
 * :mod:`~repro.net.wire` — the handshake and client-protocol frames the
   runtime adds on top;
 * :mod:`~repro.net.node` — one process per :class:`NodeServer`, with the

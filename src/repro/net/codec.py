@@ -1,4 +1,4 @@
-"""Wire codec: length-prefixed frames, binary v2 bodies after a v1 hello.
+"""Wire codec: length-prefixed frames with binary v2 bodies.
 
 The live runtime (:mod:`repro.net.node`) moves the *same* frozen message
 dataclasses the simulator delivers in memory — ``Propose``, ``TwoB``,
@@ -6,7 +6,9 @@ dataclasses the simulator delivers in memory — ``Propose``, ``TwoB``,
 connections. The codec is therefore defined over the repo's whole message
 vocabulary, not a parallel set of DTOs: anything a :class:`Process` can
 ``ctx.send`` must round-trip bit-exactly, including ``BOTTOM``, tuples,
-frozensets, and nested messages.
+frozensets, and nested messages. WAL and archive records, snapshot
+images and transfer documents are codec payloads too, so there is one
+encoding of everything that crosses a socket or reaches the disk.
 
 Frame layout
 ------------
@@ -17,37 +19,14 @@ Every frame is::
     | length  (4B, BE)  | version |        body          |
     +-------------------+---------+----------------------+
 
-``length`` counts the version byte plus the body. The version byte names
-the body format, so a decoder never needs out-of-band state to read a
-frame.
+``length`` counts the version byte plus the body. The version byte is
+always 2; a payload with any other version byte (1 is the JSON format
+earlier builds wrote) raises :class:`CodecError`.
 
-Version 1 — JSON (handshake and legacy payloads)
-~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~
+The v2 body
+~~~~~~~~~~~
 
-Hellos and the :class:`~repro.net.wire.HelloAck` travel as v1 — keyed by
-wire name, so two ends can compare registries before any id-keyed frame
-is sent — and WAL/archive payloads written by earlier builds are v1.
-Nothing else is written in it. The body is JSON with a small tagging
-scheme for the Python shapes JSON cannot express natively:
-
-========================  ==========================================
-Python value              encoding
-========================  ==========================================
-``None/bool/int/float``   native JSON
-``str``                   native JSON
-``BOTTOM``                ``{"__t": "bot"}``
-``tuple``                 ``{"__t": "tup", "v": [...]}``
-``frozenset``/``set``     ``{"__t": "fset", "v": [...]}`` (sorted)
-``list``                  ``{"__t": "list", "v": [...]}``
-``dict``                  ``{"__t": "map", "v": [[k, v], ...]}``
-registered dataclass      ``{"__t": "rec", "k": name, "v": {...}}``
-========================  ==========================================
-
-Version 2 — binary (every frame after the hello)
-~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~~
-
-A compact tag-prefixed encoding, roughly half the bytes and none of the
-intermediate tagged-tree allocation of the JSON path:
+A compact tag-prefixed encoding:
 
 =================  =====================================================
 tag byte           value
@@ -63,25 +42,28 @@ tag byte           value
 ``0x09``           list: varint count + items
 ``0x0A``           dict: varint count + key/value pairs
 ``0x0B``           registered dataclass: u16 type id + field values
+``0x0C``           bytes: varint length + raw bytes
 ``0x10``-``0xFF``  small int ``tag - 0x10`` (0..239) in one byte
 =================  =====================================================
 
 Record fields travel *positionally* in dataclass field order; the u16
 type id comes from a deterministic table — registry names sorted, then
 numbered — so both ends derive the same ids without exchanging them.
-The hello carries a hash of that table and each type's field layout
-(:attr:`MessageCodec.registry_hash`) and an acceptor refuses a dialer
-whose hash differs, so registry skew fails the handshake instead of
-decoding garbage. A decoded body must consume the payload exactly;
-trailing bytes, truncated varints, and unknown tags or type ids all raise
+:attr:`MessageCodec.registry_hash` fingerprints that table and each
+type's field layout. The three handshake records
+(:data:`repro.net.wire.HANDSHAKE`) are the exception: they hold fixed
+ids past the end of any table and only str/int/bool fields, so any
+build decodes a hello and its ack whatever its registry, and an
+acceptor refuses a dialer whose hash differs instead of decoding
+garbage. A decoded body must consume the payload exactly; trailing
+bytes, truncated varints, and unknown tags or type ids all raise
 :class:`CodecError`. The reader and writer are built once per registry
 generation, and each record class gets a generated decoder and encoder
 the first time it is seen (``docs/WIRE.md`` § Compiled layouts).
 
-In both formats, sets are serialized in a canonical order (v1: sorted by
-the member's JSON rendering; v2: sorted by the member's binary encoding)
-so the encoding of a message is a pure function of its value — the same
-property :func:`repro.core.messages.message_sort_key` gives the
+Sets are serialized in a canonical order (sorted by the member's binary
+encoding) so the encoding of a message is a pure function of its value —
+the same property :func:`repro.core.messages.message_sort_key` gives the
 schedulers, carried over to the wire.
 
 The :class:`MessageRegistry` maps dataclass names to classes. The default
@@ -90,8 +72,7 @@ registry (:func:`default_registry`) walks every concrete
 ``omega``, ``protocols``, ``smr``, ``storage`` (WAL records share the
 wire encoding), and :mod:`repro.net.wire`, plus the
 payload structs that ride inside messages (``KVCommand``, EPaxos
-``Command``). Unknown versions or registry mismatches raise
-:class:`CodecError` rather than decoding garbage.
+``Command``).
 """
 
 from __future__ import annotations
@@ -99,17 +80,18 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import hashlib
-import json
 import struct
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from ..core.errors import ConfigurationError, ReproError
 from ..core.values import BOTTOM, is_bottom
 
-#: The JSON format: hellos, and payloads written by earlier builds.
-WIRE_VERSION_JSON = 1
-#: The compact binary format: every frame after the hello.
+#: The one body format: every frame, WAL and archive record, snapshot
+#: image and transfer document.
 WIRE_VERSION_BINARY = 2
+#: The retired JSON format's version byte: nothing writes it, decoding
+#: refuses it. ``benchmarks/e2e/sut.py`` still passes it to ``encode``.
+WIRE_VERSION_JSON = 1
 
 #: Frames larger than this are rejected — a corrupt length prefix should
 #: fail loudly, not allocate gigabytes.
@@ -137,8 +119,13 @@ _T_FSET = 0x08
 _T_LIST = 0x09
 _T_MAP = 0x0A
 _T_REC = 0x0B
+_T_BYTES = 0x0C
 _SMALL_INT_BASE = 0x10
 _SMALL_INT_MAX = 0xFF - _SMALL_INT_BASE  # 239
+
+#: The handshake records' fixed type ids, in :data:`repro.net.wire.HANDSHAKE`
+#: order; a registry's own ids stay below the first.
+_HANDSHAKE_IDS = (0xFFFD, 0xFFFE, 0xFFFF)
 
 
 class CodecError(ReproError):
@@ -381,7 +368,9 @@ def _compile_encoder(
     return _compile(source, f"encode {cls.__name__}", namespace)["encode"]
 
 
-def _build_reader(layouts: List[Tuple[Type, str, int]]) -> _Reader:
+def _build_reader(
+    layouts: List[Tuple[Type, str, int]], handshake: Dict[int, Tuple[Type, str, int]]
+) -> _Reader:
     """The generic v2 reader over one generation's type-id table."""
     n_types = len(layouts)
     # Filled lazily, so boot pays for the handful of hot classes only.
@@ -405,10 +394,13 @@ def _build_reader(layouts: List[Tuple[Type, str, int]]) -> _Reader:
                 raise CodecError("truncated record header in binary frame body")
             type_id = (buf[pos] << 8) | buf[pos + 1]
             if type_id >= n_types:
-                raise CodecError(
-                    f"unknown binary wire type id {type_id} "
-                    f"(registry has {n_types} types; registries differ?)"
-                )
+                decode = handshake_decoders.get(type_id)
+                if decode is None:
+                    raise CodecError(
+                        f"unknown binary wire type id {type_id} "
+                        f"(registry has {n_types} types; registries differ?)"
+                    )
+                return decode(buf, pos + 2, end)
             decode = decoders[type_id]
             if decode is None:
                 decode = decoders[type_id] = _compile_decoder(
@@ -449,6 +441,12 @@ def _build_reader(layouts: List[Tuple[Type, str, int]]) -> _Reader:
                 raise CodecError(f"unhashable frozenset member: {exc}") from None
         if tag == _T_LIST:
             return read_items(buf, pos, end)
+        if tag == _T_BYTES:
+            length, pos = _read_uvarint(buf, pos, end)
+            stop = pos + length
+            if stop > end:
+                raise CodecError("truncated bytes in binary frame body")
+            return bytes(buf[pos:stop]), stop
         if tag == _T_MAP:
             count, pos = _read_uvarint(buf, pos, end)
             mapping: Dict[Any, Any] = {}
@@ -462,6 +460,10 @@ def _build_reader(layouts: List[Tuple[Type, str, int]]) -> _Reader:
             return mapping, pos
         raise CodecError(f"unknown binary wire tag 0x{tag:02x}")
 
+    handshake_decoders = {
+        type_id: _compile_decoder(type_id, *layout, read)
+        for type_id, layout in handshake.items()
+    }
     return read
 
 
@@ -505,6 +507,10 @@ def _build_writer(
             _append_uvarint(buf, len(obj))
             for item in obj:
                 write(buf, item)
+        elif t is bytes:
+            buf.append(_T_BYTES)
+            _append_uvarint(buf, len(obj))
+            buf += obj
         elif t in tag_by_type:
             encode = encoders[t] = _compile_encoder(
                 tag_by_type[t], t, fields_by_type[t], write
@@ -538,7 +544,7 @@ def _build_writer(
                 write(buf, value)
         elif isinstance(obj, int):  # int subclass outside the fast path
             write_int(buf, int(obj))
-        elif isinstance(obj, (str, float, tuple, list)):
+        elif isinstance(obj, (str, float, tuple, list, bytes)):
             write(buf, type(obj).__mro__[-2](obj))
         else:
             raise CodecError(
@@ -550,21 +556,15 @@ def _build_writer(
 
 
 class MessageCodec:
-    """Encode/decode registered dataclasses to/from wire frames.
+    """Encode/decode registered dataclasses to/from v2 frames."""
 
-    :meth:`encode` writes v2 unless told otherwise (only hellos are);
-    :meth:`decode_payload` reads either version by the frame's own
-    version byte.
-    """
-
-    #: The version a hello announces; every build of this codec speaks v2.
+    #: What ``benchmarks/e2e/sut.py`` stamps on its hello; unused here.
     max_wire_version = WIRE_VERSION_BINARY
 
     def __init__(self, registry: Optional[MessageRegistry] = None) -> None:
         self.registry = registry if registry is not None else default_registry()
         # Derived tables, rebuilt when the registry's generation moves.
         self._tables_generation = -1
-        self._fields_by_type: Dict[Type, Tuple[str, ...]] = {}
         self._registry_hash = ""
         self._read: _Reader
         self._write: _Writer
@@ -577,152 +577,61 @@ class MessageCodec:
     def _tables(self) -> None:
         if self._tables_generation == self.registry.generation:
             return
+        from .wire import HANDSHAKE
+
         names = self.registry.names()
-        if len(names) > 0xFFFF:
+        if len(names) > _HANDSHAKE_IDS[0]:
             raise CodecError(f"{len(names)} wire types exceed the u16 id space")
-        tag_by_type: Dict[Type, int] = {}
-        layouts: List[Tuple[Type, str, int]] = []
-        fields_by_type: Dict[Type, Tuple[str, ...]] = {}
-        for tag, name in enumerate(names):
-            cls = self.registry.type_of(name)
-            fields = tuple(f.name for f in dataclasses.fields(cls))
-            tag_by_type[cls] = tag
-            layouts.append((cls, name, len(fields)))
-            fields_by_type[cls] = fields
-        self._fields_by_type = fields_by_type
-        self._read = _build_reader(layouts)
+        # The registry's types take ids 0.., the handshake records theirs.
+        table = [(self.registry.type_of(name), name) for name in names]
+        table += [(cls, cls.__name__) for cls in HANDSHAKE]
+        ids = [*range(len(names)), *_HANDSHAKE_IDS]
+        fields_by_type = {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls, _ in table}
+        layouts = [(cls, name, len(fields_by_type[cls])) for cls, name in table]
+        handshake = dict(zip(_HANDSHAKE_IDS, layouts[len(names) :]))
+        self._read = _build_reader(layouts[: len(names)], handshake)
+        tag_by_type = {cls: type_id for (cls, _), type_id in zip(table, ids)}
         self._write = _build_writer(tag_by_type, fields_by_type)
-        table = "\n".join(f"{name}({','.join(fields_by_type[cls])})" for cls, name, _ in layouts)
-        self._registry_hash = hashlib.sha256(table.encode("utf-8")).hexdigest()[:16]
+        lines = "\n".join(f"{name}({','.join(fields_by_type[cls])})" for cls, name in table)
+        self._registry_hash = hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16]
         self._tables_generation = self.registry.generation
 
     @property
     def registry_hash(self) -> str:
-        """Fingerprint of the sorted wire-type table (hex, 16 chars).
+        """Fingerprint of the type-id table (hex, 16 chars).
 
-        One ``name(field1,field2,…)`` line per type — v2 records are
-        positional, so layouts count as much as names. Carried in the
-        hello: the acceptor refuses a link whose hash differs.
+        One ``name(field1,field2,…)`` line per type, the handshake
+        records last — v2 records are positional, so layouts count as
+        much as names. Carried in the hello: the acceptor refuses a link
+        whose hash differs, and recovery refuses a data directory stamped
+        with another.
         """
         self._tables()
         return self._registry_hash
-
-    def _field_names(self, cls: Type) -> Tuple[str, ...]:
-        self._tables()
-        names = self._fields_by_type.get(cls)
-        if names is None:  # registered but tables stale-free: compute once
-            names = tuple(f.name for f in dataclasses.fields(cls))
-            self._fields_by_type[cls] = names
-        return names
-
-    # ------------------------------------------------------------------
-    # Object <-> JSON-able tree (the v1 body; snapshot images use it too).
-    # ------------------------------------------------------------------
-
-    def to_jsonable(self, obj: Any) -> Any:
-        if obj is None or isinstance(obj, (bool, str)):
-            return obj
-        if isinstance(obj, (int, float)):
-            return obj
-        if is_bottom(obj):
-            return {"__t": "bot"}
-        if isinstance(obj, tuple):
-            return {"__t": "tup", "v": [self.to_jsonable(item) for item in obj]}
-        if isinstance(obj, (frozenset, set)):
-            encoded = [self.to_jsonable(item) for item in obj]
-            encoded.sort(key=lambda item: json.dumps(item, sort_keys=True))
-            return {"__t": "fset", "v": encoded}
-        if isinstance(obj, list):
-            return {"__t": "list", "v": [self.to_jsonable(item) for item in obj]}
-        if isinstance(obj, dict):
-            return {
-                "__t": "map",
-                "v": [
-                    [self.to_jsonable(key), self.to_jsonable(value)]
-                    for key, value in obj.items()
-                ],
-            }
-        name = self.registry.name_of(type(obj))
-        if name is not None:
-            return {
-                "__t": "rec",
-                "k": name,
-                "v": {
-                    field: self.to_jsonable(getattr(obj, field))
-                    for field in self._field_names(type(obj))
-                },
-            }
-        raise CodecError(
-            f"cannot encode {type(obj).__name__!r} value {obj!r}: "
-            "type not registered with the wire codec"
-        )
-
-    def from_jsonable(self, node: Any) -> Any:
-        if node is None or isinstance(node, (bool, int, float, str)):
-            return node
-        if isinstance(node, list):  # only produced inside tagged containers
-            return [self.from_jsonable(item) for item in node]
-        if not isinstance(node, dict):
-            raise CodecError(f"malformed wire body node: {node!r}")
-        tag = node.get("__t")
-        if tag == "bot":
-            return BOTTOM
-        if tag == "tup":
-            return tuple(self.from_jsonable(item) for item in node["v"])
-        if tag == "fset":
-            return frozenset(self.from_jsonable(item) for item in node["v"])
-        if tag == "list":
-            return [self.from_jsonable(item) for item in node["v"]]
-        if tag == "map":
-            return {
-                self.from_jsonable(key): self.from_jsonable(value)
-                for key, value in node["v"]
-            }
-        if tag == "rec":
-            wire_name = node["k"]
-            cls = self.registry.type_of(wire_name)
-            fields = {
-                name: self.from_jsonable(value) for name, value in node["v"].items()
-            }
-            try:
-                return cls(**fields)
-            except TypeError as exc:
-                # Name the wire tag before the payload is lost: version
-                # skew shows up here, and "which record type" is the
-                # actionable part for `repro recover` and netlog.
-                raise CodecError(
-                    f"wire fields {sorted(fields)} of wire type {wire_name!r} "
-                    f"do not match {cls.__name__}"
-                    f"({', '.join(self._field_names(cls))}): {exc}"
-                ) from None
-        raise CodecError(f"unknown wire tag {tag!r}")
 
     # ------------------------------------------------------------------
     # Frames.
     # ------------------------------------------------------------------
 
-    def encode_payload(self, obj: Any, version: int = WIRE_VERSION_BINARY) -> bytes:
+    def encode_payload(self, obj: Any) -> bytes:
         """Serialize *obj* into a frame payload (version byte + body).
 
-        This is the unit :mod:`repro.storage` journals: a WAL record is
-        exactly a frame payload, so a recovering codec dispatches on the
-        version byte and still reads v1 payloads earlier builds wrote.
+        This is the unit :mod:`repro.storage` journals: a WAL record, an
+        archive record and a snapshot image are each exactly a frame
+        payload.
         """
-        if version == WIRE_VERSION_BINARY:
-            self._tables()
-            buf = bytearray((WIRE_VERSION_BINARY,))
-            self._write(buf, obj)
-            return bytes(buf)
-        if version == WIRE_VERSION_JSON:
-            body = json.dumps(
-                self.to_jsonable(obj), separators=(",", ":"), sort_keys=True
-            ).encode("utf-8")
-            return bytes((WIRE_VERSION_JSON,)) + body
-        raise CodecError(f"cannot encode wire version {version!r}")
+        self._tables()
+        buf = bytearray((WIRE_VERSION_BINARY,))
+        self._write(buf, obj)
+        return bytes(buf)
 
-    def encode(self, obj: Any, version: int = WIRE_VERSION_BINARY) -> bytes:
-        """Serialize *obj* into one length-prefixed frame."""
-        payload = self.encode_payload(obj, version)
+    def encode(self, obj: Any, _version: Optional[int] = None) -> bytes:
+        """Serialize *obj* into one length-prefixed v2 frame.
+
+        A second argument is ignored: ``benchmarks/e2e/sut.py`` still
+        passes the version its link was opened with.
+        """
+        payload = self.encode_payload(obj)
         if len(payload) > MAX_FRAME_BYTES:
             raise CodecError(
                 f"frame of {len(payload)} bytes exceeds MAX_FRAME_BYTES"
@@ -733,40 +642,30 @@ class MessageCodec:
         """Decode one frame payload (version byte + body, no length prefix).
 
         Accepts ``bytes``, ``bytearray``, or ``memoryview`` (what the
-        framing layer hands over). Dispatches on the payload's version
-        byte.
+        framing layer hands over).
         """
         if not len(payload):
             raise CodecError("empty frame payload")
-        # Both formats read from bytes: json.loads needs them, and a v2
-        # record is mostly short strings, which slice cheaper out of bytes
-        # than out of a view — so a frame handed over as a view is copied
-        # once, here.
+        # A v2 record is mostly short strings, which slice cheaper out of
+        # bytes than out of a view — so a frame handed over as a view is
+        # copied once, here.
         body = payload if isinstance(payload, (bytes, bytearray)) else bytes(payload)
         version = body[0]
-        if version == WIRE_VERSION_JSON:
-            try:
-                tree = json.loads(body[1:])
-            except (UnicodeDecodeError, ValueError) as exc:
-                raise CodecError(f"undecodable frame body: {exc}") from None
-            return self.from_jsonable(tree)
-        if version == WIRE_VERSION_BINARY:
-            self._tables()
-            end = len(body)
-            try:
-                value, pos = self._read(body, 1, end)
-            except CodecError:
-                raise
-            except (struct.error, RecursionError, ValueError, OverflowError) as exc:
-                raise CodecError(f"undecodable binary frame body: {exc!r}") from None
-            if pos != end:
-                raise CodecError(
-                    f"{end - pos} trailing byte(s) after binary frame body"
-                )
-            return value
-        raise CodecError(
-            f"wire version mismatch: got {version}, speak <= {WIRE_VERSION_BINARY}"
-        )
+        if version != WIRE_VERSION_BINARY:
+            raise CodecError(
+                f"wire version mismatch: got {version}, speak {WIRE_VERSION_BINARY}"
+            )
+        self._tables()
+        end = len(body)
+        try:
+            value, pos = self._read(body, 1, end)
+        except (struct.error, RecursionError, ValueError, OverflowError) as exc:
+            raise CodecError(f"undecodable binary frame body: {exc!r}") from None
+        if pos != end:
+            raise CodecError(
+                f"{end - pos} trailing byte(s) after binary frame body"
+            )
+        return value
 
     def decode(self, frame: Any) -> Any:
         """Decode one complete frame (length prefix included)."""
@@ -875,24 +774,10 @@ async def read_frame(reader: asyncio.StreamReader, codec: MessageCodec) -> Any:
     Raises ``asyncio.IncompleteReadError`` on EOF mid-frame and
     ``ConnectionError``/``CodecError`` like the underlying calls.
     """
-    message, _size = await read_frame_sized(reader, codec)
-    return message
-
-
-async def read_frame_sized(
-    reader: asyncio.StreamReader, codec: MessageCodec
-) -> Tuple[Any, int]:
-    """Like :func:`read_frame`, plus the frame's total on-wire byte count.
-
-    The size includes the length prefix, so summing it over a connection
-    reproduces the exact byte count the sender wrote — what the node's
-    ``recv_bytes.*`` counters report.
-    """
     header = await reader.readexactly(_LENGTH.size)
     (payload_len,) = _LENGTH.unpack(header)
     if payload_len > MAX_FRAME_BYTES:
         raise CodecError(
             f"incoming frame claims {payload_len} bytes (> {MAX_FRAME_BYTES})"
         )
-    payload = await reader.readexactly(payload_len)
-    return codec.decode_payload(payload), _LENGTH.size + payload_len
+    return codec.decode_payload(await reader.readexactly(payload_len))

@@ -30,11 +30,12 @@ each handler is a plain synchronous call, so the determinism contract of
 :mod:`repro.core.process` needs no locks. (A durable node's file I/O runs
 on its storage writer thread, which never touches process state.)
 
-Every link opens with a v1 hello and the acceptor's
-:class:`~repro.net.wire.HelloAck`; after that both directions speak binary
-v2. :func:`dial` is the one dial-side handshake — peer senders, clients,
+Every link opens with a hello and the acceptor's
+:class:`~repro.net.wire.HelloAck`, which any build can decode.
+:func:`dial` is the one dial-side handshake — peer senders, clients,
 stats scrapes and state transfer all go through it — and the acceptor
-refuses a hello from a different registry or a pre-v2 build.
+refuses a hello from a different registry, and closes a link whose
+first frame does not decode at all (an older build's JSON hello).
 
 Client connections (first frame :class:`~repro.net.wire.ClientHello`) are
 handed to a pluggable service; :class:`KVService` adapts them onto an
@@ -85,8 +86,6 @@ from ..storage.recovery import (
 from ..storage.snapshot import SnapshotError
 from .codec import (
     MAX_FRAME_BYTES,
-    WIRE_VERSION_BINARY,
-    WIRE_VERSION_JSON,
     CodecError,
     FrameDecoder,
     MessageCodec,
@@ -123,7 +122,7 @@ def enable_nodelay(writer: asyncio.StreamWriter) -> None:
 
 
 class HandshakeRefused(ConnectionError):
-    """The acceptor refused the hello: a different registry or wire version.
+    """The acceptor refused the hello: a different registry.
 
     A ``ConnectionError``, so every dialer's existing failure path applies:
     peer senders back off and retry, clients fail over.
@@ -136,12 +135,12 @@ async def dial(
     hello: Union[NodeHello, ClientHello],
     timeout: float,
 ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """Connect to *address* and shake hands; the link then speaks v2.
+    """Connect to *address* and shake hands over the codec's registry.
 
     *hello* names the dialer (``NodeHello(pid)`` or
-    ``ClientHello(client_id)``); this stamps it with the codec's wire
-    version and registry hash, writes it as v1 and waits up to *timeout*
-    for the :class:`HelloAck`. Raises :class:`HandshakeRefused` naming
+    ``ClientHello(client_id)``); this stamps it with the codec's registry
+    hash, writes it and waits up to *timeout* for the :class:`HelloAck`.
+    Raises :class:`HandshakeRefused` naming
     both registry hashes when the acceptor refused, and ``OSError``,
     ``asyncio.TimeoutError``, ``asyncio.IncompleteReadError`` or
     :class:`CodecError` when it could not be reached or did not answer.
@@ -149,12 +148,8 @@ async def dial(
     reader, writer = await asyncio.wait_for(asyncio.open_connection(*address), timeout)
     try:
         enable_nodelay(writer)
-        hello = dataclasses.replace(
-            hello,
-            max_wire_version=codec.max_wire_version,
-            registry_hash=codec.registry_hash,
-        )
-        writer.write(codec.encode(hello, WIRE_VERSION_JSON))
+        hello = dataclasses.replace(hello, registry_hash=codec.registry_hash)
+        writer.write(codec.encode(hello))
         await writer.drain()
         ack = await asyncio.wait_for(read_frame(reader, codec), timeout)
         if not isinstance(ack, HelloAck):
@@ -162,10 +157,7 @@ async def dial(
                 f"{address[0]}:{address[1]} answered the hello with "
                 f"{type(ack).__name__}, not HelloAck"
             )
-        if (
-            ack.wire_version != WIRE_VERSION_BINARY
-            or ack.registry_hash != codec.registry_hash
-        ):
+        if not ack.accepted or ack.registry_hash != codec.registry_hash:
             raise HandshakeRefused(
                 f"{address[0]}:{address[1]} refused the hello: registry "
                 f"{codec.registry_hash} here, {ack.registry_hash or '?'} there"
@@ -908,28 +900,19 @@ class NodeServer:
     ) -> bool:
         """Answer an inbound hello; ``False`` when it was refused.
 
-        The :class:`HelloAck` (written as v1) always carries this node's
-        registry hash, so a refused dialer can name both ends. A dialer
-        below v2, or one whose registry differs, would misread every
-        id-keyed frame: it is refused, counted and logged, and the caller
-        closes the link before reading anything else from it.
+        The :class:`HelloAck` always carries this node's registry hash, so
+        a refused dialer can name both ends. A dialer whose registry
+        differs would misread every id-keyed frame: it is refused, counted
+        and logged, and the caller closes the link before reading anything
+        else from it.
         """
         ours = self.codec.registry_hash
-        accepted = (
-            hello.max_wire_version >= WIRE_VERSION_BINARY
-            and hello.registry_hash == ours
-        )
-        ack = HelloAck(WIRE_VERSION_BINARY if accepted else 0, ours)
-        writer.write(self.codec.encode(ack, WIRE_VERSION_JSON))
+        accepted = hello.registry_hash == ours
+        writer.write(self.codec.encode(HelloAck(accepted, ours)))
         await writer.drain()
         if not accepted:
             self.obs.registry.inc("net.hello_rejected")
-            self.log.error(
-                "refused %r: this node speaks wire v%d, registry %s",
-                hello,
-                WIRE_VERSION_BINARY,
-                ours,
-            )
+            self.log.error("refused %r: this node's registry is %s", hello, ours)
         return accepted
 
     # ------------------------------------------------------------------
@@ -957,9 +940,14 @@ class NodeServer:
             if payload_len > MAX_FRAME_BYTES:
                 return  # corrupt length prefix (or some other protocol)
             try:
-                payload = await reader.readexactly(payload_len)
-                hello = self.codec.decode_payload(payload)
-            except (asyncio.IncompleteReadError, ConnectionError, CodecError):
+                body = await reader.readexactly(payload_len)
+                hello = self.codec.decode_payload(body)
+            except (asyncio.IncompleteReadError, ConnectionError):
+                return
+            except CodecError as exc:
+                if body[:1] == b"\x01":  # an older build's v1 hello: refuse it, unread
+                    self.obs.registry.inc("net.hello_rejected")
+                    self.log.error("refused a v1 hello (%s)", exc)
                 return
             # Anything but a hello: close silently (port scanners).
             if not isinstance(hello, (NodeHello, ClientHello)):
@@ -1197,7 +1185,7 @@ class NodeServer:
         if not isinstance(self.process, SMRReplica):
             return [
                 SnapshotChunk(
-                    request_id=request.request_id, seq=0, last=True, upto=-1, payload=""
+                    request_id=request.request_id, seq=0, last=True, upto=-1, payload=b""
                 )
             ]
         ranged = isinstance(request, RangeSnapshotRequest)

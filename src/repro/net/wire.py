@@ -2,8 +2,9 @@
 
 These are the only messages :mod:`repro.net` adds on top of the protocol
 vocabularies — everything else on the wire is an unmodified protocol
-message. They derive from :class:`~repro.core.messages.Message` so the
-one codec and one registry cover the whole stream.
+message. Apart from the three handshake records they derive from
+:class:`~repro.core.messages.Message`, so the one codec and one registry
+cover the whole stream.
 
 Connection roles
 ----------------
@@ -22,14 +23,13 @@ frame:
 Handshake
 ---------
 
-The hello and its ack are the only frames written as wire version 1
-(JSON, keyed by name), so any build can read them and compare registries
-before an id-keyed frame is sent. The hello announces the dialer's
-``max_wire_version`` and ``registry_hash``; the acceptor answers with a :class:`HelloAck`
-carrying its own hash. When both ends speak v2 over the same registry
-the ack says ``wire_version=2`` and every later frame, in both
-directions, is binary v2. Otherwise the ack says ``0`` and the acceptor
-closes the link: the dialer gets an error naming both hashes
+The hello and its ack (:data:`HANDSHAKE`) are v2 records outside the
+registry: the codec gives them fixed type ids and their fields are
+str/int/bool, so any build decodes them and compares registries before
+an id-keyed frame is sent. The hello carries the dialer's
+``registry_hash``, the :class:`HelloAck` the acceptor's. When they
+match the ack says ``accepted``; otherwise the acceptor closes the
+link, and the dialer gets an error naming both hashes
 (:class:`repro.net.node.HandshakeRefused`) and retries on its backoff
 schedule. :func:`repro.net.node.dial` is the dial side.
 
@@ -40,53 +40,56 @@ traced and untraced nodes interoperate without agreeing on anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Any
 
 from ..core.messages import Message
 from ..smr.kvstore import KVCommand
+from .codec import WIRE_VERSION_BINARY
 
 
 @dataclass(frozen=True)
-class NodeHello(Message):
+class NodeHello:
     """First frame on a peer link: identifies the dialing node.
 
-    ``max_wire_version`` announces the highest frame format the dialer
-    can speak (a hello without the field decodes as 1, a pre-v2 build);
-    ``registry_hash`` fingerprints its wire-name table so binary type ids
-    are only trusted between identical registries.
+    ``registry_hash`` fingerprints the dialer's wire-type table, so
+    binary type ids are only trusted between identical registries.
     """
 
     pid: int
-    max_wire_version: int = 1
     registry_hash: str = ""
 
 
 @dataclass(frozen=True)
-class ClientHello(Message):
-    """First frame on a client link: identifies the client session.
-
-    Carries the same handshake fields as :class:`NodeHello`.
-    """
+class ClientHello:
+    """First frame on a client link: names the session, like :class:`NodeHello`."""
 
     client_id: str
-    max_wire_version: int = 1
     registry_hash: str = ""
+    #: Accepted and dropped; ``benchmarks/e2e/sut.py`` still passes it.
+    max_wire_version: InitVar[int] = WIRE_VERSION_BINARY
 
 
 @dataclass(frozen=True)
-class HelloAck(Message):
+class HelloAck:
     """The acceptor's answer to every hello.
 
-    Always encoded as wire version 1. ``wire_version`` is 2 when the link
-    is accepted — both sides speak binary v2 from here on — and 0 when it
-    is refused, after which the acceptor closes the link.
-    ``registry_hash`` is the acceptor's table fingerprint, so a refused
-    dialer can report both.
+    ``accepted`` is false when the link is refused (the acceptor then
+    closes it); ``registry_hash`` is the acceptor's, so a refused dialer
+    can report both.
     """
 
-    wire_version: int
+    accepted: bool
     registry_hash: str = ""
+
+    @property
+    def wire_version(self) -> int:
+        """2 when accepted, else 0: what ``benchmarks/e2e/sut.py`` reads."""
+        return WIRE_VERSION_BINARY if self.accepted else 0
+
+
+#: The handshake records, in the order of their fixed type ids.
+HANDSHAKE = (NodeHello, ClientHello, HelloAck)
 
 
 @dataclass(frozen=True)
@@ -213,15 +216,16 @@ class SnapshotChunk(Message):
     ``upto`` is the serving replica's applied frontier when it answered;
     ``upto < 0`` means the node hosts no SMR replica and the request
     cannot be served. ``seq`` orders chunks, ``last`` marks the end of
-    the stream; concatenating the ``payload`` strings in sequence yields
-    the document, which is empty when the server is not ahead.
+    the stream; concatenating the ``payload`` bytes in sequence yields
+    the document (one codec payload), which is empty when the server is
+    not ahead.
     """
 
     request_id: str
     seq: int
     last: bool
     upto: int
-    payload: str
+    payload: bytes
 
 
 @dataclass(frozen=True)

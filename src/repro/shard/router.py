@@ -55,7 +55,6 @@ class ShardRouter:
         self.client_id = client_id
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.max_redirects = MAX_REDIRECTS
         self.redirect_backoff = redirect_backoff
         self._clients: Dict[int, KVClient] = {}
         #: total WrongShard redirects observed (all commands, all rounds)
@@ -172,7 +171,7 @@ class ShardRouter:
         last_error: Optional[BaseException] = None
         if not remaining:
             return replies
-        for round_index in range(self.max_redirects + 1):
+        for round_index in range(MAX_REDIRECTS + 1):
             if round_index:
                 await asyncio.sleep(
                     min(self.redirect_backoff * round_index, 0.5)

@@ -4,12 +4,12 @@ The WAL itself (:mod:`repro.storage.wal`) frames opaque byte payloads;
 this module gives those payloads meaning. Records are frozen dataclasses
 deriving from :class:`~repro.core.messages.Message` so the one wire
 codec/registry covers them — a WAL payload is exactly a frame payload
-(version byte + body; binary v2 today, JSON v1 from earlier builds),
-which buys version checking, `BOTTOM` / tuple / nested-dataclass
-fidelity, and forward-compatible decoding for free: the decoder
-dispatches on each record's own version byte, so a node still recovers
-a WAL an earlier build wrote in JSON. ``repro.net.codec.default_registry`` imports this
-module, so any codec built there can decode any WAL on disk.
+(version byte + binary v2 body), which buys version checking and
+`BOTTOM` / tuple / nested-dataclass fidelity for free.
+``repro.net.codec.default_registry`` imports this module, so any codec
+built there can decode a WAL written under the same registry; recovery
+refuses a directory stamped with another
+(:meth:`~repro.storage.recovery.NodeStorage.stamp_problem`).
 
 Only state that **safety** depends on is journaled:
 

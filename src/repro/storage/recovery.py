@@ -5,7 +5,8 @@ Three cooperating pieces, all built from the primitives in this package:
 * :class:`NodeStorage` — one node's data directory layout
   (``<data_dir>/node-<pid>/`` holding WAL segments, snapshot images, the
   applied-log archive they stand on, and a small ``node.json`` with the
-  bound port for stable restarts).
+  bound port for stable restarts, plus a ``registry.stamp`` naming the
+  registry hash its records were written under).
 * :class:`ReplicaPersister` — the live persistence hook. The node
   runtime calls :meth:`ReplicaPersister.after_activation` at the end of
   every activation: it journals the activation's state changes and
@@ -43,9 +44,9 @@ import pathlib
 import uuid
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, ReproError
 from ..obs import Observability, NULL_OBS
 from ..smr.kvstore import BatchRef, CommandBatch
 from .files import atomic_write_text
@@ -69,8 +70,8 @@ from .snapshot import (
 from .wal import WriteAheadLog, list_segments, next_segment_seq, scan_segment
 from .writer import WRITER_THREAD_NAME, StorageWriter
 
-#: SnapshotChunk payload size (characters of the JSON document per frame).
-TRANSFER_CHUNK_CHARS = 256 * 1024
+#: SnapshotChunk payload size (bytes of the transfer document per frame).
+TRANSFER_CHUNK_BYTES = 256 * 1024
 
 
 class NodeStorage:
@@ -114,6 +115,34 @@ class NodeStorage:
         meta.update(fields)
         atomic_write_text(self.meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
         return meta
+
+    # -- registry stamp ------------------------------------------------
+    @property
+    def stamp_path(self) -> pathlib.Path:
+        return self.dir / "registry.stamp"
+
+    def read_stamp(self) -> Optional[str]:
+        """The stamp file's text; ``None`` when there is no stamp file."""
+        try:
+            return self.stamp_path.read_text("ascii", "replace").strip()
+        except FileNotFoundError:
+            return None
+
+    def stamp_problem(self, registry_hash: str) -> Optional[str]:
+        """Why a codec over *registry_hash* must not read this directory:
+        ``None`` when the stamp matches or no segment, archive or image is
+        here. A record written under another registry's type ids can
+        decode as the wrong type without error."""
+        stamp = self.read_stamp()
+        held = self.segments() or self.archive_path.exists() or list_snapshots(self.dir)
+        if stamp == registry_hash or not held:
+            return None
+        names = {None: "none (no stamp file: an older build)", "": "unreadable (empty file)"}
+        return (
+            f"{self.dir}: written under registry {names.get(stamp, stamp)}"
+            f", this build reads {registry_hash}; recover it with the build that "
+            "wrote it, or move it aside and let the node catch up from its peers"
+        )
 
 
 class RecoveryError(RuntimeError):
@@ -181,11 +210,19 @@ class ReplicaPersister:
     def recover(self) -> RecoveryResult:
         """Rebuild the replica from snapshot + WAL; open a fresh segment.
 
-        Returns once what recovery wrote (the snapshot consolidating the
-        replay) is on disk.
+        First refuses a directory :meth:`NodeStorage.stamp_problem` names,
+        or stamps a new one durably. Returns once what recovery wrote (the
+        snapshot consolidating the replay) is on disk.
         """
         replica = self.replica
         registry = self.obs.registry
+        ours = self.codec.registry_hash
+        problem = self.storage.stamp_problem(ours)
+        if problem is not None:
+            raise RecoveryError(problem)
+        if self.storage.read_stamp() != ours:
+            # Nothing here yet: no record depends on the stamp it replaces.
+            atomic_write_text(self.storage.stamp_path, ours + "\n", durable=True)
         info, state = self._load_newest_usable_snapshot()
         snapshot_entries = 0
         if state is None:
@@ -207,8 +244,7 @@ class ReplicaPersister:
                 torn += 1
                 registry.inc("storage.wal_torn_segments")
             bodies: Dict[Tuple[int, BatchRef], CommandBatch] = {}
-            for payload in result.payloads:
-                record = decode_record(self.codec, payload)
+            for record in _records(self.codec, segment, result.payloads):
                 if isinstance(record, WalDecision):
                     value = _resolve(bodies, segment, record.slot, record.value)
                     if replica.restore_decided(record.slot, value):
@@ -447,6 +483,19 @@ def _fingerprint(inner: Any) -> Tuple:
     )
 
 
+def _records(codec: Any, segment: pathlib.Path, payloads: List[bytes]) -> Iterator[Any]:
+    """*segment*'s payloads decoded; one that does not decode (its CRC
+    held, so it is not a torn tail) raises :class:`RecoveryError`."""
+    for index, payload in enumerate(payloads):
+        try:
+            record = decode_record(codec, payload)
+        except ReproError as exc:
+            raise RecoveryError(
+                f"{segment.name}: record {index} does not decode ({exc})"
+            ) from None
+        yield record
+
+
 def _resolve(
     bodies: Dict[Tuple[int, BatchRef], CommandBatch],
     segment: pathlib.Path,
@@ -506,10 +555,10 @@ def spliced_log(log: List[Any], image: Dict[str, Any]) -> List[Any]:
 
 async def _fetch_document(
     address: Tuple[str, int], codec: Any, client_id: str, request: Any, timeout: float
-) -> Optional[str]:
+) -> Optional[bytes]:
     """Send *request* on a fresh client link; join the chunks it answers.
 
-    Returns ``None`` when the peer hosts no replica, ``""`` when it
+    Returns ``None`` when the peer hosts no replica, ``b""`` when it
     answered with one empty chunk.
     """
     from ..net.codec import read_frame
@@ -520,7 +569,7 @@ async def _fetch_document(
     try:
         writer.write(codec.encode(request))
         await writer.drain()
-        parts: List[str] = []
+        parts: List[bytes] = []
         while True:
             frame = await asyncio.wait_for(read_frame(reader, codec), timeout)
             if not isinstance(frame, SnapshotChunk) or frame.request_id != request.request_id:
@@ -529,7 +578,7 @@ async def _fetch_document(
                 return None  # peer hosts no replica
             parts.append(frame.payload)
             if frame.last:
-                return "".join(parts)
+                return b"".join(parts)
     finally:
         try:
             writer.close()
@@ -560,10 +609,10 @@ async def fetch_snapshot(
     request = SnapshotRequest(
         f"{client_id}:{uuid.uuid4().hex[:8]}", applied_upto, log_entries
     )
-    text = await _fetch_document(address, codec, client_id, request, timeout)
-    if not text:
+    blob = await _fetch_document(address, codec, client_id, request, timeout)
+    if not blob:
         return None
-    return decode_image(codec, text, f"transfer from {address}", on_disk=False)
+    return decode_image(codec, blob, f"transfer from {address}", on_disk=False)
 
 
 async def fetch_range_state(
@@ -585,8 +634,8 @@ async def fetch_range_state(
     from ..net.wire import RangeSnapshotRequest
 
     request = RangeSnapshotRequest(f"{client_id}:{uuid.uuid4().hex[:8]}", lo, hi, slots)
-    text = await _fetch_document(address, codec, client_id, request, timeout)
-    return None if text is None else deserialize_range_state(codec, text)
+    blob = await _fetch_document(address, codec, client_id, request, timeout)
+    return None if blob is None else deserialize_range_state(codec, blob)
 
 
 def transfer_chunks(codec: Any, replica: Any, request: Any) -> List[Any]:
@@ -599,15 +648,15 @@ def transfer_chunks(codec: Any, replica: Any, request: Any) -> List[Any]:
     from ..net.wire import RangeSnapshotRequest, SnapshotChunk
 
     if isinstance(request, RangeSnapshotRequest):
-        text = serialize_range_state(
+        blob = serialize_range_state(
             codec, replica, request.lo, request.hi, request.slots
         )
     elif replica.applied_upto > request.applied_upto:
-        text = transfer_image(codec, replica, request.log_entries)
+        blob = transfer_image(codec, replica, request.log_entries)
     else:
-        text = ""
-    size = TRANSFER_CHUNK_CHARS
-    parts = [text[start : start + size] for start in range(0, len(text), size)] or [""]
+        blob = b""
+    size = TRANSFER_CHUNK_BYTES
+    parts = [blob[start : start + size] for start in range(0, len(blob), size)] or [b""]
     return [
         SnapshotChunk(request.request_id, seq, seq == len(parts) - 1, replica.applied_upto, part)
         for seq, part in enumerate(parts)
@@ -620,14 +669,19 @@ def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
     Powers ``python -m repro recover``: per node, the applied-log
     archive's valid extent, the retained images and whether the archive
     covers the prefix each one names, each WAL segment's record count and
-    torn-tail status, and the highest slot any record mentions — without
-    constructing a replica.
+    torn-tail status (or why a record in it does not decode), the highest
+    slot any record mentions, and the registry stamp — without
+    constructing a replica. ``problems`` lists what would make
+    :meth:`ReplicaPersister.recover` refuse the directory.
     """
     rows: List[Dict[str, Any]] = []
     root = pathlib.Path(root)
+    build = codec.registry_hash
     for node_dir in sorted(root.glob("node-*")):
-        if not node_dir.is_dir():
+        pid = node_dir.name.split("-", 1)[1]
+        if not (node_dir.is_dir() and pid.isdigit()):
             continue
+        storage = NodeStorage(root, int(pid))
         archive_path = node_dir / ARCHIVE_NAME
         entries, good_bytes = 0, 0
         prefixes = {(0, 0)}  # every (entries, bytes) an image may name
@@ -651,6 +705,8 @@ def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
                     covered=prefix in prefixes,
                 )
             snapshots.append(row)
+        stamp = storage.stamp_problem(build)
+        problems = [] if stamp is None else [stamp]
         decisions = 0
         slot_states = 0
         torn = 0
@@ -660,22 +716,24 @@ def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
             result = scan_segment(segment)
             if result.torn:
                 torn += 1
-            for payload in result.payloads:
-                record = decode_record(codec, payload)
-                if isinstance(record, WalDecision):
-                    decisions += 1
-                    max_slot = max(max_slot, record.slot)
-                elif isinstance(record, WalSlotState):
-                    slot_states += 1
-                    max_slot = max(max_slot, record.slot)
-            segments.append(
-                {
-                    "file": segment.name,
-                    "records": len(result.payloads),
-                    "bytes": result.good_bytes,
-                    "torn_tail": result.torn,
-                }
-            )
+            seg = {
+                "file": segment.name,
+                "records": len(result.payloads),
+                "bytes": result.good_bytes,
+                "torn_tail": result.torn,
+            }
+            try:
+                for record in _records(codec, segment, result.payloads):
+                    if isinstance(record, WalDecision):
+                        decisions += 1
+                        max_slot = max(max_slot, record.slot)
+                    elif isinstance(record, WalSlotState):
+                        slot_states += 1
+                        max_slot = max(max_slot, record.slot)
+            except RecoveryError as exc:
+                seg["problem"] = str(exc)
+                problems.append(str(exc))
+            segments.append(seg)
         rows.append(
             {
                 "node": node_dir.name,
@@ -690,9 +748,9 @@ def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
                 "wal_slot_states": slot_states,
                 "torn_segments": torn,
                 "max_slot_seen": max_slot,
-                "meta": NodeStorage(root, int(node_dir.name.split("-", 1)[1])).read_meta()
-                if node_dir.name.split("-", 1)[1].isdigit()
-                else {},
+                "meta": storage.read_meta(),
+                "registry": {"stamp": storage.read_stamp(), "build": build},
+                "problems": problems,
             }
         )
     return rows
@@ -703,7 +761,7 @@ __all__ = [
     "RecoveryError",
     "RecoveryResult",
     "ReplicaPersister",
-    "TRANSFER_CHUNK_CHARS",
+    "TRANSFER_CHUNK_BYTES",
     "fetch_snapshot",
     "inspect_data_dir",
     "install_image",

@@ -5,9 +5,10 @@ needs to resume below its applied frontier. It is two artifacts, so that
 taking one costs O(live state + commands applied since the last one),
 never O(history):
 
-* the **image**, ``snapshot-<upto>-<walseq>.snap`` — the ``KVStore`` map,
-  the applied frontier, any decided-but-unapplied tail slots, and the
-  prefix ``(log_entries, archive_bytes)`` of the archive it stands on.
+* the **image**, ``snapshot-<upto>-<walseq>.snap`` — one codec payload
+  holding a dict: the ``KVStore`` map, the applied frontier, any
+  decided-but-unapplied tail slots, and the prefix
+  ``(log_entries, archive_bytes)`` of the archive it stands on.
   ``upto`` is the applied frontier covered, ``walseq`` the first WAL
   segment whose records postdate the snapshot. Written through the atomic
   temp-then-rename helper with fsync, so a crash mid-snapshot leaves the
@@ -27,13 +28,13 @@ The applied-id set is in neither: it is a function of the log and
 State *transfer* ships the same image (:func:`render_image` renders
 both) with the log suffix the receiver lacks in place of the archive
 prefix (:func:`transfer_image`), and one decoder reads both
-(:func:`decode_image`). Values go through the wire codec, so commands,
-batches, and ``BOTTOM`` round-trip bit-exactly on any node.
+(:func:`decode_image`). Images, transfer images and range documents are
+all v2 codec payloads, so commands, batches, and ``BOTTOM`` round-trip
+bit-exactly on any node with the same registry.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
 import re
 from dataclasses import dataclass
@@ -43,13 +44,14 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 from ..core.errors import ReproError
 from ..obs import Observability, NULL_OBS
 from ..smr.kvstore import KVCommand, key_slot
-from .files import atomic_write_text
+from .files import atomic_write_bytes
 from .wal import HEADER_BYTES, pack_record, scan_records
 from .writer import StorageWriter
 
-#: Bumped on incompatible snapshot tree changes. 2: the applied log left
-#: the snapshot file for the archive, and ``applied_ids`` is derived.
-SNAPSHOT_FORMAT = 2
+#: Bumped on incompatible image changes. 2: the applied log left the
+#: snapshot file for the archive, and ``applied_ids`` is derived. 3: the
+#: image is a v2 codec payload instead of JSON text.
+SNAPSHOT_FORMAT = 3
 
 ARCHIVE_NAME = "applied.arc"
 
@@ -213,34 +215,28 @@ def read_archive_prefix(
 # ----------------------------------------------------------------------
 
 
-def _parse(text: str, what: str) -> Dict[str, Any]:
+def _parse(codec: Any, blob: bytes, what: str) -> Dict[str, Any]:
     try:
-        tree = json.loads(text)
-    except ValueError as exc:
-        raise SnapshotError(f"{what}: unreadable document: {exc}") from None
+        tree = codec.decode_payload(blob)
+    except ReproError as exc:
+        raise SnapshotError(f"{what}: not a format-{SNAPSHOT_FORMAT} document: {exc}") from None
     fmt = tree.get("format") if isinstance(tree, dict) else None
     if fmt != SNAPSHOT_FORMAT:
         raise SnapshotError(f"{what}: format {fmt!r}, expected {SNAPSHOT_FORMAT}")
     return tree
 
 
-def render_image(codec: Any, replica: Any, **log: Any) -> str:
-    """*replica*'s image as one JSON document, for disk and wire alike:
+def render_image(codec: Any, replica: Any, **log: Any) -> bytes:
+    """*replica*'s image as one codec payload, for disk and wire alike:
     the map, the frontier, the decided tail, and *log* — the fields that
     say where the applied log comes from."""
     upto = replica.applied_upto
     tail = {slot: value for slot, value in replica.decided.items() if slot >= upto}
-    tree = {
-        "format": SNAPSHOT_FORMAT,
-        "applied_upto": upto,
-        "data": codec.to_jsonable(replica.store.data),
-        "decided_tail": codec.to_jsonable(tail),
-        **log,
-    }
-    return json.dumps(tree, separators=(",", ":"), sort_keys=True)
+    fields = dict(applied_upto=upto, data=replica.store.data, decided_tail=tail, **log)
+    return codec.encode_payload(dict(format=SNAPSHOT_FORMAT, **fields))
 
 
-def transfer_image(codec: Any, replica: Any, base: int) -> str:
+def transfer_image(codec: Any, replica: Any, base: int) -> bytes:
     """The image for a receiver holding *base* log entries: O(live + delta).
 
     The log travels as ``suffix`` = ``log[base:]`` behind ``anchor``, the
@@ -253,41 +249,41 @@ def transfer_image(codec: Any, replica: Any, base: int) -> str:
         replica,
         log_entries=len(log),
         anchor=log[base - 1].command_id if base else None,
-        suffix=codec.to_jsonable(log[base:]),
+        suffix=log[base:],
     )
 
 
-def decode_image(codec: Any, text: str, what: str, on_disk: bool) -> Dict[str, Any]:
+def decode_image(codec: Any, blob: bytes, what: str, on_disk: bool) -> Dict[str, Any]:
     """The one decoder of an image, read from disk or off the wire.
 
     Returns the image's fields decoded: ``archive_bytes`` for a disk
     image, ``anchor`` and ``suffix`` (commands) for a transfer image.
     Raises only :class:`SnapshotError`.
     """
-    tree = _parse(text, f"{what}: snapshot")
+    tree = _parse(codec, blob, f"{what}: snapshot")
     try:
         image = {
             "applied_upto": int(tree["applied_upto"]),
             "log_entries": int(tree["log_entries"]),
-            "data": dict(codec.from_jsonable(tree["data"])),
-            "decided_tail": dict(codec.from_jsonable(tree["decided_tail"])),
+            "data": dict(tree["data"]),
+            "decided_tail": dict(tree["decided_tail"]),
         }
         if on_disk:
             image["archive_bytes"] = int(tree["archive_bytes"])
         else:
             image["anchor"] = tree["anchor"]
-            image["suffix"] = list(codec.from_jsonable(tree["suffix"]))
+            image["suffix"] = list(tree["suffix"])
             if not all(type(command) is KVCommand for command in image["suffix"]):
                 raise TypeError("suffix holds a non-command")
-    except (ReproError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"{what}: malformed image: {exc!r}") from None
     return image
 
 
 def serialize_range_state(
     codec: Any, replica: Any, lo: int, hi: int, slots: int
-) -> str:
-    """Render the state of hash-slot range ``[lo, hi)`` as one document.
+) -> bytes:
+    """Render the state of hash-slot range ``[lo, hi)`` as one codec payload.
 
     The rebalance transfer leg: extracts the keys whose slot (under a
     *slots*-slot ring) falls in the range, plus the applied ids of every
@@ -307,28 +303,20 @@ def serialize_range_state(
         for command in replica.store.log
         if command.op in ("get", "put", "cas") and in_range(command.key)
     )
-    tree = {
-        "format": SNAPSHOT_FORMAT,
-        "kind": "range",
-        "lo": lo,
-        "hi": hi,
-        "slots": slots,
-        "data": codec.to_jsonable(data),
-        "applied_ids": applied_ids,
-    }
-    return json.dumps(tree, separators=(",", ":"), sort_keys=True)
+    fields = dict(lo=lo, hi=hi, slots=slots, data=data, applied_ids=applied_ids)
+    return codec.encode_payload(dict(format=SNAPSHOT_FORMAT, kind="range", **fields))
 
 
-def deserialize_range_state(codec: Any, text: str) -> Dict[str, Any]:
+def deserialize_range_state(codec: Any, blob: bytes) -> Dict[str, Any]:
     """Parse a :func:`serialize_range_state` document."""
-    tree = _parse(text, "range-state")
+    tree = _parse(codec, blob, "range-state")
     if tree.get("kind") != "range":
         raise SnapshotError(f"range-state: kind {tree.get('kind')!r}, expected 'range'")
     return {
         "lo": int(tree["lo"]),
         "hi": int(tree["hi"]),
         "slots": int(tree["slots"]),
-        "data": codec.from_jsonable(tree["data"]),
+        "data": tree["data"],
         "applied_ids": list(tree["applied_ids"]),
     }
 
@@ -355,22 +343,22 @@ def write_snapshot(
             f"the applied log only {len(log)}"
         )
     archive.append(codec, log[archive.entries :])
-    text = render_image(
+    blob = render_image(
         codec, replica, log_entries=archive.entries, archive_bytes=archive.size
     )
     path = directory / snapshot_name(replica.applied_upto, wal_seq)
-    archive.writer.call(partial(atomic_write_text, path, text, durable=True))
-    archive.obs.registry.gauge("storage.snapshot_bytes").set(len(text))
+    archive.writer.call(partial(atomic_write_bytes, path, blob, durable=True))
+    archive.obs.registry.gauge("storage.snapshot_bytes").set(len(blob))
     return SnapshotInfo(path=path, upto=replica.applied_upto, wal_seq=wal_seq)
 
 
 def read_image(codec: Any, info: SnapshotInfo) -> Dict[str, Any]:
     """One image on disk, decoded by :func:`decode_image`."""
     try:
-        text = info.path.read_text()
+        blob = info.path.read_bytes()
     except OSError as exc:
         raise SnapshotError(f"{info.path.name}: unreadable image: {exc}") from None
-    return decode_image(codec, text, info.path.name, on_disk=True)
+    return decode_image(codec, blob, info.path.name, on_disk=True)
 
 
 def load_snapshot(codec: Any, info: SnapshotInfo) -> Dict[str, Any]:

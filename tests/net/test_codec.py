@@ -1,13 +1,13 @@
 """Round-trip identity for the wire codec, over every registered type.
 
 The codec's contract is that anything a :class:`~repro.core.process.Process`
-can ``ctx.send`` round-trips bit-exactly through the wire format — under
-*both* formats: binary (v2) is what every link speaks, and JSON (v1) is
-what hellos and earlier builds' WAL payloads are written in. The
-hypothesis tests below run each derived strategy through both encoders,
-plus a cross-format oracle (the two decoders must agree on every value). The strategy for each
-registered dataclass is derived from its field annotations, so adding a
-new message type to any protocol automatically extends the property.
+can ``ctx.send`` round-trips bit-exactly through the one wire format,
+binary v2. The hypothesis tests below run each derived strategy through
+the encoder, plus a cross-table oracle (a codec over the same types
+registered in another order must agree on every value). The strategy for
+each registered dataclass is derived from its field annotations, so
+adding a new message type to any protocol automatically extends the
+property.
 """
 
 import dataclasses
@@ -25,18 +25,17 @@ from repro.net.codec import (
     MAX_FRAME_BYTES,
     MAX_PENDING_BYTES,
     MessageCodec,
+    MessageRegistry,
     WIRE_VERSION_BINARY,
-    WIRE_VERSION_JSON,
     default_registry,
     make_codec,
 )
-from repro.net.wire import ClientReply, NodeHello
+from repro.net.wire import ClientReply, NodeHello, SnapshotChunk
 from repro.protocols.twostep import OneB, Propose, TwoB
 from repro.smr.kvstore import BatchRef, CommandBatch, KVCommand
 from repro.smr.log import BodyRequest, Slotted, SubmitCommand
 
 CODEC = MessageCodec()
-VERSIONS = {"json": WIRE_VERSION_JSON, "binary": WIRE_VERSION_BINARY}
 REGISTRY = CODEC.registry
 
 
@@ -48,19 +47,20 @@ _ids = st.integers(min_value=0, max_value=7)
 _small_int = st.integers(min_value=-3, max_value=100)
 _floats = st.floats(allow_nan=False, allow_infinity=False, width=32)
 _text = st.text(max_size=12)
+_bytes = st.binary(max_size=12)
 
 # Consensus values in this repo are hashable scalars; BOTTOM marks "no value".
 _value = st.one_of(st.just(BOTTOM), _small_int, _text, st.booleans())
 
 # ``Any``-annotated payload fields (KV results/values) may carry structured
 # data; keep members hashable where the container demands it.
-_any_scalar = st.one_of(st.none(), st.booleans(), _small_int, _floats, _text)
+_any_scalar = st.one_of(st.none(), st.booleans(), _small_int, _floats, _text, _bytes)
 _any_value = st.recursive(
     _any_scalar,
     lambda inner: st.one_of(
         st.lists(inner, max_size=3),
         st.tuples(inner, inner),
-        st.frozensets(st.one_of(_small_int, _text), max_size=3),
+        st.frozensets(st.one_of(_small_int, _text, _bytes), max_size=3),
         st.dictionaries(_text, inner, max_size=3),
     ),
     max_leaves=6,
@@ -115,6 +115,7 @@ def _strategy_for_annotation(annotation: str) -> st.SearchStrategy:
         "ProcessId": _ids,
         "float": _floats,
         "str": _text,
+        "bytes": _bytes,
         "bool": st.booleans(),
         "MaybeValue": _value,
         "Any": _any_value,
@@ -173,31 +174,42 @@ _any_registered = st.sampled_from(REGISTRY.types()).flatmap(_strategy_for_type)
 # ----------------------------------------------------------------------
 
 
+def _reregistered() -> MessageCodec:
+    """A codec over :data:`REGISTRY`'s types, registered in reverse order."""
+    registry = MessageRegistry()
+    for name in reversed(REGISTRY.names()):
+        registry.register(REGISTRY.type_of(name), name)
+    return MessageCodec(registry)
+
+
+OTHER = _reregistered()
+
+
 class TestRoundTripProperty:
-    @pytest.mark.parametrize("name", sorted(VERSIONS))
+    @pytest.mark.parametrize("codec", [CODEC], ids=["binary"])
     @settings(max_examples=300, deadline=None)
     @given(message=_any_registered)
-    def test_encode_decode_identity(self, name, message):
-        version = VERSIONS[name]
-        assert CODEC.decode(CODEC.encode(message, version)) == message
+    def test_encode_decode_identity(self, codec, message):
+        assert codec.decode(codec.encode(message)) == message
 
-    @pytest.mark.parametrize("name", sorted(VERSIONS))
+    @pytest.mark.parametrize("codec", [CODEC], ids=["binary"])
     @settings(max_examples=100, deadline=None)
     @given(message=_any_registered)
-    def test_encoding_is_canonical(self, name, message):
+    def test_encoding_is_canonical(self, codec, message):
         # Same value => same bytes (sets are serialized in sorted order).
-        version = VERSIONS[name]
-        frame = CODEC.encode(message, version)
-        assert CODEC.encode(CODEC.decode(frame), version) == frame
+        frame = codec.encode(message)
+        assert codec.encode(codec.decode(frame)) == frame
 
     @settings(max_examples=200, deadline=None)
     @given(message=_any_registered)
     def test_cross_codec_oracle(self, message):
-        # The two formats are views of the same value: decoding the binary
-        # encoding must equal decoding the JSON encoding.
-        from_json = CODEC.decode(CODEC.encode(message, WIRE_VERSION_JSON))
-        from_binary = CODEC.decode(CODEC.encode(message))
-        assert from_json == from_binary == message
+        # Type ids are a function of the registry's contents, not of the
+        # order types were registered in: what a data directory's stamp
+        # and the hello's hash rely on.
+        frame = CODEC.encode(message)
+        assert OTHER.encode(message) == frame
+        assert OTHER.decode(frame) == CODEC.decode(frame) == message
+        assert OTHER.registry_hash == CODEC.registry_hash
 
     @settings(max_examples=150, deadline=None)
     @given(body=st.binary(max_size=64))
@@ -213,15 +225,6 @@ class TestRoundTripProperty:
         # Anything accepted must re-encode canonically (full consumption
         # means it was a complete, self-consistent body).
         assert CODEC.encode_payload(value) is not None
-
-    @settings(max_examples=150, deadline=None)
-    @given(body=st.binary(max_size=64))
-    def test_malformed_json_bytes_never_decode_garbage(self, body):
-        payload = bytes((WIRE_VERSION_JSON,)) + body
-        try:
-            CODEC.decode_payload(payload)
-        except CodecError:
-            return
 
     def test_every_registered_type_has_a_strategy(self):
         # _strategy_for_type raises for unknown annotations, so building a
@@ -306,17 +309,14 @@ class TestFrameDecoder:
         with pytest.raises(CodecError, match="corrupt"):
             decoder.feed(b"\xff\xff\xff\xff")
 
-    def test_binary_frames_interleave_with_json_frames(self):
-        # Per-frame version dispatch: one stream may carry both formats
-        # (a v1 hello before v2 frames, or a WAL written across an upgrade).
-        frames = [
-            CODEC.encode(NodeHello(pid=1), WIRE_VERSION_JSON),
-            CODEC.encode(Propose(value="v")),
-            CODEC.encode(TwoB(ballot=3, value=BOTTOM), WIRE_VERSION_JSON),
-        ]
+    def test_a_v1_frame_in_the_stream_is_refused(self):
+        # Every frame is v2: a v1 body (the JSON hello an older build
+        # sends) is refused by its version byte, never parsed.
+        legacy = b'\x01{"__t":"rec","k":"NodeHello","v":{"pid":1}}'
         decoder = FrameDecoder(CODEC)
-        out = decoder.feed(b"".join(frames))
-        assert out == [NodeHello(pid=1), Propose(value="v"), TwoB(ballot=3, value=BOTTOM)]
+        assert decoder.feed(CODEC.encode(Propose(value="v"))) == [Propose(value="v")]
+        with pytest.raises(CodecError, match="version mismatch: got 1"):
+            decoder.feed(len(legacy).to_bytes(4, "big") + legacy)
 
     def test_pending_bytes_stay_bounded_for_partial_maximal_frame(self):
         # An honest-but-slow peer can buffer at most one maximal frame.
@@ -337,14 +337,13 @@ class TestFrameDecoder:
         with pytest.raises(CodecError, match="buffered bytes"):
             decoder.feed(b"more")
 
-    @pytest.mark.parametrize("name", sorted(VERSIONS))
-    def test_decode_error_mid_burst_leaves_the_buffer_resizable(self, name):
+    @pytest.mark.parametrize("codec", [CODEC], ids=["binary"])
+    def test_decode_error_mid_burst_leaves_the_buffer_resizable(self, codec):
         # The failing frame's view is still referenced by the traceback
         # when the decoder compacts; it must have been released, or the
         # bytearray raises BufferError there and on every later feed.
-        codec = CODEC
-        good = codec.encode(NodeHello(pid=1), VERSIONS[name])
-        bad = bytearray(codec.encode(Propose(value="v"), VERSIONS[name]))
+        good = codec.encode(NodeHello(pid=1))
+        bad = bytearray(codec.encode(Propose(value="v")))
         bad[-1:] = b""
         bad[:4] = (len(bad) - 4).to_bytes(4, "big")  # complete frame, cut body
         burst = good * (70000 // len(good))  # dead prefix past the compaction mark
@@ -360,25 +359,27 @@ class TestFrameDecoder:
 class TestErrors:
     def test_version_mismatch(self):
         frame = bytearray(CODEC.encode(NodeHello(pid=0)))
-        frame[4] = 9  # far beyond any version either format knows
-        with pytest.raises(CodecError, match="version"):
-            CODEC.decode(bytes(frame))
+        for version in (0, 1, 3, 9):  # 1: the retired JSON format
+            frame[4] = version
+            with pytest.raises(CodecError, match=f"version mismatch: got {version}"):
+                CODEC.decode(bytes(frame))
 
     def test_unknown_wire_type(self):
         with pytest.raises(CodecError, match="unknown wire type"):
-            CODEC.from_jsonable({"__t": "rec", "k": "NoSuchMessage", "v": {}})
+            REGISTRY.type_of("NoSuchMessage")
 
     def test_rec_field_mismatch_names_the_wire_type(self):
         # Version-skew diagnosis: the error must say *which* wire type's
-        # fields failed to bind, not just dump the field list.
-        with pytest.raises(CodecError, match="'NodeHello'"):
-            CODEC.from_jsonable(
-                {"__t": "rec", "k": "NodeHello", "v": {"pid": 0, "extra": 1}}
-            )
+        # values failed to bind, not just that something did.
+        good = CODEC.encode_payload(KVCommand(op="put", key="k", command_id="c"))
+        bad = good.replace(b"\x05\x03put", b"\x05\x05bogus")
+        with pytest.raises(CodecError, match="wire type 'KVCommand'"):
+            CODEC.decode_payload(bad)
 
     def test_binary_unknown_type_id_names_the_id(self):
-        payload = bytes((WIRE_VERSION_BINARY, 0x0B, 0xFF, 0xFF))
-        with pytest.raises(CodecError, match="type id 65535"):
+        # Just below the handshake records' fixed ids, far past the table.
+        payload = bytes((WIRE_VERSION_BINARY, 0x0B, 0xFF, 0xFC))
+        with pytest.raises(CodecError, match="type id 65532"):
             CODEC.decode_payload(payload)
 
     def test_binary_trailing_bytes_rejected(self):
@@ -391,26 +392,26 @@ class TestErrors:
             pass
 
         with pytest.raises(CodecError, match="not registered"):
-            CODEC.to_jsonable(NotOnTheWire())
-        with pytest.raises(CodecError, match="not registered"):
             CODEC.encode_payload(NotOnTheWire())
 
     def test_registry_collision_rejected(self):
         registry = default_registry()
         with pytest.raises(CodecError, match="already registered"):
-            registry.register(KVCommand, name="NodeHello")
+            registry.register(KVCommand, name="ClientSubmit")
 
     def test_garbage_body_rejected(self):
-        frame = CODEC.encode(NodeHello(pid=0))
-        payload = bytes([WIRE_VERSION_JSON]) + b"{not json"
-        with pytest.raises(CodecError, match="undecodable"):
-            CODEC.decode_payload(payload)
-        del frame
+        for body, reason in (
+            (b"\x0f", "unknown binary wire tag 0x0f"),
+            (b"\x04\x00", "truncated float"),
+            (b"\x05\x05ab", "truncated string"),
+            (b"\x05\x02\xff\xfe", "undecodable"),  # not UTF-8
+        ):
+            with pytest.raises(CodecError, match=reason):
+                CODEC.decode_payload(bytes((WIRE_VERSION_BINARY,)) + body)
 
     def test_make_codec_names(self):
         for codec in (make_codec("binary"), make_codec(), MessageCodec()):
             assert codec.encode(NodeHello(pid=0))[4] == WIRE_VERSION_BINARY
-            assert codec.max_wire_version == WIRE_VERSION_BINARY
         for name in ("json", "msgpack"):
             with pytest.raises(ConfigurationError, match="unknown codec"):
                 make_codec(name)
@@ -430,25 +431,6 @@ class _LayoutProbeNew:
 
 
 class TestBinaryFormat:
-    def test_hot_messages_are_much_smaller_than_json(self):
-        # The headline property the microbenchmark pins precisely: the
-        # acceptance bar is >= 40% smaller on the hot SMR shapes.
-        commands = tuple(
-            KVCommand(op="put", key=f"key-{i}", value=f"value-{i}", command_id=f"c-{i}")
-            for i in range(8)
-        )
-        batch = CommandBatch(commands=commands, batch_id="b-1")
-        for message in (
-            Slotted(slot=512, inner=Propose(value=batch)),
-            Slotted(slot=512, inner=TwoB(ballot=0, value=batch)),
-            ClientReply(
-                request_id="r", command_id="c", result=None, commit_seconds=0.01
-            ),
-        ):
-            json_frame = CODEC.encode(message, WIRE_VERSION_JSON)
-            binary_frame = CODEC.encode(message)
-            assert len(binary_frame) <= 0.6 * len(json_frame), message
-
     def test_registry_hash_is_deterministic_and_skew_sensitive(self):
         # Codecs over equal registries agree; adding a type skews the
         # name table and must change the fingerprint. Registries are
@@ -478,12 +460,47 @@ class TestBinaryFormat:
             request_id="r", command_id="c", result=[1, 2], commit_seconds=0.0
         )
         codec = CODEC
-        for version in VERSIONS.values():
-            first = codec.encode(TwoB(ballot=4, value="hot"), version)
-            assert codec.encode(TwoB(ballot=4, value="hot"), version) == first
-            assert codec.encode(TwoB(ballot=5, value="hot"), version) != first
-            assert codec.decode(first) == TwoB(ballot=4, value="hot")
-            # An unhashable payload is a value like any other.
-            frame = codec.encode(unhashable, version)
-            assert codec.encode(dataclasses.replace(unhashable), version) == frame
-            assert codec.decode(frame) == unhashable
+        first = codec.encode(TwoB(ballot=4, value="hot"))
+        assert codec.encode(TwoB(ballot=4, value="hot")) == first
+        assert codec.encode(TwoB(ballot=5, value="hot")) != first
+        assert codec.decode(first) == TwoB(ballot=4, value="hot")
+        # An unhashable payload is a value like any other.
+        frame = codec.encode(unhashable)
+        assert codec.encode(dataclasses.replace(unhashable)) == frame
+        assert codec.decode(frame) == unhashable
+
+
+class TestBytesTag:
+    """Tag ``0x0C``: varint length + raw bytes (transfer chunks carry it)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(blob=st.binary(max_size=300), other=_bytes)
+    def test_bytes_round_trip_inside_records_and_containers(self, blob, other):
+        chunk = SnapshotChunk("r", 0, True, 7, blob)
+        for value in (
+            blob,
+            chunk,
+            (blob, [other, blob]),
+            {blob: other, "k": (blob,)},
+            frozenset({blob, other}),
+            ClientReply("r", "c", result={"image": blob}, commit_seconds=0.0),
+        ):
+            payload = CODEC.encode_payload(value)
+            for wrap in (bytes, bytearray, memoryview):
+                assert CODEC.decode_payload(wrap(payload)) == value
+        decoded = CODEC.decode_payload(memoryview(CODEC.encode_payload(chunk)))
+        assert type(decoded.payload) is bytes
+
+    def test_truncated_or_over_long_bytes_raise_codec_error(self):
+        payload = CODEC.encode_payload(b"abcdef")
+        assert payload == bytes((WIRE_VERSION_BINARY, 0x0C, 6)) + b"abcdef"
+        for cut in range(1, len(payload)):
+            with pytest.raises(CodecError):
+                CODEC.decode_payload(payload[:cut])
+        header = bytes((WIRE_VERSION_BINARY, 0x0C))
+        with pytest.raises(CodecError, match="truncated bytes"):
+            CODEC.decode_payload(header + bytes((7,)) + b"abcdef")
+        with pytest.raises(CodecError, match="trailing"):
+            CODEC.decode_payload(header + bytes((5,)) + b"abcdef")
+        with pytest.raises(CodecError, match="over-long varint"):
+            CODEC.decode_payload(header + b"\xff" * 11)

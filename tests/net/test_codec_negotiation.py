@@ -1,10 +1,11 @@
-"""The link handshake on the live runtime: v1 hello, then binary v2.
+"""The link handshake on the live runtime: hello and ack, then frames.
 
-The contract under test: every link opens with a v1 hello and a
-``HelloAck``; an accepted link speaks binary v2 in both directions, and a
-hello from a different registry or a pre-v2 build is refused with both
-registry hashes named — never downgraded, never decoded past the hello,
-and retried only on the backoff schedule.
+The contract under test: every link opens with a hello and a
+``HelloAck`` that any build can decode; an accepted link speaks binary
+v2 in both directions over one registry, a hello from a different
+registry is refused with both registry hashes named, and an older
+build's v1 hello closes the link — never downgraded, never decoded past
+the hello, and retried only on the backoff schedule.
 """
 
 import asyncio
@@ -16,16 +17,14 @@ import pytest
 from repro.net.client import KVClient
 from repro.net.cluster import LocalCluster
 from repro.net.codec import (
-    WIRE_VERSION_JSON,
     MessageCodec,
     MessageRegistry,
     default_registry,
-    read_frame,
 )
 from repro.net.loadgen import run_loadgen
 from repro.net.stats import fetch_node_stats
 from repro.net.node import HandshakeRefused, KVService, NodeServer, dial
-from repro.net.wire import ClientHello, ClientSubmit, HelloAck, NodeHello
+from repro.net.wire import ClientHello, ClientSubmit, NodeHello
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
 from repro.shard import ShardedCluster, ShardRouter
@@ -61,6 +60,14 @@ def _filtered_codec(drop: str = "WrongShard") -> MessageCodec:
     for name in full.names():
         if name != drop:
             registry.register(full.type_of(name), name=name)
+    return MessageCodec(registry)
+
+
+def _extended_codec() -> MessageCodec:
+    """A codec whose registry has one extra type sorting first: every
+    registry type id moves up by one, the handshake records' do not."""
+    registry = default_registry()
+    registry.register(KVCommand, name="AAAExtraProbe")
     return MessageCodec(registry)
 
 
@@ -154,17 +161,31 @@ def test_registry_skew_is_refused_with_both_hashes(caplog):
                 await dial(addresses[0], skewed, NodeHello(2), timeout=1.0)
             assert skewed.registry_hash in str(refused.value)
             assert nodes[0].codec.registry_hash in str(refused.value)
+            # An acceptor with one extra type still decodes the hello
+            # (the handshake records' ids are fixed) and refuses it by
+            # hash; the dialer still decodes its ack.
+            extended = NodeServer(3, 4, _factory(), codec=_extended_codec())
+            try:
+                await extended.bind()
+                with pytest.raises(HandshakeRefused) as refused:
+                    await dial(extended.address, nodes[0].codec, NodeHello(0), timeout=1.0)
+            finally:
+                await extended.stop()
+            assert extended.codec.registry_hash in str(refused.value)
+            assert nodes[0].codec.registry_hash in str(refused.value)
+            extended_refusals = extended.obs.snapshot()["counters"]["net.hello_rejected"]
             await asyncio.sleep(window)
             elapsed = time.perf_counter() - started
         finally:
             for node in nodes:
                 await node.stop()
-        return nodes, served_senders, elapsed
+        return nodes, served_senders, elapsed, extended_refusals
 
     with caplog.at_level(logging.ERROR, logger="repro.net"):
-        nodes, served_senders, elapsed = asyncio.run(
+        nodes, served_senders, elapsed, extended_refusals = asyncio.run(
             asyncio.wait_for(live(), HARD_TIMEOUT)
         )
+    assert extended_refusals == 1
     counters = [node.obs.snapshot()["counters"] for node in nodes]
     # Both acceptors of node 2's hellos refused them, and node 2 refused
     # theirs; the good pair still linked up with each other.
@@ -189,6 +210,11 @@ def test_registry_skew_is_refused_with_both_hashes(caplog):
 
 
 def test_pre_v2_client_is_refused_before_any_frame_is_decoded():
+    # What a build from before the v2 hello sends: a v1 JSON hello, then
+    # a v1 submit right away, without waiting for an ack.
+    hello = b'\x01{"__t":"rec","k":"ClientHello","v":{"client_id":"legacy"}}'
+    submit = b'\x01{"__t":"rec","k":"ClientSubmit","v":{"request_id":"legacy:0"}}'
+
     async def live():
         # Bound, not launched: the acceptor alone, no peer links.
         node = NodeServer(0, 3, _factory(), client_service=KVService())
@@ -203,26 +229,25 @@ def test_pre_v2_client_is_refused_before_any_frame_is_decoded():
         address = await node.bind()
         try:
             reader, writer = await asyncio.open_connection(*address)
-            # A pre-v2 client: bare v1 hello, then a v1 submit right away.
-            writer.write(node.codec.encode(ClientHello("legacy"), WIRE_VERSION_JSON))
-            writer.write(
-                node.codec.encode(
-                    ClientSubmit("legacy:0", KVCommand("put", "k", "v", "legacy-1")),
-                    WIRE_VERSION_JSON,
-                )
-            )
+            for frame in (hello, submit):
+                writer.write(len(frame).to_bytes(4, "big") + frame)
             await writer.drain()
-            ack = await read_frame(reader, MessageCodec())
-            assert await reader.read() == b""  # the acceptor closed the link
+            # No ack: the acceptor closed the link after the first frame.
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            # A first frame in no version at all is closed silently.
+            reader, writer = await asyncio.open_connection(*address)
+            writer.write(len(b"\x07junk").to_bytes(4, "big") + b"\x07junk")
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
             writer.close()
         finally:
             await node.stop()
-        return node, ack, decoded
+        return node, decoded
 
-    node, ack, decoded = asyncio.run(asyncio.wait_for(live(), HARD_TIMEOUT))
-    assert ack == HelloAck(0, node.codec.registry_hash)
-    assert decoded == [WIRE_VERSION_JSON]  # the hello, nothing after it
-    assert node.obs.snapshot()["counters"]["net.hello_rejected"] == 1
+    node, decoded = asyncio.run(asyncio.wait_for(live(), HARD_TIMEOUT))
+    assert decoded == [1, 7]  # each link's first frame, nothing after it
+    assert node.obs.snapshot()["counters"]["net.hello_rejected"] == 1  # the v1 hello
 
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["kv", "sharded"])

@@ -12,12 +12,13 @@ side lacks, not on history. Nothing here reads a clock.
 import asyncio
 import json
 import shutil
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.codec import WIRE_VERSION_BINARY, WIRE_VERSION_JSON, MessageCodec
+from repro.net.codec import MessageCodec, MessageRegistry
 from repro.net.node import NodeServer
 from repro.net.wire import SnapshotRequest
 from repro.obs import Observability
@@ -50,18 +51,8 @@ from repro.storage.writer import StorageWriter
 N, F, E = 5, 2, 2
 CODEC = MessageCodec()
 
-
-class _PreBinaryCodec(MessageCodec):
-    """Writes every WAL and archive payload as v1, as earlier builds did."""
-
-    def encode_payload(self, obj, version=WIRE_VERSION_JSON):
-        return super().encode_payload(obj, version)
-
-
-#: ``json``: the files an earlier build wrote, every payload v1 — the
-#: format a current node must still recover from. ``binary``: what every
-#: build writes now.
-CODECS = {"json": _PreBinaryCodec(), "binary": MessageCodec()}
+#: The one codec; the parametrized classes below keep their ``[binary]`` ids.
+CODECS = {"binary": CODEC}
 
 
 def _replica(pid=0):
@@ -121,7 +112,7 @@ def _serve(donor, receiver):
     the chunks and the document they join into."""
     request = SnapshotRequest("r", receiver.applied_upto, len(receiver.store.log))
     chunks = transfer_chunks(CODEC, donor, request)
-    return chunks, "".join(chunk.payload for chunk in chunks)
+    return chunks, b"".join(chunk.payload for chunk in chunks)
 
 
 def _image(donor, receiver):
@@ -177,13 +168,13 @@ class TestSnapshotRoundTrip:
         persister.after_activation()
         persister.close()
         (info,) = list_snapshots(persister.storage.dir)
-        disk = json.loads(info.path.read_text())
+        disk = CODEC.decode_payload(info.path.read_bytes())
         text = _serve(a, _replica(pid=1))[1]
-        wire = json.loads(text)
+        wire = CODEC.decode_payload(text)
         # One image: the two differ only in where the log comes from.
         assert disk.pop("archive_bytes") > 0
         assert wire.pop("anchor") is None
-        assert list(CODEC.from_jsonable(wire.pop("suffix"))) == a.store.log
+        assert wire.pop("suffix") == a.store.log
         assert disk == wire
 
         decoded = []
@@ -203,14 +194,28 @@ class TestSnapshotRoundTrip:
         for key in ("applied_upto", "data", "decided_tail"):
             assert fetched[key] == loaded[key]
         for on_disk in (True, False):
-            for bad in ("{", "[]", '{"format": 2}', '{"format": 2, "data": 5}'):
+            for bad in (
+                b"{",
+                b'{"format": 2}',  # a JSON image, as the build before format 3 wrote
+                CODEC.encode_payload([]),
+                CODEC.encode_payload({"format": 3}),
+                CODEC.encode_payload({"format": 3, "data": 5}),
+            ):
                 with pytest.raises(SnapshotError):
                     decode(CODEC, bad, "bad", on_disk)
 
 
+def _reregistered():
+    """A codec over :data:`CODEC`'s types, registered in reverse order."""
+    registry = MessageRegistry()
+    for name in reversed(CODEC.registry.names()):
+        registry.register(CODEC.registry.type_of(name), name)
+    return MessageCodec(registry)
+
+
 class TestPersisterCycle:
-    #: On v1 payloads; ``TestPersisterCycleBinary`` reruns every test on v2.
-    codec = CODECS["json"]
+    #: ``TestPersisterCycleBinary`` reruns every test on another codec.
+    codec = CODEC
 
     def test_journal_crash_recover_rebuilds_the_store(self, tmp_path):
         a = _replica()
@@ -332,7 +337,10 @@ class TestPersisterCycle:
 
 
 class TestPersisterCycleBinary(TestPersisterCycle):
-    codec = CODECS["binary"]
+    """Every test again on a codec whose registry was filled in another
+    order: neither its type ids nor its stamp may depend on that."""
+
+    codec = _reregistered()
 
 
 class TestRetention:
@@ -390,7 +398,7 @@ class TestStateTransfer:
         for commands in (2_000, 20_000):
             donor = _donor(commands)
             behind = SnapshotRequest("r", donor.applied_upto - 1, commands - 100)
-            text = "".join(
+            text = b"".join(
                 chunk.payload for chunk in transfer_chunks(CODEC, donor, behind)
             )
             image = decode_image(CODEC, text, "transfer", on_disk=False)
@@ -422,11 +430,11 @@ class TestStateTransfer:
         _decide(level, range(6))
         for donor in (_replica(pid=2), level):
             chunks, text = _serve(donor, ahead)
-            assert len(chunks) == 1 and chunks[0].last and text == ""
+            assert len(chunks) == 1 and chunks[0].last and text == b""
             assert chunks[0].upto == donor.applied_upto
         decoded = []
         monkeypatch.setattr(recovery_module, "decode_image", decoded.append)
-        assert _fetch(monkeypatch, "", ahead.applied_upto, len(ahead.store.log)) is None
+        assert _fetch(monkeypatch, b"", ahead.applied_upto, len(ahead.store.log)) is None
         assert decoded == []
         # An image from a peer that stopped being ahead before it landed.
         stale = _image(level, _replica(pid=3))
@@ -482,7 +490,12 @@ class TestStateTransfer:
         self, tmp_path, monkeypatch
     ):
         node = NodeServer(
-            0, N, lambda pid, n: SMRReplica(pid, n, F, E), data_dir=str(tmp_path), fsync=False
+            0,
+            N,
+            lambda pid, n: SMRReplica(pid, n, F, E),
+            data_dir=str(tmp_path),
+            fsync=False,
+            codec=CODEC,
         )
         node.persister.recover()
         node._addresses = [("peer", pid) for pid in range(N)]
@@ -495,10 +508,10 @@ class TestStateTransfer:
         _decide(behind, range(2))
         node.process.restore_store({"data": behind.store.data, "log": behind.store.log}, 2)
         answers = {
-            1: '{"format":2,"applied_upto":9}',  # malformed: fields missing
+            1: CODEC.encode_payload({"format": 3, "applied_upto": 9}),  # fields missing
             2: _serve(forked, behind)[1],  # anchored on another log
             3: _serve(good, behind)[1],
-            4: "",  # not ahead
+            4: b"",  # not ahead
         }
 
         async def answer(address, codec, client_id, request, timeout):
@@ -571,8 +584,46 @@ class TestInspect:
         assert out.count("NOT COVERED BY THE ARCHIVE") == 1
 
 
+class TestUndecodableRecords:
+    """A WAL record whose CRC holds but whose payload does not decode."""
+
+    def test_recover_names_the_segment_and_the_record(self, tmp_path):
+        a = _replica()
+        persister = _persister(tmp_path, a)
+        persister.recover()
+        _decide(a, range(2))
+        persister.after_activation()
+        persister.close()
+        good = list_segments(persister.storage.dir)[-1].read_bytes()
+        bad = persister.storage.dir / segment_name(9)
+        bad.write_bytes(good + pack_record(b"\x07junk"))
+        with pytest.raises(RecoveryError) as refused:
+            _persister(tmp_path, _replica()).recover()
+        assert str(refused.value).startswith(
+            f"{bad.name}: record 2 does not decode (wire version mismatch: got 7"
+        )
+
+    def test_repro_recover_marks_the_segment_unreadable(self, tmp_path, capsys):
+        node_dir = tmp_path / "node-0"
+        node_dir.mkdir()
+        record = pack_record(b"\x07junk")
+        (node_dir / segment_name(1)).write_bytes(record)
+        from repro.__main__ import main
+
+        assert main(["recover", "--data-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert (
+            f"{segment_name(1)}: 1 record(s), {len(record)} valid "
+            f"byte(s) UNREADABLE ({segment_name(1)}: record 0 does not decode "
+            "(wire version mismatch: got 7"
+        ) in captured.out
+        assert f"registry stamp: none (this build: {CODEC.registry_hash})" in captured.out
+        assert captured.out.count("REFUSED BY RECOVERY") == 2  # the stamp, the record
+
+
 # ----------------------------------------------------------------------
-# Format 2: an image over the applied-log archive.
+# Format 3: an image (one codec payload) over the applied-log archive.
 # ----------------------------------------------------------------------
 
 
@@ -587,13 +638,13 @@ def _decide_batches(replica, slots):
 
 def _image_size(path):
     """An image's size with the three counters it names zeroed out."""
-    tree = json.loads(path.read_text())
-    assert tree["format"] == 2
+    tree = CODEC.decode_payload(path.read_bytes())
+    assert tree["format"] == 3
     assert "store" not in tree and "log" not in tree and "applied_ids" not in tree
     for counter in ("applied_upto", "log_entries", "archive_bytes"):
         assert tree[counter] > 0
         tree[counter] = 0
-    return len(json.dumps(tree))
+    return len(CODEC.encode_payload(tree))
 
 
 def _two_images_and_a_tail(root, codec):
@@ -612,40 +663,146 @@ def _two_images_and_a_tail(root, codec):
     return persister, _state(a)
 
 
-def _payload_versions(framed):
-    return {payload[0] for payload in scan_records(framed).payloads}
+@dataclass(frozen=True)
+class _ParentNodeHello:
+    pid: int
+    max_wire_version: int = 1
+    registry_hash: str = ""
+
+
+@dataclass(frozen=True)
+class _ParentClientHello:
+    client_id: str
+    max_wire_version: int = 1
+    registry_hash: str = ""
+
+
+@dataclass(frozen=True)
+class _ParentHelloAck:
+    wire_version: int
+    registry_hash: str = ""
+
+
+def _parent_codec():
+    """The codec of the build before the registry stamp: the same types,
+    plus its three hellos in the sorted table, so its type ids — what its
+    WAL and archive records carry — are that build's."""
+    registry = MessageRegistry()
+    for name in CODEC.registry.names():
+        registry.register(CODEC.registry.type_of(name), name)
+    registry.register(_ParentNodeHello, name="NodeHello")
+    registry.register(_ParentClientHello, name="ClientHello")
+    registry.register(_ParentHelloAck, name="HelloAck")
+    return MessageCodec(registry)
+
+
+def _files(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
 class TestLegacyPayloads:
-    def test_v1_payloads_recover_exactly_and_the_next_snapshot_writes_v2(
-        self, tmp_path
+    """Data directories this build must not read: refused whole, by name."""
+
+    def _parent_directory(self, root):
+        """A crashed node directory as the build before the stamp left it:
+        WAL and archive records under its type ids, JSON images, a
+        ``node.json`` with its bound port, and no registry stamp file."""
+        crashed, _ = _two_images_and_a_tail(root, _parent_codec())
+        storage = crashed.storage
+        storage.stamp_path.unlink()
+        storage.meta_path.write_text('{"host": "127.0.0.1", "port": 4242}\n')
+        for info in list_snapshots(storage.dir):
+            image = _parent_codec().decode_payload(info.path.read_bytes())
+            info.path.write_text(
+                json.dumps({**image, "format": 2, "data": {}, "decided_tail": {}})
+            )
+        return storage
+
+    def test_parent_build_directory_is_refused_by_its_stamp(self, tmp_path, capsys):
+        # Its records carry that build's ids: its three hellos sort first.
+        ours, theirs = (c.encode_payload(WalDecision(0, None)) for c in (CODEC, _parent_codec()))
+        assert int.from_bytes(theirs[2:4], "big") == int.from_bytes(ours[2:4], "big") + 3
+        storage = self._parent_directory(tmp_path)
+        before = _files(storage.dir)
+        replica = _replica()
+        with pytest.raises(RecoveryError) as refused:
+            _persister(tmp_path, replica).recover()
+        message = str(refused.value)
+        assert "registry none (no stamp file: an older build)" in message
+        assert CODEC.registry_hash in message
+        assert replica.store.log == [] and replica.applied_upto == 0
+        assert _files(storage.dir) == before  # not even stamped
+
+        from repro.__main__ import main
+
+        assert main(["recover", "--data-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "registry stamp: none" in out
+        assert f"REFUSED BY RECOVERY: {message}" in out
+
+    def test_directory_stamped_by_another_registry_is_refused(self, tmp_path):
+        # The parent build's records with a stamp: what a build with one
+        # more message type than this one would leave.
+        parent = _parent_codec()
+        crashed, _ = _two_images_and_a_tail(tmp_path, parent)
+        assert crashed.storage.read_stamp() == parent.registry_hash
+        before = _files(crashed.storage.dir)
+        replica = _replica()
+        with pytest.raises(RecoveryError) as refused:
+            _persister(tmp_path, replica).recover()
+        assert parent.registry_hash in str(refused.value)
+        assert CODEC.registry_hash in str(refused.value)
+        assert replica.store.log == [] and replica.applied_upto == 0
+        assert _files(crashed.storage.dir) == before
+        # The build that wrote it still recovers it exactly.
+        again = _replica()
+        _persister(tmp_path, again, codec=parent).recover()
+        assert again.applied_upto == 14
+
+    def test_a_lost_node_json_leaves_the_stamp_and_the_state(self, tmp_path):
+        # node.json only pins the port and is rewritten on every start
+        # without an fsync: losing it must not cost the data directory.
+        crashed, state = _two_images_and_a_tail(tmp_path, CODEC)
+        crashed.storage.meta_path.write_text("")  # truncated by a power loss
+        crashed.storage.update_meta(host="127.0.0.1", port=4242)  # the next bind
+        replica = _replica()
+        _persister(tmp_path, replica).recover()
+        assert _state(replica) == state
+
+    def test_an_unreadable_stamp_is_refused_by_name(self, tmp_path, capsys):
+        crashed, _ = _two_images_and_a_tail(tmp_path, CODEC)
+        crashed.storage.stamp_path.write_text("")
+        before = _files(crashed.storage.dir)
+        replica = _replica()
+        with pytest.raises(RecoveryError) as refused:
+            _persister(tmp_path, replica).recover()
+        message = str(refused.value)
+        assert "registry unreadable (empty file)" in message
+        assert CODEC.registry_hash in message
+        assert replica.store.log == [] and replica.applied_upto == 0
+        assert _files(crashed.storage.dir) == before
+
+        from repro.__main__ import main
+
+        assert main(["recover", "--data-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "registry stamp: unreadable" in out
+        assert f"REFUSED BY RECOVERY: {message}" in out
+
+    def test_fresh_directory_is_stamped_before_its_first_segment(
+        self, tmp_path, monkeypatch
     ):
-        crashed, expected = _two_images_and_a_tail(tmp_path, CODECS["json"])
-        node_dir = crashed.storage.dir
-        archive = crashed.storage.archive_path
-        legacy = archive.read_bytes()
-        assert _payload_versions(legacy) == {WIRE_VERSION_JSON}
-        for segment in list_segments(node_dir):
-            assert _payload_versions(segment.read_bytes()) <= {WIRE_VERSION_JSON}
+        storage = NodeStorage(tmp_path, 0)
+        stamped = []
+        create = recovery_module.WriteAheadLog.create
 
-        b = _replica()
-        persister = _persister(tmp_path, b, codec=MessageCodec(), snapshot_every=4)
-        persister.recover()
-        assert _state(b) == expected
-        _decide_batches(b, range(14, 18))
-        persister.after_activation()
-        _decide_batches(b, [18])  # one decision left in the WAL tail
-        persister.after_activation()
-        persister.close()
-        assert list_snapshots(node_dir)[-1].upto > 14
-        appended = archive.read_bytes()[len(legacy):]
-        assert appended and _payload_versions(appended) == {WIRE_VERSION_BINARY}
-        newest = list_segments(node_dir)[-1]
-        assert _payload_versions(newest.read_bytes()) == {WIRE_VERSION_BINARY}
+        def spy(*args, **kwargs):
+            stamped.append(storage.read_stamp())
+            return create(*args, **kwargs)
 
-        c = _replica()
-        _persister(tmp_path, c).recover()
-        assert _state(c) == _state(b)
+        monkeypatch.setattr(recovery_module.WriteAheadLog, "create", spy)
+        _persister(tmp_path, _replica()).recover()
+        assert stamped == [CODEC.registry_hash]
 
 
 @pytest.mark.parametrize("codec", CODECS.values(), ids=CODECS)
@@ -676,7 +833,7 @@ class TestSnapshotCost:
             image = list_snapshots(persister.storage.dir)[-1]
             assert image.upto == (interval + 1) * every
             # No snapshot file contains the applied log.
-            assert "b00000.0" not in image.path.read_text()
+            assert b"b00000.0" not in image.path.read_bytes()
             costs.append(
                 (archive.stat().st_size - size_before, sum(handed), _image_size(image.path))
             )
@@ -734,7 +891,7 @@ class TestSnapshotCost:
         persister.after_activation()
         persister.close(hard=True)
         (image,) = list_snapshots(persister.storage.dir)
-        assert "applied_ids" not in json.loads(image.path.read_text())
+        assert "applied_ids" not in CODEC.decode_payload(image.path.read_bytes())
 
         b = _replica()
         _persister(tmp_path, b, codec=codec).recover()
@@ -766,7 +923,7 @@ class TestSnapshotCrashStages:
 
         with monkeypatch.context() as patch:
             if stage.startswith("archive"):  # archive appended, image never renamed
-                patch.setattr(snapshot_module, "atomic_write_text", crash)
+                patch.setattr(snapshot_module, "atomic_write_bytes", crash)
             elif stage == "image_renamed":  # ... but the WAL never rotated
                 patch.setattr(recovery_module.WriteAheadLog, "create", crash)
             else:  # rotated, retention never ran
@@ -815,7 +972,7 @@ class TestSnapshotFallback:
     def test_unreadable_newest_image_falls_back_to_the_previous(self, tmp_path, codec):
         crashed, expected = _two_images_and_a_tail(tmp_path, codec)
         older, newer = list_snapshots(crashed.storage.dir)
-        newer.path.write_text(newer.path.read_text()[:40])
+        newer.path.write_bytes(newer.path.read_bytes()[:40])
         replica, persister, registry = self._recover(tmp_path, codec)
         result = persister.recover()
         assert result.snapshot == older
@@ -826,32 +983,36 @@ class TestSnapshotFallback:
         persister.close()
 
     def test_format_1_image_is_refused_by_name(self, tmp_path, codec):
-        format_1 = json.dumps(
-            {
-                "format": 1,
-                "applied_upto": 12,
-                "store": codec.to_jsonable({"data": {}, "applied_ids": set(), "log": []}),
-                "decided_tail": codec.to_jsonable({}),
-                "log_entries": 0,
-            }
-        )
-        crashed, expected = _two_images_and_a_tail(tmp_path / "newest", codec)
-        list_snapshots(crashed.storage.dir)[-1].path.write_text(format_1)
-        replica, persister, registry = self._recover(tmp_path / "newest", codec)
-        persister.recover()
-        assert _state(replica) == expected
-        assert registry.snapshot()["counters"]["storage.snapshot_fallbacks"] == 1
-        persister.close()
-
-        # As the only image it stops recovery, and the error says why.
-        crashed, _ = _two_images_and_a_tail(tmp_path / "only", codec)
-        older, newer = list_snapshots(crashed.storage.dir)
-        older.path.unlink()
-        newer.path.write_text(format_1)
-        replica, persister, _ = self._recover(tmp_path / "only", codec)
-        with pytest.raises(RecoveryError, match="format 1, expected 2"):
+        # Format 1 and format 2 were JSON text; a v2 payload must still
+        # name format 3.
+        older_images = {
+            "format 1": json.dumps({"format": 1, "applied_upto": 12, "log_entries": 0}),
+            "format 2": json.dumps({"format": 2, "applied_upto": 12, "log_entries": 0}),
+            "v2 payload, format 2": codec.encode_payload({"format": 2, "applied_upto": 12}),
+        }
+        for label, image in older_images.items():
+            blob = image if isinstance(image, bytes) else image.encode()
+            root = tmp_path / label.replace(" ", "-").replace(",", "")
+            crashed, expected = _two_images_and_a_tail(root / "newest", codec)
+            list_snapshots(crashed.storage.dir)[-1].path.write_bytes(blob)
+            replica, persister, registry = self._recover(root / "newest", codec)
             persister.recover()
-        assert replica.store.log == [] and replica.applied_upto == 0
+            assert _state(replica) == expected
+            assert registry.snapshot()["counters"]["storage.snapshot_fallbacks"] == 1
+            persister.close()
+
+            # As the only image it stops recovery, and the error says why.
+            crashed, _ = _two_images_and_a_tail(root / "only", codec)
+            older, newer = list_snapshots(crashed.storage.dir)
+            older.path.unlink()
+            newer.path.write_bytes(blob)
+            replica, persister, _ = self._recover(root / "only", codec)
+            reason = "format 2, expected 3" if label.startswith("v2") else (
+                "not a format-3 document"
+            )
+            with pytest.raises(RecoveryError, match=reason):
+                persister.recover()
+            assert replica.store.log == [] and replica.applied_upto == 0
 
     def test_no_usable_image_never_continues_from_the_wal_alone(self, tmp_path, codec):
         crashed, _ = _two_images_and_a_tail(tmp_path, codec)
@@ -876,7 +1037,7 @@ def _cut_template(tmp_path_factory, name):
         crashed, expected = _two_images_and_a_tail(root, CODECS[name])
         archive = crashed.storage.archive_path
         prefixes = [
-            json.loads(info.path.read_text())["archive_bytes"]
+            CODECS[name].decode_payload(info.path.read_bytes())["archive_bytes"]
             for info in list_snapshots(crashed.storage.dir)
         ]
         assert prefixes[-1] == archive.stat().st_size

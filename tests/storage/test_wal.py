@@ -264,7 +264,9 @@ class TestProperties:
         blob, decided_at = _referenced_segment(tmp_path_factory)
         cut = data.draw(st.integers(min_value=0, max_value=len(blob)))
         directory = tmp_path_factory.mktemp("wal")
-        NodeStorage(directory, 0).dir.joinpath(segment_name(1)).write_bytes(blob[:cut])
+        storage = NodeStorage(directory, 0)
+        storage.stamp_path.write_text(CODEC.registry_hash)  # as the writer stamped it
+        storage.dir.joinpath(segment_name(1)).write_bytes(blob[:cut])
         replica = SMRReplica(0, 5, 2, 2)
         persister = _persister(directory, replica)
         persister.recover()
