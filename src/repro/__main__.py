@@ -337,9 +337,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             await node.stop()
 
     async def run_in_process() -> None:
-        # Every node of every group on one event loop. One group is a
-        # plain KV cluster; G groups shard the keyspace, group 0 doubling
-        # as the placement-map catalog.
+        # One group is a plain KV cluster on this event loop; G groups
+        # shard the keyspace, each group in its own forked host process,
+        # group 0 doubling as the placement-map catalog.
         options = dict(
             base_port=args.base_port,
             data_dir=args.data_dir,

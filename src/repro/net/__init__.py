@@ -17,7 +17,8 @@ the code of the protocols unchanged:
   workloads for like-for-like latency tables;
 * :mod:`~repro.net.cluster` — :class:`LocalCluster`, the in-process
   harness tests, CI and ``repro cluster`` boot (real TCP, one event
-  loop, no subprocesses); a G-group deployment is one per group
+  loop, no subprocesses); a G-group deployment runs one per group,
+  each in its own forked host process
   (:class:`~repro.shard.ShardedCluster`);
 * :mod:`~repro.net.stats` / :mod:`~repro.net.top` — one scrape view
   for one group or G groups, behind ``repro stats``, ``repro top`` and
@@ -28,7 +29,7 @@ protocols, which stay byte-identical; see ``docs/PAPER_MAP.md``.
 """
 
 from .client import ClientError, KVClient, PipelineError, parse_address_list
-from .cluster import LocalCluster
+from .cluster import ClusterStartError, LocalCluster
 from .codec import (
     CodecError,
     FrameDecoder,
@@ -67,6 +68,7 @@ __all__ = [
     "ClientReply",
     "ClientService",
     "ClientSubmit",
+    "ClusterStartError",
     "CodecError",
     "FrameDecoder",
     "KVClient",

@@ -19,12 +19,21 @@ from __future__ import annotations
 import asyncio
 from typing import Callable, Dict, List, Optional
 
-from ..core.errors import ConfigurationError
+from ..core.errors import ConfigurationError, ReproError
 from ..core.process import ProcessFactory, ProcessId
 from ..core.values import MaybeValue
 from ..smr.log import SMRReplica
 from .codec import MessageCodec
 from .node import Address, ClientService, KVService, NodeServer
+
+
+class ClusterStartError(ReproError):
+    """A deployment failed to start; everything it had started is stopped.
+
+    The message names the node (and, for a sharded deployment, the
+    group) whose bind, launch or host failed; ``__cause__`` is the
+    original error.
+    """
 
 
 def is_data_command(command) -> bool:
@@ -136,12 +145,25 @@ class LocalCluster:
     # ------------------------------------------------------------------
 
     async def start(self) -> "LocalCluster":
-        for node in self.nodes:
-            await node.bind()
-            self._ports[node.pid] = node.port
-        addresses = self.addresses
-        for node in self.nodes:
-            await node.launch(addresses)
+        """Bind every node, then launch every node — or none of them.
+
+        On any failure the nodes bound or launched so far are stopped
+        (their ports free again) and one :class:`ClusterStartError`
+        naming the failing pid is raised.
+        """
+        node = self.nodes[0]
+        try:
+            for node in self.nodes:
+                await node.bind()
+                self._ports[node.pid] = node.port
+            addresses = self.addresses
+            for node in self.nodes:
+                await node.launch(addresses)
+        except BaseException as exc:
+            await self.stop()
+            if not isinstance(exc, Exception):
+                raise  # cancelled or interrupted: nothing left running
+            raise ClusterStartError(f"node {node.pid} failed to start: {exc}") from exc
         self._started = True
         return self
 

@@ -24,6 +24,9 @@ The moving parts:
 * :mod:`~repro.shard.cluster` — :class:`ShardedCluster`, one
   :class:`~repro.net.cluster.LocalCluster` per group (same node options,
   same convergence wait) plus the catalog seed and range moves;
+* :mod:`~repro.shard.host` — one process per group: the forked group
+  host that runs a group's ``LocalCluster`` on its own event loop, and
+  the parent-side :class:`GroupHost` handle and read-only views;
 * :mod:`~repro.shard.rebalance` — the live range mover (fence →
   extract → install → publish → release) with the epoch-fencing rule
   that makes in-flight commands redirect instead of getting lost or
@@ -41,6 +44,7 @@ rebalance sequence.
 
 from .catalog import CATALOG_GROUP, CATALOG_KEY, fetch_placement, publish_placement
 from .cluster import ShardedCluster
+from .host import GroupHost, GroupHostError
 from .placement import DEFAULT_SLOTS, PlacementMap, RangeAssignment
 from .rebalance import MOVE_STAGES, MoveReport, move_range
 from .router import ShardRouter, parse_group_addresses
@@ -50,6 +54,8 @@ __all__ = [
     "CATALOG_GROUP",
     "CATALOG_KEY",
     "DEFAULT_SLOTS",
+    "GroupHost",
+    "GroupHostError",
     "MOVE_STAGES",
     "MoveReport",
     "PlacementMap",

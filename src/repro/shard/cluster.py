@@ -1,13 +1,18 @@
-"""The sharded deployment harness: G consensus groups in one event loop.
+"""The sharded deployment harness: G consensus groups, one process each.
 
 :class:`ShardedCluster` composes G independent
 :class:`~repro.net.cluster.LocalCluster`\\ s — one per consensus group,
 each running the unmodified two-step protocol over its own R replicas,
 its own ports, and its own per-group WAL and time-series directories
-(when those are on). Group 0 doubles as the catalog group: its
-replicated KV log is the placement map's authority (see
+(when those are on). :meth:`ShardedCluster.start` forks one *group host*
+per group (:mod:`repro.shard.host`) and each host runs its group on its
+own event loop, so groups do not share a core. The caller's process
+keeps the clients, the placement map and one
+:class:`~repro.shard.host.GroupHost` handle per group in
+:attr:`ShardedCluster.clusters`. Group 0 doubles as the catalog group:
+its replicated KV log is the placement map's authority (see
 :mod:`repro.shard.catalog`), and :meth:`start` seeds it with the boot
-map.
+map over TCP.
 
 Each node's client service is a :class:`~repro.shard.service.ShardedKVService`
 constructed with its group id and the *boot* map. The boot map is
@@ -20,18 +25,22 @@ its own WAL, with no side channel.
 from __future__ import annotations
 
 import asyncio
+import logging
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from ..core.errors import ConfigurationError
 from ..core.process import ProcessFactory, ProcessId
-from ..net.cluster import LocalCluster, is_data_command
+from ..net.cluster import ClusterStartError, LocalCluster, is_data_command
 from ..net.codec import MessageCodec
-from ..net.node import Address, NodeServer
-from ..smr.log import SMRReplica
+from ..net.node import Address
 from .catalog import CATALOG_GROUP, publish_placement
+from .host import GroupHost, NodeView, ReplicaView
 from .placement import DEFAULT_SLOTS, PlacementMap
 from .rebalance import MoveReport, StageHook, move_range
 from .service import ShardedKVService
+
+log = logging.getLogger("repro.shard.cluster")
 
 
 class ShardedCluster:
@@ -40,7 +49,8 @@ class ShardedCluster:
     Node options mean what they mean for :class:`LocalCluster`, laid out
     per group: group g's node i listens on ``base_port + g*R + i``
     (ephemeral when 0) and writes under ``data_dir/group-<g>/`` and
-    ``timeseries_dir/group-<g>/``.
+    ``timeseries_dir/group-<g>/``. ``clusters`` maps each group to its
+    host's handle (filled here, started by :meth:`start`).
     """
 
     def __init__(
@@ -63,9 +73,10 @@ class ShardedCluster:
         self.group_count = groups
         self.placement = PlacementMap.initial(groups, slots)
         self.codec = codec if codec is not None else MessageCodec()
-        self.clusters: Dict[int, LocalCluster] = {}
+        self.clusters: Dict[int, GroupHost] = {}
         for group in range(groups):
-            self.clusters[group] = LocalCluster(
+            build = partial(
+                LocalCluster,
                 replicas_per_group,
                 factory,
                 client_service_factory=self._service_factory(group),
@@ -80,6 +91,7 @@ class ShardedCluster:
                     f"{timeseries_dir}/group-{group}" if timeseries_dir else None
                 ),
             )
+            self.clusters[group] = GroupHost(group, replicas_per_group, build)
 
     def _service_factory(self, group: int) -> Callable[[], ShardedKVService]:
         boot_map = self.placement
@@ -90,21 +102,51 @@ class ShardedCluster:
     # ------------------------------------------------------------------
 
     async def start(self) -> "ShardedCluster":
-        for cluster in self.clusters.values():
-            await cluster.start()
-        # Seed the catalog. The publish's command id embeds the epoch, so
-        # re-seeding an already-recovered catalog is a suppressed duplicate.
-        await publish_placement(
-            self.clusters[CATALOG_GROUP].addresses,
-            self.placement,
-            codec=self.codec,
-            client_id="sharded-seed",
-        )
+        """Fork every group's host, wait for every boot, seed the catalog
+        — or leave nothing running: on any failure every host is stopped
+        and reaped, and one :class:`ClusterStartError` naming the group
+        (and the host's own error, naming the node) is raised."""
+        hosts = list(self.clusters.values())
+        group = hosts[0].group
+        try:
+            # Every fork before any wait, so the groups boot in parallel.
+            for host in hosts:
+                group = host.group
+                host.launch(hosts)
+            for host in hosts:
+                group = host.group
+                await host.ready()
+            # Seed the catalog. The publish's command id embeds the epoch,
+            # so re-seeding an already-recovered catalog is a suppressed
+            # duplicate.
+            group = CATALOG_GROUP
+            await publish_placement(
+                self.clusters[CATALOG_GROUP].addresses,
+                self.placement,
+                codec=self.codec,
+                client_id="sharded-seed",
+            )
+        except BaseException as exc:
+            try:
+                await self.stop()
+            except Exception as cleanup:
+                log.warning("stopping a failed start raised %r", cleanup)
+            if not isinstance(exc, Exception):
+                raise  # cancelled or interrupted: nothing left running
+            raise ClusterStartError(f"group {group}: {exc}") from exc
         return self
 
     async def stop(self) -> None:
-        for cluster in self.clusters.values():
-            await cluster.stop()
+        """Stop every group and reap every host, even when one of them
+        fails; then raise the first failure."""
+        failures: List[Exception] = []
+        for host in self.clusters.values():
+            try:
+                await host.stop()
+            except Exception as exc:
+                failures.append(exc)
+        if failures:
+            raise failures[0]
 
     async def __aenter__(self) -> "ShardedCluster":
         return await self.start()
@@ -120,11 +162,11 @@ class ShardedCluster:
     def addresses_by_group(self) -> Dict[int, List[Address]]:
         return {group: cluster.addresses for group, cluster in self.clusters.items()}
 
-    def node(self, group: int, pid: ProcessId) -> NodeServer:
+    def node(self, group: int, pid: ProcessId) -> NodeView:
         return self.clusters[group].nodes[pid]
 
     # ------------------------------------------------------------------
-    # Failure injection (delegates to the group's LocalCluster).
+    # Failure injection (runs in the group's host).
     # ------------------------------------------------------------------
 
     async def crash(self, group: int, pid: ProcessId) -> None:
@@ -133,7 +175,7 @@ class ShardedCluster:
     async def kill(self, group: int, pid: ProcessId) -> None:
         await self.clusters[group].kill(pid)
 
-    async def restart(self, group: int, pid: ProcessId) -> NodeServer:
+    async def restart(self, group: int, pid: ProcessId) -> NodeView:
         return await self.clusters[group].restart(pid)
 
     # ------------------------------------------------------------------
@@ -181,7 +223,7 @@ class ShardedCluster:
             ]
         return logs
 
-    def survivor_replicas(self, group: int) -> List[SMRReplica]:
+    def survivor_replicas(self, group: int) -> List[ReplicaView]:
         return self.clusters[group].survivor_replicas()
 
     # ------------------------------------------------------------------

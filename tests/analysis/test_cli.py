@@ -3,20 +3,25 @@
 import asyncio
 import contextlib
 import json
-import socket
+import os
+import pathlib
+import subprocess
+import sys
 import threading
-import time
 
 import pytest
 
 from repro.__main__ import build_parser, main
 from repro.net.cluster import LocalCluster
+from repro.net.codec import MessageCodec, MessageRegistry, default_registry
 from repro.net.loadgen import run_loadgen
 from repro.net.stats import fetch_node_stats
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
 from repro.shard import ShardedCluster
 from repro.smr.log import smr_factory
+
+SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 # One group, and two groups separated by ';'. Nothing listens on either.
 PEER_FORMS = ["127.0.0.1:1", "127.0.0.1:1;127.0.0.1:2"]
@@ -178,7 +183,19 @@ def _factory():
 
 @contextlib.contextmanager
 def _serving(cluster):
-    """Run *cluster* on its own event loop thread while the CLI runs."""
+    """Serve *cluster* while the CLI runs in this thread.
+
+    A sharded deployment serves from its group hosts, so starting it
+    here is enough (and forks with no other thread alive); a single
+    cluster runs on its own event loop thread.
+    """
+    if isinstance(cluster, ShardedCluster):
+        asyncio.run(cluster.start())
+        try:
+            yield cluster
+        finally:
+            asyncio.run(cluster.stop())
+        return
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
@@ -193,6 +210,17 @@ def _serving(cluster):
         loop.close()
 
 
+def _program_codec():
+    """The codec a fresh ``python -m repro`` process builds. This
+    process's default registry also holds the message types that test
+    modules define, and a node refuses a hello from another registry."""
+    full, registry = default_registry(), MessageRegistry()
+    for name in full.names():
+        if full.type_of(name).__module__.startswith("repro."):
+            registry.register(full.type_of(name), name)
+    return MessageCodec(registry)
+
+
 def _peers(cluster):
     return ";".join(
         ",".join(f"{host}:{port}" for host, port in addresses)
@@ -200,34 +228,14 @@ def _peers(cluster):
     )
 
 
-def _free_port_block(count):
-    """A first port P such that P..P+count-1 are all free right now."""
-    for _attempt in range(50):
-        with socket.socket() as probe:
-            probe.bind(("127.0.0.1", 0))
-            first = probe.getsockname()[1]
-        held = []
-        try:
-            for port in range(first, first + count):
-                held.append(socket.socket())
-                held[-1].bind(("127.0.0.1", port))
-            return first
-        except (OSError, OverflowError):
-            continue
-        finally:
-            for sock in held:
-                sock.close()
-    pytest.skip("no block of free ports found")
-
-
 class TestShardedClusterCli:
     """`cluster --groups G` takes every node flag a single cluster takes."""
 
     def test_groups_take_base_port_trace_sample_and_timeseries(
-        self, tmp_path, capsys
+        self, tmp_path, free_port_block
     ):
         groups, n = 2, 3
-        base = _free_port_block(groups * n)
+        base = free_port_block(groups * n)
         layout = {
             group: [("127.0.0.1", base + group * n + i) for i in range(n)]
             for group in range(groups)
@@ -237,32 +245,37 @@ class TestShardedClusterCli:
             "--base-port", str(base), "--trace-sample", "1",
             "--timeseries", str(tmp_path), "--duration", "6",
         ]
-        codes = []
-        thread = threading.Thread(target=lambda: codes.append(main(argv)))
-        thread.start()
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
         out = ""
         try:
             # The peers line is printed once the catalog is seeded.
-            deadline = time.monotonic() + 30
-            while "peers: " not in out and time.monotonic() < deadline:
-                time.sleep(0.05)
-                out += capsys.readouterr().out
-            assert "peers: " in out, f"cluster never came up: {out!r}"
+            while "peers: " not in out:
+                line = process.stdout.readline()
+                assert line, f"cluster never came up: {out!r}"
+                out += line
+
+            codec = _program_codec()
 
             async def drive():
                 # Group 1's node 0 answers on base + n.
-                reply = await fetch_node_stats(layout[1][0], timeout=5.0)
+                reply = await fetch_node_stats(layout[1][0], codec, timeout=5.0)
                 assert reply.pid == 0
                 return await run_loadgen(
                     layout, clients=2, count=24, keys=[f"k{i}" for i in range(8)],
-                    pipeline=4, trace_sample=1,
+                    pipeline=4, trace_sample=1, codec=codec,
                 )
 
             report = asyncio.run(drive())
         finally:
-            thread.join(30)
-        assert not thread.is_alive() and codes == [0]
-        out += capsys.readouterr().out
+            rest, errors = process.communicate(timeout=30)
+        out += rest
+        assert process.returncode == 0, errors
         peers = ";".join(
             ",".join(f"{host}:{port}" for host, port in layout[group])
             for group in range(groups)

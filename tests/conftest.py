@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import socket
+
 import pytest
 
 from repro.omega import lowest_correct_omega_factory, static_omega_factory
@@ -41,3 +43,29 @@ def object_factory_5():
         )
 
     return build
+
+
+def _free_port_block(count):
+    """A first port P such that P..P+count-1 are all free right now."""
+    for _attempt in range(50):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            first = probe.getsockname()[1]
+        held = []
+        try:
+            for port in range(first, first + count):
+                held.append(socket.socket())
+                held[-1].bind(("127.0.0.1", port))
+            return first
+        except (OSError, OverflowError):
+            continue
+        finally:
+            for sock in held:
+                sock.close()
+    pytest.skip("no block of free ports found")
+
+
+@pytest.fixture
+def free_port_block():
+    """``count -> P``: the first of *count* consecutive free ports."""
+    return _free_port_block

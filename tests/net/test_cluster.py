@@ -10,10 +10,13 @@ same replicated logs as :func:`~repro.smr.client.run_kv_workload`.
 """
 
 import asyncio
+import socket
+
+import pytest
 
 from repro.core.values import BOTTOM
 from repro.net.client import KVClient
-from repro.net.cluster import LocalCluster
+from repro.net.cluster import ClusterStartError, LocalCluster
 from repro.net.loadgen import run_loadgen
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig, twostep_task_factory
@@ -201,3 +204,28 @@ def test_survivors_satisfy_consensus_safety_after_crash():
             assert [node.pid for node in cluster.survivors] == [0, 1]
 
     _run(live())
+
+
+class TestStartFailure:
+    def test_a_failed_start_stops_the_nodes_it_started(self, free_port_block):
+        base = free_port_block(3)
+        # Node 1 wants base + 1; something else holds it.
+        blocker = socket.socket()
+        blocker.bind(("127.0.0.1", base + 1))
+        blocker.listen()
+
+        async def boot():
+            async with LocalCluster(3, _smr_live_factory(), base_port=base):
+                pytest.fail("the cluster started on a taken port")
+
+        try:
+            with pytest.raises(ClusterStartError, match="node 1 failed to start"):
+                _run(boot())
+        finally:
+            blocker.close()
+        # Node 0 had bound (and node 2 never did): every port is free.
+        for port in range(base, base + 3):
+            with socket.socket() as probe:
+                probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                probe.bind(("127.0.0.1", port))
+                probe.listen()

@@ -186,19 +186,17 @@ OTHER = _reregistered()
 
 
 class TestRoundTripProperty:
-    @pytest.mark.parametrize("codec", [CODEC], ids=["binary"])
     @settings(max_examples=300, deadline=None)
     @given(message=_any_registered)
-    def test_encode_decode_identity(self, codec, message):
-        assert codec.decode(codec.encode(message)) == message
+    def test_encode_decode_identity(self, message):
+        assert CODEC.decode(CODEC.encode(message)) == message
 
-    @pytest.mark.parametrize("codec", [CODEC], ids=["binary"])
     @settings(max_examples=100, deadline=None)
     @given(message=_any_registered)
-    def test_encoding_is_canonical(self, codec, message):
+    def test_encoding_is_canonical(self, message):
         # Same value => same bytes (sets are serialized in sorted order).
-        frame = codec.encode(message)
-        assert codec.encode(codec.decode(frame)) == frame
+        frame = CODEC.encode(message)
+        assert CODEC.encode(CODEC.decode(frame)) == frame
 
     @settings(max_examples=200, deadline=None)
     @given(message=_any_registered)
@@ -337,17 +335,16 @@ class TestFrameDecoder:
         with pytest.raises(CodecError, match="buffered bytes"):
             decoder.feed(b"more")
 
-    @pytest.mark.parametrize("codec", [CODEC], ids=["binary"])
-    def test_decode_error_mid_burst_leaves_the_buffer_resizable(self, codec):
+    def test_decode_error_mid_burst_leaves_the_buffer_resizable(self):
         # The failing frame's view is still referenced by the traceback
         # when the decoder compacts; it must have been released, or the
         # bytearray raises BufferError there and on every later feed.
-        good = codec.encode(NodeHello(pid=1))
-        bad = bytearray(codec.encode(Propose(value="v")))
+        good = CODEC.encode(NodeHello(pid=1))
+        bad = bytearray(CODEC.encode(Propose(value="v")))
         bad[-1:] = b""
         bad[:4] = (len(bad) - 4).to_bytes(4, "big")  # complete frame, cut body
         burst = good * (70000 // len(good))  # dead prefix past the compaction mark
-        decoder = FrameDecoder(codec)
+        decoder = FrameDecoder(CODEC)
         with pytest.raises(CodecError):
             decoder.feed(burst + bytes(bad))
         assert decoder.pending_bytes == len(bad)

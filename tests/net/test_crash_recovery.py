@@ -281,7 +281,7 @@ async def _rebalance_dest_leader_crash(data_dir):
             assert reply.result == probe.value
 
             # The restarted leader provably came back through recovery.
-            counters = cluster.node(1, 0).obs.registry.snapshot()["counters"]
+            counters = cluster.node(1, 0).stats_snapshot()["counters"]
             assert (
                 counters.get("storage.snapshot_loaded", 0)
                 + counters.get("storage.replayed_entries", 0)

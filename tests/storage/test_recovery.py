@@ -51,9 +51,6 @@ from repro.storage.writer import StorageWriter
 N, F, E = 5, 2, 2
 CODEC = MessageCodec()
 
-#: The one codec; the parametrized classes below keep their ``[binary]`` ids.
-CODECS = {"binary": CODEC}
-
 
 def _replica(pid=0):
     return SMRReplica(pid, N, F, E)
@@ -548,7 +545,7 @@ class TestInspect:
     def test_inspect_reports_the_archive_and_flags_uncovered_images(
         self, tmp_path, capsys
     ):
-        codec = CODECS["binary"]
+        codec = CODEC
         a = _replica()
         persister = _persister(tmp_path, a, codec=codec, snapshot_every=4)
         persister.recover()
@@ -805,24 +802,23 @@ class TestLegacyPayloads:
         assert stamped == [CODEC.registry_hash]
 
 
-@pytest.mark.parametrize("codec", CODECS.values(), ids=CODECS)
 class TestSnapshotCost:
-    def test_cost_follows_the_delta_not_the_history(self, tmp_path, monkeypatch, codec):
+    def test_cost_follows_the_delta_not_the_history(self, tmp_path, monkeypatch):
         every, intervals, per_batch = 8, 5, 3
         a = _replica()
         obs = Observability(node=0)
-        persister = _persister(tmp_path, a, codec=codec, snapshot_every=every, obs=obs)
+        persister = _persister(tmp_path, a, codec=CODEC, snapshot_every=every, obs=obs)
         persister.recover()
         archive = persister.storage.archive_path
         handed = []  # commands per applied-log tuple handed to the encoder
-        encode_payload = codec.encode_payload
+        encode_payload = CODEC.encode_payload
 
         def counting(obj, *args):
             if isinstance(obj, tuple):
                 handed.append(len(obj))
             return encode_payload(obj, *args)
 
-        monkeypatch.setattr(codec, "encode_payload", counting)
+        monkeypatch.setattr(CODEC, "encode_payload", counting)
         costs = []
         for interval in range(intervals):
             size_before = archive.stat().st_size
@@ -847,11 +843,11 @@ class TestSnapshotCost:
         assert snapshot["gauges"]["storage.snapshot_bytes"] == image.path.stat().st_size
         persister.close()
 
-    def test_archive_fsyncs_are_counted_apart_from_the_wal(self, tmp_path, codec):
+    def test_archive_fsyncs_are_counted_apart_from_the_wal(self, tmp_path):
         a = _replica()
         obs = Observability(node=0)
         persister = _persister(
-            tmp_path, a, codec=codec, snapshot_every=2, obs=obs, fsync=True
+            tmp_path, a, codec=CODEC, snapshot_every=2, obs=obs, fsync=True
         )
         persister.recover()
         _decide_batches(a, range(2))
@@ -864,12 +860,12 @@ class TestSnapshotCost:
         # What the benchmark reads as WAL volume is the two decisions, nothing else.
         decisions = [WalDecision(slot, _batch(slot)) for slot in range(2)]
         assert counters["storage.wal_bytes"] == sum(
-            len(pack_record(codec.encode_payload(record))) for record in decisions
+            len(pack_record(CODEC.encode_payload(record))) for record in decisions
         )
 
-    def test_shard_installed_ids_survive_a_restart(self, tmp_path, codec):
+    def test_shard_installed_ids_survive_a_restart(self, tmp_path):
         a = _replica()
-        persister = _persister(tmp_path, a, codec=codec, snapshot_every=2)
+        persister = _persister(tmp_path, a, codec=CODEC, snapshot_every=2)
         persister.recover()
         install = KVCommand(
             op="config",
@@ -894,23 +890,22 @@ class TestSnapshotCost:
         assert "applied_ids" not in CODEC.decode_payload(image.path.read_bytes())
 
         b = _replica()
-        _persister(tmp_path, b, codec=codec).recover()
+        _persister(tmp_path, b, codec=CODEC).recover()
         assert {"old-1", "old-2"} <= b.store.applied_ids
         assert _state(b) == _state(a)
         replayed = KVCommand(op="put", key="moved", value="again", command_id="old-1")
         assert b.store.apply(replayed) == "duplicate"
 
 
-@pytest.mark.parametrize("codec", CODECS.values(), ids=CODECS)
 class TestSnapshotCrashStages:
     @pytest.mark.parametrize(
         "stage", ["archive_torn", "archive_synced", "image_renamed", "rotated"]
     )
     def test_crash_at_every_stage_recovers_the_exact_state(
-        self, tmp_path, monkeypatch, stage, codec
+        self, tmp_path, monkeypatch, stage
     ):
         a = _replica()
-        persister = _persister(tmp_path, a, codec=codec, snapshot_every=4)
+        persister = _persister(tmp_path, a, codec=CODEC, snapshot_every=4)
         persister.recover()
         node_dir = persister.storage.dir
         _decide_batches(a, range(4))
@@ -944,7 +939,7 @@ class TestSnapshotCrashStages:
         assert len(list_snapshots(node_dir)) == landed
 
         b = _replica()
-        second = _persister(tmp_path, b, codec=codec, snapshot_every=4)
+        second = _persister(tmp_path, b, codec=CODEC, snapshot_every=4)
         second.recover()
         assert _state(b) == expected
         # ... and the next snapshot succeeds on top of what recovery left.
@@ -954,26 +949,25 @@ class TestSnapshotCrashStages:
         assert list_snapshots(node_dir)[-1].upto == 12
 
         c = _replica()
-        third = _persister(tmp_path, c, codec=codec)
+        third = _persister(tmp_path, c, codec=CODEC)
         assert third.recover().replayed_entries == 0
         assert _state(c) == _state(b)
         assert len(c.store.log) == 36
         third.close()
 
 
-@pytest.mark.parametrize("codec", CODECS.values(), ids=CODECS)
 class TestSnapshotFallback:
-    def _recover(self, root, codec):
+    def _recover(self, root):
         replica = _replica()
         obs = Observability(node=0)
-        persister = _persister(root, replica, codec=codec, obs=obs)
+        persister = _persister(root, replica, codec=CODEC, obs=obs)
         return replica, persister, obs.registry
 
-    def test_unreadable_newest_image_falls_back_to_the_previous(self, tmp_path, codec):
-        crashed, expected = _two_images_and_a_tail(tmp_path, codec)
+    def test_unreadable_newest_image_falls_back_to_the_previous(self, tmp_path):
+        crashed, expected = _two_images_and_a_tail(tmp_path, CODEC)
         older, newer = list_snapshots(crashed.storage.dir)
         newer.path.write_bytes(newer.path.read_bytes()[:40])
-        replica, persister, registry = self._recover(tmp_path, codec)
+        replica, persister, registry = self._recover(tmp_path)
         result = persister.recover()
         assert result.snapshot == older
         assert _state(replica) == expected
@@ -982,31 +976,31 @@ class TestSnapshotFallback:
         assert counters["storage.snapshot_loaded"] == 1
         persister.close()
 
-    def test_format_1_image_is_refused_by_name(self, tmp_path, codec):
+    def test_format_1_image_is_refused_by_name(self, tmp_path):
         # Format 1 and format 2 were JSON text; a v2 payload must still
         # name format 3.
         older_images = {
             "format 1": json.dumps({"format": 1, "applied_upto": 12, "log_entries": 0}),
             "format 2": json.dumps({"format": 2, "applied_upto": 12, "log_entries": 0}),
-            "v2 payload, format 2": codec.encode_payload({"format": 2, "applied_upto": 12}),
+            "v2 payload, format 2": CODEC.encode_payload({"format": 2, "applied_upto": 12}),
         }
         for label, image in older_images.items():
             blob = image if isinstance(image, bytes) else image.encode()
             root = tmp_path / label.replace(" ", "-").replace(",", "")
-            crashed, expected = _two_images_and_a_tail(root / "newest", codec)
+            crashed, expected = _two_images_and_a_tail(root / "newest", CODEC)
             list_snapshots(crashed.storage.dir)[-1].path.write_bytes(blob)
-            replica, persister, registry = self._recover(root / "newest", codec)
+            replica, persister, registry = self._recover(root / "newest")
             persister.recover()
             assert _state(replica) == expected
             assert registry.snapshot()["counters"]["storage.snapshot_fallbacks"] == 1
             persister.close()
 
             # As the only image it stops recovery, and the error says why.
-            crashed, _ = _two_images_and_a_tail(root / "only", codec)
+            crashed, _ = _two_images_and_a_tail(root / "only", CODEC)
             older, newer = list_snapshots(crashed.storage.dir)
             older.path.unlink()
             newer.path.write_bytes(blob)
-            replica, persister, _ = self._recover(root / "only", codec)
+            replica, persister, _ = self._recover(root / "only")
             reason = "format 2, expected 3" if label.startswith("v2") else (
                 "not a format-3 document"
             )
@@ -1014,10 +1008,10 @@ class TestSnapshotFallback:
                 persister.recover()
             assert replica.store.log == [] and replica.applied_upto == 0
 
-    def test_no_usable_image_never_continues_from_the_wal_alone(self, tmp_path, codec):
-        crashed, _ = _two_images_and_a_tail(tmp_path, codec)
+    def test_no_usable_image_never_continues_from_the_wal_alone(self, tmp_path):
+        crashed, _ = _two_images_and_a_tail(tmp_path, CODEC)
         crashed.storage.archive_path.unlink()
-        replica, persister, registry = self._recover(tmp_path, codec)
+        replica, persister, registry = self._recover(tmp_path)
         with pytest.raises(RecoveryError, match="none of the 2 retained"):
             persister.recover()
         assert registry.snapshot()["counters"]["storage.snapshot_fallbacks"] == 2
@@ -1026,44 +1020,43 @@ class TestSnapshotFallback:
         assert replica.store.log == [] and replica.applied_upto == 0
 
 
-_CUT_TEMPLATES = {}
+_CUT_TEMPLATE = []
 
 
-def _cut_template(tmp_path_factory, name):
+def _cut_template(tmp_path_factory):
     """``_two_images_and_a_tail`` plus an orphan archive record (a delta
-    whose image never landed), built once per codec."""
-    if name not in _CUT_TEMPLATES:
-        root = tmp_path_factory.mktemp(f"cut-{name}")
-        crashed, expected = _two_images_and_a_tail(root, CODECS[name])
+    whose image never landed), built once."""
+    if not _CUT_TEMPLATE:
+        root = tmp_path_factory.mktemp("cut")
+        crashed, expected = _two_images_and_a_tail(root, CODEC)
         archive = crashed.storage.archive_path
         prefixes = [
-            CODECS[name].decode_payload(info.path.read_bytes())["archive_bytes"]
+            CODEC.decode_payload(info.path.read_bytes())["archive_bytes"]
             for info in list_snapshots(crashed.storage.dir)
         ]
         assert prefixes[-1] == archive.stat().st_size
         writer = StorageWriter()
         orphan = snapshot_module.AppliedLogArchive(archive, writer, fsync=False)
         orphan.open_at(36, prefixes[-1])
-        orphan.append(CODECS[name], expected[0][36:])
+        orphan.append(CODEC, expected[0][36:])
         orphan.close()
         writer.stop()
-        _CUT_TEMPLATES[name] = (root, expected, prefixes, archive.stat().st_size)
-    return _CUT_TEMPLATES[name]
+        _CUT_TEMPLATE.append((root, expected, prefixes, archive.stat().st_size))
+    return _CUT_TEMPLATE[0]
 
 
-@pytest.mark.parametrize("name", CODECS)
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_archive_cut_at_any_byte_never_yields_a_short_log(tmp_path_factory, name, data):
+def test_archive_cut_at_any_byte_never_yields_a_short_log(tmp_path_factory, data):
     """Exact log (cut beyond the newest named prefix), fallback to the
     previous image (cut inside it), or a refusal — nothing in between."""
-    root, expected, (older, newer), size = _cut_template(tmp_path_factory, name)
+    root, expected, (older, newer), size = _cut_template(tmp_path_factory)
     cut = data.draw(st.integers(min_value=0, max_value=size))
     copy = tmp_path_factory.mktemp("cut") / "data"
     shutil.copytree(root, copy)
     replica = _replica()
     obs = Observability(node=0)
-    persister = _persister(copy, replica, codec=CODECS[name], obs=obs)
+    persister = _persister(copy, replica, codec=CODEC, obs=obs)
     with open(persister.storage.archive_path, "r+b") as handle:
         handle.truncate(cut)
     if cut < older:
@@ -1083,7 +1076,6 @@ def test_archive_cut_at_any_byte_never_yields_a_short_log(tmp_path_factory, name
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("codec", CODECS.values(), ids=CODECS)
 class TestWalBodiesByReference:
     def _vote_then_decide(self, replica, persister, slot):
         """What a follower journals for one slot: its vote, then the decision."""
@@ -1096,16 +1088,16 @@ class TestWalBodiesByReference:
         assert replica.restore_decided(slot, batch)
         persister.after_activation()
 
-    def test_each_body_is_journaled_in_full_once_per_slot(self, tmp_path, codec):
+    def test_each_body_is_journaled_in_full_once_per_slot(self, tmp_path):
         slots = 6
         a = _replica()
-        persister = _persister(tmp_path, a, codec=codec)
+        persister = _persister(tmp_path, a, codec=CODEC)
         persister.recover()
         for slot in range(slots):
             self._vote_then_decide(a, persister, slot)
         persister.close(hard=True)
         (segment,) = list_segments(persister.storage.dir)
-        values = _wal_values(codec, segment)
+        values = _wal_values(CODEC, segment)
         for slot in range(slots):
             mine = [value for where, value in values if where == slot]
             # val + initial_val of the vote, then the decision: one body.
@@ -1113,15 +1105,15 @@ class TestWalBodiesByReference:
             assert mine[1] == mine[2] == mine[0].ref
 
         b = _replica()
-        _persister(tmp_path, b, codec=codec).recover()
+        _persister(tmp_path, b, codec=CODEC).recover()
         assert _state(b) == _state(a)
         assert len(b.store.log) == 3 * slots
 
     def test_restart_mid_slot_restores_vote_and_proposal_as_the_same_batch(
-        self, tmp_path, codec
+        self, tmp_path
     ):
         a = _replica()
-        persister = _persister(tmp_path, a, codec=codec)
+        persister = _persister(tmp_path, a, codec=CODEC)
         persister.recover()
         batch = _batch(7)
         a.restore_slot_state(7, bal=2, vbal=1, value=batch, initial_value=batch)
@@ -1130,17 +1122,17 @@ class TestWalBodiesByReference:
         persister.close(hard=True)
 
         b = _replica()
-        _persister(tmp_path, b, codec=codec).recover()
+        _persister(tmp_path, b, codec=CODEC).recover()
         inner = b._slots[7]
         assert inner.val == batch and inner.initial_val == batch
         assert inner.val is inner.initial_val
         assert b._inflight[7] == batch
 
     def test_slot_open_across_a_rotation_is_journaled_again_in_full(
-        self, tmp_path, codec
+        self, tmp_path
     ):
         a = _replica()
-        persister = _persister(tmp_path, a, codec=codec, snapshot_every=2)
+        persister = _persister(tmp_path, a, codec=CODEC, snapshot_every=2)
         persister.recover()
         open_batch = _batch(5)
         a.restore_slot_state(5, bal=1, vbal=1, value=open_batch, initial_value=open_batch)
@@ -1153,7 +1145,7 @@ class TestWalBodiesByReference:
         # none below its wal_seq), and the new one knows nothing of it: the
         # open slot's state is there again, body in full.
         (new,) = list_segments(persister.storage.dir)
-        assert [(slot, type(value)) for slot, value in _wal_values(codec, new)] == [
+        assert [(slot, type(value)) for slot, value in _wal_values(CODEC, new)] == [
             (5, CommandBatch),
             (5, BatchRef),
         ]
@@ -1164,10 +1156,10 @@ class TestWalBodiesByReference:
         assert a.restore_decided(5, open_batch)
         persister.after_activation()
         persister.close(hard=True)
-        assert _wal_values(codec, new)[2:] == [(5, open_batch.ref)]
+        assert _wal_values(CODEC, new)[2:] == [(5, open_batch.ref)]
 
         # The image plus the segments from its wal_seq on are enough.
         b = _replica()
-        _persister(tmp_path, b, codec=codec).recover()
+        _persister(tmp_path, b, codec=CODEC).recover()
         assert b.decided[5] == open_batch
         assert b.applied_upto == 2
