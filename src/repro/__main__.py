@@ -292,10 +292,9 @@ def _smr_net_factory(
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .net import LocalCluster, start_node
+    from .net import ClusterStartError, KVService, LocalCluster, NodeServer
     from .net.client import parse_address_list
     from .net.netlog import configure_logging
-    from .net.node import KVService
     from .shard import ShardedCluster
 
     if args.log_level is not None:
@@ -312,11 +311,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             await asyncio.sleep(args.duration)
 
     async def run_one(addresses: List[Tuple[str, int]]) -> None:
-        # One real node of a multi-process deployment.
-        node = start_node(
+        # One real node of a multi-process deployment: it journals to
+        # <data-dir>/node-<pid>/ and recovers from it on the next start.
+        host, port = addresses[args.node]
+        node = NodeServer(
             args.node,
-            addresses,
+            len(addresses),
             factory,
+            host=host,
+            port=port,
             client_service=KVService(),
             data_dir=args.data_dir,
             fsync=not args.no_fsync,
@@ -328,8 +331,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 else None
             ),
         )
-        await node.bind()
-        print(f"node {args.node} serving on {node.host}:{node.port}")
+        try:
+            await node.bind()
+        except OSError as exc:
+            await node.stop()
+            raise ClusterStartError(f"node {args.node} failed to start: {exc}") from exc
+        print(f"node {args.node} serving on {node.host}:{node.port}", flush=True)
         await node.launch(addresses)
         try:
             await hold()
@@ -385,11 +392,20 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             raise _UsageError(
                 "--node requires --peers host:port,... for the full address book"
             )
-        run = run_one(parse_address_list(args.peers))
+        addresses = parse_address_list(args.peers)
+        if not 0 <= args.node < len(addresses):
+            raise _UsageError(
+                f"--node {args.node} is not a pid of the {len(addresses)} --peers addresses"
+            )
+        run = run_one(addresses)
     try:
         asyncio.run(run)
     except KeyboardInterrupt:
         pass
+    except ClusterStartError as exc:
+        # One line naming the group (of G > 1) and the node, no traceback.
+        print(exc)
+        return 1
     return 0
 
 

@@ -10,6 +10,8 @@ the code of the protocols unchanged:
 * :mod:`~repro.net.node` — one process per :class:`NodeServer`, with the
   :class:`~repro.core.process.Context` adapted onto transports and
   ``loop.call_later`` timers (simulator-identical semantics);
+* :mod:`~repro.net.service` — :class:`KVService`, what a node does with
+  a client's submit: the trust check, the replica submit, the reply;
 * :mod:`~repro.net.client` — KV client with one pipelined request path:
   timeouts, retry/backoff, and proxy failover;
 * :mod:`~repro.net.loadgen` — the one load generator, for one group or
@@ -39,14 +41,8 @@ from .codec import (
 )
 from .loadgen import LoadReport, run_loadgen
 from .netlog import configure_logging, node_logger
-from .node import (
-    Address,
-    ClientService,
-    KVService,
-    NodeServer,
-    enable_nodelay,
-    start_node,
-)
+from .node import Address, NodeServer, enable_nodelay
+from .service import KVService
 from .stats import describe_cluster_stats, fetch_node_stats, scrape_cluster
 from .top import render_top, run_top
 from .wire import (
@@ -66,7 +62,6 @@ __all__ = [
     "ClientError",
     "ClientHello",
     "ClientReply",
-    "ClientService",
     "ClientSubmit",
     "ClusterStartError",
     "CodecError",
@@ -96,5 +91,4 @@ __all__ = [
     "run_loadgen",
     "run_top",
     "scrape_cluster",
-    "start_node",
 ]

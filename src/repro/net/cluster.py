@@ -24,7 +24,8 @@ from ..core.process import ProcessFactory, ProcessId
 from ..core.values import MaybeValue
 from ..smr.log import SMRReplica
 from .codec import MessageCodec
-from .node import Address, ClientService, KVService, NodeServer
+from .node import Address, NodeServer
+from .service import KVService
 
 
 class ClusterStartError(ReproError):
@@ -54,9 +55,10 @@ class LocalCluster:
         The same :class:`~repro.core.process.ProcessFactory` the simulator
         takes — run the identical state machines over real transport.
     client_service_factory:
-        Builds one :class:`ClientService` per node; pass
-        ``KVService`` (the default when ``serve_clients=True``) for the
-        replicated KV store, or ``None`` for bare consensus clusters.
+        Builds one :class:`~repro.net.service.KVService` per node
+        (``KVService`` itself is the default when ``serve_clients=True``;
+        a sharded deployment passes its ``ShardedKVService``), or
+        ``None`` for bare consensus clusters.
     trace_samples:
         Optional per-node span overrides (pid -> sample or ``None``) on
         top of ``trace_sample`` — how mixed traced/untraced clusters are
@@ -68,7 +70,7 @@ class LocalCluster:
         n: int,
         factory: ProcessFactory,
         serve_clients: bool = False,
-        client_service_factory: Optional[Callable[[], ClientService]] = None,
+        client_service_factory: Optional[Callable[[], KVService]] = None,
         codec: Optional[MessageCodec] = None,
         host: str = "127.0.0.1",
         base_port: int = 0,
@@ -79,7 +81,6 @@ class LocalCluster:
         trace_sample: Optional[int] = None,
         trace_samples: Optional[Dict[ProcessId, Optional[int]]] = None,
         timeseries_dir: Optional[str] = None,
-        timeseries_interval: float = 1.0,
     ) -> None:
         if n < 1:
             raise ConfigurationError(f"need at least one node, got n={n}")
@@ -98,7 +99,6 @@ class LocalCluster:
         self._trace_sample = trace_sample
         self._trace_samples = dict(trace_samples) if trace_samples else None
         self._timeseries_dir = timeseries_dir
-        self._timeseries_interval = timeseries_interval
         self.nodes: List[NodeServer] = [
             self._build_node(pid, port=(base_port + pid) if base_port else 0)
             for pid in range(n)
@@ -137,7 +137,6 @@ class LocalCluster:
                 if self._timeseries_dir
                 else None
             ),
-            timeseries_interval=self._timeseries_interval,
         )
 
     # ------------------------------------------------------------------

@@ -195,9 +195,12 @@ def default_registry() -> MessageRegistry:
     """Registry covering every message vocabulary in the repository.
 
     Importing the protocol modules defines their message dataclasses;
-    walking ``Message.__subclasses__`` then picks up each concrete type.
-    Marker bases (``Message`` itself, ``ClientRequest``) carry no payload
-    of their own and never travel, so they are skipped.
+    walking ``Message.__subclasses__`` then picks up each concrete type
+    defined under ``repro.``. Marker bases (``Message`` itself,
+    ``ClientRequest``) carry no payload of their own and never travel,
+    so they are skipped, and so is a subclass defined anywhere else (a
+    test's probe message): the registry, and so its hash, is the same in
+    every process of one build, whatever else that process imported.
     """
     # Imports are for the side effect of defining the Message subclasses.
     from ..core.messages import Message
@@ -215,7 +218,7 @@ def default_registry() -> MessageRegistry:
     registry = MessageRegistry()
     skip = {Message, ClientRequest}
     for cls in _walk_subclasses(Message):
-        if cls in skip:
+        if cls in skip or not cls.__module__.startswith("repro."):
             continue
         registry.register(cls)
     # Payload structs carried inside messages (not messages themselves).

@@ -37,11 +37,11 @@ stats scrapes and state transfer all go through it — and the acceptor
 refuses a hello from a different registry, and closes a link whose
 first frame does not decode at all (an older build's JSON hello).
 
-Client connections (first frame :class:`~repro.net.wire.ClientHello`) are
-handed to a pluggable service; :class:`KVService` adapts them onto an
-:class:`~repro.smr.log.SMRReplica` by injecting
-:class:`~repro.smr.log.SubmitCommand` as the reserved ``CLIENT`` sender
-and answering once the replica applied the command.
+A client link (first frame :class:`~repro.net.wire.ClientHello`) asks
+for stats, which the node answers, state transfers
+(:mod:`repro.storage.recovery` serves them and runs catch-up) and KV
+submits (a :class:`~repro.net.service.KVService`, if given). HTTP
+``/metrics``, loop lag and the time series live in :mod:`repro.obs.export`.
 
 A node with a data directory holds its output, not its loop: each
 activation's peer frames are staged, and while any WAL commit handed to
@@ -55,8 +55,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import json
-import pathlib
 import socket
 import time
 from collections import deque
@@ -66,24 +64,12 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tu
 
 from ..core.errors import ConfigurationError, ProtocolError, SchedulerError
 from ..core.messages import Message
-from ..core.process import CLIENT, Context, Process, ProcessFactory, ProcessId
+from ..core.process import Context, Process, ProcessFactory, ProcessId
 from ..core.values import MaybeValue
-from ..obs import (
-    Observability,
-    SpanRecorder,
-    message_label,
-    prometheus_text,
-    timeseries_row,
-)
-from ..smr.kvstore import KVCommand
-from ..smr.log import SMRReplica, SubmitCommand
-from ..storage.recovery import (
-    NodeStorage,
-    ReplicaPersister,
-    fetch_snapshot,
-    transfer_chunks,
-)
-from ..storage.snapshot import SnapshotError
+from ..obs import Observability, SpanRecorder, message_label
+from ..obs.export import sample_loop_lag, serve_http, write_timeseries
+from ..smr.log import SMRReplica
+from ..storage.recovery import NodeStorage, ReplicaPersister, catch_up, serve_transfer
 from .codec import (
     MAX_FRAME_BYTES,
     CodecError,
@@ -92,14 +78,13 @@ from .codec import (
     read_frame,
 )
 from .netlog import node_logger
+from .service import KVService
 from .wire import (
     ClientHello,
-    ClientReply,
     ClientSubmit,
     HelloAck,
     NodeHello,
     RangeSnapshotRequest,
-    SnapshotChunk,
     SnapshotRequest,
     StatsReply,
     StatsRequest,
@@ -108,6 +93,13 @@ from .wire import (
 
 #: (host, port) pairs, indexed by pid.
 Address = Tuple[str, int]
+
+#: A peer sender's first retry delay after a failed dial; it doubles on
+#: every further failure up to :data:`RECONNECT_MAX` seconds.
+RECONNECT_INITIAL = 0.05
+RECONNECT_MAX = 1.0
+#: Seconds a peer sender waits for the acceptor's :class:`HelloAck`.
+HELLO_TIMEOUT = 1.0
 
 
 def enable_nodelay(writer: asyncio.StreamWriter) -> None:
@@ -206,114 +198,6 @@ class _NodeContext(Context):
         self._node._decide(value)
 
 
-class ClientService:
-    """Hook pair a :class:`NodeServer` calls for client connections.
-
-    ``submit`` handles one :class:`ClientSubmit`; ``poll`` runs after every
-    activation and may emit replies via the ``reply`` callables captured at
-    submit time.
-    """
-
-    def submit(
-        self,
-        node: "NodeServer",
-        request: ClientSubmit,
-        reply: Callable[[ClientReply], None],
-    ) -> None:
-        raise NotImplementedError
-
-    def poll(self, node: "NodeServer") -> None:
-        """Called after every activation; default: nothing to flush."""
-
-
-class KVService(ClientService):
-    """Serve the replicated KV store hosted by an :class:`SMRReplica`."""
-
-    def __init__(self) -> None:
-        # command_id -> [(request_id, reply callable)]; a list because a
-        # client may retry a command under a new request id.
-        self._pending: Dict[str, List[Tuple[str, Callable[[ClientReply], None]]]] = {}
-
-    def submit(
-        self,
-        node: "NodeServer",
-        request: ClientSubmit,
-        reply: Callable[[ClientReply], None],
-    ) -> None:
-        replica = node.process
-        if not isinstance(replica, SMRReplica):
-            raise ConfigurationError(
-                f"KVService needs an SMRReplica process, got {type(replica).__name__}"
-            )
-        command_id = request.command.command_id
-        # *reply* holds these two answers, like any other, while the
-        # node's latest records are not durable: the result or commit
-        # they report may be in flight.
-        if command_id in replica.results:
-            # A retry of a command this proxy already answered.
-            reply(self._result_reply(node, request.request_id, command_id))
-            return
-        if command_id in replica.commit_times and command_id in replica.store.applied_ids:
-            # Committed and applied before this proxy saw the submission
-            # (client failover re-submitted a command another proxy
-            # already drove to completion). The command is durable but
-            # its original result was observed elsewhere — and, being
-            # applied without a local submission, never will be here.
-            reply(
-                ClientReply(
-                    request_id=request.request_id,
-                    command_id=command_id,
-                    result=None,
-                    commit_seconds=0.0,
-                    duplicate=True,
-                )
-            )
-            return
-        self._pending.setdefault(command_id, []).append((request.request_id, reply))
-        node._activate(
-            lambda ctx: replica.on_message(
-                ctx,
-                CLIENT,
-                SubmitCommand(request.command, trace_id=request.trace_id),
-            )
-        )
-
-    def poll(self, node: "NodeServer") -> None:
-        # O(completed): the replica hands over the ids it just finished.
-        replica = node.process
-        finished = getattr(replica, "finished", None)
-        if not finished:
-            return
-        for command_id in finished:
-            for request_id, reply in self._pending.pop(command_id, ()):
-                reply(self._result_reply(node, request_id, command_id))
-        finished.clear()
-
-    @staticmethod
-    def _result_reply(
-        node: "NodeServer", request_id: str, command_id: str
-    ) -> ClientReply:
-        replica = node.process
-        result, applied_at = replica.results[command_id]
-        commit = replica.commit_times.get(command_id, 0.0) - replica.submissions.get(
-            command_id, 0.0
-        )
-        trace_id = replica.command_traces.get(command_id, "")
-        if trace_id:
-            now = node.now
-            node.obs.spans.record(trace_id, "reply", now, command=command_id)
-            node.obs.registry.observe(
-                "stage.reply_seconds", max(0.0, now - applied_at)
-            )
-        return ClientReply(
-            request_id=request_id,
-            command_id=command_id,
-            result=result,
-            commit_seconds=max(commit, 0.0),
-            trace_id=trace_id,
-        )
-
-
 class _Held:
     """One hold entry: output that became ready while ticket *tag* (the
     newest handed to the storage writer) was not yet durable."""
@@ -350,20 +234,13 @@ class NodeServer:
         codec: Optional[MessageCodec] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        client_service: Optional[ClientService] = None,
-        reconnect_initial: float = 0.05,
-        reconnect_max: float = 1.0,
-        hello_timeout: float = 1.0,
-        obs: Optional[Observability] = None,
+        client_service: Optional[KVService] = None,
         trace_sample: Optional[int] = None,
         data_dir: Optional[str] = None,
         fsync: bool = True,
         snapshot_every: int = 256,
-        catch_up: bool = True,
         outbox_limit: Optional[int] = None,
         timeseries_path: Optional[str] = None,
-        timeseries_interval: float = 1.0,
-        loop_lag_interval: float = 0.25,
     ) -> None:
         if n < 1:
             raise ConfigurationError(f"need at least one process, got n={n}")
@@ -383,31 +260,21 @@ class NodeServer:
         self.host = host
         self.port = port
         self.client_service = client_service
-        self.reconnect_initial = reconnect_initial
-        self.reconnect_max = reconnect_max
-        self.hello_timeout = hello_timeout
-        # Metrics are on by default; the span recorder is opt-in
-        # (``trace_sample=N``) or bring-your-own via ``obs``.
-        # ``trace_sample=0`` records spans but mints no traces of its own
-        # — the follower configuration, which adopts traces arriving from
-        # clients and peers.
-        self.obs = (
-            obs
-            if obs is not None
-            else Observability(
-                spans=(
-                    SpanRecorder(sample=trace_sample)
-                    if trace_sample is not None
-                    else None
-                ),
-                node=pid,
-            )
+        # Metrics are always on; the span recorder is opt-in
+        # (``trace_sample=N``). ``trace_sample=0`` records spans but mints
+        # no traces of its own — the follower configuration, which adopts
+        # traces arriving from clients and peers.
+        self.obs = Observability(
+            spans=SpanRecorder(sample=trace_sample) if trace_sample is not None else None,
+            node=pid,
         )
         self.timeseries_path = timeseries_path
-        self.timeseries_interval = timeseries_interval
-        self.loop_lag_interval = loop_lag_interval
         self.log = node_logger(pid)
         self.process: Process = factory(pid, n)
+        if client_service is not None and not isinstance(self.process, SMRReplica):
+            raise ConfigurationError(
+                f"a client service needs an SMRReplica, got {type(self.process).__name__}"
+            )
         # Span plumbing, resolved once: the replica's slot->trace map (the
         # send path checks it per frame) and whether this node records
         # spans at all (the master off-switch for every tracing branch).
@@ -418,8 +285,6 @@ class NodeServer:
 
         # Durability: present only when a data directory was given and the
         # hosted process is an SMR replica (the only stateful process).
-        self.data_dir = data_dir
-        self._catch_up_enabled = catch_up
         self.outbox_limit = outbox_limit
         self.persister: Optional[ReplicaPersister] = None
         if data_dir is not None and isinstance(self.process, SMRReplica):
@@ -443,10 +308,10 @@ class NodeServer:
 
         self.decisions: List[Tuple[float, MaybeValue]] = []
         self.errors: List[BaseException] = []
-        self._decided = asyncio.Event()
         self._crashed = False
         self._server: Optional[asyncio.base_events.Server] = None
-        self._addresses: List[Address] = []
+        #: The address book, indexed by pid; set by :meth:`launch`.
+        self.addresses: List[Address] = []
         self._t0 = 0.0
         self._timer_generation: Dict[str, int] = {}
         self._timer_handles: Dict[str, asyncio.TimerHandle] = {}
@@ -498,7 +363,7 @@ class NodeServer:
             raise ConfigurationError(
                 f"address book has {len(addresses)} entries for n={self.n}"
             )
-        self._addresses = list(addresses)
+        self.addresses = list(addresses)
         loop = asyncio.get_event_loop()
         self._t0 = loop.time()
         if self.persister is not None:
@@ -524,12 +389,13 @@ class NodeServer:
             self._outbox_wake[peer] = asyncio.Event()
             self._tasks.append(loop.create_task(self._peer_sender(peer)))
         self._activate(lambda ctx: self.process.on_start(ctx))
-        if self.persister is not None and self._catch_up_enabled and self.n > 1:
-            self._tasks.append(loop.create_task(self._catch_up_from_peers()))
-        if self.loop_lag_interval > 0:
-            self._tasks.append(loop.create_task(self._loop_lag_sampler()))
+        if self.persister is not None and self.n > 1:
+            self._tasks.append(loop.create_task(catch_up(self)))
+        self._tasks.append(loop.create_task(sample_loop_lag(self)))
         if self.timeseries_path is not None:
-            self._tasks.append(loop.create_task(self._timeseries_writer()))
+            self._tasks.append(
+                loop.create_task(write_timeseries(self, self.timeseries_path))
+            )
 
     async def stop(self, hard: bool = False) -> None:
         """Crash-stop this node: no further activations, links die.
@@ -804,15 +670,10 @@ class NodeServer:
                 f"node {self.pid} decided {value!r} after {self.decisions[0][1]!r}"
             )
         self.decisions.append((self.now, value))
-        self._decided.set()
 
     @property
     def decision(self) -> Optional[MaybeValue]:
         return self.decisions[0][1] if self.decisions else None
-
-    async def wait_decided(self, timeout: Optional[float] = None) -> MaybeValue:
-        await asyncio.wait_for(self._decided.wait(), timeout)
-        return self.decisions[0][1]
 
     # ------------------------------------------------------------------
     # Peer links: one directed connection per ordered pair, sender-owned.
@@ -821,15 +682,12 @@ class NodeServer:
     async def _peer_sender(self, peer: ProcessId) -> None:
         queue = self._outbox[peer]
         wake = self._outbox_wake[peer]
-        backoff = self.reconnect_initial
+        backoff = RECONNECT_INITIAL
         registry = self.obs.registry
         while not self._crashed:
             try:
                 _reader, writer = await dial(
-                    self._addresses[peer],
-                    self.codec,
-                    NodeHello(self.pid),
-                    self.hello_timeout,
+                    self.addresses[peer], self.codec, NodeHello(self.pid), HELLO_TIMEOUT
                 )
             except (
                 OSError,
@@ -848,7 +706,7 @@ class NodeServer:
                     )
                 registry.inc(f"net.reconnects.p{peer}")
                 await asyncio.sleep(backoff)
-                backoff = min(backoff * 2, self.reconnect_max)
+                backoff = min(backoff * 2, RECONNECT_MAX)
                 continue
             if self._crashed:
                 # stop() may have cancelled us mid-handshake; on 3.11
@@ -857,7 +715,7 @@ class NodeServer:
                 # re-entering the send loop with the cancel lost.
                 writer.close()
                 return
-            backoff = self.reconnect_initial
+            backoff = RECONNECT_INITIAL
             self._peers_out.add(peer)
             try:
                 while True:
@@ -934,7 +792,7 @@ class NodeServer:
             except (asyncio.IncompleteReadError, ConnectionError):
                 return
             if header in (b"GET ", b"HEAD"):
-                await self._serve_http(header, reader, writer)
+                await serve_http(self, header, reader, writer)
                 return
             payload_len = int.from_bytes(header, "big")
             if payload_len > MAX_FRAME_BYTES:
@@ -1028,9 +886,10 @@ class NodeServer:
     async def _serve_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        # Served even with no client service attached: stats are a
-        # property of the runtime, not of the KV layer, so a consensus-only
-        # node still answers ``StatsRequest``.
+        # Served even with no client service attached: stats and
+        # transfers are properties of the runtime, not of the KV layer,
+        # so a consensus-only node still answers them (a transfer with
+        # one terminal ``upto=-1`` chunk).
         replies: "asyncio.Queue[Message]" = asyncio.Queue()
         put = replies.put_nowait
         # Stats describe the runtime and never wait; every other answer
@@ -1053,19 +912,12 @@ class NodeServer:
                     if isinstance(request, StatsRequest):
                         put(self._stats_reply(request))
                     elif isinstance(request, (SnapshotRequest, RangeSnapshotRequest)):
-                        for chunk in self._transfer_reply(request):
+                        for chunk in serve_transfer(self, request):
                             reply(chunk)
-                    elif (
-                        isinstance(request, ClientSubmit)
-                        and self.client_service is not None
-                    ):
-                        command = request.command
-                        if not isinstance(command, KVCommand) or not command.command_id:
-                            # The trust boundary; returning closes the link.
-                            self.obs.registry.inc("net.submit_rejected")
-                            self.log.warning("refused submit %r: no command_id", request.request_id)
-                            return
-                        self.client_service.submit(self, request, reply)
+                    elif isinstance(request, ClientSubmit):
+                        service = self.client_service
+                        if service is None or not service.submit(self, request, reply):
+                            return  # refused, or no service here: closes the link
         finally:
             flusher.cancel()
             if flusher in self._tasks:
@@ -1083,182 +935,6 @@ class NodeServer:
                 batch.append(replies.get_nowait())
             writer.write(b"".join(encode(reply) for reply in batch))
             await writer.drain()
-
-    async def _serve_http(
-        self,
-        prefix: bytes,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Answer one HTTP/1.0 request on the wire port: ``GET /metrics``.
-
-        Minimal by design — one request, ``Connection: close``, no
-        keep-alive — just enough for a Prometheus scraper or ``curl``.
-        The exposition is rendered from the live snapshot with a
-        ``node`` label, so scraping every node of a cluster and letting
-        the server sum counters reproduces ``merge_snapshots``.
-        """
-        try:
-            rest = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 2.0)
-        except (
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-            asyncio.LimitOverrunError,
-            ConnectionError,
-        ):
-            return
-        request_line = (prefix + rest).split(b"\r\n", 1)[0].decode(
-            "latin-1", "replace"
-        )
-        parts = request_line.split()
-        path = parts[1].split("?")[0] if len(parts) > 1 else "/"
-        if path in ("/", "/metrics"):
-            status = b"200 OK"
-            body = prometheus_text(
-                self.obs.snapshot(), labels={"node": str(self.pid)}
-            ).encode("utf-8")
-        else:
-            status = b"404 Not Found"
-            body = b"try /metrics\n"
-        head = (
-            b"HTTP/1.0 " + status + b"\r\n"
-            b"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
-            b"Content-Length: " + str(len(body)).encode("ascii") + b"\r\n"
-            b"Connection: close\r\n\r\n"
-        )
-        writer.write(head if prefix == b"HEAD" else head + body)
-        await writer.drain()
-        self.obs.registry.inc("net.http_scrapes")
-
-    # ------------------------------------------------------------------
-    # Runtime profiling and the time-series feed.
-    # ------------------------------------------------------------------
-
-    async def _loop_lag_sampler(self) -> None:
-        """Sample event-loop lag: how late a timed sleep actually wakes.
-
-        Lag is the gap between when ``sleep(interval)`` should have
-        returned and when it did — the queueing delay every timer and
-        every activation on this node experiences. The histogram gives
-        the distribution, the gauge the worst stall since launch.
-        """
-        interval = self.loop_lag_interval
-        registry = self.obs.registry
-        loop = asyncio.get_event_loop()
-        while not self._crashed:
-            expected = loop.time() + interval
-            await asyncio.sleep(interval)
-            lag = max(0.0, loop.time() - expected)
-            registry.observe("runtime.loop_lag_seconds", lag)
-            registry.gauge_max("runtime.loop_lag_max_seconds", lag)
-
-    async def _timeseries_writer(self) -> None:
-        """Append one JSONL snapshot row per interval (live dashboards).
-
-        The write is a single short line through a per-tick append —
-        blocking the loop for microseconds at 1 Hz — so no thread pool
-        is needed. Rows are cumulative (counters, not deltas); consumers
-        diff successive rows for rates, exactly like ``repro top``.
-        """
-        path = pathlib.Path(self.timeseries_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        registry = self.obs.registry
-        while not self._crashed:
-            await asyncio.sleep(self.timeseries_interval)
-            row = timeseries_row(self.obs.snapshot(), t=self.now, node=self.pid)
-            with path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(row) + "\n")
-            registry.inc("obs.timeseries_rows")
-
-    def _transfer_reply(
-        self, request: Union[SnapshotRequest, RangeSnapshotRequest]
-    ) -> List[SnapshotChunk]:
-        """Serve a state or range transfer from the *live* replica.
-
-        Rendering happens synchronously on the event loop, so the shipped
-        state is a consistent point-in-time view (no activation can
-        interleave). A range is only meaningful once it is fenced at this
-        group — the fence makes the extracted state final. Non-replica
-        processes answer with a terminal ``upto=-1`` chunk so the fetcher
-        can move on to the next peer.
-        """
-        if not isinstance(self.process, SMRReplica):
-            return [
-                SnapshotChunk(
-                    request_id=request.request_id, seq=0, last=True, upto=-1, payload=b""
-                )
-            ]
-        ranged = isinstance(request, RangeSnapshotRequest)
-        self.obs.registry.inc(
-            "storage.range_snapshots_served" if ranged else "storage.snapshots_served"
-        )
-        return transfer_chunks(self.codec, self.process, request)
-
-    # ------------------------------------------------------------------
-    # Catch-up: pull a peer's state instead of replaying history.
-    # ------------------------------------------------------------------
-
-    async def _catch_up_from_peers(
-        self, rounds: int = 5, initial_delay: float = 0.25
-    ) -> None:
-        """Fetch and install a peer's state while behind the cluster.
-
-        Runs once after launch (only on storage-enabled nodes): each
-        round sends peers — nearest pid first — our frontier and log
-        length, and installs the image plus log suffix a peer that is
-        ahead answers with. Stops when no reachable peer is ahead (fresh
-        boots converge on the first round, one empty chunk per peer) or
-        after *rounds* installs; from there the normal message flow keeps
-        the node current. A malformed image or a suffix that does not
-        extend our log is counted in ``storage.transfer_rejected`` and
-        the next peer is tried.
-        """
-        assert self.persister is not None
-        await asyncio.sleep(initial_delay)
-        replica = self.process
-        for _ in range(rounds):
-            if self._crashed:
-                return
-            progressed = False
-            for step in range(1, self.n):
-                peer = (self.pid + step) % self.n
-                try:
-                    image = await fetch_snapshot(
-                        self._addresses[peer],
-                        self.codec,
-                        client_id=f"catchup-{self.pid}",
-                        applied_upto=replica.applied_upto,
-                        log_entries=len(replica.store.log),
-                        timeout=5.0,
-                    )
-                except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError, CodecError):
-                    continue
-                except SnapshotError as exc:
-                    self._refuse_transfer(peer, exc)
-                    continue
-                if image is None or self._crashed:
-                    continue
-                try:
-                    installed = self.persister.install_remote(image)
-                except SnapshotError as exc:
-                    self._refuse_transfer(peer, exc)
-                    continue
-                if installed > 0:
-                    self.log.info(
-                        "caught up from peer %d: +%d log entries (frontier %d)",
-                        peer,
-                        installed,
-                        replica.applied_upto,
-                    )
-                    progressed = True
-                    break
-            if not progressed:
-                return
-
-    def _refuse_transfer(self, peer: int, exc: SnapshotError) -> None:
-        """A peer's image was malformed or its suffix not anchored on our log."""
-        self.log.warning("refused state from peer %d: %s", peer, exc)
-        self.obs.registry.inc("storage.transfer_rejected")
 
     # ------------------------------------------------------------------
     # Observability.
@@ -1301,39 +977,3 @@ class NodeServer:
             snapshot=self.stats_snapshot(),
             spans=spans,
         )
-
-
-def start_node(
-    pid: ProcessId,
-    addresses: Sequence[Address],
-    factory: ProcessFactory,
-    codec: Optional[MessageCodec] = None,
-    client_service: Optional[ClientService] = None,
-    trace_sample: Optional[int] = None,
-    data_dir: Optional[str] = None,
-    fsync: bool = True,
-    snapshot_every: int = 256,
-    timeseries_path: Optional[str] = None,
-) -> NodeServer:
-    """Build a node for slot *pid* of *addresses* (not yet bound).
-
-    Convenience for the ``python -m repro cluster --node`` deployment
-    path; the caller still awaits :meth:`NodeServer.bind` and
-    :meth:`NodeServer.launch`. With *data_dir* the node journals to
-    ``<data_dir>/node-<pid>/`` and recovers from it on the next start.
-    """
-    host, port = addresses[pid]
-    return NodeServer(
-        pid,
-        len(addresses),
-        factory,
-        codec=codec,
-        host=host,
-        port=port,
-        client_service=client_service,
-        trace_sample=trace_sample,
-        data_dir=data_dir,
-        fsync=fsync,
-        snapshot_every=snapshot_every,
-        timeseries_path=timeseries_path,
-    )

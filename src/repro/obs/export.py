@@ -5,21 +5,39 @@ Two consumers, two formats, one source (`Observability.snapshot()`):
 * :func:`prometheus_text` renders a snapshot in the Prometheus text
   exposition format (v0.0.4) — counters, high-water gauges, and
   cumulative-bucket histograms — so any off-the-shelf scraper can point
-  at a node's client port and `GET /metrics` (the `NodeServer` sniffs
-  HTTP on the same port the length-prefixed wire protocol uses; a
+  at a node's client port and `GET /metrics` (:func:`serve_http`; a
   4-byte ASCII method prefix can never be a legal frame length).
 * :func:`timeseries_row` flattens the operationally interesting subset
-  into one JSON-safe dict per sample tick; `NodeServer` appends one row
-  per interval to `<dir>/node-<pid>.jsonl`, giving post-hoc dashboards
-  a replayable feed without any scraper running.
+  into one JSON-safe dict per sample tick; :func:`write_timeseries`
+  appends one row per interval to `<dir>/node-<pid>.jsonl`, giving
+  post-hoc dashboards a replayable feed without any scraper running.
+
+The live-node coroutines here (with :func:`sample_loop_lag`) read only
+the node's `obs`, `pid`, `now` and `crashed`.
 """
 
 from __future__ import annotations
 
+import asyncio
+import json
+import pathlib
 import re
 from typing import Any, Dict, Mapping, Optional
 
-__all__ = ["prometheus_text", "timeseries_row"]
+__all__ = [
+    "LOOP_LAG_INTERVAL",
+    "TIMESERIES_INTERVAL",
+    "prometheus_text",
+    "sample_loop_lag",
+    "serve_http",
+    "timeseries_row",
+    "write_timeseries",
+]
+
+#: Seconds between a live node's event-loop lag samples.
+LOOP_LAG_INTERVAL = 0.25
+#: Seconds between a live node's time-series rows.
+TIMESERIES_INTERVAL = 1.0
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 _PREFIX = "repro_"
@@ -186,3 +204,88 @@ def timeseries_row(
 
 def _scale(seconds: Optional[float]) -> Optional[float]:
     return None if seconds is None else seconds * 1000.0
+
+
+async def serve_http(
+    node: Any,
+    prefix: bytes,
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+) -> None:
+    """Answer one HTTP/1.0 request on a node's wire port: ``GET /metrics``.
+
+    Minimal by design — one request, ``Connection: close``, no
+    keep-alive — just enough for a Prometheus scraper or ``curl``.
+    *prefix* is the 4 bytes the node already read. The exposition is
+    rendered from the live snapshot with a ``node`` label, so scraping
+    every node of a cluster and letting the server sum counters
+    reproduces ``merge_snapshots``.
+    """
+    try:
+        rest = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 2.0)
+    except (
+        asyncio.TimeoutError,
+        asyncio.IncompleteReadError,
+        asyncio.LimitOverrunError,
+        ConnectionError,
+    ):
+        return
+    request_line = (prefix + rest).split(b"\r\n", 1)[0].decode(
+        "latin-1", "replace"
+    )
+    parts = request_line.split()
+    path = parts[1].split("?")[0] if len(parts) > 1 else "/"
+    if path in ("/", "/metrics"):
+        status = b"200 OK"
+        body = prometheus_text(
+            node.obs.snapshot(), labels={"node": str(node.pid)}
+        ).encode("utf-8")
+    else:
+        status = b"404 Not Found"
+        body = b"try /metrics\n"
+    head = (
+        b"HTTP/1.0 " + status + b"\r\n"
+        b"Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n"
+        b"Content-Length: " + str(len(body)).encode("ascii") + b"\r\n"
+        b"Connection: close\r\n\r\n"
+    )
+    writer.write(head if prefix == b"HEAD" else head + body)
+    await writer.drain()
+    node.obs.registry.inc("net.http_scrapes")
+
+
+async def sample_loop_lag(node: Any) -> None:
+    """Sample event-loop lag: how late a timed sleep actually wakes.
+
+    Lag is the gap between when ``sleep(interval)`` should have
+    returned and when it did — the queueing delay every timer and
+    every activation on the node experiences. The histogram gives
+    the distribution, the gauge the worst stall since launch.
+    """
+    registry = node.obs.registry
+    loop = asyncio.get_event_loop()
+    while not node.crashed:
+        expected = loop.time() + LOOP_LAG_INTERVAL
+        await asyncio.sleep(LOOP_LAG_INTERVAL)
+        lag = max(0.0, loop.time() - expected)
+        registry.observe("runtime.loop_lag_seconds", lag)
+        registry.gauge_max("runtime.loop_lag_max_seconds", lag)
+
+
+async def write_timeseries(node: Any, path: str) -> None:
+    """Append one JSONL snapshot row to *path* per interval.
+
+    The write is a single short line through a per-tick append —
+    blocking the loop for microseconds at 1 Hz — so no thread pool
+    is needed. Rows are cumulative (counters, not deltas); consumers
+    diff successive rows for rates, exactly like ``repro top``.
+    """
+    target = pathlib.Path(path)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    registry = node.obs.registry
+    while not node.crashed:
+        await asyncio.sleep(TIMESERIES_INTERVAL)
+        row = timeseries_row(node.obs.snapshot(), t=node.now, node=node.pid)
+        with target.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(row) + "\n")
+        registry.inc("obs.timeseries_rows")

@@ -15,7 +15,7 @@ The moving parts:
 * :mod:`~repro.shard.catalog` — the catalog authority: the map is
   replicated in one designated group's log under a reserved key, so map
   changes are themselves SMR-committed;
-* :mod:`~repro.shard.service` — the shard-aware ``ClientService``: a
+* :mod:`~repro.shard.service` — the shard-aware ``KVService``: a
   command for a key this group does not own is answered with a
   ``WrongShard`` redirect carrying the newer map;
 * :mod:`~repro.shard.router` — the client-side router: per-group

@@ -1,6 +1,6 @@
 """The shard-aware client service: routing checks and redirects.
 
-:class:`ShardedKVService` is a drop-in :class:`~repro.net.node.KVService`
+:class:`ShardedKVService` is a drop-in :class:`~repro.net.service.KVService`
 for nodes that serve one group of a sharded deployment. It adds exactly
 two behaviors, both ending in a :class:`~repro.net.wire.WrongShard`
 redirect instead of a :class:`~repro.net.wire.ClientReply`:
@@ -26,10 +26,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..core.errors import ConfigurationError
-from ..net.node import KVService, SMRReplica
+from ..net.service import KVService
 from ..net.wire import ClientReply, ClientSubmit, WrongShard
 from ..smr.kvstore import SHARD_META_PREFIX, WRONG_SHARD, KVCommand
+from ..smr.log import SMRReplica
 from .placement import PlacementMap, apply_overrides
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -88,25 +88,19 @@ class ShardedKVService(KVService):
             )
         )
 
-    def submit(
+    def _propose(
         self,
         node: "NodeServer",
         request: ClientSubmit,
         reply: Callable[..., None],
     ) -> None:
-        replica = node.process
-        if not isinstance(replica, SMRReplica):
-            raise ConfigurationError(
-                f"ShardedKVService needs an SMRReplica process, "
-                f"got {type(replica).__name__}"
-            )
         command = request.command
         if _routable(command):
-            effective = self.effective_placement(replica)
+            effective = self.effective_placement(node.process)
             if effective.group_for_key(command.key) != self.group:
                 self._redirect(node, request.request_id, command, reply)
                 return
-        super().submit(node, request, self._fence_aware(node, command, reply))
+        super()._propose(node, request, self._fence_aware(node, command, reply))
 
     def _fence_aware(
         self,

@@ -49,6 +49,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 from ..core.errors import ConfigurationError, ReproError
 from ..obs import Observability, NULL_OBS
 from ..smr.kvstore import BatchRef, CommandBatch
+from ..smr.log import SMRReplica
 from .files import atomic_write_text
 from .records import WalDecision, WalSlotState, decode_record, encode_record
 from .retention import RetentionPolicy, RetentionReport
@@ -72,6 +73,10 @@ from .writer import WRITER_THREAD_NAME, StorageWriter
 
 #: SnapshotChunk payload size (bytes of the transfer document per frame).
 TRANSFER_CHUNK_BYTES = 256 * 1024
+#: Rounds of :func:`catch_up` a durable node runs after launch.
+CATCH_UP_ROUNDS = 5
+#: Seconds from launch to the first catch-up round.
+CATCH_UP_DELAY = 0.25
 
 
 class NodeStorage:
@@ -663,6 +668,81 @@ def transfer_chunks(codec: Any, replica: Any, request: Any) -> List[Any]:
     ]
 
 
+def serve_transfer(node: Any, request: Any) -> List[Any]:
+    """A live node's answer to a state or range transfer request.
+
+    Rendering happens synchronously on the node's event loop, so the
+    shipped state is a consistent point-in-time view (no activation can
+    interleave). A range is only meaningful once it is fenced at this
+    group — the fence makes the extracted state final. A node hosting no
+    replica answers one terminal ``upto=-1`` chunk, so the fetcher moves
+    on to the next peer.
+    """
+    from ..net.wire import RangeSnapshotRequest, SnapshotChunk
+
+    if not isinstance(node.process, SMRReplica):
+        return [SnapshotChunk(request.request_id, 0, True, -1, b"")]
+    ranged = isinstance(request, RangeSnapshotRequest)
+    node.obs.registry.inc(
+        "storage.range_snapshots_served" if ranged else "storage.snapshots_served"
+    )
+    return transfer_chunks(node.codec, node.process, request)
+
+
+async def catch_up(node: Any) -> None:
+    """Fetch and install a peer's state while *node* is behind its peers.
+
+    A durable node runs this once after launch: each round sends peers
+    — nearest pid first — its frontier and log length, and installs the
+    image plus log suffix a peer that is ahead answers with. Stops when
+    no reachable peer is ahead (fresh boots converge on the first round,
+    one empty chunk per peer) or after :data:`CATCH_UP_ROUNDS` installs;
+    from there the normal message flow keeps the node current. A
+    malformed image or a suffix that does not extend the node's log is
+    counted in ``storage.transfer_rejected`` and the next peer is tried.
+    """
+    from ..net.codec import CodecError
+
+    await asyncio.sleep(CATCH_UP_DELAY)
+    replica = node.process
+    for _ in range(CATCH_UP_ROUNDS):
+        if node.crashed:
+            return
+        progressed = False
+        for step in range(1, node.n):
+            peer = (node.pid + step) % node.n
+            try:
+                image = await fetch_snapshot(
+                    node.addresses[peer],
+                    node.codec,
+                    client_id=f"catchup-{node.pid}",
+                    applied_upto=replica.applied_upto,
+                    log_entries=len(replica.store.log),
+                    timeout=5.0,
+                )
+                if image is None or node.crashed:
+                    continue
+                installed = node.persister.install_remote(image)
+            except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError, CodecError):
+                continue
+            except SnapshotError as exc:
+                # A malformed image, or a suffix not anchored on our log.
+                node.log.warning("refused state from peer %d: %s", peer, exc)
+                node.obs.registry.inc("storage.transfer_rejected")
+                continue
+            if installed > 0:
+                node.log.info(
+                    "caught up from peer %d: +%d log entries (frontier %d)",
+                    peer,
+                    installed,
+                    replica.applied_upto,
+                )
+                progressed = True
+                break
+        if not progressed:
+            return
+
+
 def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
     """Offline summary of every node directory under *root*.
 
@@ -757,14 +837,18 @@ def inspect_data_dir(root: pathlib.Path, codec: Any) -> List[Dict[str, Any]]:
 
 
 __all__ = [
+    "CATCH_UP_DELAY",
+    "CATCH_UP_ROUNDS",
     "NodeStorage",
     "RecoveryError",
     "RecoveryResult",
     "ReplicaPersister",
     "TRANSFER_CHUNK_BYTES",
+    "catch_up",
     "fetch_snapshot",
     "inspect_data_dir",
     "install_image",
+    "serve_transfer",
     "spliced_log",
     "transfer_chunks",
 ]

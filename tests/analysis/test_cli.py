@@ -5,6 +5,7 @@ import contextlib
 import json
 import os
 import pathlib
+import socket
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ import pytest
 
 from repro.__main__ import build_parser, main
 from repro.net.cluster import LocalCluster
-from repro.net.codec import MessageCodec, MessageRegistry, default_registry
+from repro.net.codec import MessageCodec
 from repro.net.loadgen import run_loadgen
 from repro.net.stats import fetch_node_stats
 from repro.omega import static_omega_factory
@@ -111,6 +112,12 @@ class TestClusterCli:
         assert main(argv) == 2
         out = capsys.readouterr().out.strip()
         assert out.startswith(message) and "\n" not in out
+
+    def test_node_mode_refuses_a_pid_outside_peers(self, capsys):
+        argv = ["cluster", "--node", "3", "--peers", "127.0.0.1:1,127.0.0.1:2,127.0.0.1:3"]
+        assert main(argv) == 2
+        out = capsys.readouterr().out.strip()
+        assert out.startswith("--node 3 is not a pid") and "\n" not in out
 
     def test_node_mode_refuses_groups(self, capsys):
         argv = ["cluster", "--node", "0", "--groups", "2", "--peers", "127.0.0.1:1"]
@@ -210,17 +217,6 @@ def _serving(cluster):
         loop.close()
 
 
-def _program_codec():
-    """The codec a fresh ``python -m repro`` process builds. This
-    process's default registry also holds the message types that test
-    modules define, and a node refuses a hello from another registry."""
-    full, registry = default_registry(), MessageRegistry()
-    for name in full.names():
-        if full.type_of(name).__module__.startswith("repro."):
-            registry.register(full.type_of(name), name)
-    return MessageCodec(registry)
-
-
 def _peers(cluster):
     return ";".join(
         ",".join(f"{host}:{port}" for host, port in addresses)
@@ -260,7 +256,7 @@ class TestShardedClusterCli:
                 assert line, f"cluster never came up: {out!r}"
                 out += line
 
-            codec = _program_codec()
+            codec = MessageCodec()
 
             async def drive():
                 # Group 1's node 0 answers on base + n.
@@ -288,6 +284,78 @@ class TestShardedClusterCli:
         for group in range(groups):
             for pid in range(n):
                 assert (tmp_path / f"group-{group}" / f"node-{pid}.jsonl").is_file()
+
+
+def _repro(*argv, **popen):
+    """``python -m repro *argv`` as a child process with text pipes."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        **popen,
+    )
+
+
+class TestClusterStartFailure:
+    """A deployment that cannot bind exits 1 with one line, no traceback."""
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_held_port_exits_with_one_line(self, groups, free_port_block):
+        n = 3
+        base = free_port_block(groups * n)
+        held = base + (groups - 1) * n  # the last group's node 0
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", held))
+            holder.listen()
+            process = _repro(
+                "cluster", "--groups", str(groups), "--n", str(n),
+                "--base-port", str(base), "--duration", "1",
+            )
+            out, errors = process.communicate(timeout=60)
+        assert process.returncode == 1, (out, errors)
+        assert "Traceback" not in out + errors, errors
+        lines = out.strip().splitlines()
+        assert len(lines) == 1, out
+        where = "node 0 failed to start" if groups == 1 else "group 1: node 0 failed to start"
+        assert lines[0].startswith(where), lines[0]
+
+    def test_held_port_in_node_mode_exits_with_one_line(self, free_port_block):
+        base = free_port_block(3)
+        peers = ",".join(f"127.0.0.1:{base + pid}" for pid in range(3))
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", base + 1))
+            holder.listen()
+            process = _repro("cluster", "--node", "1", "--peers", peers, "--duration", "1")
+            out, errors = process.communicate(timeout=60)
+        assert process.returncode == 1, (out, errors)
+        assert "Traceback" not in out + errors, errors
+        assert out.startswith("node 1 failed to start") and out.count("\n") == 1, out
+
+
+class TestNodeDeployment:
+    """``cluster --node i --peers ...``: one process per node."""
+
+    def test_three_node_processes_serve_a_loadgen(self, free_port_block):
+        base = free_port_block(3)
+        peers = ",".join(f"127.0.0.1:{base + pid}" for pid in range(3))
+        nodes = [
+            _repro("cluster", "--node", str(pid), "--peers", peers, "--duration", "3")
+            for pid in range(3)
+        ]
+        try:
+            for pid, node in enumerate(nodes):
+                line = node.stdout.readline()
+                assert line == f"node {pid} serving on 127.0.0.1:{base + pid}\n", line
+            load = _repro("loadgen", "--peers", peers, "--count", "20")
+            load_out, load_errors = load.communicate(timeout=60)
+        finally:
+            outputs = [node.communicate(timeout=30) for node in nodes]
+        assert load.returncode == 0, (load_out, load_errors)
+        assert "Traceback" not in load_errors, load_errors
+        for node, (_out, errors) in zip(nodes, outputs):
+            assert node.returncode == 0, errors
 
 
 class TestLoadgenCliLive:

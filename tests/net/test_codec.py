@@ -11,6 +11,10 @@ property.
 """
 
 import dataclasses
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +250,32 @@ class TestRoundTripProperty:
             if not cls.__module__.startswith("repro."):
                 continue  # test-local probe messages never travel the wire
             assert cls in registered, f"{cls.__name__} missing from wire registry"
+
+    def test_a_probe_message_leaves_the_registry_hash_alone(self):
+        # A Message subclass defined outside the package never joins the
+        # default registry, so this process and a fresh ``python -m
+        # repro`` process build the same registry and accept each
+        # other's hellos.
+        @dataclasses.dataclass(frozen=True)
+        class Probe(Message):
+            payload: int = 0
+
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        fresh = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "from repro.net.codec import MessageCodec; "
+                "print(MessageCodec().registry_hash)",
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            check=True,
+        ).stdout.strip()
+        codec = MessageCodec()
+        assert Probe not in codec.registry
+        assert codec.registry_hash == fresh
 
 
 class TestDeterministicSamples:

@@ -20,8 +20,6 @@ from repro.net.codec import (
     WIRE_VERSION_BINARY,
     CodecError,
     MessageCodec,
-    MessageRegistry,
-    default_registry,
 )
 from repro.net.wire import ClientReply, ClientSubmit
 from repro.protocols.twostep import Decide, Propose, TwoB
@@ -32,26 +30,6 @@ from repro.storage.records import WalDecision
 from .test_codec import _any_registered
 
 REGISTRY_HASH = "e31873aa921ca214"
-
-
-def _repo_registry() -> MessageRegistry:
-    """The registry a fresh process builds.
-
-    Other test modules define probe ``Message`` subclasses, which
-    ``default_registry()`` would pick up and which would shift every
-    type id; only classes the package itself defines belong here.
-    """
-    full = default_registry()
-    registry = MessageRegistry()
-    for name in full.names():
-        cls = full.type_of(name)
-        if cls.__module__.startswith("repro."):
-            registry.register(cls, name)
-    return registry
-
-
-def _codec() -> MessageCodec:
-    return MessageCodec(_repo_registry())
 
 
 def _hot_shapes():
@@ -131,7 +109,7 @@ class TestNoCollectorGarbage:
         # which referred to itself, so every decode left a cycle only the
         # collector could free. With DEBUG_SAVEALL the collector parks
         # whatever it would have freed in gc.garbage: it must find nothing.
-        codec = _codec()
+        codec = MessageCodec()
         shapes = _hot_shapes()
         payloads = {name: codec.encode_payload(m) for name, m in shapes.items()}
         for name, message in shapes.items():  # compile outside the window
@@ -159,11 +137,11 @@ class TestNoCollectorGarbage:
 
 class TestGoldenBytes:
     def test_registry_hash_unchanged(self):
-        assert _codec().registry_hash == REGISTRY_HASH
+        assert MessageCodec().registry_hash == REGISTRY_HASH
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_payload_bytes_unchanged(self, name):
-        codec = _codec()
+        codec = MessageCodec()
         message = _hot_shapes()[name]
         assert codec.encode_payload(message).hex() == GOLDEN[name]
         assert codec.decode_payload(bytes.fromhex(GOLDEN[name])) == message
@@ -173,7 +151,7 @@ class TestGoldenBytes:
         # CodecError and nothing else: not IndexError or struct.error
         # from reading past the end, and not a string cut short by a
         # slice that silently stops at the buffer's edge.
-        codec = _codec()
+        codec = MessageCodec()
         payload = bytes.fromhex(GOLDEN[name])
         for wrap in (bytes, bytearray, memoryview):
             for cut in range(len(payload)):
@@ -191,7 +169,7 @@ class _LateProbe:
 
 class TestRegistryGeneration:
     def test_class_registered_after_first_use_gets_the_new_ids(self):
-        codec = _codec()
+        codec = MessageCodec()
         message = ClientSubmit(
             request_id="r", command=KVCommand(op="get", key="k", command_id="c")
         )
@@ -209,7 +187,7 @@ class TestRegistryGeneration:
         assert codec.decode_payload(payload) == probe
 
     def test_post_init_failure_names_wire_type_and_id(self):
-        codec = _codec()
+        codec = MessageCodec()
         good = codec.encode_payload(KVCommand(op="put", key="k", command_id="c"))
         assert good.count(b"\x05\x03put") == 1
         bad = good.replace(b"\x05\x03put", b"\x05\x05bogus")

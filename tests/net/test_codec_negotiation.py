@@ -23,7 +23,9 @@ from repro.net.codec import (
 )
 from repro.net.loadgen import run_loadgen
 from repro.net.stats import fetch_node_stats
-from repro.net.node import HandshakeRefused, KVService, NodeServer, dial
+from repro.net import node as node_module
+from repro.net.node import HandshakeRefused, NodeServer, dial
+from repro.net.service import KVService
 from repro.net.wire import ClientHello, ClientSubmit, NodeHello
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
@@ -201,7 +203,7 @@ def test_registry_skew_is_refused_with_both_hashes(caplog):
     assert any(nodes[0].codec.registry_hash in text for text in refusals)
     # Retries follow the backoff schedule: no reconnect storm.
     bound = _attempts_within(
-        elapsed, nodes[2].reconnect_initial, nodes[2].reconnect_max
+        elapsed, node_module.RECONNECT_INITIAL, node_module.RECONNECT_MAX
     )
     for peer in (0, 1):
         attempts = counters[2].get(f"net.reconnects.p{peer}", 0)

@@ -16,6 +16,7 @@ from repro.net.cluster import LocalCluster
 from repro.net.loadgen import run_loadgen
 from repro.net.stats import describe_cluster_stats, scrape_cluster
 from repro.net.top import render_top, run_top
+from repro.obs import export
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
 from repro.smr.log import smr_factory
@@ -174,14 +175,12 @@ class TestWireInfo:
 
 
 class TestTimeseries:
-    def test_nodes_append_jsonl_rows(self, tmp_path):
+    def test_nodes_append_jsonl_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(export, "TIMESERIES_INTERVAL", 0.1)
+
         async def scenario():
             async with LocalCluster(
-                3,
-                _factory(),
-                serve_clients=True,
-                timeseries_dir=str(tmp_path),
-                timeseries_interval=0.1,
+                3, _factory(), serve_clients=True, timeseries_dir=str(tmp_path)
             ) as cluster:
                 await run_loadgen(
                     {0: cluster.addresses},

@@ -495,7 +495,7 @@ class TestStateTransfer:
             codec=CODEC,
         )
         node.persister.recover()
-        node._addresses = [("peer", pid) for pid in range(N)]
+        node.addresses = [("peer", pid) for pid in range(N)]
         good = _replica(pid=3)
         _decide(good, range(6))
         forked = _replica(pid=2)  # as far ahead, but its log is another one
@@ -515,7 +515,8 @@ class TestStateTransfer:
             return answers[address[1]]
 
         monkeypatch.setattr(recovery_module, "_fetch_document", answer)
-        asyncio.run(node._catch_up_from_peers(initial_delay=0))
+        monkeypatch.setattr(recovery_module, "CATCH_UP_DELAY", 0)
+        asyncio.run(recovery_module.catch_up(node))
         node.persister.close()
         assert _state(node.process) == _state(good)
         counters = node.obs.registry.snapshot()["counters"]
