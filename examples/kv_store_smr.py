@@ -56,7 +56,8 @@ def main() -> None:
     log = outcome.replicas[0].committed_log()
     print("final log at replica 0:")
     for slot in sorted(log):
-        print(f"  slot {slot}: {log[slot].command_id} ({log[slot].op} {log[slot].key})")
+        members = [f"{c.command_id} ({c.op} {c.key})" for c in log[slot].commands]
+        print(f"  slot {slot}: {', '.join(members)}")
     print(f"commit latencies: {sorted(outcome.commit_latency.values())}")
     print(f"violations: {check_logs_consistent(outcome.replicas) or 'none'}")
 

@@ -320,6 +320,7 @@ class NodeServer:
         self._outbox: Dict[ProcessId, Deque[bytes]] = {}
         self._outbox_wake: Dict[ProcessId, asyncio.Event] = {}
         self._tasks: List[asyncio.Task] = []
+        self._connections: Set[asyncio.Task] = set()  # one per inbound link
         self._writers: Set[asyncio.StreamWriter] = set()
         # Live links, surfaced by wire_info(): peers we hold an outbound
         # link to, and the inbound peer and client connections served.
@@ -345,9 +346,7 @@ class NodeServer:
 
     async def bind(self) -> Address:
         """Start listening; resolves the port when 0 was requested."""
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
-        )
+        self._server = await asyncio.start_server(self._accept, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
         if self.persister is not None:
             # Record the bound address so a restart (same data dir) can
@@ -418,7 +417,7 @@ class NodeServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        tasks = list(self._tasks)
+        tasks = self._tasks + list(self._connections)
         for task in tasks:
             task.cancel()
         for task in tasks:
@@ -776,6 +775,17 @@ class NodeServer:
     # ------------------------------------------------------------------
     # Inbound connections: peers deliver, clients converse.
     # ------------------------------------------------------------------
+
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        # A plain callback, so the handler task is ours: stop() cancels
+        # and awaits it. asyncio's own handler task would be cancelled by
+        # the loop's shutdown instead, and Python 3.11 logs that with a
+        # CancelledError traceback.
+        task = asyncio.get_event_loop().create_task(self._on_connection(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connections.discard)
 
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -13,8 +13,6 @@ from .kvstore import (
     KVCommand,
     KVStore,
     NOOP_COMMAND,
-    SlotValue,
-    commands_in,
 )
 from .leader_log import MultiPaxosReplica, multipaxos_factory
 from .log import (
@@ -37,12 +35,10 @@ __all__ = [
     "KVStore",
     "NOOP_COMMAND",
     "SMRReplica",
-    "SlotValue",
     "Slotted",
     "SubmitCommand",
     "WorkloadOutcome",
     "check_logs_consistent",
-    "commands_in",
     "multipaxos_factory",
     "put_get_workload",
     "run_kv_workload",

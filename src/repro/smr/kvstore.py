@@ -1,10 +1,12 @@
 """The replicated key-value state machine and its command language.
 
-Commands are totally ordered (required by Figure 1's value-ordered fast
-path: a ``Propose`` is only accepted when its value is ``>=`` the
-receiver's own proposal), deterministic, and idempotent-by-id: the SMR
-layer suppresses duplicate application when a command wins several slots
+Commands are deterministic and idempotent-by-id: the SMR layer
+suppresses duplicate application when a command wins several slots
 (which can happen when a proxy re-proposes after losing a slot race).
+A slot's value is always a :class:`CommandBatch` — one member or many —
+and the batch is what Figure 1's value-ordered fast path compares (a
+``Propose`` is only accepted when its value is ``>=`` the receiver's own
+proposal); a command only supplies its :meth:`KVCommand.sort_key`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import hashlib
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Reserved key prefix for replicated shard metadata (placement fences and
 #: installed ranges). Keys under this prefix — and the catalog's
@@ -60,39 +62,19 @@ class KVCommand:
         if self.op not in ("get", "put", "cas", "noop", "config"):
             raise ValueError(f"unknown op {self.op!r}")
 
-    # The consensus layer buckets fast-path votes by proposal value, so
-    # commands must hash even when ``value`` is an unhashable payload
-    # (``config`` commands carry dicts). Identity fields suffice:
-    # command ids are unique per submission, so equal commands share
-    # ids and the hash/eq contract holds.
+    # A batch hashes by its members, and the consensus layer buckets
+    # fast-path votes by batch, so commands must hash even when ``value``
+    # is an unhashable payload (``config`` commands carry dicts). Identity
+    # fields suffice: command ids are unique per submission, so equal
+    # commands share ids and the hash/eq contract holds.
     def __hash__(self) -> int:
         return hash((self.op, self.key, self.command_id))
 
-    # Total order: the fast path compares proposals. Any deterministic
-    # total order works; ties on the sort key cannot happen across
-    # distinct commands because command_id is unique per submission.
+    # A batch orders by its members' sort keys. Any deterministic total
+    # order works; ties cannot happen across distinct commands because
+    # command_id is unique per submission.
     def sort_key(self) -> Tuple[str, str, str, str]:
         return (self.op, self.key, repr(self.value), self.command_id)
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, KVCommand):
-            return NotImplemented  # lets BOTTOM's reflected comparison apply
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: object) -> bool:
-        if not isinstance(other, KVCommand):
-            return NotImplemented
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: object) -> bool:
-        if not isinstance(other, KVCommand):
-            return NotImplemented
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: object) -> bool:
-        if not isinstance(other, KVCommand):
-            return NotImplemented
-        return self.sort_key() >= other.sort_key()
 
 
 #: Slot filler decided when a proxy must flush a slot without a command.
@@ -125,11 +107,12 @@ class CommandBatch:
     order, and the store's idempotence-by-id still suppresses a command
     that rides two batches (a proxy re-batches after losing a slot race).
 
-    ``batch_id`` gives the batch the same ``command_id``-shaped identity a
-    bare command has, so slot-level bookkeeping (the log consistency
-    checker, noop filtering) works on mixed logs. Ties on the comparison
-    key cannot happen across distinct batches because member command ids
-    are unique per submission.
+    ``batch_id`` names the batch in decision records and the log
+    consistency checker: ``__batch:<pid>:<seq>__`` for a proxy's
+    proposal, ``__noop:<pid>:<slot>__`` for a gap-repair no-op (a
+    one-member batch of one ``noop`` command). Ties on the comparison key
+    cannot happen across distinct batches because member command ids are
+    unique per submission.
     """
 
     commands: Tuple[KVCommand, ...]
@@ -166,51 +149,25 @@ class CommandBatch:
     def _cmp_key(self) -> Tuple[Tuple[Tuple[str, str, str, str], ...], str]:
         return (tuple(c.sort_key() for c in self.commands), self.batch_id)
 
-    @staticmethod
-    def _coerce(other: object):
-        """Comparison key for anything a batch can race against in a slot."""
-        if isinstance(other, CommandBatch):
-            return other._cmp_key()
-        if isinstance(other, KVCommand):
-            # A bare command (legacy proposal or gap-repair noop) orders
-            # like the singleton batch of itself.
-            return ((other.sort_key(),), other.command_id)
-        return None
-
     def __lt__(self, other: object) -> bool:
-        key = self._coerce(other)
-        if key is None:
+        if not isinstance(other, CommandBatch):
             return NotImplemented  # lets BOTTOM's reflected comparison apply
-        return self._cmp_key() < key
+        return self._cmp_key() < other._cmp_key()
 
     def __le__(self, other: object) -> bool:
-        key = self._coerce(other)
-        if key is None:
+        if not isinstance(other, CommandBatch):
             return NotImplemented
-        return self._cmp_key() <= key
+        return self._cmp_key() <= other._cmp_key()
 
     def __gt__(self, other: object) -> bool:
-        key = self._coerce(other)
-        if key is None:
+        if not isinstance(other, CommandBatch):
             return NotImplemented
-        return self._cmp_key() > key
+        return self._cmp_key() > other._cmp_key()
 
     def __ge__(self, other: object) -> bool:
-        key = self._coerce(other)
-        if key is None:
+        if not isinstance(other, CommandBatch):
             return NotImplemented
-        return self._cmp_key() >= key
-
-
-#: Anything a slot can decide: one command or a batch of them.
-SlotValue = Union[KVCommand, CommandBatch]
-
-
-def commands_in(value: SlotValue) -> Tuple[KVCommand, ...]:
-    """The commands carried by a decided slot value, in apply order."""
-    if isinstance(value, CommandBatch):
-        return value.commands
-    return (value,)
+        return self._cmp_key() >= other._cmp_key()
 
 
 class KVStore:

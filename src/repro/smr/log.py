@@ -29,8 +29,9 @@ Throughput lives strictly above the per-slot protocol, behind two knobs:
   once, replacing the one-in-flight discipline (decided slots still apply
   strictly in slot order).
 
-Both default to 1, which reproduces the original behaviour bit-exactly —
-bare :class:`KVCommand` proposals, one slot in flight.
+Both default to 1: one slot in flight, holding a one-member batch. Every
+slot value is a :class:`~repro.smr.kvstore.CommandBatch`, gap-repair
+no-ops included.
 
 One body per slot: a batch is large and Figure 1 would ship it six times
 per slot at n=3 (``Propose`` out, a ``TwoB`` vote back from each peer,
@@ -41,7 +42,7 @@ it back to the held object on receipt, so the inner instances only ever
 see full values. A reference that cannot be resolved is never waited
 for: a vote is dropped (the slow path, whose ``OneB``/``TwoA`` carry
 bodies, still decides the slot) and a decision is fetched from its
-sender with one :class:`BodyRequest`. Bare commands are never replaced.
+sender with one :class:`BodyRequest`.
 """
 
 from __future__ import annotations
@@ -65,15 +66,7 @@ from ..protocols.twostep import (
     TwoStepConfig,
     TwoStepProcess,
 )
-from .kvstore import (
-    BatchRef,
-    CommandBatch,
-    KVCommand,
-    KVStore,
-    NOOP_COMMAND,
-    SlotValue,
-    commands_in,
-)
+from .kvstore import BatchRef, CommandBatch, KVCommand, KVStore
 
 GAP_TIMER = "smr:gap"
 SLOT_TIMER_PREFIX = "slot:"
@@ -240,10 +233,10 @@ class SMRReplica(Process):
         self.omega = omega if omega is not None else StaticOmega(0)
 
         self._slots: Dict[int, TwoStepProcess] = {}
-        self._inflight: Dict[int, SlotValue] = {}  # my proposal per slot
+        self._inflight: Dict[int, CommandBatch] = {}  # my proposal per slot
         self._queue: Deque[KVCommand] = deque()
         self._batch_seq = 0  # deterministic per-proxy batch naming
-        self.decided: Dict[int, SlotValue] = {}
+        self.decided: Dict[int, CommandBatch] = {}
         self.decide_times: Dict[int, float] = {}
         self.store = KVStore()
         self.applied_upto = 0  # next slot index awaiting application
@@ -340,7 +333,7 @@ class SMRReplica(Process):
         if entry is not None:
             return entry.body
         decided = self.decided.get(slot)
-        if type(decided) is CommandBatch and decided.ref == ref:
+        if decided is not None and decided.ref == ref:
             return decided  # applied: the table let go, the log has not
         return None
 
@@ -363,7 +356,7 @@ class SMRReplica(Process):
         in full; every target is recorded as a holder here, because each
         gets either the reference (it held the body) or the body itself.
         """
-        if type(message) in _BY_REFERENCE and type(message.value) is CommandBatch:
+        if type(message) in _BY_REFERENCE:
             holders = self._hold(slot, message.value).holders
             knowers = [dst for dst in targets if dst in holders]
             holders.update(targets)
@@ -386,7 +379,7 @@ class SMRReplica(Process):
         kind = type(message)
         if kind is BodyRequest:
             decided = self.decided.get(slot)
-            if type(decided) is CommandBatch and decided.ref == message.ref:
+            if decided is not None and decided.ref == message.ref:
                 ctx.send(sender, Slotted(slot, Decide(decided)))
             return None
         if kind in _BY_REFERENCE and type(message.value) is BatchRef:
@@ -432,16 +425,10 @@ class SMRReplica(Process):
                 picked.append(command)
             if not picked:
                 return
-            value: SlotValue
-            if self.batch_size == 1:
-                # Bare commands keep single-command logs (and the wire)
-                # identical to the pre-batching behaviour.
-                value = picked[0]
-            else:
-                value = CommandBatch(
-                    tuple(picked), batch_id=f"__batch:{self.pid}:{self._batch_seq}__"
-                )
-                self._batch_seq += 1
+            value = CommandBatch(
+                tuple(picked), batch_id=f"__batch:{self.pid}:{self._batch_seq}__"
+            )
+            self._batch_seq += 1
             slot = self._find_free_slot()
             inner = self._slot(ctx, slot)
             inner.propose(_SlotContext(ctx, self, slot), value)
@@ -521,10 +508,9 @@ class SMRReplica(Process):
             inner.on_start(_SlotContext(ctx, self, slot))
         return self._slots[slot]
 
-    def _on_slot_decided(self, ctx: Context, slot: int, value) -> None:
+    def _on_slot_decided(self, ctx: Context, slot: int, decided: CommandBatch) -> None:
         if slot in self.decided:
             return
-        decided: SlotValue = value
         now = ctx.now
         self.decided[slot] = decided
         self.dirty_slots.add(slot)
@@ -537,7 +523,7 @@ class SMRReplica(Process):
             slot=slot,
             path=path,
             ballot=getattr(inner, "decided_ballot", None),
-            value_id=_value_id(decided),
+            value_id=decided.batch_id,
             latency_seconds=slot_latency,
             decided_at=now,
         )
@@ -558,7 +544,7 @@ class SMRReplica(Process):
                 path=path,
                 ballot=getattr(inner, "decided_ballot", None),
             )
-        for command in commands_in(decided):
+        for command in decided.commands:
             if command.command_id:
                 self.commit_times.setdefault(command.command_id, now)
                 submitted = self.submissions.get(command.command_id)
@@ -572,7 +558,7 @@ class SMRReplica(Process):
         if mine is not None and mine != decided:
             # Lost the slot race: put my uncommitted commands back at the
             # front, preserving their submission order.
-            for command in reversed(commands_in(mine)):
+            for command in reversed(mine.commands):
                 if command.command_id not in self.commit_times:
                     self._queue.appendleft(command)
         self._apply_ready(ctx)
@@ -583,7 +569,7 @@ class SMRReplica(Process):
         submissions, results = self.submissions, self.results
         while self.applied_upto in self.decided:
             slot = self.applied_upto
-            for command in commands_in(self.decided[slot]):
+            for command in self.decided[slot].commands:
                 result = self.store.apply(command)
                 command_id = command.command_id
                 if command_id in submissions and command_id not in results:
@@ -614,7 +600,7 @@ class SMRReplica(Process):
         self.store = KVStore.from_state(state)
         self.applied_upto = applied_upto
 
-    def restore_decided(self, slot: int, value: SlotValue) -> bool:
+    def restore_decided(self, slot: int, value: CommandBatch) -> bool:
         """Re-learn a decided slot offline (WAL replay / state transfer).
 
         Applies any newly-ready prefix. Returns ``False`` for slots that
@@ -627,12 +613,12 @@ class SMRReplica(Process):
         self.decided[slot] = value
         self.dirty_slots.add(slot)
         self.decide_times.setdefault(slot, 0.0)
-        for command in commands_in(value):
+        for command in value.commands:
             if command.command_id:
                 self.commit_times.setdefault(command.command_id, 0.0)
         self._inflight.pop(slot, None)
         while self.applied_upto in self.decided:
-            for command in commands_in(self.decided[self.applied_upto]):
+            for command in self.decided[self.applied_upto].commands:
                 self.store.apply(command)
             self.applied_upto += 1
         return True
@@ -701,7 +687,7 @@ class SMRReplica(Process):
             self._slot_proposed.pop(stale, None)
             mine = self._inflight.pop(stale, None)
             if mine is not None:
-                for command in reversed(commands_in(mine)):
+                for command in reversed(mine.commands):
                     if (
                         command.command_id not in self.commit_times
                         and command.command_id not in self.store.applied_ids
@@ -738,9 +724,9 @@ class SMRReplica(Process):
                 continue
             inner = self._slot(ctx, slot)
             if is_bottom(inner.initial_val) and is_bottom(inner.decided):
-                filler = KVCommand(
-                    op="noop", key="", command_id=f"__noop:{self.pid}:{slot}__"
-                )
+                noop_id = f"__noop:{self.pid}:{slot}__"
+                noop = KVCommand(op="noop", key="", command_id=noop_id)
+                filler = CommandBatch((noop,), batch_id=noop_id)
                 ctx.obs.registry.inc("smr.gap_repair_noops")
                 inner.propose(_SlotContext(ctx, self, slot), filler)
                 self._slot_proposed.setdefault(slot, ctx.now)
@@ -749,7 +735,7 @@ class SMRReplica(Process):
     # Introspection.
     # ------------------------------------------------------------------
 
-    def committed_log(self) -> Dict[int, SlotValue]:
+    def committed_log(self) -> Dict[int, CommandBatch]:
         return dict(self.decided)
 
     def commit_latency(self, command_id: str) -> Optional[float]:
@@ -765,15 +751,6 @@ class SMRReplica(Process):
         :func:`repro.obs.merge_decision_records` folds them cluster-wide.
         """
         return [self.decision_log[slot] for slot in sorted(self.decision_log)]
-
-
-def _value_id(value: SlotValue) -> str:
-    """Stable identifier for a slot value, used in decision records."""
-    for attr in ("batch_id", "command_id"):
-        vid = getattr(value, attr, None)
-        if vid:
-            return str(vid)
-    return repr(value)
 
 
 def smr_factory(

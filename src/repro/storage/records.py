@@ -34,7 +34,8 @@ from ..core.messages import Message
 
 @dataclass(frozen=True)
 class WalDecision(Message):
-    """Slot *slot* decided *value* (a ``KVCommand`` or ``CommandBatch``)."""
+    """Slot *slot* decided *value*: a ``CommandBatch``, or the ``BatchRef``
+    of one journaled earlier in the same segment."""
 
     slot: int
     value: Any

@@ -47,6 +47,7 @@ from functools import partial
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import ConfigurationError, ReproError
+from ..core.values import BOTTOM, is_bottom
 from ..obs import Observability, NULL_OBS
 from ..smr.kvstore import BatchRef, CommandBatch
 from ..smr.log import SMRReplica
@@ -489,8 +490,10 @@ def _fingerprint(inner: Any) -> Tuple:
 
 
 def _records(codec: Any, segment: pathlib.Path, payloads: List[bytes]) -> Iterator[Any]:
-    """*segment*'s payloads decoded; one that does not decode (its CRC
-    held, so it is not a torn tail) raises :class:`RecoveryError`."""
+    """*segment*'s payloads decoded. One that does not decode (its CRC
+    held, so it is not a torn tail) raises :class:`RecoveryError`, and so
+    does one journaling a slot value that is not a batch: older builds
+    decided bare commands at batch size 1 and for gap-repair no-ops."""
     for index, payload in enumerate(payloads):
         try:
             record = decode_record(codec, payload)
@@ -498,6 +501,14 @@ def _records(codec: Any, segment: pathlib.Path, payloads: List[bytes]) -> Iterat
             raise RecoveryError(
                 f"{segment.name}: record {index} does not decode ({exc})"
             ) from None
+        if isinstance(record, (WalDecision, WalSlotState)):
+            for value in (record.value, getattr(record, "initial_value", BOTTOM)):
+                if type(value) not in (CommandBatch, BatchRef) and not is_bottom(value):
+                    raise RecoveryError(
+                        f"{segment.name}: record {index} holds a bare "
+                        f"{type(value).__name__} for slot {record.slot}; this "
+                        "build journals only batches, so the directory must be wiped"
+                    )
         yield record
 
 

@@ -43,7 +43,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.errors import ReproError
 from ..obs import Observability, NULL_OBS
-from ..smr.kvstore import KVCommand, key_slot
+from ..smr.kvstore import CommandBatch, KVCommand, key_slot
 from .files import atomic_write_bytes
 from .wal import HEADER_BYTES, pack_record, scan_records
 from .writer import StorageWriter
@@ -258,7 +258,8 @@ def decode_image(codec: Any, blob: bytes, what: str, on_disk: bool) -> Dict[str,
 
     Returns the image's fields decoded: ``archive_bytes`` for a disk
     image, ``anchor`` and ``suffix`` (commands) for a transfer image.
-    Raises only :class:`SnapshotError`.
+    Raises only :class:`SnapshotError`, also for a decided tail holding a
+    slot value that is not a batch (older builds decided bare commands).
     """
     tree = _parse(codec, blob, f"{what}: snapshot")
     try:
@@ -268,6 +269,9 @@ def decode_image(codec: Any, blob: bytes, what: str, on_disk: bool) -> Dict[str,
             "data": dict(tree["data"]),
             "decided_tail": dict(tree["decided_tail"]),
         }
+        for slot, value in image["decided_tail"].items():
+            if type(value) is not CommandBatch:
+                raise TypeError(f"slot {slot} holds a bare {type(value).__name__}")
         if on_disk:
             image["archive_bytes"] = int(tree["archive_bytes"])
         else:

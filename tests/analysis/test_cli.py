@@ -356,6 +356,9 @@ class TestNodeDeployment:
         assert "Traceback" not in load_errors, load_errors
         for node, (_out, errors) in zip(nodes, outputs):
             assert node.returncode == 0, errors
+            # Reaching --duration stops the node's own connection tasks:
+            # none is left for the loop's shutdown to cancel and log.
+            assert "Traceback" not in errors, errors
 
 
 class TestLoadgenCliLive:

@@ -16,7 +16,7 @@ from repro.net.cluster import LocalCluster
 from repro.net.loadgen import run_loadgen
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
-from repro.smr import CommandBatch, check_logs_consistent, commands_in
+from repro.smr import CommandBatch, check_logs_consistent
 from repro.smr.client import put_get_workload, run_kv_workload
 from repro.smr.log import smr_factory
 
@@ -41,9 +41,9 @@ def _batched_factory(delta):
 
 
 def _slot_structure(replica):
-    """(type, member ids) per decided slot — the comparable log shape."""
+    """(batch id, member ids) per decided slot — the comparable log shape."""
     return {
-        slot: (type(value).__name__, tuple(c.command_id for c in commands_in(value)))
+        slot: (value.batch_id, tuple(c.command_id for c in value.commands))
         for slot, value in replica.decided.items()
     }
 
@@ -63,9 +63,7 @@ class TestBatchedEquivalence:
         assert not outcome.unfinished
         assert check_logs_consistent(outcome.replicas) == []
         sim_proxy = outcome.replicas[0]
-        assert any(
-            isinstance(value, CommandBatch) for value in sim_proxy.decided.values()
-        )
+        assert all(type(value) is CommandBatch for value in sim_proxy.decided.values())
         sim_structure = _slot_structure(sim_proxy)
         sim_decided = dict(sim_proxy.decided)
         sim_log = [entry.command_id for entry in sim_proxy.store.log]
@@ -103,8 +101,8 @@ class TestBatchedEquivalence:
         assert report.completed == len(ops)
         # Same per-command results, live and simulated.
         assert report.results == outcome.results
-        # Same decided slots — value types, member order, and the
-        # deterministic batch identities — on every live replica.
+        # Same decided slots — member order and the deterministic batch
+        # identities — on every live replica.
         assert all(structure == sim_structure for structure in structures)
         assert all(decided == sim_decided for decided in decideds)
         # Same applied sequence and same final store.

@@ -4,7 +4,8 @@ The SMR envelope layer replaces a ``CommandBatch`` inside an outgoing
 ``TwoB``/``Decide`` with a reference whenever the destination holds the
 body, and resolves it back before Figure 1 sees the message. These tests
 pin what that must never change — decided logs, the message count per
-slot, the bare-command wire of ``batch_size=1`` — and what happens when a
+slot — that ``batch_size=1`` and gap-repair no-ops, one-member batches
+like any other, travel by reference too, and what happens when a
 reference cannot be resolved.
 """
 
@@ -13,6 +14,7 @@ import subprocess
 import sys
 
 from repro.core.values import BOTTOM
+from repro.net.cluster import is_data_command
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import Decide, Propose, TwoB
 from repro.sim.latency import LatencyModel
@@ -161,14 +163,41 @@ class TestSteadyPath:
             assert len(replica.store.log) == 40
             assert replica._bodies == {}
 
-    def test_bare_commands_are_never_substituted(self):
+    def test_one_member_batches_travel_by_reference(self):
         simulation = _simulation(count=3, batch_size=1)
         simulation.run(until=60.0)
-        assert check_logs_consistent(simulation.processes) == []
-        for kind in (Propose, TwoB, Decide):
+        replicas = simulation.processes
+        assert check_logs_consistent(replicas) == []
+        decided = replicas[0].decided
+        assert len(decided) == 3
+        assert all(len(value.commands) == 1 for value in decided.values())
+        for kind in (TwoB, Decide):
             values = [m.value for _s, _d, m in _slot_messages(simulation, kind)]
-            assert values and all(type(value) is KVCommand for value in values)
-        assert all(replica._bodies == {} for replica in simulation.processes)
+            assert len(values) == 6 and all(type(v) is BatchRef for v in values)
+        assert [_misses(simulation, pid) for pid in range(N)] == [0, 0, 0]
+        assert all(replica._bodies == {} for replica in replicas)
+
+    def test_gap_repair_noop_is_a_one_member_batch(self):
+        simulation = _simulation(count=0)
+        leader = simulation.processes[0]
+        # Slot 1 is decided and slot 0 is a gap: the leader's next
+        # gap-repair pass proposes a no-op there.
+        assert leader.restore_decided(1, CommandBatch((_put(1),), batch_id="b"))
+        simulation.run(until=60.0)
+        noop = leader.decided[0]
+        assert noop.batch_id == "__noop:0:0__"
+        assert noop.commands == (KVCommand("noop", "", command_id="__noop:0:0__"),)
+        assert [m.value for _s, _d, m in _slot_messages(simulation, Decide)] == [
+            noop.ref,
+            noop.ref,
+        ]
+        for replica in simulation.processes:
+            assert all(type(v) is CommandBatch for v in replica.decided.values())
+        # The no-op stays control-plane: it applies, and is no client data.
+        assert [c.command_id for c in leader.store.log] == ["__noop:0:0__", "cmd-1"]
+        assert [is_data_command(c) for c in leader.store.log] == [False, True]
+        counters = simulation.obs[0].registry.snapshot()["counters"]
+        assert counters["smr.gap_repair_noops"] == 1
 
 
 class _SlowFirstPropose(LatencyModel):

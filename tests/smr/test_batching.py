@@ -17,9 +17,7 @@ from repro.omega import static_omega_factory
 from repro.smr import (
     CommandBatch,
     KVCommand,
-    NOOP_COMMAND,
     check_logs_consistent,
-    commands_in,
     put_get_workload,
     run_kv_workload,
     smr_factory,
@@ -83,22 +81,12 @@ class TestCommandBatchValue:
         assert batch > BOTTOM
         assert not (batch < BOTTOM)
 
-    def test_bare_command_orders_as_its_singleton_batch(self):
-        # A gap-repair noop (bare KVCommand) can race a batch for a slot;
-        # the comparison must agree with the singleton-batch embedding.
-        command = _put(3)
-        singleton = CommandBatch((command,), batch_id=command.command_id)
-        other = CommandBatch((_put(7),), batch_id="other")
-        assert (other < command) == (other < singleton)
-        assert (other > command) == (other > singleton)
-        assert (NOOP_COMMAND < other) == (
-            CommandBatch((NOOP_COMMAND,), batch_id=NOOP_COMMAND.command_id) < other
-        )
-
-    def test_commands_in_unwraps_both_shapes(self):
-        command = _put(0)
-        assert commands_in(command) == (command,)
-        assert commands_in(CommandBatch((command,), batch_id="b")) == (command,)
+    def test_a_batch_does_not_order_against_a_bare_command(self):
+        # Every slot value is a batch, gap-repair no-ops included, so a
+        # bare command never races one for a slot.
+        batch = CommandBatch((_put(7),), batch_id="b")
+        with pytest.raises(TypeError):
+            batch < _put(3)  # noqa: B015
 
 
 class TestBatchingSemantics:
@@ -120,12 +108,13 @@ class TestBatchingSemantics:
             assert applied == [f"cmd-{i}" for i in range(9)]
         assert check_logs_consistent(outcome.replicas) == []
 
-    def test_batch_size_one_keeps_bare_command_values(self):
+    def test_batch_size_one_proposes_one_member_batches(self):
         ops = put_get_workload(6, ["x"], proxies=list(range(N)), spacing=4.0)
         outcome = run_kv_workload(factory(), N, ops, until=80.0)
         assert not outcome.unfinished
         for value in outcome.replicas[0].decided.values():
-            assert isinstance(value, KVCommand)
+            assert type(value) is CommandBatch and len(value.commands) == 1
+            assert value.batch_id.startswith("__batch:")
 
     def test_duplicate_command_across_proxies_applies_once(self):
         # The same command submitted to two proxies rides two different

@@ -7,12 +7,16 @@ from repro.smr import KVCommand, KVStore, NOOP_COMMAND
 
 
 class TestCommandOrdering:
+    """Commands order through ``sort_key`` only: a slot value is always a
+    batch, and a batch compares its members' sort keys."""
+
     def test_total_order(self):
         a = KVCommand(op="put", key="a", value=1, command_id="1")
         b = KVCommand(op="put", key="b", value=1, command_id="2")
-        assert a < b
-        assert b > a
-        assert a <= a and a >= a
+        assert a.sort_key() < b.sort_key()
+        assert a.sort_key() <= a.sort_key()
+        with pytest.raises(TypeError):  # a command is not a consensus value
+            a < b  # noqa: B015
 
     def test_compares_above_bottom(self):
         command = KVCommand(op="get", key="k", command_id="1")
@@ -24,7 +28,7 @@ class TestCommandOrdering:
         a = KVCommand(op="put", key="k", value=1, command_id="1")
         b = KVCommand(op="put", key="k", value=1, command_id="2")
         assert a != b
-        assert (a < b) != (b < a)
+        assert a.sort_key() != b.sort_key()
 
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError):

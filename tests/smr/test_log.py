@@ -5,6 +5,7 @@ import pytest
 from repro.core import ConfigurationError
 from repro.omega import static_omega_factory
 from repro.smr import (
+    CommandBatch,
     KVCommand,
     SMRReplica,
     check_logs_consistent,
@@ -107,7 +108,12 @@ class TestContended:
         outcome = run_kv_workload(factory(), N, ops, until=200.0)
         # Every command committed exactly once across the log.
         log = outcome.replicas[0].committed_log()
-        ids = [c.command_id for c in log.values() if not c.command_id.startswith("__")]
+        ids = [
+            c.command_id
+            for batch in log.values()
+            for c in batch.commands
+            if not c.command_id.startswith("__")
+        ]
         assert sorted(ids) == sorted(op.command.command_id for op in ops)
 
     def test_no_duplicate_application(self):
@@ -161,6 +167,11 @@ def _put(slot, cid=None):
     )
 
 
+def _one(slot, cid=None):
+    """A one-member batch: the slot value ``batch_size=1`` proposes."""
+    return CommandBatch((_put(slot, cid),), batch_id=f"__batch:0:{slot}__")
+
+
 class TestDurabilitySeams:
     """The offline restore/truncate surface ``repro.storage`` drives."""
 
@@ -169,23 +180,23 @@ class TestDurabilitySeams:
 
     def test_restore_decided_applies_ready_prefix(self):
         replica = self._replica()
-        assert replica.restore_decided(1, _put(1))  # gap at 0: nothing applies
+        assert replica.restore_decided(1, _one(1))  # gap at 0: nothing applies
         assert replica.applied_upto == 0
-        assert replica.restore_decided(0, _put(0))  # gap closes: both apply
+        assert replica.restore_decided(0, _one(0))  # gap closes: both apply
         assert replica.applied_upto == 2
         assert [c.command_id for c in replica.store.log] == ["c0", "c1"]
 
     def test_restore_decided_rejects_stale_and_duplicate(self):
         replica = self._replica()
-        replica.restore_decided(0, _put(0))
-        assert not replica.restore_decided(0, _put(0))  # already decided
+        replica.restore_decided(0, _one(0))
+        assert not replica.restore_decided(0, _one(0))  # already decided
         replica.truncate_below(replica.applied_upto)
-        assert not replica.restore_decided(0, _put(0))  # below the frontier
+        assert not replica.restore_decided(0, _one(0))  # below the frontier
 
     def test_truncate_at_boundary(self):
         replica = self._replica()
         for slot in range(3):
-            replica.restore_decided(slot, _put(slot))
+            replica.restore_decided(slot, _one(slot))
         assert replica.truncate_below(replica.applied_upto) == 3
         assert replica.decided == {}
         assert replica._slots == {}
@@ -197,15 +208,15 @@ class TestDurabilitySeams:
     def test_truncate_then_append(self):
         replica = self._replica()
         for slot in range(3):
-            replica.restore_decided(slot, _put(slot))
+            replica.restore_decided(slot, _one(slot))
         replica.truncate_below(replica.applied_upto)
-        assert replica.restore_decided(3, _put(3))
+        assert replica.restore_decided(3, _one(3))
         assert replica.applied_upto == 4
         assert [c.command_id for c in replica.store.log][-1] == "c3"
 
     def test_restore_then_decide(self):
         replica = self._replica()
-        vote = _put(0, cid="journaled")
+        vote = _one(0, cid="journaled")
         assert replica.restore_slot_state(
             0, bal=2, vbal=1, value=vote, initial_value=vote, sent_twoa=(0, 2)
         )
@@ -223,13 +234,13 @@ class TestDurabilitySeams:
 
     def test_truncation_requeues_uncommitted_proposal(self):
         replica = self._replica()
-        mine = _put(0, cid="mine")
+        mine = _one(0, cid="mine")
         replica.restore_slot_state(0, bal=0, vbal=-1, value=mine, initial_value=mine)
         assert replica._inflight[0] == mine
         # A state transfer jumps the frontier past our losing slot.
         donor = self._replica(pid=1)
         for slot in range(5):
-            donor.restore_decided(slot, _put(slot, cid=f"peer{slot}"))
+            donor.restore_decided(slot, _one(slot, cid=f"peer{slot}"))
         replica.restore_store({"data": donor.store.data, "log": donor.store.log}, 5)
         replica.truncate_below(replica.applied_upto)
         # Our never-committed command went back to the proposal queue.

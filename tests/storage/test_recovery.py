@@ -33,6 +33,7 @@ from repro.storage import (
     WalSlotState,
     SnapshotError,
     decode_record,
+    encode_record,
     inspect_data_dir,
     install_image,
     list_segments,
@@ -56,13 +57,17 @@ def _replica(pid=0):
     return SMRReplica(pid, N, F, E)
 
 
-def _command(slot, prefix="c"):
-    return KVCommand(op="put", key=f"k{slot % 3}", value=slot, command_id=f"{prefix}{slot}")
+def _one(slot, prefix="c"):
+    """The one-member batch a ``batch_size=1`` proxy decides for *slot*."""
+    command = KVCommand(
+        op="put", key=f"k{slot % 3}", value=slot, command_id=f"{prefix}{slot}"
+    )
+    return CommandBatch((command,), batch_id=f"__batch:{prefix}:{slot}__")
 
 
 def _decide(replica, slots):
     for slot in slots:
-        assert replica.restore_decided(slot, _command(slot))
+        assert replica.restore_decided(slot, _one(slot))
 
 
 def _persister(tmp_path, replica, pid=0, codec=CODEC, **kwargs):
@@ -149,7 +154,7 @@ class TestSnapshotRoundTrip:
         a = _replica()
         _decide(a, range(3))
         # Slot 4 decided but slot 3 missing: 4 stays in the unapplied tail.
-        assert a.restore_decided(4, _command(4))
+        assert a.restore_decided(4, _one(4))
         assert a.applied_upto == 3
         image = _image(a, _replica(pid=1))
         assert set(image["decided_tail"]) == {4}
@@ -190,6 +195,10 @@ class TestSnapshotRoundTrip:
         assert fetched["suffix"] == loaded["log"] == a.store.log
         for key in ("applied_upto", "data", "decided_tail"):
             assert fetched[key] == loaded[key]
+        # Sound but for a bare command in the decided tail, as the build
+        # before one-member batches wrote at batch size 1.
+        bare_tail = dict(disk, archive_bytes=0, anchor=None, suffix=[])
+        bare_tail["decided_tail"] = {5: _one(5).commands[0]}
         for on_disk in (True, False):
             for bad in (
                 b"{",
@@ -197,6 +206,7 @@ class TestSnapshotRoundTrip:
                 CODEC.encode_payload([]),
                 CODEC.encode_payload({"format": 3}),
                 CODEC.encode_payload({"format": 3, "data": 5}),
+                CODEC.encode_payload(bare_tail),
             ):
                 with pytest.raises(SnapshotError):
                     decode(CODEC, bad, "bad", on_disk)
@@ -211,7 +221,8 @@ def _reregistered():
 
 
 class TestPersisterCycle:
-    #: ``TestPersisterCycleBinary`` reruns every test on another codec.
+    #: ``TestPersisterCycleBinary`` reruns every test on a codec whose
+    #: registry was filled in reverse order.
     codec = CODEC
 
     def test_journal_crash_recover_rebuilds_the_store(self, tmp_path):
@@ -271,7 +282,7 @@ class TestPersisterCycle:
         a = _replica()
         persister = _persister(tmp_path, a, codec=self.codec)
         persister.recover()
-        vote = _command(7, prefix="vote")
+        vote = _one(7, prefix="vote")
         assert a.restore_slot_state(
             7, bal=3, vbal=2, value=vote, initial_value=vote, sent_twoa=(0, 3)
         )
@@ -292,7 +303,7 @@ class TestPersisterCycle:
         a = _replica()
         persister = _persister(tmp_path, a, codec=self.codec)
         persister.recover()
-        vote = _command(9, prefix="vote")
+        vote = _one(9, prefix="vote")
         a.restore_slot_state(9, bal=1, vbal=1, value=vote, initial_value=vote)
         a.dirty_slots.add(9)
         persister.after_activation()
@@ -451,7 +462,7 @@ class TestStateTransfer:
         before = _state(behind)
         other = _replica(pid=1)  # a different history of the same length
         for slot in range(6):
-            assert other.restore_decided(slot, _command(slot, prefix="x"))
+            assert other.restore_decided(slot, _one(slot, prefix="x"))
         image = _image(other, behind)
         assert image["anchor"] == "x1"
         with pytest.raises(SnapshotError, match="does not extend this log"):
@@ -500,7 +511,7 @@ class TestStateTransfer:
         _decide(good, range(6))
         forked = _replica(pid=2)  # as far ahead, but its log is another one
         for slot in range(6):
-            assert forked.restore_decided(slot, _command(slot, prefix="x"))
+            assert forked.restore_decided(slot, _one(slot, prefix="x"))
         behind = _replica()
         _decide(behind, range(2))
         node.process.restore_store({"data": behind.store.data, "log": behind.store.log}, 2)
@@ -787,6 +798,31 @@ class TestLegacyPayloads:
         assert "registry stamp: unreadable" in out
         assert f"REFUSED BY RECOVERY: {message}" in out
 
+    def test_a_bare_slot_value_is_refused_by_slot(self, tmp_path, capsys):
+        # The build before one-member batches decided a bare KVCommand at
+        # batch size 1 and for every gap-repair no-op, under the same
+        # registry hash: its WAL record decodes, and must still be refused.
+        persister = _persister(tmp_path, _replica())
+        persister.recover()
+        persister.close()
+        bare = KVCommand(op="put", key="k", value=1, command_id="c3")
+        segment = persister.storage.dir / segment_name(9)
+        segment.write_bytes(pack_record(encode_record(CODEC, WalDecision(3, bare))))
+        replica = _replica()
+        with pytest.raises(RecoveryError) as refused:
+            _persister(tmp_path, replica).recover()
+        message = str(refused.value)
+        assert message.startswith(
+            f"{segment.name}: record 0 holds a bare KVCommand for slot 3;"
+        )
+        assert "\n" not in message
+        assert replica.decided == {} and replica.store.log == []
+
+        from repro.__main__ import main
+
+        assert main(["recover", "--data-dir", str(tmp_path)]) == 1
+        assert f"REFUSED BY RECOVERY: {message}" in capsys.readouterr().out
+
     def test_fresh_directory_is_stamped_before_its_first_segment(
         self, tmp_path, monkeypatch
     ):
@@ -883,7 +919,7 @@ class TestSnapshotCost:
             },
             command_id="__shard:install:1:0-8",
         )
-        assert a.restore_decided(0, install)
+        assert a.restore_decided(0, CommandBatch((install,), batch_id="b"))
         _decide(a, [1, 2])
         persister.after_activation()
         persister.close(hard=True)
