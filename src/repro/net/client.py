@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.errors import ReproError
 from ..smr.kvstore import KVCommand
+from . import node
 from .codec import CodecError, FrameDecoder, MessageCodec
 from .node import _READ_CHUNK, Address, dial
 from .wire import ClientHello, ClientReply, ClientSubmit, WrongShard
@@ -77,7 +78,6 @@ class KVClient:
         max_attempts: int = 8,
         backoff_initial: float = 0.05,
         proxy: int = 0,
-        hello_timeout: float = 1.0,
     ) -> None:
         if not addresses:
             raise ClientError("client needs at least one proxy address")
@@ -88,7 +88,6 @@ class KVClient:
         self.max_attempts = max_attempts
         self.backoff_initial = backoff_initial
         self.proxy = proxy % len(self.addresses)
-        self.hello_timeout = hello_timeout
         self._seq = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
@@ -114,7 +113,7 @@ class KVClient:
             self.addresses[self.proxy],
             self.codec,
             ClientHello(self.client_id),
-            self.hello_timeout,
+            node.HELLO_TIMEOUT,
         )
 
     async def close(self) -> None:

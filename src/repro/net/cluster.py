@@ -59,10 +59,6 @@ class LocalCluster:
         (``KVService`` itself is the default when ``serve_clients=True``;
         a sharded deployment passes its ``ShardedKVService``), or
         ``None`` for bare consensus clusters.
-    trace_samples:
-        Optional per-node span overrides (pid -> sample or ``None``) on
-        top of ``trace_sample`` — how mixed traced/untraced clusters are
-        built in tests.
     """
 
     def __init__(
@@ -79,7 +75,6 @@ class LocalCluster:
         snapshot_every: int = 256,
         outbox_limit: Optional[int] = None,
         trace_sample: Optional[int] = None,
-        trace_samples: Optional[Dict[ProcessId, Optional[int]]] = None,
         timeseries_dir: Optional[str] = None,
     ) -> None:
         if n < 1:
@@ -97,7 +92,6 @@ class LocalCluster:
         self._snapshot_every = snapshot_every
         self._outbox_limit = outbox_limit
         self._trace_sample = trace_sample
-        self._trace_samples = dict(trace_samples) if trace_samples else None
         self._timeseries_dir = timeseries_dir
         self.nodes: List[NodeServer] = [
             self._build_node(pid, port=(base_port + pid) if base_port else 0)
@@ -127,11 +121,7 @@ class LocalCluster:
             fsync=self._fsync,
             snapshot_every=self._snapshot_every,
             outbox_limit=self._outbox_limit,
-            trace_sample=(
-                self._trace_samples.get(pid, self._trace_sample)
-                if self._trace_samples is not None
-                else self._trace_sample
-            ),
+            trace_sample=self._trace_sample,
             timeseries_path=(
                 f"{self._timeseries_dir}/node-{pid}.jsonl"
                 if self._timeseries_dir

@@ -57,9 +57,9 @@ build decodes a hello and its ack whatever its registry, and an
 acceptor refuses a dialer whose hash differs instead of decoding
 garbage. A decoded body must consume the payload exactly; trailing
 bytes, truncated varints, and unknown tags or type ids all raise
-:class:`CodecError`. The reader and writer are built once per registry
-generation, and each record class gets a generated decoder and encoder
-the first time it is seen (``docs/WIRE.md`` § Compiled layouts).
+:class:`CodecError`. The reader and writer are built once, with the
+codec, and each record class gets a generated decoder and encoder the
+first time it is seen (``docs/WIRE.md`` § Compiled layouts).
 
 Sets are serialized in a canonical order (sorted by the member's binary
 encoding) so the encoding of a message is a pure function of its value —
@@ -136,15 +136,14 @@ class MessageRegistry:
     """Bidirectional map between dataclass types and wire names.
 
     Names must be unique; :meth:`register` raises on a collision so two
-    protocols can never silently claim the same wire tag. ``generation``
-    counts mutations, letting codecs invalidate derived tables (binary
-    type ids, field layouts) when a type is registered late.
+    protocols can never silently claim the same wire tag. A codec reads
+    the registry once, when it is built: a type registered later needs a
+    new codec.
     """
 
     def __init__(self) -> None:
         self._by_name: Dict[str, Type] = {}
         self._by_type: Dict[Type, str] = {}
-        self.generation = 0
 
     def register(self, cls: Type, name: Optional[str] = None) -> Type:
         """Register *cls* (a frozen dataclass) under *name* (default: class name)."""
@@ -158,7 +157,6 @@ class MessageRegistry:
             )
         self._by_name[key] = cls
         self._by_type[cls] = key
-        self.generation += 1
         return cls
 
     def name_of(self, cls: Type) -> Optional[str]:
@@ -262,8 +260,8 @@ def _read_uvarint(buf: Any, pos: int, end: int) -> Tuple[int, int]:
 
 
 # ----------------------------------------------------------------------
-# The v2 binary body: one generic reader/writer pair per registry
-# generation, plus a generated decoder and encoder per record class.
+# The v2 binary body: one generic reader/writer pair per codec, plus a
+# generated decoder and encoder per record class.
 #
 # The generic pair handles every tag and is the reference the compiled
 # functions are tested against. A compiled function is the same field
@@ -374,7 +372,7 @@ def _compile_encoder(
 def _build_reader(
     layouts: List[Tuple[Type, str, int]], handshake: Dict[int, Tuple[Type, str, int]]
 ) -> _Reader:
-    """The generic v2 reader over one generation's type-id table."""
+    """The generic v2 reader over one codec's type-id table."""
     n_types = len(layouts)
     # Filled lazily, so boot pays for the handful of hot classes only.
     decoders: List[Optional[_Reader]] = [None] * n_types
@@ -473,7 +471,7 @@ def _build_reader(
 def _build_writer(
     tag_by_type: Dict[Type, int], fields_by_type: Dict[Type, Tuple[str, ...]]
 ) -> _Writer:
-    """The generic v2 writer over one generation's type-id table."""
+    """The generic v2 writer over one codec's type-id table."""
     # Filled lazily, like the reader's decoders.
     encoders: Dict[Type, _Writer] = {}
 
@@ -565,23 +563,11 @@ class MessageCodec:
     max_wire_version = WIRE_VERSION_BINARY
 
     def __init__(self, registry: Optional[MessageRegistry] = None) -> None:
-        self.registry = registry if registry is not None else default_registry()
-        # Derived tables, rebuilt when the registry's generation moves.
-        self._tables_generation = -1
-        self._registry_hash = ""
-        self._read: _Reader
-        self._write: _Writer
-
-    # ------------------------------------------------------------------
-    # Derived tables: binary type ids, per-class field layouts, and the
-    # v2 reader/writer built over them.
-    # ------------------------------------------------------------------
-
-    def _tables(self) -> None:
-        if self._tables_generation == self.registry.generation:
-            return
+        """Build the type-id table, its hash, and the v2 reader and writer
+        over it from *registry* as it is now (default: the whole repo's)."""
         from .wire import HANDSHAKE
 
+        self.registry = registry if registry is not None else default_registry()
         names = self.registry.names()
         if len(names) > _HANDSHAKE_IDS[0]:
             raise CodecError(f"{len(names)} wire types exceed the u16 id space")
@@ -596,21 +582,13 @@ class MessageCodec:
         tag_by_type = {cls: type_id for (cls, _), type_id in zip(table, ids)}
         self._write = _build_writer(tag_by_type, fields_by_type)
         lines = "\n".join(f"{name}({','.join(fields_by_type[cls])})" for cls, name in table)
-        self._registry_hash = hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16]
-        self._tables_generation = self.registry.generation
-
-    @property
-    def registry_hash(self) -> str:
-        """Fingerprint of the type-id table (hex, 16 chars).
-
-        One ``name(field1,field2,…)`` line per type, the handshake
-        records last — v2 records are positional, so layouts count as
-        much as names. Carried in the hello: the acceptor refuses a link
-        whose hash differs, and recovery refuses a data directory stamped
-        with another.
-        """
-        self._tables()
-        return self._registry_hash
+        #: Fingerprint of the type-id table (hex, 16 chars): one
+        #: ``name(field1,field2,…)`` line per type, the handshake records
+        #: last — v2 records are positional, so layouts count as much as
+        #: names. Carried in the hello: the acceptor refuses a link whose
+        #: hash differs, and recovery refuses a data directory stamped
+        #: with another.
+        self.registry_hash = hashlib.sha256(lines.encode("utf-8")).hexdigest()[:16]
 
     # ------------------------------------------------------------------
     # Frames.
@@ -623,7 +601,6 @@ class MessageCodec:
         archive record and a snapshot image are each exactly a frame
         payload.
         """
-        self._tables()
         buf = bytearray((WIRE_VERSION_BINARY,))
         self._write(buf, obj)
         return bytes(buf)
@@ -658,7 +635,6 @@ class MessageCodec:
             raise CodecError(
                 f"wire version mismatch: got {version}, speak {WIRE_VERSION_BINARY}"
             )
-        self._tables()
         end = len(body)
         try:
             value, pos = self._read(body, 1, end)

@@ -161,7 +161,8 @@ async def dial(
 
 
 class _NodeContext(Context):
-    """Concrete :class:`Context` bound to one activation of a live node."""
+    """Concrete :class:`Context` of a live node; one per node, shared by
+    all of its activations."""
 
     def __init__(self, node: "NodeServer") -> None:
         self._node = node
@@ -315,6 +316,9 @@ class NodeServer:
         self._t0 = 0.0
         self._timer_generation: Dict[str, int] = {}
         self._timer_handles: Dict[str, asyncio.TimerHandle] = {}
+        # Every activation runs under this one context: it holds only the
+        # node, so there is nothing per activation to build.
+        self._ctx = _NodeContext(self)
         # Outboxes hold encoded frames: a broadcast encodes once and the
         # same bytes object is queued for every peer.
         self._outbox: Dict[ProcessId, Deque[bytes]] = {}
@@ -444,9 +448,8 @@ class NodeServer:
     def _activate(self, handler: Callable[[Context], None]) -> None:
         if self._crashed:
             return
-        ctx = _NodeContext(self)
         try:
-            handler(ctx)
+            handler(self._ctx)
         except Exception as exc:
             self.errors.append(exc)
             self.log.exception("activation raised %r", exc)

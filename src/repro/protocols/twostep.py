@@ -189,7 +189,7 @@ class TwoStepProcess(Process):
         self.config = config
         self.omega = omega if omega is not None else StaticOmega(0)
 
-        # Figure 1 state.
+        # Figure 1 state; persisted_slot_state names what survives a crash.
         self.bal: int = 0
         self.vbal: int = 0
         self.val: MaybeValue = BOTTOM
@@ -538,6 +538,46 @@ class TwoStepProcess(Process):
         ctx.obs.registry.inc("consensus.decisions_learned")
         ctx.decide(value)
         ctx.cancel_timer(BALLOT_TIMER)
+
+
+# ----------------------------------------------------------------------
+# Durable slot state.
+# ----------------------------------------------------------------------
+
+#: ``(bal, vbal, val, initial_val, sent_twoa)``; see :func:`persisted_slot_state`.
+PersistedSlotState = Tuple[int, int, MaybeValue, MaybeValue, Tuple[int, ...]]
+
+
+def persisted_slot_state(process: TwoStepProcess) -> PersistedSlotState:
+    """What of *process* survives a crash, in ``WalSlotState`` field order.
+
+    The promise, the vote, the own proposal and the ballots this process
+    sent a ``2A`` for: a restarted process that forgot one of them could
+    act incompatibly at a ballot it already took part in, the amnesia
+    that breaks Theorems 5/6's recovery argument. Deliberately left out:
+    ``proposer`` (a restarted voter reports its fast vote with proposer
+    ⊥; whether that is safe is ROADMAP 2c's open question), the vote
+    tallies and ``1B`` reports (losing them only delays a decision;
+    re-delivered and re-solicited messages rebuild them), ``decided``
+    (journaled as the decision instead), ``decided_path`` and
+    ``decided_ballot`` (observability), and the constructor's arguments.
+    """
+    return (
+        process.bal,
+        process.vbal,
+        process.val,
+        process.initial_val,
+        tuple(sorted(process._sent_twoa)),
+    )
+
+
+def restore_persisted_slot_state(
+    process: TwoStepProcess, state: PersistedSlotState
+) -> None:
+    """Inverse of :func:`persisted_slot_state`: set its fields on *process*
+    (a fresh instance on restart); every other field is left as it is."""
+    process.bal, process.vbal, process.val, process.initial_val, sent_twoa = state
+    process._sent_twoa = set(sent_twoa)
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,8 @@ from .placement import PlacementMap
 
 #: Redirect rounds a run follows before giving up on what is left.
 MAX_REDIRECTS = 16
+#: Seconds before redirect round *r* re-routes: ``r`` times this, at most 0.5.
+REDIRECT_BACKOFF = 0.05
 
 
 class ShardRouter:
@@ -45,7 +47,6 @@ class ShardRouter:
         client_id: str = "router",
         timeout: float = 5.0,
         max_attempts: int = 8,
-        redirect_backoff: float = 0.05,
     ) -> None:
         if not groups:
             raise ClientError("router needs at least one group")
@@ -55,7 +56,6 @@ class ShardRouter:
         self.client_id = client_id
         self.timeout = timeout
         self.max_attempts = max_attempts
-        self.redirect_backoff = redirect_backoff
         self._clients: Dict[int, KVClient] = {}
         #: total WrongShard redirects observed (all commands, all rounds)
         self.redirect_count = 0
@@ -173,9 +173,7 @@ class ShardRouter:
             return replies
         for round_index in range(MAX_REDIRECTS + 1):
             if round_index:
-                await asyncio.sleep(
-                    min(self.redirect_backoff * round_index, 0.5)
-                )
+                await asyncio.sleep(min(REDIRECT_BACKOFF * round_index, 0.5))
             buckets: Dict[int, List[KVCommand]] = {}
             for command_id, command in remaining.items():
                 target = overrides.get(

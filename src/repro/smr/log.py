@@ -60,11 +60,14 @@ from ..omega import OmegaFactory, OmegaService, StaticOmega
 from ..protocols.twostep import (
     Decide,
     OneB,
+    PersistedSlotState,
     Propose,
     TwoA,
     TwoB,
     TwoStepConfig,
     TwoStepProcess,
+    persisted_slot_state,
+    restore_persisted_slot_state,
 )
 from .kvstore import BatchRef, CommandBatch, KVCommand, KVStore
 
@@ -623,23 +626,14 @@ class SMRReplica(Process):
             self.applied_upto += 1
         return True
 
-    def restore_slot_state(
-        self,
-        slot: int,
-        bal: int,
-        vbal: int,
-        value: Any,
-        initial_value: Any,
-        sent_twoa: Tuple[int, ...] = (),
-    ) -> bool:
-        """Restore one undecided slot's journaled ballot/vote state.
+    def restore_slot_state(self, slot: int, state: PersistedSlotState) -> bool:
+        """Restore one undecided slot from its journaled projection.
 
-        Rebuilds the inner consensus instance with its promise (``bal``),
-        vote (``vbal``/``val``), own proposal, and the set of ballots this
-        node already coordinated a ``TwoA`` for — the exact state whose
-        amnesia could make a restarted node act incompatibly at a ballot
-        it already participated in. ``on_start`` is deliberately not run
-        (there is no live Context during replay); the slot wakes up on
+        *state* is what :func:`~repro.protocols.twostep.persisted_slot_state`
+        took of the slot's consensus instance before the crash; the
+        instance is rebuilt from it, the bodies it names are held, and an
+        own proposal goes back in flight. ``on_start`` is deliberately not
+        run (there is no live Context during replay); the slot wakes up on
         the first inbound message or gap-repair pass.
         """
         if slot < self.applied_upto or slot in self.decided:
@@ -650,19 +644,26 @@ class SMRReplica(Process):
                 self.pid, self.n, self.config, omega=_SharedOmega(self.omega)
             )
             self._slots[slot] = inner
-        inner.bal = bal
-        inner.vbal = vbal
-        inner.val = value
-        inner.initial_val = initial_value
-        inner._sent_twoa = set(sent_twoa)
-        for body in (value, initial_value):
+        restore_persisted_slot_state(inner, state)
+        for body in (inner.val, inner.initial_val):
             if type(body) is CommandBatch:
                 # A vote that comes back for this slot names the body.
                 self._hold(slot, body)
-        if not is_bottom(initial_value):
-            self._inflight.setdefault(slot, initial_value)
+        if not is_bottom(inner.initial_val):
+            self._inflight.setdefault(slot, inner.initial_val)
             self._slot_proposed.setdefault(slot, 0.0)
         return True
+
+    def open_slot_states(
+        self, among: Optional[Iterable[int]] = None
+    ) -> Iterable[Tuple[int, PersistedSlotState]]:
+        """``(slot, projection)`` of each open slot — hosted, not decided —
+        among *among* (default: every hosted slot), in slot order."""
+        slots, decided = self._slots, self.decided
+        for slot in sorted(slots if among is None else among):
+            inner = slots.get(slot)
+            if inner is not None and slot not in decided:
+                yield slot, persisted_slot_state(inner)
 
     def truncate_below(self, slot: int) -> int:
         """Drop per-slot machinery below *slot* (capped at the frontier).

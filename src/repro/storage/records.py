@@ -15,18 +15,19 @@ Only state that **safety** depends on is journaled:
 
 * ``WalDecision`` — a slot's decided value. Must be durable before the
   decision is externalized (applied, replied to a client, broadcast).
-* ``WalSlotState`` — one slot's ballot/vote state (``bal``, ``vbal``,
-  ``val``, ``initial_val``) plus the ballots this node already coordinated
-  a ``TwoA`` for. Forgetting a vote (or a sent ``TwoA``) and then acting
+* ``WalSlotState`` — one open slot's consensus state: the projection
+  :func:`repro.protocols.twostep.persisted_slot_state` returns, field for
+  field, after the slot number. That function is the one list of what a
+  restarted node gets back, and its docstring says what is deliberately
+  left out (``proposer``, vote tallies, ``1B`` reports, ``decided_path``)
+  and why. Forgetting a vote (or a sent ``TwoA``) and then acting
   incompatibly at the same ballot is the classic amnesia violation;
-  re-journaling on every change prevents it. Received-vote tallies are
-  deliberately *not* journaled — losing them only delays a decision, and
-  re-delivered messages rebuild them (vote sets are idempotent).
+  re-journaling on every change prevents it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Tuple
 
 from ..core.messages import Message
@@ -43,7 +44,8 @@ class WalDecision(Message):
 
 @dataclass(frozen=True)
 class WalSlotState(Message):
-    """One undecided slot's safety-critical consensus state."""
+    """One open slot: *slot*, then the slot's persisted projection in its
+    order (:func:`~repro.protocols.twostep.persisted_slot_state`)."""
 
     slot: int
     bal: int
@@ -51,6 +53,11 @@ class WalSlotState(Message):
     value: Any  # the vote (TwoStepProcess.val); BOTTOM when unvoted
     initial_value: Any  # own proposal; BOTTOM when none
     sent_twoa: Tuple[int, ...] = ()  # ballots this node coordinated
+
+    @property
+    def state(self) -> Tuple[Any, ...]:
+        """The journaled projection: every field after ``slot``."""
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
 
 
 def encode_record(codec: Any, record: Message) -> bytes:

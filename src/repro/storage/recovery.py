@@ -49,6 +49,7 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 from ..core.errors import ConfigurationError, ReproError
 from ..core.values import BOTTOM, is_bottom
 from ..obs import Observability, NULL_OBS
+from ..protocols.twostep import PersistedSlotState
 from ..smr.kvstore import BatchRef, CommandBatch
 from ..smr.log import SMRReplica
 from .files import atomic_write_text
@@ -181,7 +182,6 @@ class ReplicaPersister:
         obs: Observability = NULL_OBS,
         fsync: bool = True,
         snapshot_every: int = 256,
-        retention: Optional[RetentionPolicy] = None,
     ) -> None:
         if snapshot_every < 1:
             raise ConfigurationError(
@@ -193,7 +193,7 @@ class ReplicaPersister:
         self.obs = obs
         self.fsync = fsync
         self.snapshot_every = snapshot_every
-        self.retention = retention if retention is not None else RetentionPolicy()
+        self.retention = RetentionPolicy()
         self._wal: Optional[WriteAheadLog] = None
         #: This node's one storage thread: WAL, archive, images, retention.
         self.writer = StorageWriter(f"{WRITER_THREAD_NAME} {storage.dir}")
@@ -204,7 +204,7 @@ class ReplicaPersister:
         # under it) already covers, so after_activation journals only
         # genuine changes. All three restart empty with every segment.
         self._durable_decided: Set[int] = set()
-        self._fingerprints: Dict[int, Tuple] = {}
+        self._states: Dict[int, PersistedSlotState] = {}
         self._journaled: Set[Tuple[int, BatchRef]] = set()  # bodies, per slot
         self._last_snapshot_upto = 0
         self.recovered: Optional[RecoveryResult] = None
@@ -256,18 +256,11 @@ class ReplicaPersister:
                     if replica.restore_decided(record.slot, value):
                         replayed += 1
                 elif isinstance(record, WalSlotState):
-                    value = _resolve(bodies, segment, record.slot, record.value)
-                    initial_value = _resolve(
-                        bodies, segment, record.slot, record.initial_value
+                    state = tuple(
+                        _resolve(bodies, segment, record.slot, field)
+                        for field in record.state
                     )
-                    if replica.restore_slot_state(
-                        record.slot,
-                        bal=record.bal,
-                        vbal=record.vbal,
-                        value=value,
-                        initial_value=initial_value,
-                        sent_twoa=record.sent_twoa,
-                    ):
+                    if replica.restore_slot_state(record.slot, state):
                         replayed += 1
         registry.inc("storage.replayed_entries", replayed)
         # All writes go to a brand-new segment: old ones stay read-only,
@@ -330,34 +323,25 @@ class ReplicaPersister:
         dirty = replica.dirty_slots
         if dirty:
             decided = replica.decided
+            states = dict(replica.open_slot_states(dirty))
             for slot in sorted(dirty):
                 if slot in decided:
                     if slot not in self._durable_decided:
                         self._durable_decided.add(slot)
                         record = WalDecision(slot, self._once(slot, decided[slot]))
                         wal.append(encode_record(self.codec, record))
-                    continue
-                inner = replica._slots.get(slot)
-                if inner is not None:
-                    self._journal_slot_state(slot, inner)
+                elif slot in states:
+                    self._journal_slot_state(slot, states[slot])
             dirty.clear()
         wal.commit()
         if replica.applied_upto - self._last_snapshot_upto >= self.snapshot_every:
             self._write_snapshot()
 
-    def _journal_slot_state(self, slot: int, inner: Any) -> None:
-        fingerprint = _fingerprint(inner)
-        if self._fingerprints.get(slot) == fingerprint:
+    def _journal_slot_state(self, slot: int, state: PersistedSlotState) -> None:
+        if self._states.get(slot) == state:
             return
-        self._fingerprints[slot] = fingerprint
-        record = WalSlotState(
-            slot=slot,
-            bal=inner.bal,
-            vbal=inner.vbal,
-            value=self._once(slot, inner.val),
-            initial_value=self._once(slot, inner.initial_val),
-            sent_twoa=fingerprint[-1],
-        )
+        self._states[slot] = state
+        record = WalSlotState(slot, *(self._once(slot, field) for field in state))
         assert self._wal is not None
         self._wal.append(encode_record(self.codec, record))
 
@@ -408,11 +392,10 @@ class ReplicaPersister:
         # journaled again (body in full), so the image plus the segments
         # from next_seq on suffice and the older ones can be retired.
         self._durable_decided = set(replica.decided)  # the image's tail
-        self._fingerprints = {}
+        self._states = {}
         self._journaled = set()
-        for slot in sorted(replica._slots):
-            if slot not in replica.decided:
-                self._journal_slot_state(slot, replica._slots[slot])
+        for slot, state in replica.open_slot_states():
+            self._journal_slot_state(slot, state)
         self._wal.commit()
         self._last_snapshot_upto = info.upto
         self.writer.call(partial(self.retention.apply, self.storage.dir), self._retired)
@@ -476,17 +459,6 @@ class ReplicaPersister:
                 self.writer.drain()
         finally:
             self.writer.stop()
-
-
-def _fingerprint(inner: Any) -> Tuple:
-    """The safety-critical slice of one slot's consensus state."""
-    return (
-        inner.bal,
-        inner.vbal,
-        inner.val,
-        inner.initial_val,
-        tuple(sorted(inner._sent_twoa)),
-    )
 
 
 def _records(codec: Any, segment: pathlib.Path, payloads: List[bytes]) -> Iterator[Any]:

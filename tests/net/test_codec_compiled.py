@@ -1,11 +1,11 @@
 """The compiled v2 codec: what it must not leave behind, and what it must not move.
 
 ``repro.net.codec`` generates one decoder and one encoder per record
-class, once per registry generation. These tests pin the reasons for
+class, once per codec. These tests pin the reasons for
 doing so rather than the speed: a decode or encode call leaves nothing
 for the cycle collector, the bytes are pinned (hex literals, see
 ``GOLDEN``), malformed input fails
-as :class:`CodecError` and nothing else, a registry change is picked up,
+as :class:`CodecError` and nothing else, a built codec keeps its table,
 and the generated code agrees with the generic writer field by field.
 """
 
@@ -168,23 +168,30 @@ class _LateProbe:
 
 
 class TestRegistryGeneration:
-    def test_class_registered_after_first_use_gets_the_new_ids(self):
+    def test_a_later_register_leaves_an_existing_codec_unchanged(self):
         codec = MessageCodec()
         message = ClientSubmit(
             request_id="r", command=KVCommand(op="get", key="k", command_id="c")
         )
         before = codec.encode_payload(message)
-        assert codec.decode_payload(before) == message
-        # "AAA..." sorts first, so every existing type id moves up by one.
+        registry_hash = codec.registry_hash
+        # "AAA..." sorts first: a codec built from here on numbers every
+        # existing type one higher. The one already built keeps its table.
         codec.registry.register(_LateProbe, name="AAALateProbe")
-        after = codec.encode_payload(message)
-        assert after[:2] == before[:2] and after[4:] != before[4:]
-        assert after[2:4] == struct.pack(">H", struct.unpack(">H", before[2:4])[0] + 1)
-        assert codec.decode_payload(after) == message
+        assert codec.registry_hash == registry_hash
+        assert codec.encode_payload(message) == before
+        assert codec.decode_payload(before) == message
         probe = _LateProbe(label="x", count=7)
-        payload = codec.encode_payload(probe)
+        with pytest.raises(CodecError, match="not registered"):
+            codec.encode_payload(probe)
+
+        rebuilt = MessageCodec(codec.registry)
+        assert rebuilt.registry_hash != registry_hash
+        after = rebuilt.encode_payload(message)
+        assert after[2:4] == struct.pack(">H", struct.unpack(">H", before[2:4])[0] + 1)
+        payload = rebuilt.encode_payload(probe)
         assert payload[:4] == bytes((WIRE_VERSION_BINARY, 0x0B, 0, 0))
-        assert codec.decode_payload(payload) == probe
+        assert rebuilt.decode_payload(payload) == probe
 
     def test_post_init_failure_names_wire_type_and_id(self):
         codec = MessageCodec()

@@ -304,9 +304,11 @@ def test_malformed_submit_is_refused_and_the_link_closed(payload, sharded, caplo
         assert [node.errors for node in nodes] == [[] for _ in nodes]
 
 
-def test_silent_receiver_fails_the_handshake():
+def test_silent_receiver_fails_the_handshake(monkeypatch):
     # A server that never answers the hello must fail the dial after the
     # hello timeout — the request path then fails over — not hang.
+    monkeypatch.setattr(node_module, "HELLO_TIMEOUT", 0.2)
+
     async def live():
         async def mute(reader, writer):
             await asyncio.sleep(10)
@@ -314,9 +316,7 @@ def test_silent_receiver_fails_the_handshake():
         server = await asyncio.start_server(mute, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         try:
-            client = KVClient(
-                [("127.0.0.1", port)], client_id="probe", hello_timeout=0.2
-            )
+            client = KVClient([("127.0.0.1", port)], client_id="probe")
             started = time.perf_counter()
             with pytest.raises(asyncio.TimeoutError):
                 await client._ensure_connected()

@@ -20,6 +20,7 @@ from repro.omega import static_omega_factory
 from repro.net.wire import ClientReply, WrongShard
 from repro.protocols.twostep import TwoStepConfig
 from repro.shard import ShardRouter, ShardedCluster
+from repro.shard import router as router_module
 from repro.shard.placement import PlacementMap
 from repro.smr import KVCommand, check_logs_consistent
 from repro.smr.log import smr_factory
@@ -174,20 +175,18 @@ class TestRouterGivesUp:
         assert "incomplete" in str(error) and len(error.pending) == len(commands)
         assert isinstance(error.__cause__, PipelineError)
 
-    def test_a_redirect_round_without_progress_still_retries(self):
-        router = ShardRouter(
-            {0: [("127.0.0.1", 1)]}, PlacementMap.initial(1), redirect_backoff=0.0
-        )
+    def test_a_redirect_round_without_progress_still_retries(self, monkeypatch):
+        monkeypatch.setattr(router_module, "REDIRECT_BACKOFF", 0.0)
+        router = ShardRouter({0: [("127.0.0.1", 1)]}, PlacementMap.initial(1))
         scripted = _ScriptedClient(["redirect", "redirect", "ok"])
         router._clients[0] = scripted
         replies = _run(router.run_pipelined(_puts(3)))
         assert scripted.runs == 3 and len(replies) == 3
         assert router.redirect_count == 6
 
-    def test_a_failed_round_after_redirects_stops_the_run(self):
-        router = ShardRouter(
-            {0: [("127.0.0.1", 1)]}, PlacementMap.initial(1), redirect_backoff=0.0
-        )
+    def test_a_failed_round_after_redirects_stops_the_run(self, monkeypatch):
+        monkeypatch.setattr(router_module, "REDIRECT_BACKOFF", 0.0)
+        router = ShardRouter({0: [("127.0.0.1", 1)]}, PlacementMap.initial(1))
         scripted = _ScriptedClient(["redirect", "fail", "ok"])
         router._clients[0] = scripted
         with pytest.raises(PipelineError, match="after 2 round"):
@@ -321,10 +320,11 @@ class TestSubmitIsARunOfOne:
         assert redirect.command_id == "stray-1"
         assert redirect.group == 1
 
-    def test_router_submit_runs_on_its_group_and_only_a_redirect_reroutes(self):
-        router = ShardRouter(
-            {0: [("127.0.0.1", 1)]}, PlacementMap.initial(1), redirect_backoff=0.0
-        )
+    def test_router_submit_runs_on_its_group_and_only_a_redirect_reroutes(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(router_module, "REDIRECT_BACKOFF", 0.0)
+        router = ShardRouter({0: [("127.0.0.1", 1)]}, PlacementMap.initial(1))
         scripted = _ScriptedClient(["ok", "redirect", "ok"])
         router._clients[0] = scripted
         reroutes = []

@@ -17,6 +17,8 @@ import pytest
 from repro.net.cluster import LocalCluster
 from repro.net.client import KVClient
 from repro.net.loadgen import run_loadgen
+from repro.net.node import NodeServer
+from repro.net.service import KVService
 from repro.net.stats import scrape_cluster
 from repro.obs import critical_paths, merge_span_events
 from repro.omega import static_omega_factory
@@ -117,14 +119,10 @@ class TestTraceInterop:
         async def scenario():
             # Node 2 records no spans at all: it is sent Traced envelopes
             # like any peer and must unwrap them without recording.
-            cluster = LocalCluster(
-                3,
-                _factory(),
-                serve_clients=True,
-                trace_sample=0,
-                trace_samples={2: None},
+            cluster = LocalCluster(3, _factory(), serve_clients=True, trace_sample=0)
+            untraced = cluster.nodes[2] = NodeServer(
+                2, 3, _factory(), codec=cluster.codec, client_service=KVService()
             )
-            untraced = cluster.nodes[2]
             unwrap = untraced._unwrap_traced
             envelopes_from = []
 

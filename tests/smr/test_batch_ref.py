@@ -292,9 +292,7 @@ class TestTableLifetime:
     def test_restored_slot_resolves_a_returning_vote(self):
         replica = _factory()(0, N)
         batch = CommandBatch((_put(0), _put(1)), batch_id="__batch:0:0__")
-        assert replica.restore_slot_state(
-            5, bal=0, vbal=0, value=BOTTOM, initial_value=batch
-        )
+        assert replica.restore_slot_state(5, (0, 0, BOTTOM, batch, ()))
         assert replica._resolve(5, batch.ref) is batch
         assert replica._resolve(4, batch.ref) is None
 

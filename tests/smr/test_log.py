@@ -217,9 +217,7 @@ class TestDurabilitySeams:
     def test_restore_then_decide(self):
         replica = self._replica()
         vote = _one(0, cid="journaled")
-        assert replica.restore_slot_state(
-            0, bal=2, vbal=1, value=vote, initial_value=vote, sent_twoa=(0, 2)
-        )
+        assert replica.restore_slot_state(0, (2, 1, vote, vote, (0, 2)))
         inner = replica._slots[0]
         assert (inner.bal, inner.vbal, inner.val) == (2, 1, vote)
         assert inner._sent_twoa == {0, 2}
@@ -228,14 +226,12 @@ class TestDurabilitySeams:
         assert replica.applied_upto == 1
         assert replica.store.log[-1].command_id == "journaled"
         # And replaying the (older) slot-state record is now a no-op.
-        assert not replica.restore_slot_state(
-            0, bal=2, vbal=1, value=vote, initial_value=vote
-        )
+        assert not replica.restore_slot_state(0, (2, 1, vote, vote, ()))
 
     def test_truncation_requeues_uncommitted_proposal(self):
         replica = self._replica()
         mine = _one(0, cid="mine")
-        replica.restore_slot_state(0, bal=0, vbal=-1, value=mine, initial_value=mine)
+        replica.restore_slot_state(0, (0, -1, mine, mine, ()))
         assert replica._inflight[0] == mine
         # A state transfer jumps the frontier past our losing slot.
         donor = self._replica(pid=1)

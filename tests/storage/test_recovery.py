@@ -283,9 +283,7 @@ class TestPersisterCycle:
         persister = _persister(tmp_path, a, codec=self.codec)
         persister.recover()
         vote = _one(7, prefix="vote")
-        assert a.restore_slot_state(
-            7, bal=3, vbal=2, value=vote, initial_value=vote, sent_twoa=(0, 3)
-        )
+        assert a.restore_slot_state(7, (3, 2, vote, vote, (0, 3)))
         a.dirty_slots.add(7)
         persister.after_activation()
         persister.close()
@@ -304,10 +302,10 @@ class TestPersisterCycle:
         persister = _persister(tmp_path, a, codec=self.codec)
         persister.recover()
         vote = _one(9, prefix="vote")
-        a.restore_slot_state(9, bal=1, vbal=1, value=vote, initial_value=vote)
+        a.restore_slot_state(9, (1, 1, vote, vote, ()))
         a.dirty_slots.add(9)
         persister.after_activation()
-        # Same state marked dirty again: fingerprint matches, no new record.
+        # Same state marked dirty again: projection unchanged, no new record.
         a.dirty_slots.add(9)
         persister.after_activation()
         persister.close()
@@ -1117,9 +1115,7 @@ class TestWalBodiesByReference:
     def _vote_then_decide(self, replica, persister, slot):
         """What a follower journals for one slot: its vote, then the decision."""
         batch = _batch(slot)
-        assert replica.restore_slot_state(
-            slot, bal=0, vbal=0, value=batch, initial_value=batch
-        )
+        assert replica.restore_slot_state(slot, (0, 0, batch, batch, ()))
         replica.dirty_slots.add(slot)
         persister.after_activation()
         assert replica.restore_decided(slot, batch)
@@ -1153,7 +1149,7 @@ class TestWalBodiesByReference:
         persister = _persister(tmp_path, a, codec=CODEC)
         persister.recover()
         batch = _batch(7)
-        a.restore_slot_state(7, bal=2, vbal=1, value=batch, initial_value=batch)
+        a.restore_slot_state(7, (2, 1, batch, batch, ()))
         a.dirty_slots.add(7)
         persister.after_activation()
         persister.close(hard=True)
@@ -1172,7 +1168,7 @@ class TestWalBodiesByReference:
         persister = _persister(tmp_path, a, codec=CODEC, snapshot_every=2)
         persister.recover()
         open_batch = _batch(5)
-        a.restore_slot_state(5, bal=1, vbal=1, value=open_batch, initial_value=open_batch)
+        a.restore_slot_state(5, (1, 1, open_batch, open_batch, ()))
         a.dirty_slots.add(5)
         persister.after_activation()
         _decide_batches(a, range(2))

@@ -207,7 +207,7 @@ def _referenced_segment(tmp_path_factory):
         decided_at = []
         for slot in range(4):
             batch = _batch(slot)
-            replica.restore_slot_state(slot, 0, 0, value=batch, initial_value=batch)
+            replica.restore_slot_state(slot, (0, 0, batch, batch, ()))
             replica.dirty_slots.add(slot)
             persister.after_activation()
             replica.restore_decided(slot, batch)
