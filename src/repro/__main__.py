@@ -336,7 +336,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         except OSError as exc:
             await node.stop()
             raise ClusterStartError(f"node {args.node} failed to start: {exc}") from exc
-        print(f"node {args.node} serving on {node.host}:{node.port}", flush=True)
+        print(f"node {args.node} serving on {node.address[0]}:{node.address[1]}", flush=True)
         await node.launch(addresses)
         try:
             await hold()

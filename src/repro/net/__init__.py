@@ -7,8 +7,12 @@ the code of the protocols unchanged:
   one body format) over the repository's whole message vocabulary;
 * :mod:`~repro.net.wire` — the handshake and client-protocol frames the
   runtime adds on top;
+* :mod:`~repro.net.transport` — a node's sockets (:class:`Transport`):
+  listen, :func:`dial` and the hello handshake, peer and client links
+  with one coalescing writer loop and one read loop, and the durable
+  hold;
 * :mod:`~repro.net.node` — one process per :class:`NodeServer`, with the
-  :class:`~repro.core.process.Context` adapted onto transports and
+  :class:`~repro.core.process.Context` adapted onto its transport and
   ``loop.call_later`` timers (simulator-identical semantics);
 * :mod:`~repro.net.service` — :class:`KVService`, what a node does with
   a client's submit: the trust check, the replica submit, the reply;
@@ -41,10 +45,11 @@ from .codec import (
 )
 from .loadgen import LoadReport, run_loadgen
 from .netlog import configure_logging, node_logger
-from .node import Address, NodeServer, enable_nodelay
+from .node import NodeServer
 from .service import KVService
 from .stats import describe_cluster_stats, fetch_node_stats, scrape_cluster
 from .top import render_top, run_top
+from .transport import Address, HandshakeRefused, Transport, dial, enable_nodelay
 from .wire import (
     ClientHello,
     ClientReply,
@@ -66,6 +71,7 @@ __all__ = [
     "ClusterStartError",
     "CodecError",
     "FrameDecoder",
+    "HandshakeRefused",
     "KVClient",
     "KVService",
     "LoadReport",
@@ -80,8 +86,10 @@ __all__ = [
     "StatsReply",
     "StatsRequest",
     "Traced",
+    "Transport",
     "configure_logging",
     "default_registry",
+    "dial",
     "describe_cluster_stats",
     "enable_nodelay",
     "fetch_node_stats",

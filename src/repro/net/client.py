@@ -29,9 +29,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..core.errors import ReproError
 from ..smr.kvstore import KVCommand
-from . import node
+from . import transport
 from .codec import CodecError, FrameDecoder, MessageCodec
-from .node import _READ_CHUNK, Address, dial
+from .transport import _READ_CHUNK, Address, dial
 from .wire import ClientHello, ClientReply, ClientSubmit, WrongShard
 
 #: Cap on the exponential backoff between attempts, in seconds.
@@ -113,7 +113,7 @@ class KVClient:
             self.addresses[self.proxy],
             self.codec,
             ClientHello(self.client_id),
-            node.HELLO_TIMEOUT,
+            transport.HELLO_TIMEOUT,
         )
 
     async def close(self) -> None:

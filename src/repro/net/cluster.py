@@ -24,8 +24,9 @@ from ..core.process import ProcessFactory, ProcessId
 from ..core.values import MaybeValue
 from ..smr.log import SMRReplica
 from .codec import MessageCodec
-from .node import Address, NodeServer
+from .node import NodeServer
 from .service import KVService
+from .transport import Address
 
 
 class ClusterStartError(ReproError):
@@ -73,7 +74,6 @@ class LocalCluster:
         data_dir: Optional[str] = None,
         fsync: bool = True,
         snapshot_every: int = 256,
-        outbox_limit: Optional[int] = None,
         trace_sample: Optional[int] = None,
         timeseries_dir: Optional[str] = None,
     ) -> None:
@@ -90,7 +90,6 @@ class LocalCluster:
         self._data_dir = data_dir
         self._fsync = fsync
         self._snapshot_every = snapshot_every
-        self._outbox_limit = outbox_limit
         self._trace_sample = trace_sample
         self._timeseries_dir = timeseries_dir
         self.nodes: List[NodeServer] = [
@@ -120,7 +119,6 @@ class LocalCluster:
             data_dir=self._data_dir,
             fsync=self._fsync,
             snapshot_every=self._snapshot_every,
-            outbox_limit=self._outbox_limit,
             trace_sample=self._trace_sample,
             timeseries_path=(
                 f"{self._timeseries_dir}/node-{pid}.jsonl"
@@ -143,8 +141,7 @@ class LocalCluster:
         node = self.nodes[0]
         try:
             for node in self.nodes:
-                await node.bind()
-                self._ports[node.pid] = node.port
+                self._ports[node.pid] = (await node.bind())[1]
             addresses = self.addresses
             for node in self.nodes:
                 await node.launch(addresses)

@@ -1,6 +1,6 @@
 """Wire codec: length-prefixed frames with binary v2 bodies.
 
-The live runtime (:mod:`repro.net.node`) moves the *same* frozen message
+The live runtime (:mod:`repro.net.transport`) moves the *same* frozen message
 dataclasses the simulator delivers in memory — ``Propose``, ``TwoB``,
 ``Slotted(inner=...)``, EPaxos ``PreAccept`` and friends — across real TCP
 connections. The codec is therefore defined over the repo's whole message

@@ -37,7 +37,7 @@ from ..smr.client import ClientOp, put_get_workload
 from ..verify.metrics import MetricsRecorder, VerificationMetrics
 from .client import ClientError, PipelineError
 from .codec import MessageCodec
-from .node import Address
+from .transport import Address
 from .stats import scrape_cluster
 
 if TYPE_CHECKING:

@@ -19,9 +19,9 @@ import asyncio
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import merge_decision_records, merge_snapshots
-from .codec import CodecError, MessageCodec, read_frame
-from .node import Address, dial
-from .wire import ClientHello, StatsReply, StatsRequest
+from .codec import CodecError, MessageCodec
+from .transport import Address, exchange
+from .wire import StatsReply, StatsRequest
 
 
 async def fetch_node_stats(
@@ -38,26 +38,12 @@ async def fetch_node_stats(
     node, direct callers get the real cause.
     """
     codec = codec if codec is not None else MessageCodec()
-    reader, writer = await dial(address, codec, ClientHello(client_id), timeout)
-    try:
-        writer.write(
-            codec.encode(
-                StatsRequest(
-                    request_id=f"{client_id}:0",
-                    include_spans=include_spans,
-                )
-            )
-        )
-        await writer.drain()
-        reply = await asyncio.wait_for(read_frame(reader, codec), timeout)
-        if not isinstance(reply, StatsReply):
-            raise CodecError(f"expected StatsReply, got {type(reply).__name__}")
-        return reply
-    finally:
-        try:
-            writer.close()
-        except Exception:
-            pass
+    request = StatsRequest(request_id=f"{client_id}:0", include_spans=include_spans)
+    async with exchange(address, codec, client_id, request, timeout) as receive:
+        reply = await receive()
+    if not isinstance(reply, StatsReply):
+        raise CodecError(f"expected StatsReply, got {type(reply).__name__}")
+    return reply
 
 
 async def scrape_cluster(

@@ -17,7 +17,7 @@ from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from ..obs.export import _histogram_percentile
 from .codec import MessageCodec
-from .node import Address
+from .transport import Address
 from .stats import scrape_cluster
 
 __all__ = ["render_top", "run_top"]

@@ -30,8 +30,8 @@ an id-keyed frame is sent. The hello carries the dialer's
 ``registry_hash``, the :class:`HelloAck` the acceptor's. When they
 match the ack says ``accepted``; otherwise the acceptor closes the
 link, and the dialer gets an error naming both hashes
-(:class:`repro.net.node.HandshakeRefused`) and retries on its backoff
-schedule. :func:`repro.net.node.dial` is the dial side.
+(:class:`repro.net.transport.HandshakeRefused`) and retries on its backoff
+schedule. :func:`repro.net.transport.dial` is the dial side.
 
 A node that records spans wraps sampled SMR frames in :class:`Traced`
 for every peer; a span-less receiver unwraps and drops the envelope, so

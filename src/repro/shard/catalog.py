@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from ..net.client import KVClient
 from ..net.codec import MessageCodec
-from ..net.node import Address
+from ..net.transport import Address
 from ..smr.kvstore import KVCommand
 from .placement import PlacementMap
 

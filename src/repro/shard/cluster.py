@@ -33,7 +33,7 @@ from ..core.errors import ConfigurationError
 from ..core.process import ProcessFactory, ProcessId
 from ..net.cluster import ClusterStartError, LocalCluster, is_data_command
 from ..net.codec import MessageCodec
-from ..net.node import Address
+from ..net.transport import Address
 from .catalog import CATALOG_GROUP, publish_placement
 from .host import GroupHost, NodeView, ReplicaView
 from .placement import DEFAULT_SLOTS, PlacementMap

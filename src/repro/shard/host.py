@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence,
 from ..core.errors import ReproError
 from ..core.process import ProcessId
 from ..net.cluster import LocalCluster
-from ..net.node import Address
+from ..net.transport import Address
 from ..smr.log import SMRReplica
 
 if TYPE_CHECKING:

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from ..core.errors import ConfigurationError
 from ..net.client import ClientError, KVClient
 from ..net.codec import MessageCodec
-from ..net.node import Address
+from ..net.transport import Address
 from ..smr.kvstore import KVCommand
 from ..storage.recovery import fetch_range_state
 from .catalog import CATALOG_GROUP, publish_placement

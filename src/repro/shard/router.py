@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..net.client import ClientError, KVClient, PipelineError, parse_address_list
 from ..net.codec import MessageCodec
-from ..net.node import Address
+from ..net.transport import Address
 from ..net.wire import ClientReply, WrongShard
 from ..smr.kvstore import KVCommand
 from .placement import PlacementMap

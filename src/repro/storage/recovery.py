@@ -549,17 +549,13 @@ async def _fetch_document(
     Returns ``None`` when the peer hosts no replica, ``b""`` when it
     answered with one empty chunk.
     """
-    from ..net.codec import read_frame
-    from ..net.node import dial
-    from ..net.wire import ClientHello, SnapshotChunk
+    from ..net.transport import exchange
+    from ..net.wire import SnapshotChunk
 
-    reader, writer = await dial(address, codec, ClientHello(client_id), timeout)
-    try:
-        writer.write(codec.encode(request))
-        await writer.drain()
-        parts: List[bytes] = []
+    parts: List[bytes] = []
+    async with exchange(address, codec, client_id, request, timeout) as receive:
         while True:
-            frame = await asyncio.wait_for(read_frame(reader, codec), timeout)
+            frame = await receive()
             if not isinstance(frame, SnapshotChunk) or frame.request_id != request.request_id:
                 continue
             if frame.upto < 0:
@@ -567,11 +563,6 @@ async def _fetch_document(
             parts.append(frame.payload)
             if frame.last:
                 return b"".join(parts)
-    finally:
-        try:
-            writer.close()
-        except Exception:
-            pass
 
 
 async def fetch_snapshot(

@@ -23,8 +23,9 @@ from repro.net.codec import (
 )
 from repro.net.loadgen import run_loadgen
 from repro.net.stats import fetch_node_stats
-from repro.net import node as node_module
-from repro.net.node import HandshakeRefused, NodeServer, dial
+from repro.net import transport as transport_module
+from repro.net.node import NodeServer
+from repro.net.transport import HandshakeRefused, dial
 from repro.net.service import KVService
 from repro.net.wire import ClientHello, ClientSubmit, NodeHello
 from repro.omega import static_omega_factory
@@ -145,15 +146,15 @@ def test_registry_skew_is_refused_with_both_hashes(caplog):
             for pid in range(3)
         ]
         started = time.perf_counter()
-        served_senders = []
+        served_links = []
         for node in nodes[:2]:
-            serve_peer = node._serve_peer
+            read_loop = node.transport._read_loop
 
-            async def spy(reader, sender, serve_peer=serve_peer):
-                served_senders.append(sender)
-                await serve_peer(reader, sender)
+            async def spy(reader, on_burst, link, read_loop=read_loop):
+                served_links.append(link)
+                await read_loop(reader, on_burst, link)
 
-            node._serve_peer = spy
+            node.transport._read_loop = spy
         addresses = [await node.bind() for node in nodes]
         for node in nodes:
             await node.launch(addresses)
@@ -181,10 +182,10 @@ def test_registry_skew_is_refused_with_both_hashes(caplog):
         finally:
             for node in nodes:
                 await node.stop()
-        return nodes, served_senders, elapsed, extended_refusals
+        return nodes, served_links, elapsed, extended_refusals
 
     with caplog.at_level(logging.ERROR, logger="repro.net"):
-        nodes, served_senders, elapsed, extended_refusals = asyncio.run(
+        nodes, served_links, elapsed, extended_refusals = asyncio.run(
             asyncio.wait_for(live(), HARD_TIMEOUT)
         )
     assert extended_refusals == 1
@@ -194,7 +195,7 @@ def test_registry_skew_is_refused_with_both_hashes(caplog):
     assert counters[0].get("net.hello_rejected", 0) >= 1
     assert counters[1].get("net.hello_rejected", 0) >= 1
     assert counters[2].get("net.hello_rejected", 0) >= 2
-    assert set(served_senders) == {0, 1}
+    assert set(served_links) == {"peer 0", "peer 1"}
     # No frame past the hello was ever decoded on a refused link.
     assert not any(name.startswith("recv_bytes.") for name in counters[2])
     # Both ends logged the refusal with the other side's registry.
@@ -203,7 +204,7 @@ def test_registry_skew_is_refused_with_both_hashes(caplog):
     assert any(nodes[0].codec.registry_hash in text for text in refusals)
     # Retries follow the backoff schedule: no reconnect storm.
     bound = _attempts_within(
-        elapsed, node_module.RECONNECT_INITIAL, node_module.RECONNECT_MAX
+        elapsed, transport_module.RECONNECT_INITIAL, transport_module.RECONNECT_MAX
     )
     for peer in (0, 1):
         attempts = counters[2].get(f"net.reconnects.p{peer}", 0)
@@ -307,7 +308,7 @@ def test_malformed_submit_is_refused_and_the_link_closed(payload, sharded, caplo
 def test_silent_receiver_fails_the_handshake(monkeypatch):
     # A server that never answers the hello must fail the dial after the
     # hello timeout — the request path then fails over — not hang.
-    monkeypatch.setattr(node_module, "HELLO_TIMEOUT", 0.2)
+    monkeypatch.setattr(transport_module, "HELLO_TIMEOUT", 0.2)
 
     async def live():
         async def mute(reader, writer):
@@ -380,14 +381,14 @@ def test_control_plane_fetches_shake_hands_first():
         async with LocalCluster(3, _factory(), serve_clients=True) as cluster:
             node = cluster.nodes[0]
             accepted = []
-            ack_hello = node._ack_hello
+            ack_hello = node.transport._ack_hello
 
             async def spy(hello, writer):
                 ok = await ack_hello(hello, writer)
                 accepted.append((getattr(hello, "client_id", None), ok))
                 return ok
 
-            node._ack_hello = spy
+            node.transport._ack_hello = spy
             client = KVClient(cluster.addresses, client_id="cp", codec=cluster.codec)
             try:
                 await client.put("moved", "v")

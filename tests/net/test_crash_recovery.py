@@ -6,19 +6,16 @@ SIGKILL-crashed (``kill``: buffered WAL records dropped, nothing flushed)
 mid-run, the survivors absorb more load, then the node restarts from its
 data directory: it must rebuild its pre-crash state from snapshot + WAL,
 fetch what it missed from a peer via snapshot state transfer (the
-survivors' retained outbound backlog is shed first, modeling a bounded
-retransmit buffer over a long outage — transfer must carry the node, not
-backlog replay), rebind its original port, and converge to the identical
+survivors' outbound backlog for it is dropped first, modeling a long
+outage — transfer must carry the node, not backlog replay), rebind its original port, and converge to the identical
 applied log and store as the survivors.
 """
 
 import asyncio
-from collections import deque
 
 from repro.net.cluster import LocalCluster
 from repro.net.codec import WIRE_VERSION_BINARY
 from repro.net.loadgen import run_loadgen
-from repro.net.node import NodeServer
 from repro.net.stats import describe_cluster_stats, scrape_cluster
 from repro.omega import static_omega_factory
 from repro.protocols.twostep import TwoStepConfig
@@ -70,7 +67,6 @@ async def _kill_restart_rejoin(data_dir):
         serve_clients=True,
         data_dir=str(data_dir),
         snapshot_every=32,
-        outbox_limit=2000,
     )
     async with cluster:
         address_before = cluster.addresses[N - 1]
@@ -80,11 +76,11 @@ async def _kill_restart_rejoin(data_dir):
         await _load(cluster, ops[PART1:PART2], PART2)
         assert len(cluster.survivors) == N - 1
 
-        # Model a long outage: the survivors' bounded retransmit buffers
-        # shed the backlog queued for the dead node, so consensus-message
-        # replay cannot carry it past the gap — only state transfer can.
+        # Model a long outage: the survivors drop the backlog queued for
+        # the dead node, so consensus-message replay cannot carry it past
+        # the gap — only state transfer can.
         for node in cluster.survivors:
-            node._outbox[N - 1].clear()
+            node.transport.outboxes[N - 1].frames.clear()
 
         restarted = await cluster.restart(N - 1)
         # Port pinning: the node came back at its pre-crash address.
@@ -294,15 +290,3 @@ def test_rebalance_survives_dest_leader_kill(tmp_path):
     asyncio.run(
         asyncio.wait_for(_rebalance_dest_leader_crash(tmp_path), HARD_TIMEOUT)
     )
-
-
-def test_outbox_limit_sheds_oldest_frames():
-    """The bounded retransmit buffer drops from the head and counts it."""
-    node = NodeServer(0, 3, _factory(), outbox_limit=2)
-    node._outbox[1] = deque()
-    node._outbox_wake[1] = asyncio.Event()
-    for index in range(5):
-        node._enqueue(1, bytes([index]))
-    assert list(node._outbox[1]) == [b"\x03", b"\x04"]
-    counters = node.obs.registry.snapshot()["counters"]
-    assert counters["net.outbox_dropped.p1"] == 3

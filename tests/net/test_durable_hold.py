@@ -131,7 +131,7 @@ def test_proxy_holds_its_propose_until_the_proposal_is_durable(tmp_path, gate):
             client = _client(cluster, "held-propose")
             answer = asyncio.ensure_future(client.submit(_put("a"), proxy=0))
             await asyncio.sleep(HELD_FOR)
-            assert proxy._held, "the proposal's frames should be held"
+            assert proxy.transport.held, "the proposal's frames should be held"
             assert all(_wire_frames(node, "Propose") == 0 for node in followers)
             assert not answer.done()
 
@@ -139,7 +139,7 @@ def test_proxy_holds_its_propose_until_the_proposal_is_durable(tmp_path, gate):
             reply = await answer
             assert reply.command_id == "hold-a"
             assert all(_wire_frames(node, "Propose") >= 1 for node in followers)
-            assert not proxy._held
+            assert not proxy.transport.held
             snapshot = proxy.obs.registry.snapshot()
             assert snapshot["histograms"]["storage.durable_wait_seconds"]["count"] >= 1
             assert snapshot["gauges"]["storage.held_frames_hwm"] >= 2
@@ -158,7 +158,7 @@ def test_followers_hold_their_twob_until_the_vote_is_durable(tmp_path, gate):
             while not all(_wire_frames(node, "Propose") for node in followers):
                 await asyncio.sleep(0.01)
             await asyncio.sleep(HELD_FOR)
-            assert all(node._held for node in followers)
+            assert all(node.transport.held for node in followers)
             assert _wire_frames(proxy, "TwoB") == 0
             assert not answer.done()
 
@@ -192,7 +192,7 @@ def test_a_retry_of_a_finished_command_waits_for_the_decision_to_be_durable(
             answer = asyncio.ensure_future(first.submit(_put("c"), proxy=0))
             while "hold-c" not in replica.results:
                 await asyncio.sleep(0.01)
-            assert 0 in gate.armed and proxy._held
+            assert 0 in gate.armed and proxy.transport.held
 
             retry_client = _client(cluster, "retry")
             retry = asyncio.ensure_future(retry_client.submit(_put("c"), proxy=0))
@@ -218,7 +218,7 @@ def test_kill_while_frames_are_held_drops_them_and_recovery_agrees(tmp_path, gat
             client = _client(cluster, "killed")
             answer = asyncio.ensure_future(client.submit(_put("d"), proxy=0))
             await asyncio.sleep(HELD_FOR)
-            assert cluster.nodes[0]._held
+            assert cluster.nodes[0].transport.held
             # Open the gate so the dying node's writer can be joined, and
             # kill in the same loop step: the durable report arrives on
             # the loop only after stop() dropped the hold.

@@ -1,17 +1,19 @@
-"""NodeServer socket bookkeeping: writer set, TCP_NODELAY, coalescing.
+"""Transport socket bookkeeping: inbound links, TCP_NODELAY, coalescing.
 
 Pins the transport-level invariants the throughput path depends on: a
-broadcast encodes its frame exactly once, inbound writers are tracked in
-a set and released when the connection ends, ``stop()`` is safe to call
-on an already-closing writer set, and every TCP socket in the system has
+broadcast encodes its frame exactly once, inbound links are tracked in
+one registry (connection task -> writer) and released when the
+connection ends, ``stop()`` is safe to call twice and returns while the
+node's peers are still up, and every TCP socket in the system has
 Nagle's algorithm disabled.
 """
 
 import asyncio
 import socket
-from collections import deque
+import time
 
-from repro.net.node import NodeServer, enable_nodelay
+from repro.net.node import NodeServer
+from repro.net.transport import Outbox, enable_nodelay
 from repro.net.cluster import LocalCluster
 from repro.net.client import KVClient
 from repro.net.wire import NodeHello
@@ -55,11 +57,15 @@ def test_enable_nodelay_tolerates_missing_socket():
 
 def test_broadcast_encodes_the_frame_once():
     node = NodeServer(0, 3, _factory())
-    node._outbox = {1: deque(), 2: deque()}
-    node._outbox_wake = {1: asyncio.Event(), 2: asyncio.Event()}
+    outboxes = node.transport.outboxes
+    outboxes.update({1: Outbox(), 2: Outbox()})
     node._broadcast(NodeHello(pid=0), include_self=False)
     # The same bytes object, not a re-encoding.
-    assert node._outbox[1][0] is node._outbox[2][0]
+    assert outboxes[1].frames[0] is outboxes[2].frames[0]
+
+
+def _links(node, kind):
+    return node.wire_info()[kind]
 
 
 class TestWriterBookkeeping:
@@ -67,10 +73,13 @@ class TestWriterBookkeeping:
         async def live():
             async with LocalCluster(3, _factory()) as cluster:
                 node = cluster.nodes[0]
-                assert isinstance(node._writers, set)
+                inbound = node.transport.inbound
+                assert isinstance(inbound, dict)
                 # Peer senders dial eagerly: both other nodes connect in.
-                await _wait_until(lambda: len(node._writers) >= 2)
-                for writer in node._writers:
+                await _wait_until(lambda: _links(node, "peer_links_in") == 2)
+                assert len(inbound) == 2
+                for task, writer in inbound.items():
+                    assert not task.done()
                     sock = writer.get_extra_info("socket")
                     assert (
                         sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
@@ -85,17 +94,20 @@ class TestWriterBookkeeping:
                 3, _factory(), serve_clients=True
             ) as cluster:
                 node = cluster.nodes[0]
-                await _wait_until(lambda: len(node._writers) >= 2)
-                baseline = len(node._writers)
+                inbound = node.transport.inbound
+                await _wait_until(lambda: _links(node, "peer_links_in") == 2)
+                baseline = len(inbound)
                 client = KVClient(
                     cluster.addresses, client_id="bk", codec=cluster.codec
                 )
                 try:
                     await client.put("k", "v")
-                    await _wait_until(lambda: len(node._writers) == baseline + 1)
+                    await _wait_until(lambda: _links(node, "client_links") == 1)
+                    assert len(inbound) == baseline + 1
                 finally:
                     await client.close()
-                await _wait_until(lambda: len(node._writers) == baseline)
+                await _wait_until(lambda: len(inbound) == baseline)
+                assert _links(node, "client_links") == 0
 
         _run(live())
 
@@ -104,11 +116,48 @@ class TestWriterBookkeeping:
             cluster = LocalCluster(3, _factory())
             await cluster.start()
             node = cluster.nodes[0]
-            await _wait_until(lambda: len(node._writers) >= 2)
+            await _wait_until(lambda: len(node.transport.inbound) >= 2)
             await cluster.stop()
-            assert node._writers == set()
+            assert node.transport.inbound == {}
+            assert _links(node, "peer_links_in") == 0
             # A second stop() must not raise on already-closed sockets.
             await node.stop()
             await cluster.stop()
 
         _run(live())
+
+    def test_one_node_stops_while_its_peers_still_dial_in(self, monkeypatch):
+        # Since CPython 3.12.1 (gh-79033) Server.wait_closed() returns only
+        # once every accepted connection has closed. Give this interpreter
+        # those semantics: a node whose peers are still up must close its
+        # inbound links before it waits on its server, or never return.
+        server_type = asyncio.base_events.Server
+        original = server_type.wait_closed
+
+        async def wait_closed_since_3_12_1(self):
+            if self._waiters is None:
+                return
+            waiter = self._loop.create_future()
+            self._waiters.append(waiter)
+            await waiter
+
+        async def live():
+            cluster = LocalCluster(3, _factory())
+            await cluster.start()
+            node = cluster.nodes[0]
+            try:
+                await _wait_until(lambda: _links(node, "peer_links_in") == 2)
+                monkeypatch.setattr(server_type, "wait_closed", wait_closed_since_3_12_1)
+                started = time.perf_counter()
+                try:
+                    await asyncio.wait_for(node.stop(), 2.0)
+                except asyncio.TimeoutError:
+                    return None
+                return time.perf_counter() - started
+            finally:
+                monkeypatch.setattr(server_type, "wait_closed", original)
+                await cluster.stop()
+
+        elapsed = _run(live())
+        assert elapsed is not None, "stop() did not return while peers were up"
+        assert elapsed < 2.0

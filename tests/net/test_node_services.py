@@ -11,7 +11,7 @@ import asyncio
 
 from repro.net.cluster import LocalCluster
 from repro.net.codec import read_frame
-from repro.net.node import dial
+from repro.net.transport import dial
 from repro.net.stats import fetch_node_stats
 from repro.net.wire import (
     ClientHello,
