@@ -10,6 +10,7 @@ Usage::
     python -m repro experiment e5 --json # machine-readable records
     python -m repro fuzz --workers 4     # adversarial schedule fuzzing
     python -m repro explore --workers 2  # exhaustive safety exploration
+    python -m repro report --quick       # the full markdown reproduction report
     python -m repro cluster --n 3        # boot a live KV cluster (asyncio TCP)
     python -m repro cluster --groups 4   # sharded: 4 consensus groups
     python -m repro loadgen --peers ...  # drive a live cluster, report latency
@@ -24,8 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import MISSING, Field, dataclass, field, fields
+from typing import Any, Callable, Dict, List, Optional, Tuple, get_args, get_type_hints
 
 from .analysis import (
     e1_bounds_rows,
@@ -99,10 +100,6 @@ _SPECS: Dict[str, _ExperimentSpec] = {
     "e10": _ExperimentSpec((("E10 — SMR on WAN (ms)", e10_smr_rows, 1),)),
 }
 
-_EXPERIMENTS: Dict[str, Callable[[], str]] = {
-    key: spec.render for key, spec in _SPECS.items()
-}
-
 
 def _emit_json(payload: object) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True, default=str))
@@ -113,29 +110,21 @@ class _UsageError(Exception):
     does a :class:`ConfigurationError` the library raises for one."""
 
 
-def _peer_groups(args: argparse.Namespace) -> Dict[int, List[Tuple[str, int]]]:
+def _peer_groups(peers: str) -> Dict[int, List[Tuple[str, int]]]:
     """``--peers`` of stats, loadgen and top as ``{group: addresses}``:
     ``;`` separates groups, and a list without one is group 0."""
     from .net.client import ClientError
     from .shard import parse_group_addresses
 
     try:
-        return parse_group_addresses(args.peers)
+        return parse_group_addresses(peers)
     except ClientError as exc:
         raise _UsageError(f"--peers: {exc}")
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
-    print("experiments:", ", ".join(sorted(_EXPERIMENTS)))
+    print("experiments:", ", ".join(sorted(_SPECS)))
     print("witnesses:   witness task <f> <e> | witness object <f> <e>")
-    return 0
-
-
-def _cmd_bounds(args: argparse.Namespace) -> int:
-    if getattr(args, "json", False):
-        _emit_json({"experiment": "e1", **_SPECS["e1"].records()})
-    else:
-        print(_EXPERIMENTS["e1"]())
     return 0
 
 
@@ -147,7 +136,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json({"experiment": key, **_SPECS[key].records()})
     else:
-        print(_EXPERIMENTS[key]())
+        print(_SPECS[key].render())
     return 0
 
 
@@ -182,19 +171,12 @@ def _task_config(n: int, f: int, e: int):
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .bounds.driver import fuzz_campaign
-    from .omega import static_omega_factory
     from .protocols.twostep import twostep_task_factory
 
     proposals = {pid: pid % 3 for pid in range(args.n)}
     config = _task_config(args.n, args.f, args.e)
     result = fuzz_campaign(
-        lambda seed: twostep_task_factory(
-            proposals,
-            args.f,
-            args.e,
-            omega_factory=static_omega_factory(0),
-            config=config,
-        ),
+        lambda seed: twostep_task_factory(proposals, args.f, args.e, config=config),
         args.n,
         args.f,
         schedules=args.schedules,
@@ -217,17 +199,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     from .checks.explore import explore
-    from .omega import static_omega_factory
     from .protocols.twostep import twostep_task_factory
 
     proposals = {pid: pid % 2 for pid in range(args.n)}
-    factory = twostep_task_factory(
-        proposals,
-        args.f,
-        args.e,
-        omega_factory=static_omega_factory(0),
-        config=_task_config(args.n, args.f, args.e),
-    )
+    config = _task_config(args.n, args.f, args.e)
+    factory = twostep_task_factory(proposals, args.f, args.e, config=config)
     report = explore(
         factory,
         args.n,
@@ -264,79 +240,175 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
-    for key in sorted(_EXPERIMENTS, key=lambda k: int(k[1:])):
-        print(_EXPERIMENTS[key]())
+    for key in sorted(_SPECS, key=lambda k: int(k[1:])):
+        print(_SPECS[key].render())
         print()
     return 0
 
 
-def _smr_net_factory(
-    f: int, e: int, delta: float, batch: int = 1, window: int = 1
-):
-    """SMR factory for live clusters: Figure 1 object variant, Ω = 0."""
-    from .omega import static_omega_factory
-    from .protocols.twostep import TwoStepConfig
-    from .smr.log import smr_factory
+def _option(
+    default: Any = MISSING,
+    *,
+    help: str,
+    least: Optional[int] = None,
+    recorded: bool = False,
+    **flag: Any,
+) -> Any:
+    """A settings field that is one ``--flag``: the field gives its name, type
+    (``bool``: a switch) and default (none: required). *flag* holds argparse's
+    other keywords, *least* the CLI's lower bound; *recorded* lists it in ``config()``."""
+    metadata = {"flag": dict(flag, help=help), "least": least, "recorded": recorded}
+    return field(default=default, metadata=metadata)
 
-    return smr_factory(
-        f,
-        e,
-        delta=delta,
-        omega_factory=static_omega_factory(0),
-        consensus_config=TwoStepConfig(f=f, e=e, delta=delta, is_object=True),
-        batch_size=batch,
-        window=window,
+
+def _flag(spec: Field) -> str:
+    return "--" + spec.name.replace("_", "-")
+
+
+class _Settings:
+    """Base of a subcommand's frozen settings: one field per flag."""
+
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            least, value = spec.metadata["least"], getattr(self, spec.name)
+            if least is not None and value < least:
+                raise _UsageError(f"{_flag(spec)} must be >= {least}, got {value}")
+
+    @classmethod
+    def from_args(cls, args: argparse.Namespace):
+        return cls(**{spec.name: getattr(args, spec.name) for spec in fields(cls)})
+
+    @classmethod
+    def add_to(cls, parser: argparse.ArgumentParser, run: Callable[..., int]) -> None:
+        """Give *parser* one flag per field; it calls *run* on the settings."""
+        parser.set_defaults(fn=lambda args: run(cls.from_args(args)))
+        hints = get_type_hints(cls)
+        for spec in fields(cls):
+            flag = dict(spec.metadata["flag"], required=spec.default is MISSING)
+            if spec.default is not MISSING:
+                flag["default"] = spec.default
+            hint = hints[spec.name]  # Optional[T] parses as T
+            kind = next(t for t in (*get_args(hint), hint) if t is not type(None))
+            flag.update({"action": "store_true"} if kind is bool else {"type": kind})
+            parser.add_argument(_flag(spec), **flag)
+
+
+@dataclass(frozen=True)
+class ClusterSettings(_Settings):
+    """``cluster``: boot a live KV cluster, or one node of it."""
+
+    n: int = _option(3, help="replicas (default %(default)s)")
+    groups: int = _option(
+        1,
+        help="consensus groups; >1 boots a sharded deployment (--n replicas per "
+        "group, group 0 is the placement-map catalog; default %(default)s). Every "
+        "other flag applies per group",
+    )
+    slots: int = _option(
+        64, help="with --groups >1: hash slots in the placement map (default %(default)s)"
+    )
+    f: int = _option(1, help="crash budget (default %(default)s)")
+    e: int = _option(1, help="fast-decision budget (default %(default)s)")
+    delta: float = _option(0.1, help="Δ in real seconds (default %(default)s)")
+    batch: int = _option(
+        16, help="max commands per consensus slot (default %(default)s; 1 = no batching)"
+    )
+    window: int = _option(
+        8, help="max concurrently open slots per proxy (default %(default)s; 1 = serial)"
+    )
+    base_port: int = _option(
+        9400, help="first port; group g's node i listens on base+g*n+i (0 = ephemeral)"
+    )
+    duration: Optional[float] = _option(
+        None, help="serve for this many seconds then exit (default: until Ctrl-C)"
+    )
+    node: Optional[int] = _option(
+        None, help="run only this pid of a multi-process deployment (needs --peers)"
+    )
+    peers: Optional[str] = _option(None, help="host:port,... address book for --node mode")
+    trace_sample: Optional[int] = _option(
+        None, metavar="N",
+        help="record causal per-command spans, self-sampling every Nth sealed slot "
+        "(0 = adopt client/peer traces only; default: spans off entirely)",
+    )
+    timeseries: Optional[str] = _option(
+        None, metavar="DIR",
+        help="append one JSONL metrics row per node per second to DIR/node-<pid>.jsonl "
+        "(DIR/group-<g>/node-<pid>.jsonl with several groups) while the cluster runs",
+    )
+    log_level: Optional[str] = _option(
+        None, choices=["debug", "info", "warning", "error"],
+        help="emit runtime logs (node id + pid prefixed) at this level",
+    )
+    data_dir: Optional[str] = _option(
+        None, metavar="DIR",
+        help="journal + snapshot each node under DIR/node-<pid>/ (DIR/group-<g>/"
+        "node-<pid>/ with several groups) and recover from it on restart (default: "
+        "in-memory, crash-stop)",
+    )
+    no_fsync: bool = _option(
+        False,
+        help="with --data-dir: skip fsync on WAL group commits (still writes through "
+        "to the OS; survives process crash, not power loss)",
+    )
+    snapshot_every: int = _option(
+        256,
+        help="with --data-dir: snapshot + rotate the WAL every this many applied "
+        "slots (default %(default)s)",
     )
 
 
-def _cmd_cluster(args: argparse.Namespace) -> int:
+def _cmd_cluster(settings: ClusterSettings) -> int:
     import asyncio
 
     from .net import ClusterStartError, KVService, LocalCluster, NodeServer
     from .net.client import parse_address_list
     from .net.netlog import configure_logging
     from .shard import ShardedCluster
+    from .smr.log import smr_factory
 
-    if args.log_level is not None:
-        configure_logging(args.log_level)
-    factory = _smr_net_factory(
-        args.f, args.e, args.delta, batch=args.batch, window=args.window
+    if settings.log_level is not None:
+        configure_logging(settings.log_level)
+    factory = smr_factory(
+        settings.f, settings.e, delta=settings.delta, batch_size=settings.batch,
+        window=settings.window,
+    )
+    # What every node takes, in --node mode and in process alike.
+    node_options = dict(
+        data_dir=settings.data_dir,
+        fsync=not settings.no_fsync,
+        snapshot_every=settings.snapshot_every,
+        trace_sample=settings.trace_sample,
     )
 
     async def hold() -> None:
         """Serve for --duration seconds, or until Ctrl-C."""
-        if args.duration is None:
+        if settings.duration is None:
             await asyncio.Event().wait()
         else:
-            await asyncio.sleep(args.duration)
+            await asyncio.sleep(settings.duration)
 
     async def run_one(addresses: List[Tuple[str, int]]) -> None:
         # One real node of a multi-process deployment: it journals to
         # <data-dir>/node-<pid>/ and recovers from it on the next start.
-        host, port = addresses[args.node]
+        pid, timeseries = settings.node, settings.timeseries
+        host, port = addresses[pid]
         node = NodeServer(
-            args.node,
+            pid,
             len(addresses),
             factory,
             host=host,
             port=port,
             client_service=KVService(),
-            data_dir=args.data_dir,
-            fsync=not args.no_fsync,
-            snapshot_every=args.snapshot_every,
-            trace_sample=args.trace_sample,
-            timeseries_path=(
-                f"{args.timeseries}/node-{args.node}.jsonl"
-                if args.timeseries
-                else None
-            ),
+            timeseries_path=f"{timeseries}/node-{pid}.jsonl" if timeseries else None,
+            **node_options,
         )
         try:
             await node.bind()
         except OSError as exc:
             await node.stop()
-            raise ClusterStartError(f"node {args.node} failed to start: {exc}") from exc
-        print(f"node {args.node} serving on {node.address[0]}:{node.address[1]}", flush=True)
+            raise ClusterStartError(f"node {pid} failed to start: {exc}") from exc
+        print(f"node {pid} serving on {node.address[0]}:{node.address[1]}", flush=True)
         await node.launch(addresses)
         try:
             await hold()
@@ -348,19 +420,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         # shard the keyspace, each group in its own forked host process,
         # group 0 doubling as the placement-map catalog.
         options = dict(
-            base_port=args.base_port,
-            data_dir=args.data_dir,
-            fsync=not args.no_fsync,
-            snapshot_every=args.snapshot_every,
-            trace_sample=args.trace_sample,
-            timeseries_dir=args.timeseries,
+            node_options,
+            base_port=settings.base_port,
+            timeseries_dir=settings.timeseries,
         )
+        groups, n = settings.groups, settings.n
         cluster = (
-            LocalCluster(args.n, factory, serve_clients=True, **options)
-            if args.groups == 1
-            else ShardedCluster(
-                args.groups, args.n, factory, slots=args.slots, **options
-            )
+            LocalCluster(n, factory, serve_clients=True, **options)
+            if groups == 1
+            else ShardedCluster(groups, n, factory, slots=settings.slots, **options)
         )
         await cluster.start()
         try:
@@ -368,10 +436,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 ",".join(f"{host}:{port}" for host, port in addresses)
                 for _group, addresses in sorted(cluster.addresses_by_group.items())
             )
-            print(
-                f"cluster up: groups={args.groups} n={args.n} "
-                f"f={args.f} e={args.e}"
-            )
+            print(f"cluster up: groups={groups} n={n} f={settings.f} e={settings.e}")
             print(f"peers: {peers}")
             print(f"drive it with: python -m repro loadgen --peers '{peers}'")
             print(f"inspect it with: python -m repro stats --peers '{peers}'")
@@ -380,22 +445,21 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         finally:
             await cluster.stop()
 
-    if args.node is None:
+    if settings.node is None:
         run = run_in_process()
+    elif settings.groups != 1:
+        raise _UsageError(
+            "--node runs one single-group process; it cannot combine with "
+            "--groups (boot each group separately instead)"
+        )
+    elif not settings.peers:
+        raise _UsageError("--node requires --peers host:port,... for the full address book")
     else:
-        if args.groups != 1:
+        addresses = parse_address_list(settings.peers)
+        if not 0 <= settings.node < len(addresses):
             raise _UsageError(
-                "--node runs one single-group process; it cannot combine with "
-                "--groups (boot each group separately instead)"
-            )
-        if not args.peers:
-            raise _UsageError(
-                "--node requires --peers host:port,... for the full address book"
-            )
-        addresses = parse_address_list(args.peers)
-        if not 0 <= args.node < len(addresses):
-            raise _UsageError(
-                f"--node {args.node} is not a pid of the {len(addresses)} --peers addresses"
+                f"--node {settings.node} is not a pid of the "
+                f"{len(addresses)} --peers addresses"
             )
         run = run_one(addresses)
     try:
@@ -414,7 +478,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     from .net.stats import describe_cluster_stats, scrape_cluster
 
-    view = asyncio.run(scrape_cluster(_peer_groups(args), timeout=args.timeout))
+    view = asyncio.run(scrape_cluster(_peer_groups(args.peers), timeout=args.timeout))
     if args.json:
         _emit_json(view)
     else:
@@ -458,7 +522,68 @@ def _parse_key_skew(value: Optional[str]) -> Optional[float]:
         raise _UsageError(f"--key-skew expects zipf:<exponent>, got {value!r}")
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
+@dataclass(frozen=True)
+class LoadSettings(_Settings):
+    """``loadgen``: drive a live cluster and report commit latency."""
+
+    peers: str = _option(
+        help="host:port,... of the cluster's nodes; separate per-group lists with "
+        "';' to drive a sharded deployment",
+    )
+    clients: int = _option(
+        4, least=1, recorded=True,
+        help="concurrent load workers, each with its own connection to every group "
+        "(default %(default)s)",
+    )
+    count: int = _option(100, recorded=True, help="total commands")
+    key_skew: Optional[str] = _option(
+        None, recorded=True, metavar="zipf:S",
+        help="Zipf(S) key popularity instead of uniform (e.g. zipf:0.99)",
+    )
+    key_space: int = _option(
+        32, least=1, recorded=True,
+        help="distinct keys key-0..key-<N-1> in the workload's pool (default "
+        "%(default)s, for one group or many)",
+    )
+    put_fraction: float = _option(0.7, recorded=True, help="fraction of puts")
+    seed: int = _option(0, recorded=True, help="workload seed")
+    timeout: float = _option(5.0, help="per-attempt reply timeout")
+    pipeline: int = _option(
+        1, least=1, recorded=True,
+        help="outstanding commands per connection (default %(default)s = closed loop)",
+    )
+    pin_proxy: int = _option(
+        0, recorded=True,
+        help="proxy, within every group, that all pipelined workers target (default "
+        "%(default)s, the Ω leader; -1 spreads workers round-robin; ignored when "
+        "--pipeline 1, where each op keeps its workload-assigned proxy)",
+    )
+    stats: bool = _option(
+        False,
+        help="scrape every node's metrics after the run and merge them into the "
+        "report (fast-path ratio, per-message counters)",
+    )
+    trace_sample: int = _option(
+        0, least=0, recorded=True, metavar="N",
+        help="stamp every Nth command with a trace id and report merged per-command "
+        "critical paths (nodes must run with --trace-sample to record spans; 0 = off)",
+    )
+    json: bool = _option(False, help="emit machine-readable records")
+    record: Optional[str] = _option(
+        None, nargs="?", const="benchmarks/results/loadgen_last.json", metavar="PATH",
+        help="persist the machine-readable run record to PATH (default %(const)s)",
+    )
+
+    def config(self) -> Dict[str, Any]:
+        """The workload a run record names: the ``recorded`` fields."""
+        return {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.metadata["recorded"]
+        }
+
+
+def _cmd_loadgen(settings: LoadSettings) -> int:
     import asyncio
     import pathlib
     import time
@@ -466,30 +591,22 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .net.client import ClientError
     from .net.loadgen import run_loadgen
 
-    for flag, value, least in (
-        ("--clients", args.clients, 1),
-        ("--pipeline", args.pipeline, 1),
-        ("--trace-sample", args.trace_sample, 0),
-        ("--key-space", args.key_space, 1),
-    ):
-        if value < least:
-            raise _UsageError(f"{flag} must be >= {least}, got {value}")
-    key_skew = _parse_key_skew(args.key_skew)
-    groups = _peer_groups(args)
+    key_skew = _parse_key_skew(settings.key_skew)
+    groups = _peer_groups(settings.peers)
     try:
         report = asyncio.run(
             run_loadgen(
                 groups,
-                clients=args.clients,
-                count=args.count,
-                keys=[f"key-{index}" for index in range(args.key_space)],
-                put_fraction=args.put_fraction,
-                seed=args.seed,
-                timeout=args.timeout,
-                pipeline=args.pipeline,
-                pin_proxy=None if args.pin_proxy < 0 else args.pin_proxy,
-                collect_stats=args.stats,
-                trace_sample=args.trace_sample,
+                clients=settings.clients,
+                count=settings.count,
+                keys=[f"key-{index}" for index in range(settings.key_space)],
+                put_fraction=settings.put_fraction,
+                seed=settings.seed,
+                timeout=settings.timeout,
+                pipeline=settings.pipeline,
+                pin_proxy=None if settings.pin_proxy < 0 else settings.pin_proxy,
+                collect_stats=settings.stats,
+                trace_sample=settings.trace_sample,
                 key_skew=key_skew,
             )
         )
@@ -501,30 +618,20 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     payload = {
         "loadgen": report.to_record(),
         "errors": report.errors[:10],
-        "config": {
-            "clients": args.clients,
-            "count": args.count,
-            "key_skew": args.key_skew,
-            "key_space": args.key_space,
-            "pipeline": args.pipeline,
-            "pin_proxy": args.pin_proxy,
-            "put_fraction": args.put_fraction,
-            "seed": args.seed,
-            "trace_sample": args.trace_sample,
-        },
+        "config": settings.config(),
         "unix_time": round(time.time(), 3),
     }
-    if args.record is not None:
+    if settings.record is not None:
         from .storage import atomic_write_text
 
         # Temp-then-rename: a run killed mid-write never leaves a
         # truncated JSON record behind.
         path = atomic_write_text(
-            pathlib.Path(args.record),
+            pathlib.Path(settings.record),
             json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
         )
         print(f"run record written to {path}", file=sys.stderr)
-    if args.json:
+    if settings.json:
         _emit_json(payload)
     else:
         print(report.describe())
@@ -555,7 +662,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
     from .net.top import run_top
 
-    groups = _peer_groups(args)
+    groups = _peer_groups(args.peers)
     try:
         asyncio.run(
             run_top(
@@ -651,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument(
         "--json", action="store_true", help="emit machine-readable records"
     )
-    bounds.set_defaults(fn=_cmd_bounds)
+    bounds.set_defaults(fn=_cmd_experiment, name="e1")
     exp = sub.add_parser("experiment", help="run one experiment (e1..e10)")
     exp.add_argument("name")
     exp.add_argument(
@@ -712,112 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fork-pool shards for the verification-engine section",
     )
     rep.set_defaults(fn=_cmd_report)
-    cluster = sub.add_parser(
-        "cluster", help="boot a live KV cluster over asyncio TCP"
-    )
-    cluster.add_argument("--n", type=int, default=3, help="replicas (default 3)")
-    cluster.add_argument(
-        "--groups",
-        type=int,
-        default=1,
-        help="consensus groups; >1 boots a sharded deployment (--n replicas "
-        "per group, group 0 is the placement-map catalog; default 1). Every "
-        "other flag applies per group",
-    )
-    cluster.add_argument(
-        "--slots",
-        type=int,
-        default=64,
-        help="with --groups >1: hash slots in the placement map (default 64)",
-    )
-    cluster.add_argument("--f", type=int, default=1, help="crash budget (default 1)")
-    cluster.add_argument(
-        "--e", type=int, default=1, help="fast-decision budget (default 1)"
-    )
-    cluster.add_argument(
-        "--delta", type=float, default=0.1, help="Δ in real seconds (default 0.1)"
-    )
-    cluster.add_argument(
-        "--batch",
-        type=int,
-        default=16,
-        help="max commands per consensus slot (default 16; 1 = no batching)",
-    )
-    cluster.add_argument(
-        "--window",
-        type=int,
-        default=8,
-        help="max concurrently open slots per proxy (default 8; 1 = serial)",
-    )
-    cluster.add_argument(
-        "--base-port",
-        type=int,
-        default=9400,
-        help="first port; group g's node i listens on base+g*n+i "
-        "(0 = ephemeral)",
-    )
-    cluster.add_argument(
-        "--duration",
-        type=float,
-        default=None,
-        help="serve for this many seconds then exit (default: until Ctrl-C)",
-    )
-    cluster.add_argument(
-        "--node",
-        type=int,
-        default=None,
-        help="run only this pid of a multi-process deployment (needs --peers)",
-    )
-    cluster.add_argument(
-        "--peers",
-        default=None,
-        help="host:port,... address book for --node mode",
-    )
-    cluster.add_argument(
-        "--trace-sample",
-        type=int,
-        default=None,
-        metavar="N",
-        help="record causal per-command spans, self-sampling every Nth "
-        "sealed slot (0 = adopt client/peer traces only; default: spans "
-        "off entirely)",
-    )
-    cluster.add_argument(
-        "--timeseries",
-        default=None,
-        metavar="DIR",
-        help="append one JSONL metrics row per node per second to "
-        "DIR/node-<pid>.jsonl (DIR/group-<g>/node-<pid>.jsonl with "
-        "several groups) while the cluster runs",
-    )
-    cluster.add_argument(
-        "--log-level",
-        default=None,
-        choices=["debug", "info", "warning", "error"],
-        help="emit runtime logs (node id + pid prefixed) at this level",
-    )
-    cluster.add_argument(
-        "--data-dir",
-        default=None,
-        metavar="DIR",
-        help="journal + snapshot each node under DIR/node-<pid>/ "
-        "(DIR/group-<g>/node-<pid>/ with several groups) and "
-        "recover from it on restart (default: in-memory, crash-stop)",
-    )
-    cluster.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="with --data-dir: skip fsync on WAL group commits (still "
-        "writes through to the OS; survives process crash, not power loss)",
-    )
-    cluster.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=256,
-        help="with --data-dir: snapshot + rotate the WAL every this many "
-        "applied slots (default 256)",
-    )
-    cluster.set_defaults(fn=_cmd_cluster)
+    cluster = sub.add_parser("cluster", help="boot a live KV cluster over asyncio TCP")
+    ClusterSettings.add_to(cluster, _cmd_cluster)
     stats = sub.add_parser(
         "stats", help="scrape a live cluster's metrics and merge them"
     )
@@ -834,85 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the full merged view as JSON"
     )
     stats.set_defaults(fn=_cmd_stats)
-    loadgen = sub.add_parser(
-        "loadgen", help="drive a live cluster and report commit latency"
-    )
-    loadgen.add_argument(
-        "--peers",
-        required=True,
-        help="host:port,... of the cluster's nodes; separate per-group "
-        "lists with ';' to drive a sharded deployment",
-    )
-    loadgen.add_argument(
-        "--clients",
-        type=int,
-        default=4,
-        help="concurrent load workers, each with its own connection to "
-        "every group (default 4)",
-    )
-    loadgen.add_argument("--count", type=int, default=100, help="total commands")
-    loadgen.add_argument(
-        "--key-skew",
-        default=None,
-        metavar="zipf:S",
-        help="Zipf(S) key popularity instead of uniform (e.g. zipf:0.99)",
-    )
-    loadgen.add_argument(
-        "--key-space",
-        type=int,
-        default=32,
-        help="distinct keys key-0..key-<N-1> in the workload's pool "
-        "(default 32, for one group or many)",
-    )
-    loadgen.add_argument(
-        "--put-fraction", type=float, default=0.7, help="fraction of puts"
-    )
-    loadgen.add_argument("--seed", type=int, default=0, help="workload seed")
-    loadgen.add_argument(
-        "--timeout", type=float, default=5.0, help="per-attempt reply timeout"
-    )
-    loadgen.add_argument(
-        "--pipeline",
-        type=int,
-        default=1,
-        help="outstanding commands per connection (default 1 = closed loop)",
-    )
-    loadgen.add_argument(
-        "--pin-proxy",
-        type=int,
-        default=0,
-        help="proxy, within every group, that all pipelined workers target "
-        "(default 0, the Ω leader; -1 spreads workers round-robin; ignored "
-        "when --pipeline 1, where each op keeps its workload-assigned proxy)",
-    )
-    loadgen.add_argument(
-        "--stats",
-        action="store_true",
-        help="scrape every node's metrics after the run and merge them "
-        "into the report (fast-path ratio, per-message counters)",
-    )
-    loadgen.add_argument(
-        "--trace-sample",
-        type=int,
-        default=0,
-        metavar="N",
-        help="stamp every Nth command with a trace id and report merged "
-        "per-command critical paths (nodes must run with --trace-sample "
-        "to record spans; 0 = off)",
-    )
-    loadgen.add_argument(
-        "--json", action="store_true", help="emit machine-readable records"
-    )
-    loadgen.add_argument(
-        "--record",
-        nargs="?",
-        const="benchmarks/results/loadgen_last.json",
-        default=None,
-        metavar="PATH",
-        help="persist the machine-readable run record to PATH "
-        "(default benchmarks/results/loadgen_last.json)",
-    )
-    loadgen.set_defaults(fn=_cmd_loadgen)
+    loadgen = sub.add_parser("loadgen", help="drive a live cluster and report commit latency")
+    LoadSettings.add_to(loadgen, _cmd_loadgen)
     top = sub.add_parser(
         "top", help="live refreshing per-node throughput/latency dashboard"
     )

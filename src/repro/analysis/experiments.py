@@ -914,13 +914,7 @@ def e10_smr_rows(
         deployment = None
         latency = FixedLatency(1.0)
         delta = 1.0
-    factory = smr_factory(
-        f,
-        e,
-        delta=delta,
-        omega_factory=static_omega_factory(0),
-        consensus_config=TwoStepConfig(f=f, e=e, delta=delta, is_object=True),
-    )
+    factory = smr_factory(f, e, delta=delta)
     ops = put_get_workload(
         commands,
         keys=["alpha", "beta", "gamma"],
@@ -1019,15 +1013,7 @@ def e10_smr_comparison_rows(
         return outcome.commit_latency
 
     # Figure 1 object SMR (leaderless fast path).
-    latencies = run_workload(
-        smr_factory(
-            f,
-            e,
-            delta=delta,
-            omega_factory=static_omega_factory(0),
-            consensus_config=TwoStepConfig(f=f, e=e, delta=delta, is_object=True),
-        )
-    )
+    latencies = run_workload(smr_factory(f, e, delta=delta))
     summary = summarize(list(latencies.values()))
     rows.append(
         {

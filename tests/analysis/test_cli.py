@@ -1,5 +1,6 @@
 """Tests for the `python -m repro` command-line interface."""
 
+import argparse
 import asyncio
 import contextlib
 import json
@@ -9,10 +10,12 @@ import socket
 import subprocess
 import sys
 import threading
+import types
+from dataclasses import fields
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import ClusterSettings, LoadSettings, build_parser, main
 from repro.net.cluster import LocalCluster
 from repro.net.codec import MessageCodec
 from repro.net.loadgen import run_loadgen
@@ -168,13 +171,54 @@ class TestClusterCli:
         assert excinfo.value.code == 2
         assert "--trace" in capsys.readouterr().err
 
-    def test_loadgen_parser_defaults(self):
-        args = build_parser().parse_args(
-            ["loadgen", "--peers", "127.0.0.1:9400,127.0.0.1:9401"]
-        )
-        assert args.clients == 4
-        assert args.count == 100
-        assert args.json is False
+    @pytest.mark.parametrize(
+        "settings_cls, required, pinned, recorded",
+        [
+            (ClusterSettings, {}, {"n": 3, "base_port": 9400}, set()),
+            (
+                LoadSettings,
+                {"peers": "127.0.0.1:9400,127.0.0.1:9401"},
+                {"clients": 4, "count": 100, "json": False},
+                {
+                    "clients", "count", "key_skew", "key_space", "pipeline",
+                    "pin_proxy", "put_fraction", "seed", "trace_sample",
+                },
+            ),
+        ],
+        ids=["cluster", "loadgen"],
+    )
+    def test_settings_parser_defaults(
+        self, settings_cls, required, pinned, recorded, monkeypatch, capsys
+    ):
+        command = "cluster" if settings_cls is ClusterSettings else "loadgen"
+        argv = [command] + [arg for k, v in required.items() for arg in (f"--{k}", v)]
+        parser = build_parser()
+        # The minimal argv parses to the settings class's own defaults.
+        defaults = settings_cls(**required)
+        assert settings_cls.from_args(parser.parse_args(argv)) == defaults
+        assert {name: getattr(defaults, name) for name in pinned} == pinned
+        # Every field is exactly one flag, and every flag is a field.
+        (subparsers,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        flags = [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+        assert [a.option_strings for a in flags] == [
+            ["--" + spec.name.replace("_", "-")] for spec in fields(settings_cls)
+        ]
+        assert [a.dest for a in flags] == [spec.name for spec in fields(settings_cls)]
+        assert {
+            spec.name for spec in fields(settings_cls) if spec.metadata["recorded"]
+        } == recorded
+        if not recorded:
+            return
+        # loadgen --json records exactly the recorded fields as its config.
+        async def no_run(groups, **kwargs):
+            return types.SimpleNamespace(to_record=dict, errors=[], failed=0)
+
+        monkeypatch.setattr("repro.net.loadgen.run_loadgen", no_run)
+        assert main(argv + ["--json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config == {name: getattr(defaults, name) for name in recorded}
 
 
 def _factory():

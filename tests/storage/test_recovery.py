@@ -221,8 +221,8 @@ def _reregistered():
 
 
 class TestPersisterCycle:
-    #: ``TestPersisterCycleBinary`` reruns every test on a codec whose
-    #: registry was filled in reverse order.
+    #: ``TestPersisterCycleReversedRegistry`` reruns every test on a codec
+    #: whose registry was filled in reverse order.
     codec = CODEC
 
     def test_journal_crash_recover_rebuilds_the_store(self, tmp_path):
@@ -342,7 +342,7 @@ class TestPersisterCycle:
         assert _persister(tmp_path, b, codec=self.codec).recover().replayed_entries == 2
 
 
-class TestPersisterCycleBinary(TestPersisterCycle):
+class TestPersisterCycleReversedRegistry(TestPersisterCycle):
     """Every test again on a codec whose registry was filled in another
     order: neither its type ids nor its stamp may depend on that."""
 
