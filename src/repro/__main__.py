@@ -170,16 +170,16 @@ def _task_config(n: int, f: int, e: int):
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .bounds.driver import fuzz_campaign
+    from .bounds.search import fuzz_safety
     from .protocols.twostep import twostep_task_factory
 
     proposals = {pid: pid % 3 for pid in range(args.n)}
     config = _task_config(args.n, args.f, args.e)
-    result = fuzz_campaign(
+    result = fuzz_safety(
         lambda seed: twostep_task_factory(proposals, args.f, args.e, config=config),
         args.n,
         args.f,
-        schedules=args.schedules,
+        seeds=range(args.schedules),
         proposals=proposals,
         steps=args.steps,
         workers=args.workers,

@@ -19,6 +19,7 @@ from ..bounds.formulas import (
     min_processes_object,
     min_processes_task,
 )
+from ..bounds.search import fuzz_safety
 from ..bounds.witness_object import object_lower_bound_witness
 from ..bounds.witness_task import task_lower_bound_witness
 from ..checks.builders import (
@@ -149,20 +150,19 @@ def e2_fuzz_rows(
     campaign throughput. ``workers`` shards the seed range across a fork
     pool — the verdict columns are identical for any worker count.
     """
-    from ..bounds.driver import fuzz_campaign
     from ..protocols.twostep import twostep_task_factory
 
     rows: List[Dict[str, object]] = []
     for f, e in configs:
         n = min_processes_task(f, e)
         proposals = {pid: pid % 3 for pid in range(n)}
-        result = fuzz_campaign(
+        result = fuzz_safety(
             lambda seed, proposals=proposals, f=f, e=e: twostep_task_factory(
                 proposals, f, e, omega_factory=static_omega_factory(0)
             ),
             n,
             f,
-            schedules=schedules,
+            seeds=range(schedules),
             proposals=proposals,
             steps=steps,
             workers=workers,
@@ -190,7 +190,6 @@ def verification_engine_summary(
     :class:`~repro.bounds.search.FuzzResult` (both carrying ``metrics``)
     so the report can render throughput, dedup rate, and worker breakdown.
     """
-    from ..bounds.driver import fuzz_campaign
     from ..checks.explore import explore
     from ..protocols.twostep import twostep_task_factory
 
@@ -204,13 +203,13 @@ def verification_engine_summary(
 
     n, f, e = 6, 2, 2
     fuzz_proposals = {pid: pid % 3 for pid in range(n)}
-    fuzz = fuzz_campaign(
+    fuzz = fuzz_safety(
         lambda seed: twostep_task_factory(
             fuzz_proposals, f, e, omega_factory=static_omega_factory(0)
         ),
         n,
         f,
-        schedules=60 if quick else 300,
+        seeds=range(60 if quick else 300),
         proposals=fuzz_proposals,
         workers=workers,
     )
@@ -808,17 +807,15 @@ def e9_ablation_rows(
             "trials": trials,
         }
         if fuzz_schedules > 0:
-            from ..bounds.driver import fuzz_campaign
-
             builder = twostep_task_builder(f, e, config=config)
             proposals = {pid: pid % 3 for pid in range(n)}
-            fuzz = fuzz_campaign(
+            fuzz = fuzz_safety(
                 lambda s, builder=builder, proposals=proposals: builder(
                     proposals, frozenset()
                 ),
                 n,
                 f,
-                schedules=fuzz_schedules,
+                seeds=range(fuzz_schedules),
                 proposals=proposals,
                 workers=workers,
             )

@@ -14,7 +14,6 @@ from .formulas import (
     min_processes_object,
     min_processes_task,
 )
-from .driver import fuzz_campaign
 from .search import FuzzResult, fuzz_safety, random_adversarial_run
 from .witness_object import (
     ObjectPartition,
@@ -40,7 +39,6 @@ __all__ = [
     "default_object_partition",
     "default_task_partition",
     "epaxos_fast_threshold",
-    "fuzz_campaign",
     "fuzz_safety",
     "interesting_configurations",
     "max_e_lamport",

@@ -125,41 +125,3 @@ def drive_continuation(
     raise SchedulerError(
         f"continuation did not converge within {max_iterations} iterations"
     )
-
-
-def flush_to(arena: Arena, receivers: Iterable[ProcessId], senders: Iterable[ProcessId]) -> int:
-    """Deliver all pending messages between the given groups (any kind)."""
-    return deliver_batch(arena, receivers, senders, kind=None)
-
-
-def fuzz_campaign(
-    factory_for_seed,
-    n: int,
-    f: int,
-    schedules: int = 150,
-    proposals=None,
-    injections_for_seed=None,
-    steps: int = 400,
-    workers: int = 1,
-    seed_base: int = 0,
-):
-    """Campaign-level wrapper around :func:`repro.bounds.search.fuzz_safety`.
-
-    The entry point experiments and the CLI share: a contiguous seed range
-    (``seed_base .. seed_base + schedules``), the ``workers`` knob passed
-    straight through, and the instrumented :class:`FuzzResult` back. Seeds
-    are explicit so two campaigns with the same arguments are comparable
-    run-to-run regardless of worker count.
-    """
-    from .search import fuzz_safety
-
-    return fuzz_safety(
-        factory_for_seed,
-        n,
-        f,
-        seeds=range(seed_base, seed_base + schedules),
-        proposals=proposals,
-        injections_for_seed=injections_for_seed,
-        steps=steps,
-        workers=workers,
-    )

@@ -15,17 +15,17 @@ A schedule ends early once every live process has decided — in the
 crash-stop model decisions are final and further deliveries cannot add
 decide records, so the post-decision suffix carries no signal.
 
-Campaigns can shard their seed list across a ``multiprocessing`` fork
-pool (``workers=``). Sharding is round-robin by position and the merge is
-deterministic: ``fuzz_safety(..., workers=k)`` returns a result identical
-to the serial one on the same seed list, whatever ``k``.
+A campaign is one code path at any worker count: its seed list is split
+round-robin by position into ``workers`` shards, run over the one fork
+runner (:func:`repro.verify.run_shards`; ``workers=1`` is the same shard
+code, in-process), and the merge is deterministic:
+``fuzz_safety(..., workers=k)`` returns the same result on the same seed
+list, whatever ``k``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
@@ -34,7 +34,8 @@ from ..core.runs import Run
 from ..core.specs import Violation, check_agreement, check_validity
 from ..core.values import MaybeValue
 from ..sim.arena import Arena
-from ..verify.metrics import MetricsRecorder, VerificationMetrics, WorkerMetrics
+from ..verify.metrics import MetricsRecorder, VerificationMetrics
+from ..verify.runner import run_shards
 
 #: Sentinel distinguishing "message has no .value attribute" from
 #: "message.value is None".
@@ -144,24 +145,21 @@ def random_adversarial_run(
 
 
 # ----------------------------------------------------------------------
-# Campaign driver (serial core + fork-pool sharding).
+# Campaigns: round-robin shards of the seed list over one runner.
 # ----------------------------------------------------------------------
 
-#: Pre-fork campaign spec, inherited by workers via fork (the factory and
-#: injection callables are closures — inheritance sidesteps pickling).
-_FUZZ_SPEC: Optional[dict] = None
 
+def _fuzz_shard(spec: dict, index: int):
+    """Run every ``workers``-th schedule of the seed list from *index*.
 
-def _run_positions(spec: dict, positions: Sequence[int]):
-    """Run the schedules at *positions* of the seed list; collect verdicts.
-
-    Returns ``(count, violations)`` where each violation entry is
-    ``(position, seed, violations, run_or_None)`` — the run is kept only
-    for the lowest violating position (all a merge can ever surface).
+    Returns ``(found, metrics)``; each ``found`` entry is ``(position,
+    seed, violations, run_or_None)`` — the run is kept only for the
+    shard's lowest violating position (all a merge can ever surface).
     """
+    recorder = MetricsRecorder("fuzz")
     seeds = spec["seeds"]
     injections_for_seed = spec["injections_for_seed"]
-    count = 0
+    positions = range(index, len(seeds), spec["workers"])
     found: List[Tuple[int, int, List[Violation], Optional[Run]]] = []
     for position in positions:
         seed = seeds[position]
@@ -175,41 +173,27 @@ def _run_positions(spec: dict, positions: Sequence[int]):
             injections=injections,
             steps=spec["steps"],
         )
-        count += 1
         violations = check_agreement(run) + check_validity(run)
         if violations:
             found.append((position, seed, violations, run if not found else None))
-    return count, found
+    recorder.units = len(positions)
+    return found, recorder.finish()
 
 
-def _fuzz_shard(worker_index: int):
-    """Pool target: run this worker's round-robin share of the seed list."""
-    spec = _FUZZ_SPEC
-    started = time.perf_counter()
-    count, found = _run_positions(
-        spec, range(worker_index, len(spec["seeds"]), spec["workers"])
-    )
-    return worker_index, count, time.perf_counter() - started, found
-
-
-def _merge_fuzz(parts, recorder: MetricsRecorder, workers: int) -> FuzzResult:
+def _merge_fuzz(parts, recorder: MetricsRecorder) -> FuzzResult:
     """Deterministically merge shard outputs (order = seed-list position)."""
-    per_worker = [
-        WorkerMetrics(worker=index, units=count, seconds=seconds)
-        for index, count, seconds, _ in sorted(parts, key=lambda part: part[0])
-    ]
     all_found = sorted(
-        (entry for _, _, _, found in parts for entry in found),
+        (entry for found, _ in parts for entry in found),
         key=lambda entry: entry[0],
     )
-    result = FuzzResult(schedules_run=sum(count for _, count, _, _ in parts))
+    result = FuzzResult(schedules_run=sum(metrics.units for _, metrics in parts))
     recorder.units = result.schedules_run
     for position, seed, violations, run in all_found:
         result.violating_seeds.append(seed)
         if result.first_violation is None:
             result.first_violation = violations
             result.first_violating_run = run
-    result.metrics = recorder.finish(workers=workers, per_worker=per_worker)
+    result.metrics = recorder.merge([metrics for _, metrics in parts])
     return result
 
 
@@ -229,14 +213,13 @@ def fuzz_safety(
     must not leak between runs). Termination is deliberately not checked:
     random schedules are not fair.
 
-    ``workers > 1`` shards the seed list round-robin across a fork pool.
+    The seed list is split round-robin into ``workers`` shards, run by
+    :func:`repro.verify.run_shards` (a fork pool above one worker).
     Each schedule is a pure function of its seed, so the merged result is
-    identical to the serial one: same ``violating_seeds`` order (seed-list
-    order), same first violation. Falls back to serial where fork is
-    unavailable. ``result.metrics`` carries throughput and the per-worker
-    breakdown.
+    the same at any worker count: same ``violating_seeds`` order
+    (seed-list order), same first violation. ``result.metrics`` carries
+    throughput and the per-worker breakdown.
     """
-    global _FUZZ_SPEC
     seeds = list(seeds)
     recorder = MetricsRecorder("fuzz")
     spec = {
@@ -249,24 +232,4 @@ def fuzz_safety(
         "steps": steps,
         "workers": max(1, min(workers, len(seeds))),
     }
-    if spec["workers"] > 1:
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-fork platform
-            context = None
-        if context is not None:
-            _FUZZ_SPEC = spec
-            try:
-                with context.Pool(spec["workers"]) as pool:
-                    parts = pool.map(_fuzz_shard, range(spec["workers"]))
-            except OSError:  # pragma: no cover - fork denied at runtime
-                parts = None
-            finally:
-                _FUZZ_SPEC = None
-            if parts is not None:
-                return _merge_fuzz(parts, recorder, spec["workers"])
-
-    started = time.perf_counter()
-    count, found = _run_positions(spec, range(len(seeds)))
-    part = (0, count, time.perf_counter() - started, found)
-    return _merge_fuzz([part], recorder, 1)
+    return _merge_fuzz(run_shards(_fuzz_shard, spec, spec["workers"]), recorder)

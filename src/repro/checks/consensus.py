@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import zlib
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence
 
@@ -45,11 +46,14 @@ def shuffled_delivery(seed: int) -> DeliveryPriority:
 
     The priority of a message depends only on (seed, sender, receiver,
     kind), so the schedule is reproducible while differing across seeds —
-    enough to shake out order dependence without true randomness.
+    enough to shake out order dependence without true randomness. It is a
+    CRC of that tuple's text, not ``hash()``: a ``str`` hash changes with
+    ``PYTHONHASHSEED``, and the order must not.
     """
 
     def priority(sender: ProcessId, receiver: ProcessId, message) -> int:
-        return hash((seed, sender, receiver, message.kind)) % 997
+        key = repr((seed, sender, receiver, message.kind))
+        return zlib.crc32(key.encode()) % 997
 
     return priority
 

@@ -35,11 +35,16 @@ Within those bounds a clean report is a *proof* of safety for the given
 configuration, not a statistical claim — the strongest form of evidence
 this library offers below a paper proof.
 
-With ``workers > 1`` the root's independent branches are sharded across a
-forked worker pool. Sharded search is equally sound (every schedule is
-still covered) but shards do not share visited sets, so states common to
-several root branches are re-explored; ``states_visited`` then counts work
-performed rather than distinct states.
+There is one search path at any worker count: the root's branches are
+split round-robin into ``workers`` shards (:func:`_explore_shard`), run
+by :func:`repro.verify.run_shards` — a forked pool above one worker, and
+``workers=1`` is the same shard code, in-process. Every shard counts the
+root inside its own state cap and the merge counts it once, so one
+worker reads exactly the single-search figures. Sharded search is
+equally sound (every schedule is still covered) but shards do not share
+visited sets, so states common to several root branches are re-explored;
+``states_visited`` then counts work performed rather than distinct
+states.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ from ..core.errors import SchedulerError
 from ..core.messages import Message
 from ..core.process import CLIENT, Context, Process, ProcessFactory, ProcessId
 from ..core.values import BOTTOM, MaybeValue, is_bottom
-from ..verify.metrics import MetricsRecorder, VerificationMetrics, WorkerMetrics
+from ..verify.metrics import MetricsRecorder, VerificationMetrics
+from ..verify.runner import run_shards
 
 #: Leaf types rendered as themselves (hashable, comparable within a type).
 _LEAF_TYPES = (int, float, str, bool, bytes)
@@ -272,6 +278,23 @@ class ExplorationReport:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class _Search:
+    """One exploration's inputs and bounds: all a shard needs to rebuild
+    the root and search its share (see :func:`explore`)."""
+
+    factory: ProcessFactory
+    n: int
+    allowed: Set[MaybeValue]
+    budget: int  # crash actions per schedule
+    ballot_bound: int
+    max_states: int  # per shard, the root included
+    timer_fires: int
+    injections: Optional[Sequence[Tuple[ProcessId, Message]]]
+    prefix: Optional[Sequence[Tuple[str, Tuple]]]
+    workers: int
+
+
 def _ballot_of(process: Process) -> int:
     return getattr(process, "bal", getattr(process, "ballot", 0))
 
@@ -303,23 +326,17 @@ def _apply_prefix_step(world: _World, step: Tuple[str, Tuple]) -> None:
     raise SchedulerError(f"unknown prefix step kind {kind!r}")
 
 
-def _build_root(
-    factory: ProcessFactory,
-    n: int,
-    timer_fires: int,
-    injections: Optional[Sequence[Tuple[ProcessId, Message]]],
-    prefix: Optional[Sequence[Tuple[str, Tuple]]],
-    engine: _SignatureEngine,
-) -> _World:
+def _build_root(search: _Search, engine: _SignatureEngine) -> _World:
     # Root activations mutate in place: the root is not shared with any
     # other world until the first fork.
-    root = _World([factory(pid, n) for pid in range(n)], engine)
-    root.timer_fires_left = {pid: timer_fires for pid in range(n)}
+    n = search.n
+    root = _World([search.factory(pid, n) for pid in range(n)], engine)
+    root.timer_fires_left = {pid: search.timer_fires for pid in range(n)}
     for pid in range(n):
         root.processes[pid].on_start(_WorldContext(root, pid))
-    for pid, message in injections or []:
+    for pid, message in search.injections or []:
         root.processes[pid].on_message(_WorldContext(root, pid), CLIENT, message)
-    for step in prefix or []:
+    for step in search.prefix or []:
         _apply_prefix_step(root, step)
     return root
 
@@ -338,7 +355,7 @@ def _check_safety(
     return None
 
 
-def _expand(world: _World, budget: int, n: int) -> List[Tuple[_World, Action]]:
+def _expand(world: _World, search: _Search) -> List[Tuple[_World, Action]]:
     """All successor states of *world*, in deterministic push order.
 
     Every enabled action branches. A per-process partial-order reduction
@@ -377,8 +394,8 @@ def _expand(world: _World, budget: int, n: int) -> List[Tuple[_World, Action]]:
         child.activate_copy(pid).on_timer(_WorldContext(child, pid), name)
         children.append((child, Action("fire", f"p{pid}: {name}")))
 
-    if len(world.crashed) < budget:
-        for pid in range(n):
+    if len(world.crashed) < search.budget:
+        for pid in range(search.n):
             if pid in world.crashed:
                 continue
             child = world.fork()
@@ -390,219 +407,76 @@ def _expand(world: _World, budget: int, n: int) -> List[Tuple[_World, Action]]:
     return children
 
 
-def _dfs(
-    stack: List[Tuple[_World, Tuple[Action, ...]]],
-    visited: Set[Tuple],
-    allowed: Set[MaybeValue],
-    budget: int,
-    n: int,
-    ballot_bound: int,
-    max_states: int,
-    recorder: MetricsRecorder,
-) -> ExplorationReport:
-    """The sequential search core; *stack*/*visited* are pre-seeded."""
+def _explore_shard(search: _Search, index: int) -> ExplorationReport:
+    """Shard *index* of ``search.workers``: the depth-first search from the
+    root, keeping only the root branches at positions ``index``,
+    ``index + workers``, ... of :func:`_expand`'s order.
+
+    Every shard pops, checks and counts the root inside its own state cap.
+    It marks every root branch visited, so a deeper state equal to another
+    shard's branch is left to that shard; only the owner counts a branch's
+    dedup check. Shards share no visited set below the root: states
+    reachable from several root branches are re-explored.
+    """
+    recorder = MetricsRecorder("explore")
+    root = _build_root(search, _SignatureEngine())
+    allowed, ballot_bound = search.allowed, search.ballot_bound
+    max_states, workers = search.max_states, search.workers
+    # DFS stack: (world, action-trail). Deduplication happens at *push*
+    # time (children whose signature was already seen are never stacked),
+    # keeping the stack linear in the number of distinct states rather
+    # than in the number of edges.
+    visited: Set[Tuple] = {root.signature()}
+    stack: List[Tuple[_World, Tuple[Action, ...]]] = [(root, ())]
     states = 0
     dedup_checks = 0
     dedup_hits = 0
     max_frontier = 0
     max_depth = 0
-    try:
-        while stack:
-            world, trail = stack.pop()
-            states += 1
-            if len(trail) > max_depth:
-                max_depth = len(trail)
-
-            violation = _check_safety(world, allowed)
-            if violation is not None:
-                return ExplorationReport(
-                    states_visited=states,
-                    exhaustive=False,
-                    violation=violation[1],
-                    counterexample=list(trail),
-                )
-            # The state cap is checked *after* the safety checks: the
-            # state that hits the cap has been popped and must not escape
-            # unchecked (nor be dropped from the count).
-            if states > max_states:
-                return ExplorationReport(states_visited=states, exhaustive=False)
-
-            if any(_ballot_of(p) > ballot_bound for p in world.processes):
-                continue  # ballot pruning
-
-            for child, action in _expand(world, budget, n):
-                child_signature = child.signature()
-                dedup_checks += 1
-                if child_signature in visited:
-                    dedup_hits += 1
-                    continue
-                visited.add(child_signature)
-                stack.append((child, trail + (action,)))
-            if len(stack) > max_frontier:
-                max_frontier = len(stack)
-
-        return ExplorationReport(states_visited=states, exhaustive=True)
-    finally:
-        recorder.units = states
-        recorder.dedup_checks += dedup_checks
-        recorder.dedup_hits += dedup_hits
-        recorder.note_frontier(max_frontier)
-        recorder.note_depth(max_depth)
-
-
-# ----------------------------------------------------------------------
-# Work-sharded exploration: the worker side.
-#
-# Factories are closures in practice, so worker processes cannot receive
-# them through a pickle channel; the spec is parked in a module global
-# immediately before the (fork-context) pool is created and inherited by
-# the forked children. Each worker deterministically rebuilds the root,
-# re-derives the root's children, and explores its round-robin share.
-# ----------------------------------------------------------------------
-
-_SHARD_SPEC: Dict[str, object] = {}
-
-
-def _explore_shard(worker_index: int):
-    spec = _SHARD_SPEC
-    engine = _SignatureEngine()
-    recorder = MetricsRecorder("explore")
-    root = _build_root(
-        spec["factory"],
-        spec["n"],
-        spec["timer_fires"],
-        spec["injections"],
-        spec["prefix"],
-        engine,
-    )
-    root_signature = root.signature()
-    children = _expand(root, spec["budget"], spec["n"])
-    visited: Set[Tuple] = {root_signature}
-    stack: List[Tuple[_World, Tuple[Action, ...]]] = []
-    first_child_index: Optional[int] = None
-    for index, (child, action) in enumerate(children):
-        child_signature = child.signature()
-        if child_signature in visited:
-            continue
-        visited.add(child_signature)
-        if index % spec["workers"] != worker_index:
-            continue
-        if first_child_index is None:
-            first_child_index = index
-        stack.append((child, (action,)))
-    report = _dfs(
-        stack,
-        visited,
-        spec["allowed"],
-        spec["budget"],
-        spec["n"],
-        spec["ballot_bound"],
-        spec["max_states"],
-        recorder,
-    )
-    return (
-        worker_index,
-        first_child_index,
-        report,
-        recorder.units,
-        recorder.dedup_checks,
-        recorder.dedup_hits,
-        recorder.max_frontier,
-        recorder.max_depth,
-        recorder.elapsed(),
-    )
-
-
-def _sharded_explore(
-    factory: ProcessFactory,
-    n: int,
-    allowed: Set[MaybeValue],
-    budget: int,
-    ballot_bound: int,
-    max_states: int,
-    timer_fires: int,
-    injections: Optional[Sequence[Tuple[ProcessId, Message]]],
-    prefix: Optional[Sequence[Tuple[str, Tuple]]],
-    workers: int,
-    recorder: MetricsRecorder,
-) -> Optional[ExplorationReport]:
-    """Run the search across a forked pool; ``None`` = fall back to serial."""
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    engine = _SignatureEngine()
-    root = _build_root(factory, n, timer_fires, injections, prefix, engine)
-    recorder.units = 1
-    violation = _check_safety(root, allowed)
-    if violation is not None:
-        return ExplorationReport(
-            states_visited=1,
-            exhaustive=False,
-            violation=violation[1],
-            counterexample=[],
-            metrics=recorder.finish(workers=1),
-        )
-    spec = {
-        "factory": factory,
-        "n": n,
-        "timer_fires": timer_fires,
-        "injections": injections,
-        "prefix": prefix,
-        "allowed": allowed,
-        "budget": budget,
-        "ballot_bound": ballot_bound,
-        "max_states": max_states,
-        "workers": workers,
-    }
-    _SHARD_SPEC.clear()
-    _SHARD_SPEC.update(spec)
-    context = multiprocessing.get_context("fork")
-    try:
-        with context.Pool(workers) as pool:
-            results = pool.map(_explore_shard, range(workers))
-    finally:
-        _SHARD_SPEC.clear()
-    results.sort(key=lambda item: item[0])
-
-    total_states = 1  # the root
     exhaustive = True
-    best: Optional[Tuple[int, ExplorationReport]] = None
-    per_worker: List[WorkerMetrics] = []
-    for (
-        worker_index,
-        first_child_index,
-        report,
-        units,
-        dedup_checks,
-        dedup_hits,
-        max_frontier,
-        max_depth,
-        seconds,
-    ) in results:
-        total_states += report.states_visited
-        exhaustive = exhaustive and report.exhaustive
-        recorder.dedup_checks += dedup_checks
-        recorder.dedup_hits += dedup_hits
-        recorder.max_frontier = max(recorder.max_frontier, max_frontier)
-        recorder.max_depth = max(recorder.max_depth, max_depth)
-        per_worker.append(WorkerMetrics(worker=worker_index, units=units, seconds=seconds))
-        if report.violation is not None and first_child_index is not None:
-            if best is None or first_child_index < best[0]:
-                best = (first_child_index, report)
-    recorder.units = total_states
-    metrics = recorder.finish(workers=workers, per_worker=per_worker)
-    if best is not None:
-        chosen = best[1]
-        return ExplorationReport(
-            states_visited=total_states,
-            exhaustive=False,
-            violation=chosen.violation,
-            counterexample=chosen.counterexample,
-            metrics=metrics,
-        )
+    violation: Optional[str] = None
+    counterexample: List[Action] = []
+    while stack:
+        world, trail = stack.pop()
+        states += 1
+        if len(trail) > max_depth:
+            max_depth = len(trail)
+
+        found = _check_safety(world, allowed)
+        if found is not None:
+            exhaustive, violation, counterexample = False, found[1], list(trail)
+            break
+        # The state cap is checked *after* the safety checks: the state
+        # that hits the cap has been popped and must not escape unchecked
+        # (nor be dropped from the count).
+        if states > max_states:
+            exhaustive = False
+            break
+
+        if any(_ballot_of(p) > ballot_bound for p in world.processes):
+            continue  # ballot pruning
+
+        for position, (child, action) in enumerate(_expand(world, search)):
+            child_signature = child.signature()
+            if not trail and position % workers != index:
+                visited.add(child_signature)  # another shard's root branch
+                continue
+            dedup_checks += 1
+            if child_signature in visited:
+                dedup_hits += 1
+                continue
+            visited.add(child_signature)
+            stack.append((child, trail + (action,)))
+        if len(stack) > max_frontier:
+            max_frontier = len(stack)
+
+    recorder.units = states
+    recorder.dedup_checks = dedup_checks
+    recorder.dedup_hits = dedup_hits
+    recorder.max_frontier = max_frontier
+    recorder.max_depth = max_depth
     return ExplorationReport(
-        states_visited=total_states, exhaustive=exhaustive, metrics=metrics
+        states, exhaustive, violation, counterexample, metrics=recorder.finish()
     )
 
 
@@ -628,9 +502,9 @@ def explore(
     bounds the *total* timer expirations per schedule — each expiry can
     open a new ballot, and unbounded ballots mean an unbounded state
     space; safety violations surface within the first couple (Appendix B
-    needs exactly one). ``workers > 1`` shards the root's branches across
-    a forked pool (``max_states`` then applies per shard; see the module
-    docstring for the accounting caveat).
+    needs exactly one). ``workers`` shards the root's branches (a forked
+    pool when above 1; ``max_states`` then applies per shard; see the
+    module docstring for the accounting caveat).
     """
     allowed = {v for v in (proposals or {}).values() if not is_bottom(v)}
     allowed |= {
@@ -638,43 +512,30 @@ def explore(
         for _, message in (injections or [])
         if hasattr(message, "value")
     }
-    budget = f if max_crashes is None else max_crashes
-
-    recorder = MetricsRecorder("explore")
-    if workers > 1:
-        report = _sharded_explore(
-            factory,
-            n,
-            allowed,
-            budget,
-            ballot_bound,
-            max_states,
-            timer_fires,
-            injections,
-            prefix,
-            workers,
-            recorder,
-        )
-        if report is not None:
-            return report
-
-    engine = _SignatureEngine()
-    root = _build_root(factory, n, timer_fires, injections, prefix, engine)
-    visited: Set[Tuple] = {root.signature()}
-    # DFS stack: (world, action-trail). Deduplication happens at *push*
-    # time (children whose signature was already seen are never stacked),
-    # keeping the stack linear in the number of distinct states rather
-    # than in the number of edges.
-    stack: List[Tuple[_World, Tuple[Action, ...]]] = [(root, ())]
-    report = _dfs(
-        stack,
-        visited,
-        allowed,
-        budget,
-        n,
-        ballot_bound,
-        max_states,
-        recorder,
+    search = _Search(
+        factory=factory,
+        n=n,
+        allowed=allowed,
+        budget=f if max_crashes is None else max_crashes,
+        ballot_bound=ballot_bound,
+        max_states=max_states,
+        timer_fires=timer_fires,
+        injections=injections,
+        prefix=prefix,
+        workers=max(1, workers),
     )
-    report.metrics = recorder.finish(workers=1)
-    return report
+    recorder = MetricsRecorder("explore")
+    shards = run_shards(_explore_shard, search, search.workers)
+    # Every shard counted the root; the campaign counts it once.
+    recorder.units = sum(shard.states_visited for shard in shards) - len(shards) + 1
+    metrics = recorder.merge([shard.metrics for shard in shards])
+    # The lowest violating shard reports, so the verdict is the same run
+    # to run; a safe campaign takes shard 0's empty counterexample.
+    first = next((shard for shard in shards if not shard.safe), shards[0])
+    return ExplorationReport(
+        states_visited=recorder.units,
+        exhaustive=all(shard.exhaustive for shard in shards),
+        violation=first.violation,
+        counterexample=first.counterexample,
+        metrics=metrics,
+    )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
-from ..obs.export import _histogram_percentile
+from ..obs.registry import Histogram, fast_path_ratio
 from .codec import MessageCodec
 from .transport import Address
 from .stats import scrape_cluster
@@ -30,7 +30,8 @@ def _hist(snapshot: Mapping[str, Any], name: str) -> Mapping[str, Any]:
 
 
 def _pct(snapshot: Mapping[str, Any], name: str, q: float) -> Optional[float]:
-    return _histogram_percentile(snapshot.get("histograms", {}), name, q)
+    payload = _hist(snapshot, name)
+    return Histogram.from_dict(payload).percentile(q) if payload else None
 
 
 def _ms(value: Optional[float]) -> str:
@@ -48,14 +49,6 @@ def _node_rate(
         return None
     before = _hist(prev, "smr.commit_seconds").get("count", 0)
     return max(0, now - before) / dt
-
-
-def _fast_ratio(snapshot: Mapping[str, Any]) -> Optional[float]:
-    counters = snapshot.get("counters", {})
-    fast = counters.get("consensus.decisions_fast", 0)
-    slow = counters.get("consensus.decisions_slow", 0)
-    total = fast + slow
-    return fast / total if total else None
 
 
 def render_top(
@@ -86,7 +79,7 @@ def render_top(
         if rate is not None:
             total_rate += rate
             saw_rate = True
-        ratio = _fast_ratio(snapshot)
+        ratio = fast_path_ratio(snapshot)
         outbox = max(
             (
                 value

@@ -24,6 +24,8 @@ import pathlib
 import re
 from typing import Any, Dict, Mapping, Optional
 
+from .registry import Histogram
+
 __all__ = [
     "LOOP_LAG_INTERVAL",
     "TIMESERIES_INTERVAL",
@@ -120,30 +122,6 @@ def prometheus_text(
     return "\n".join(lines) + "\n"
 
 
-def _histogram_percentile(
-    histograms: Mapping[str, Any], name: str, q: float
-) -> Optional[float]:
-    """Percentile straight off a snapshot dict (no Histogram object)."""
-    histogram = histograms.get(name)
-    if not histogram or not histogram.get("count"):
-        return None
-    if q == 1.0:
-        return histogram.get("max")
-    bounds = histogram.get("bounds", ())
-    counts = histogram.get("counts", ())
-    rank = q * histogram["count"]
-    seen = 0
-    for index, count in enumerate(counts):
-        seen += count
-        if seen >= rank and count:
-            if index < len(bounds):
-                edge = float(bounds[index])
-                ceiling = histogram.get("max")
-                return edge if ceiling is None else min(edge, ceiling)
-            return histogram.get("max")
-    return histogram.get("max")
-
-
 def timeseries_row(
     snapshot: Mapping[str, Any], t: float, node: int
 ) -> Dict[str, Any]:
@@ -154,6 +132,12 @@ def timeseries_row(
     commits = histograms.get("smr.commit_seconds", {})
     fast = counters.get("consensus.decisions_fast", 0)
     slow = counters.get("consensus.decisions_slow", 0)
+
+    def ms(name: str, q: float) -> Optional[float]:
+        payload = histograms.get(name)
+        seconds = Histogram.from_dict(payload).percentile(q) if payload else None
+        return None if seconds is None else seconds * 1000.0
+
     return {
         "t": t,
         "node": node,
@@ -162,24 +146,12 @@ def timeseries_row(
         "decisions_learned": counters.get("consensus.decisions_learned", 0),
         "slots_decided": counters.get("smr.slots_decided", 0),
         "commands_committed": commits.get("count", 0),
-        "commit_p50_ms": _scale(
-            _histogram_percentile(histograms, "smr.commit_seconds", 0.5)
-        ),
-        "commit_p99_ms": _scale(
-            _histogram_percentile(histograms, "smr.commit_seconds", 0.99)
-        ),
-        "queue_p99_ms": _scale(
-            _histogram_percentile(histograms, "stage.queue_seconds", 0.99)
-        ),
-        "consensus_p99_ms": _scale(
-            _histogram_percentile(histograms, "stage.consensus_seconds", 0.99)
-        ),
-        "loop_lag_p99_ms": _scale(
-            _histogram_percentile(histograms, "runtime.loop_lag_seconds", 0.99)
-        ),
-        "fsync_p99_ms": _scale(
-            _histogram_percentile(histograms, "storage.fsync_seconds", 0.99)
-        ),
+        "commit_p50_ms": ms("smr.commit_seconds", 0.5),
+        "commit_p99_ms": ms("smr.commit_seconds", 0.99),
+        "queue_p99_ms": ms("stage.queue_seconds", 0.99),
+        "consensus_p99_ms": ms("stage.consensus_seconds", 0.99),
+        "loop_lag_p99_ms": ms("runtime.loop_lag_seconds", 0.99),
+        "fsync_p99_ms": ms("storage.fsync_seconds", 0.99),
         "sent_bytes": sum(
             value
             for name, value in counters.items()
@@ -200,10 +172,6 @@ def timeseries_row(
         ),
         "span_events": snapshot.get("span_events", 0),
     }
-
-
-def _scale(seconds: Optional[float]) -> Optional[float]:
-    return None if seconds is None else seconds * 1000.0
 
 
 async def serve_http(

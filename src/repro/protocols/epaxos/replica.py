@@ -546,13 +546,6 @@ class EPaxosReplica(Process):
     # Introspection used by harnesses and benchmarks.
     # ------------------------------------------------------------------
 
-    def committed_instances(self) -> Dict[InstanceId, InstanceState]:
-        return {
-            iid: st
-            for iid, st in self.instances.items()
-            if st.status in (STATUS_COMMITTED, STATUS_EXECUTED)
-        }
-
     def commit_latency(self, instance: InstanceId, submitted_at: float) -> Optional[float]:
         state = self.instances.get(instance)
         if state is None or state.committed_at is None:

@@ -304,10 +304,6 @@ class Arena:
         """O(1) check whether any timer is armed."""
         return bool(self._timers)
 
-    def timer_armed(self, pid: ProcessId, name: str) -> bool:
-        """O(1) check whether a specific timer is currently armed."""
-        return (pid, name) in self._timers
-
     def fire_timer(self, pid: ProcessId, name: str, advance_clock: bool = True) -> None:
         """Fire an armed timer (the adversary controls time, so any armed
         timer may fire 'now'); optionally advance the clock to its deadline."""

@@ -8,7 +8,8 @@ observability layer: each campaign reports a
 throughput (states or schedules per second), deduplication effectiveness,
 frontier shape, per-worker breakdown, and peak memory — so a performance
 regression in the verification engine shows up in benchmark trajectories
-instead of silently doubling CI time.
+instead of silently doubling CI time. :func:`~repro.verify.runner.run_shards`
+is the one fork runner both engines split their campaigns over.
 """
 
 from .metrics import (
@@ -17,10 +18,12 @@ from .metrics import (
     WorkerMetrics,
     peak_rss_kb,
 )
+from .runner import run_shards
 
 __all__ = [
     "MetricsRecorder",
     "VerificationMetrics",
     "WorkerMetrics",
     "peak_rss_kb",
+    "run_shards",
 ]

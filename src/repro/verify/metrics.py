@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 try:  # POSIX only; absent on some platforms (e.g. Windows)
     import resource as _resource
@@ -113,8 +113,8 @@ class MetricsRecorder:
     """Counter bundle the engines mutate in their hot loops.
 
     Attribute increments only — the dataclass above is built once at
-    :meth:`finish`. Keeping the recorder separate from the frozen metrics
-    lets workers ship partial recorders across process boundaries cheaply.
+    :meth:`finish`. Each shard of a campaign finishes its own recorder,
+    and the campaign's recorder folds those with :meth:`merge`.
     """
 
     def __init__(self, kind: str) -> None:
@@ -136,6 +136,23 @@ class MetricsRecorder:
 
     def elapsed(self) -> float:
         return time.perf_counter() - self._started
+
+    def merge(self, shards: Sequence[VerificationMetrics]) -> VerificationMetrics:
+        """Finish a sharded campaign from its shards' metrics (index order).
+
+        ``units`` stays the caller's to set: shards may overlap (every
+        explorer shard counts the root state).
+        """
+        for shard in shards:
+            self.dedup_checks += shard.dedup_checks
+            self.dedup_hits += shard.dedup_hits
+            self.note_frontier(shard.max_frontier)
+            self.note_depth(shard.max_depth)
+        per_worker = [
+            WorkerMetrics(worker=index, units=shard.units, seconds=shard.wall_seconds)
+            for index, shard in enumerate(shards)
+        ]
+        return self.finish(workers=len(shards), per_worker=per_worker)
 
     def finish(
         self,

@@ -1,5 +1,10 @@
 """Tests for the consensus scenario battery itself."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.checks import (
@@ -55,6 +60,29 @@ class TestShuffledDelivery:
             for seed in (1, 2)
         }
         assert values[1] != values[2]
+
+    def test_same_order_under_any_hash_seed(self):
+        # Message kinds are strings, whose builtin hash() is salted per
+        # process: the priorities must not depend on PYTHONHASHSEED.
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        program = (
+            "from repro.checks import shuffled_delivery\n"
+            "from repro.protocols.twostep import Propose, TwoB\n"
+            "policy = shuffled_delivery(5)\n"
+            "print([policy(s, r, m) for s in range(3) for r in range(3)"
+            " for m in (Propose(1), TwoB(0, 1))])"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", program],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestBattery:

@@ -422,3 +422,16 @@ class TestShardedExploration:
         )
         assert not serial.safe and not sharded.safe
         assert "validity" in sharded.violation
+
+    def test_capped_count_holds_the_root_inside_the_cap(self):
+        # Every shard pops the root first and counts it inside its own
+        # max_states; the campaign counts it once. One worker therefore
+        # reads the single-search figures, and each capped shard of a
+        # wider run reads max_states + 1 with the root.
+        proposals = {0: 0, 1: 1, 2: 0}
+        factory = twostep_task_factory(proposals, 1, 1)
+        bounds = dict(proposals=proposals, timer_fires=1, max_states=5000)
+        one = explore(factory, 3, 1, workers=1, **bounds)
+        two = explore(factory, 3, 1, workers=2, **bounds)
+        assert (one.states_visited, one.exhaustive, one.safe) == (5001, False, True)
+        assert (two.states_visited, two.exhaustive, two.safe) == (10001, False, True)

@@ -146,3 +146,25 @@ class TestMetricsRecorder:
         assert metrics.workers == 2
         assert metrics.per_worker == shares
         assert metrics.wall_seconds == 0.25
+
+    def test_merge_folds_shards_in_index_order(self):
+        shards = [
+            VerificationMetrics(
+                kind="explore", units=4, wall_seconds=0.5, dedup_checks=10,
+                dedup_hits=4, max_frontier=3, max_depth=7,
+            ),
+            VerificationMetrics(
+                kind="explore", units=6, wall_seconds=0.25, dedup_checks=5,
+                dedup_hits=1, max_frontier=8, max_depth=2,
+            ),
+        ]
+        recorder = MetricsRecorder("explore")
+        recorder.units = 9  # the caller's count: shards may overlap
+        metrics = recorder.merge(shards)
+        assert metrics.units == 9 and metrics.workers == 2
+        assert (metrics.dedup_checks, metrics.dedup_hits) == (15, 5)
+        assert (metrics.max_frontier, metrics.max_depth) == (8, 7)
+        assert metrics.per_worker == [
+            WorkerMetrics(worker=0, units=4, seconds=0.5),
+            WorkerMetrics(worker=1, units=6, seconds=0.25),
+        ]
