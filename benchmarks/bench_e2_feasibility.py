@@ -11,7 +11,7 @@ from conftest import emit
 
 
 def bench_e2_feasibility(once):
-    rows = once(e2_feasibility_rows, ((2, 2), (3, 3)))
+    rows = once(e2_feasibility_rows)
     emit(
         "e2_feasibility",
         render_records(rows, title="E2 — upper bounds hold, lower bounds bite"),

@@ -50,6 +50,10 @@ from ..wan import (
 )
 from .stats import summarize
 
+#: The ``(f, e)`` the single-configuration experiments run at.
+F, E = 2, 2
+#: The ``(f, e)`` configurations E2 checks at and below their bounds.
+E2_CONFIGS: Tuple[Tuple[int, int], ...] = ((2, 2), (3, 3))
 
 # ----------------------------------------------------------------------
 # E1 — the bounds table.
@@ -80,21 +84,18 @@ def e1_bounds_rows(max_f: int = 5) -> List[Dict[str, object]]:
 # ----------------------------------------------------------------------
 
 
-def e2_feasibility_rows(
-    configs: Sequence[Tuple[int, int]] = ((2, 2), (3, 3)),
-    quick: bool = True,
-) -> List[Dict[str, object]]:
+def e2_feasibility_rows() -> List[Dict[str, object]]:
     """At ``n = bound``: definition satisfied and consensus battery green.
 
     Below the bound (where the fast term binds): the Appendix B witness
-    produces an agreement violation.
+    produces an agreement violation. The definition checkers sample 16
+    configurations (task) and 16 faulty sets (object).
     """
     rows: List[Dict[str, object]] = []
-    limit = 16 if quick else None
-    for f, e in configs:
+    for f, e in E2_CONFIGS:
         n_task = min_processes_task(f, e)
         task_report = check_task_two_step(
-            twostep_task_builder(f, e), n_task, e, max_configurations=limit
+            twostep_task_builder(f, e), n_task, e, max_configurations=16
         )
         battery_bad = failing_scenarios(
             consensus_battery(twostep_task_builder(f, e), n_task, f)
@@ -117,7 +118,7 @@ def e2_feasibility_rows(
 
         n_obj = min_processes_object(f, e)
         object_report = check_object_two_step(
-            twostep_object_builder(f, e), n_obj, e, max_faulty_sets=limit
+            twostep_object_builder(f, e), n_obj, e, max_faulty_sets=16
         )
         object_witness_applicable = 2 * e >= f + 3 and f >= 2
         object_witness_violation = None
@@ -138,10 +139,9 @@ def e2_feasibility_rows(
 
 
 def e2_fuzz_rows(
-    configs: Sequence[Tuple[int, int]] = ((2, 2), (3, 3)),
+    configs: Sequence[Tuple[int, int]] = E2_CONFIGS,
     schedules: int = 150,
     workers: int = 1,
-    steps: int = 400,
 ) -> List[Dict[str, object]]:
     """E2's fuzzing arm: random adversarial schedules at the task bound.
 
@@ -164,7 +164,6 @@ def e2_fuzz_rows(
             f,
             seeds=range(schedules),
             proposals=proposals,
-            steps=steps,
             workers=workers,
         )
         rows.append(
@@ -289,12 +288,10 @@ def e3_two_step_coverage_rows(
 
 
 def e4_latency_vs_conflict_rows(
-    f: int = 2,
-    e: int = 2,
-    distinct_counts: Sequence[int] = (1, 2, 3, 5),
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
 ) -> List[Dict[str, object]]:
-    """First-decision latency as concurrent distinct proposals grow.
+    """First-decision latency as 1, 2, 3 and 5 concurrent distinct
+    proposals compete, at ``(F, E)``.
 
     Two schedule regimes per protocol:
 
@@ -308,10 +305,11 @@ def e4_latency_vs_conflict_rows(
       votes (Figure 1) or collide acceptors (Fast Paxos) and the slow
       path finishes the job a few ``Δ`` later.
     """
+    f, e = F, E
     rows = []
     n_two = min_processes_task(f, e)
     n_fast = min_processes_lamport_fast(f, e)
-    for distinct in distinct_counts:
+    for distinct in (1, 2, 3, 5):
         for name, n, builder in (
             ("twostep-task", n_two, twostep_task_builder(f, e)),
             ("fast-paxos", n_fast, fast_paxos_builder(f, e)),
@@ -369,15 +367,12 @@ def e4_latency_vs_conflict_rows(
 # ----------------------------------------------------------------------
 
 
-def e5_wan_rows(
-    f: int = 2,
-    e: int = 2,
-    deployment_builder=None,
-) -> List[Dict[str, object]]:
+def e5_wan_rows(f: int = F, e: int = E) -> List[Dict[str, object]]:
     """Proposer-perceived commit latency at n = object/task/Lamport bound.
 
     Same (f, e), same topology, growing ``n``: every extra process the
     stronger definition demands pushes the fast quorum to a farther site.
+    Processes are placed round-robin over the sites.
     """
     topo = seven_regions()
     sizes = [
@@ -387,11 +382,7 @@ def e5_wan_rows(
     ]
     rows = []
     for label, n in sizes:
-        deployment = (
-            deployment_builder(topo, n)
-            if deployment_builder is not None
-            else round_robin_deployment(topo, n)
-        )
+        deployment = round_robin_deployment(topo, n)
         predicted = []
         measured = []
         for proposer in range(n):
@@ -414,7 +405,7 @@ def e5_wan_rows(
     return rows
 
 
-def e5_protocol_comparison_rows(f: int = 2, e: int = 2) -> List[Dict[str, object]]:
+def e5_protocol_comparison_rows(f: int = F, e: int = E) -> List[Dict[str, object]]:
     """Analytic WAN commit latency per protocol family, solo command.
 
     Each protocol runs at its minimal system size for the same (f, e) on
@@ -564,18 +555,18 @@ def e6_recovery_rows(
         (4, 4, True),
     ),
     trials: int = 2000,
-    seed: int = 7,
 ) -> List[Dict[str, object]]:
-    """Recovery soundness at the bound and failure counts below it."""
+    """Recovery soundness at the bound and failure counts below it; every
+    row draws its scenarios from a fresh ``random.Random(7)``."""
     rows = []
     for f, e, object_semantics in configs:
         bound = (
             min_processes_object(f, e) if object_semantics else min_processes_task(f, e)
         )
         for n, label in ((bound, "at bound"), (bound - 1, "below bound")):
-            if n < n - f or n - f <= 0 or n <= e:
+            if n - f <= 0 or n <= e:
                 continue
-            rng = random.Random(seed)
+            rng = random.Random(7)
             failures = 0
             for _ in range(trials):
                 reports, winner = random_fast_decision_reports(
@@ -603,8 +594,10 @@ def e6_recovery_rows(
 # ----------------------------------------------------------------------
 
 
-def e7_message_rows(f: int = 2, e: int = 2) -> List[Dict[str, object]]:
-    """Messages sent until everyone decides, fast path, no crashes."""
+def e7_message_rows() -> List[Dict[str, object]]:
+    """Messages sent until everyone decides at ``(F, E)``, fast path, no
+    crashes."""
+    f, e = F, E
     rows = []
     protocols = [
         ("paxos", 2 * f + 1, paxos_builder(f)),
@@ -646,29 +639,29 @@ def e7_message_rows(f: int = 2, e: int = 2) -> List[Dict[str, object]]:
 def e8_epaxos_rows(
     f_values: Sequence[int] = (1, 2, 3),
     conflict_rates: Sequence[float] = (0.0, 0.3, 1.0),
-    commands: int = 12,
-    seed: int = 3,
 ) -> List[Dict[str, object]]:
     """EPaxos commit latency at ``n = 2f + 1`` vs conflict rate.
 
     Conflict-free commands commit after two message delays even though
     ``n = 2f + 1 < 2e + f + 1`` for EPaxos's ``e = ceil((f+1)/2)`` — the
-    observation that seemingly contradicts Lamport's bound.
+    observation that seemingly contradicts Lamport's bound. Each run
+    submits 12 commands, which conflict at the given rate under
+    ``random.Random(3)``.
     """
     rows = []
     for f in f_values:
         n = 2 * f + 1
         for rate in conflict_rates:
-            rng = random.Random(seed)
+            rng = random.Random(3)
             simulation = Simulation(
                 epaxos_factory(f), n, latency=FixedLatency(1.0)
             )
             submissions = []
-            for index in range(commands):
+            for index in range(12):
                 key = "hot" if rng.random() < rate else f"k{index}"
                 command = Command(key, "put", index, f"c{index}")
                 proxy = index % n
-                at = float(index // n) * 0.0  # bursts of n concurrent commands
+                at = 0.0  # every command is submitted at once, all concurrent
                 simulation.inject(at, proxy, Request(command))
                 submissions.append((proxy, command, at))
             simulation.run(until=60.0)
@@ -714,25 +707,17 @@ def e8_epaxos_rows(
 # ----------------------------------------------------------------------
 
 
-def e9_ablation_rows(
-    f: int = 2,
-    e: int = 2,
-    trials: int = 1500,
-    seed: int = 11,
-    fuzz_schedules: int = 0,
-    workers: int = 1,
-) -> List[Dict[str, object]]:
-    """Disable each ingredient; report which guarantee breaks.
+def e9_ablation_rows(trials: int = 1500) -> List[Dict[str, object]]:
+    """Disable each ingredient at ``(F, E)``; report which guarantee breaks.
 
     ``recovery_failures`` counts Lemma-7 violations over random
-    fast-decision scenarios at ``n = 2e + f`` (task semantics): any
-    non-zero count is a latent agreement violation. ``two_step_ok`` runs
-    the Definition 4 checker (sampled).
-
-    ``fuzz_schedules > 0`` adds a schedule-level arm: that many random
-    adversarial schedules per ablation at the bound (sharded across
-    ``workers``), reported as a ``fuzz_violations`` column.
+    fast-decision scenarios at ``n = 2e + f`` (task semantics, drawn
+    from ``random.Random(11)``) and at ``n = 2e + f - 1`` (object
+    semantics, ``random.Random(12)``): any non-zero count is a latent
+    agreement violation. ``two_step_ok`` runs the Definition 4 checker
+    (sampled).
     """
+    f, e = F, E
     n = min_processes_task(f, e)
     n_object = min_processes_object(f, e)
     ablations = [
@@ -754,7 +739,7 @@ def e9_ablation_rows(
         # accepted over any proposal), modeled by lifting the value-order
         # constraint in the scenario generator via task semantics with
         # shuffled competitor values above and below the winner.
-        rng = random.Random(seed)
+        rng = random.Random(11)
         failures = 0
         for _ in range(trials):
             reports, winner = random_fast_decision_reports(rng, n, f, e, False)
@@ -780,7 +765,7 @@ def e9_ablation_rows(
         # The R-exclusion is load-bearing specifically for the *object*
         # variant at n = 2e+f-1 (Lemma C.2): run the same fuzz under
         # object semantics at that size.
-        rng = random.Random(seed + 1)
+        rng = random.Random(12)
         object_failures = 0
         for _ in range(trials):
             reports, winner = random_fast_decision_reports(
@@ -798,34 +783,22 @@ def e9_ablation_rows(
             max_configurations=8,
             max_faulty_sets=6,
         )
-        row: Dict[str, object] = {
-            "ablation": label,
-            "n": n,
-            "two_step_ok": report.satisfied,
-            "recovery_failures_task": failures,
-            "recovery_failures_object": object_failures,
-            "trials": trials,
-        }
-        if fuzz_schedules > 0:
-            builder = twostep_task_builder(f, e, config=config)
-            proposals = {pid: pid % 3 for pid in range(n)}
-            fuzz = fuzz_safety(
-                lambda s, builder=builder, proposals=proposals: builder(
-                    proposals, frozenset()
-                ),
-                n,
-                f,
-                seeds=range(fuzz_schedules),
-                proposals=proposals,
-                workers=workers,
-            )
-            row["fuzz_violations"] = len(fuzz.violating_seeds)
-        rows.append(row)
+        rows.append(
+            {
+                "ablation": label,
+                "n": n,
+                "two_step_ok": report.satisfied,
+                "recovery_failures_task": failures,
+                "recovery_failures_object": object_failures,
+                "trials": trials,
+            }
+        )
     return rows
 
 
-def e9_liveness_completion_demo(f: int = 2, e: int = 2) -> Dict[str, object]:
-    """Show the 1B liveness completion is load-bearing for the object.
+def e9_liveness_completion_demo() -> Dict[str, object]:
+    """Show the 1B liveness completion is load-bearing for the object at
+    ``(F, E)``.
 
     Scenario: the only proposer's ``Propose`` messages are delayed past
     everyone joining a slow ballot. With the completion the coordinator
@@ -844,6 +817,7 @@ def e9_liveness_completion_demo(f: int = 2, e: int = 2) -> Dict[str, object]:
     )
     from ..bounds.driver import canonical_order
 
+    f, e = F, E
     ballot_kinds = (OneA, OneB, TwoA, TwoB, Decide)
     n = min_processes_object(f, e)
     outcomes = {}
@@ -896,8 +870,8 @@ def e9_liveness_completion_demo(f: int = 2, e: int = 2) -> Dict[str, object]:
 
 
 def e10_smr_rows(
-    f: int = 2,
-    e: int = 2,
+    f: int = F,
+    e: int = E,
     commands: int = 10,
     use_wan: bool = True,
 ) -> List[Dict[str, object]]:
@@ -961,18 +935,16 @@ def e10_smr_rows(
     return rows
 
 
-def e10_smr_comparison_rows(
-    f: int = 2,
-    e: int = 2,
-    commands_per_proxy: int = 2,
-) -> List[Dict[str, object]]:
+def e10_smr_comparison_rows() -> List[Dict[str, object]]:
     """Three full SMR stacks, same WAN, same workload (measured, not
-    analytic): Figure 1's leaderless object SMR, Multi-Paxos with a fixed
-    leader at site 0, and EPaxos. One solo (conflict-free) command per
-    proxy at a time, spaced so each commits before the next arrives.
+    analytic), at ``(F, E)``: Figure 1's leaderless object SMR, Multi-Paxos
+    with a fixed leader at site 0, and EPaxos. Two rounds of one solo
+    (conflict-free) command per proxy at a time, spaced so each commits
+    before the next arrives.
     """
     from ..smr.leader_log import multipaxos_factory
 
+    f, e = F, E
     n = max(min_processes_object(f, e), 2 * f + 1)
     deployment = round_robin_deployment(seven_regions(), n)
     delta = deployment.delta()
@@ -983,7 +955,7 @@ def e10_smr_comparison_rows(
     def run_workload(factory) -> Dict[str, float]:
         ops = []
         index = 0
-        for round_index in range(commands_per_proxy):
+        for round_index in range(2):
             for proxy in range(n):
                 ops.append(
                     (
@@ -1043,7 +1015,7 @@ def e10_smr_comparison_rows(
     )
     submissions = []
     index = 0
-    for round_index in range(commands_per_proxy):
+    for round_index in range(2):
         for proxy in range(n):
             at = (round_index * n + proxy) * spacing
             command = ECommand(f"k{index}", "put", 1, f"k{index}")

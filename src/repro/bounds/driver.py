@@ -26,7 +26,13 @@ from typing import Iterable, List, Optional, Sequence, Set
 from ..core.errors import SchedulerError
 from ..core.messages import message_sort_key
 from ..core.process import ProcessId
+from ..protocols.twostep import TwoStepConfig
 from ..sim.arena import Arena, PendingMessage
+
+#: One round of a construction: the protocol's default ``Δ``.
+DELTA = TwoStepConfig.delta
+#: Rounds :func:`drive_continuation` drives before it gives up.
+CONTINUATION_MAX_ITERATIONS = 200
 
 
 def canonical_order(prefer: Optional[ProcessId] = None):
@@ -68,10 +74,7 @@ def deliver_batch(
 
 
 def drive_continuation(
-    arena: Arena,
-    live: Sequence[ProcessId],
-    ballot_timer: str,
-    max_iterations: int = 200,
+    arena: Arena, live: Sequence[ProcessId], ballot_timer: str
 ) -> Optional[ProcessId]:
     """The f-resilient continuation: run the live processes to a decision.
 
@@ -93,7 +96,7 @@ def drive_continuation(
         ]
         return min(times)[1] if times else None
 
-    for _ in range(max_iterations):
+    for _ in range(CONTINUATION_MAX_ITERATIONS):
         decider = first_decider()
         if decider is not None:
             return decider
@@ -123,5 +126,5 @@ def drive_continuation(
         if not fired:
             return first_decider()
     raise SchedulerError(
-        f"continuation did not converge within {max_iterations} iterations"
+        f"continuation did not converge within {CONTINUATION_MAX_ITERATIONS} iterations"
     )

@@ -33,7 +33,7 @@ agreement violation that σ′ must exhibit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from ..core.errors import ConfigurationError
 from ..core.process import ProcessFactory, ProcessId
@@ -50,7 +50,7 @@ from ..protocols.twostep import (
     twostep_object_factory,
 )
 from ..sim.arena import Arena
-from .driver import deliver_batch, drive_continuation
+from .driver import DELTA, deliver_batch, drive_continuation
 
 
 @dataclass(frozen=True)
@@ -131,23 +131,17 @@ def default_object_partition(f: int, e: int) -> ObjectPartition:
     )
 
 
-def _build_factory(
-    partition: ObjectPartition, config: Optional[TwoStepConfig]
-) -> ProcessFactory:
-    base = config if config is not None else TwoStepConfig(
+def _build_factory(partition: ObjectPartition) -> ProcessFactory:
+    """Figure 1 with red lines, instantiated below its bound."""
+    config = TwoStepConfig(
         f=partition.f, e=partition.e, is_object=True, enforce_bound=False
     )
-    if base.enforce_bound:
-        raise ConfigurationError(
-            "the witness instantiates the protocol below its bound; pass a "
-            "config with enforce_bound=False"
-        )
     leader = min(partition.survivors)
     return twostep_object_factory(
         partition.f,
         partition.e,
         omega_factory=static_omega_factory(leader),
-        config=base,
+        config=config,
     )
 
 
@@ -162,19 +156,14 @@ def _first_round(arena: Arena, partition: ObjectPartition) -> None:
     arena.run_record.proposals[partition.q] = 1
 
 
-def object_lower_bound_witness(
-    f: int,
-    e: int,
-    config: Optional[TwoStepConfig] = None,
-    delta: float = 1.0,
-) -> ObjectWitnessResult:
+def object_lower_bound_witness(f: int, e: int) -> ObjectWitnessResult:
     """Execute the full B.2 construction; see the module docstring."""
     partition = default_object_partition(f, e)
 
     # ---- σ: crash early, splice the two round-2s, run the continuation.
-    arena_s = Arena(_build_factory(partition, config), partition.n)
+    arena_s = Arena(_build_factory(partition), partition.n)
     _first_round(arena_s, partition)
-    arena_s.advance_to(delta)
+    arena_s.advance_to(DELTA)
     arena_s.crash_many(set(partition.shared) | {partition.p, partition.q})
     deliver_batch(arena_s, partition.e0_star, [partition.p], kind=Propose)
     deliver_batch(arena_s, partition.e1_star, [partition.q], kind=Propose)
@@ -188,9 +177,9 @@ def object_lower_bound_witness(
             break
 
     # ---- σ′: E0 completes σ0, p decides 0 and crashes; same continuation.
-    arena_p = Arena(_build_factory(partition, config), partition.n)
+    arena_p = Arena(_build_factory(partition), partition.n)
     _first_round(arena_p, partition)
-    arena_p.advance_to(delta)
+    arena_p.advance_to(DELTA)
     # Round 2 of σ0 for all of E0: F and E0* receive p's proposal and vote.
     deliver_batch(
         arena_p,
@@ -203,7 +192,7 @@ def object_lower_bound_witness(
     # F and q crash at the end of round 2 (f - 1 crashes so far).
     arena_p.crash_many(set(partition.shared) | {partition.q})
     # p collects its n - e fast votes (its own included) and decides 0.
-    arena_p.advance_to(2 * delta)
+    arena_p.advance_to(2 * DELTA)
     deliver_batch(
         arena_p,
         [partition.p],

@@ -49,7 +49,7 @@ from ..core.values import MaybeValue
 from ..omega import static_omega_factory
 from ..protocols.twostep import BALLOT_TIMER, Propose, TwoB, TwoStepConfig, twostep_task_factory
 from ..sim.arena import Arena
-from .driver import deliver_batch, drive_continuation
+from .driver import DELTA, deliver_batch, drive_continuation
 
 
 @dataclass(frozen=True)
@@ -168,7 +168,6 @@ def _spliced_run(
     first_decider: ProcessId,
     second_group: Sequence[ProcessId],
     second_prefer: ProcessId,
-    delta: float = 1.0,
 ) -> Arena:
     """Execute one of the paired splices (σ₁ or σ₀).
 
@@ -184,10 +183,10 @@ def _spliced_run(
         arena.start(pid)
     # Round 2: everyone in the group handles the group's proposals, with
     # the designated decider's proposal first.
-    arena.advance_to(delta)
+    arena.advance_to(DELTA)
     deliver_batch(arena, first_group, first_group, kind=Propose, prefer=first_decider)
     # The decider collects its fast votes and decides at 2Δ.
-    arena.advance_to(2 * delta)
+    arena.advance_to(2 * DELTA)
     deliver_batch(arena, [first_decider], first_group, kind=TwoB)
     if not arena.has_decided(first_decider):
         raise ConfigurationError(
@@ -210,10 +209,7 @@ def _spliced_run(
 
 
 def task_lower_bound_witness(
-    f: int,
-    e: int,
-    config: Optional[TwoStepConfig] = None,
-    delta: float = 1.0,
+    f: int, e: int, config: Optional[TwoStepConfig] = None
 ) -> TaskWitnessResult:
     """Execute the full B.1 construction; see the module docstring."""
     partition = default_task_partition(f, e)
@@ -230,7 +226,6 @@ def task_lower_bound_witness(
         first_decider=partition.p,
         second_group=list(partition.e0),
         second_prefer=partition.p_prime,
-        delta=delta,
     )
     drive_continuation(arena1, sorted(partition.live), BALLOT_TIMER)
     run1 = arena1.run_record
@@ -244,7 +239,6 @@ def task_lower_bound_witness(
         first_decider=partition.p_prime,
         second_group=list(partition.e1),
         second_prefer=partition.p,
-        delta=delta,
     )
     drive_continuation(arena0, sorted(partition.live), BALLOT_TIMER)
     run0 = arena0.run_record

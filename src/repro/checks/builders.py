@@ -7,6 +7,8 @@ to hand the protocol an Ω oracle consistent with the run — the oracle
 names the lowest-id correct process, which is what the heartbeat
 implementation converges to after GST (integration tests cover the real
 heartbeat Ω separately; the checkers use oracles to keep traces clean).
+Every protocol is built at its factory's default ``Δ``, the checkers'
+:data:`~repro.checks.two_step.DELTA`.
 """
 
 from __future__ import annotations
@@ -27,10 +29,7 @@ from .two_step import ObjectFactoryBuilder, TaskFactoryBuilder
 
 
 def twostep_task_builder(
-    f: int,
-    e: int,
-    delta: float = 1.0,
-    config: Optional[TwoStepConfig] = None,
+    f: int, e: int, config: Optional[TwoStepConfig] = None
 ) -> TaskFactoryBuilder:
     """Figure 1, task variant (black lines)."""
 
@@ -41,7 +40,6 @@ def twostep_task_builder(
             proposals,
             f,
             e,
-            delta=delta,
             omega_factory=lowest_correct_omega_factory(set(faulty)),
             config=config,
         )
@@ -49,45 +47,31 @@ def twostep_task_builder(
     return build
 
 
-def twostep_object_builder(
-    f: int,
-    e: int,
-    delta: float = 1.0,
-    config: Optional[TwoStepConfig] = None,
-) -> ObjectFactoryBuilder:
+def twostep_object_builder(f: int, e: int) -> ObjectFactoryBuilder:
     """Figure 1, object variant (black + red lines)."""
 
     def build(faulty: AbstractSet[ProcessId]) -> ProcessFactory:
         return twostep_object_factory(
-            f,
-            e,
-            delta=delta,
-            omega_factory=lowest_correct_omega_factory(set(faulty)),
-            config=config,
+            f, e, omega_factory=lowest_correct_omega_factory(set(faulty))
         )
 
     return build
 
 
-def paxos_builder(f: int, delta: float = 1.0) -> TaskFactoryBuilder:
+def paxos_builder(f: int) -> TaskFactoryBuilder:
     """Classic Paxos (never e-two-step for e > 0)."""
 
     def build(
         proposals: Mapping[ProcessId, MaybeValue], faulty: AbstractSet[ProcessId]
     ) -> ProcessFactory:
         return paxos_factory(
-            proposals,
-            f,
-            delta=delta,
-            omega_factory=lowest_correct_omega_factory(set(faulty)),
+            proposals, f, omega_factory=lowest_correct_omega_factory(set(faulty))
         )
 
     return build
 
 
-def fast_paxos_builder(
-    f: int, e: int, delta: float = 1.0, enforce_bound: bool = True
-) -> TaskFactoryBuilder:
+def fast_paxos_builder(f: int, e: int) -> TaskFactoryBuilder:
     """Fast Paxos (e-two-step iff n >= max{2e+f+1, 2f+1})."""
 
     def build(
@@ -97,9 +81,7 @@ def fast_paxos_builder(
             proposals,
             f,
             e,
-            delta=delta,
             omega_factory=lowest_correct_omega_factory(set(faulty)),
-            enforce_bound=enforce_bound,
         )
 
     return build

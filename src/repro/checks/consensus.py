@@ -25,7 +25,12 @@ from ..sim.events import DeliveryPriority
 from ..sim.failures import CrashPlan
 from ..sim.latency import FixedLatency, PartialSynchrony
 from ..sim.simulation import Simulation
-from .two_step import TaskFactoryBuilder
+from .two_step import DELTA, TaskFactoryBuilder
+
+#: The partially synchronous scenarios' global stabilization time, and the
+#: number of size-``f`` crash sets a battery samples.
+GST = 10.0
+MAX_CRASH_SETS = 12
 
 
 @dataclass
@@ -58,15 +63,13 @@ def shuffled_delivery(seed: int) -> DeliveryPriority:
     return priority
 
 
-def crash_scenarios(
-    n: int, f: int, delta: float, max_sets: int = 12, seed: int = 0
-) -> List[CrashPlan]:
+def crash_scenarios(n: int, f: int, delta: float, seed: int = 0) -> List[CrashPlan]:
     """A spread of crash plans within the budget: none, early, and late.
 
     Includes the empty plan, every single-crash plan at three different
-    times, and a sample of maximal (size-f) plans crashing at time 0 and
-    mid-round-2 (the window in which fast-path votes are in flight —
-    historically where fast consensus protocols break).
+    times, and a sample of at most ``MAX_CRASH_SETS`` maximal (size-f) sets
+    crashing at time 0 and mid-round-2 (the window in which fast-path votes
+    are in flight — historically where fast consensus protocols break).
     """
     plans = [CrashPlan.none()]
     for pid in range(n):
@@ -76,8 +79,8 @@ def crash_scenarios(
     if f >= 1:
         rng = random.Random(seed)
         combos = list(itertools.combinations(range(n), f))
-        if len(combos) > max_sets:
-            combos = rng.sample(combos, max_sets)
+        if len(combos) > MAX_CRASH_SETS:
+            combos = rng.sample(combos, MAX_CRASH_SETS)
         for combo in combos:
             plans.append(CrashPlan.at_start(combo))
             staggered = {
@@ -113,25 +116,21 @@ def consensus_battery(
     builder: TaskFactoryBuilder,
     n: int,
     f: int,
-    proposals: Optional[Mapping[ProcessId, MaybeValue]] = None,
-    delta: float = 1.0,
     async_seeds: Sequence[int] = (1, 2, 3),
-    gst: float = 10.0,
-    seed: int = 0,
 ) -> List[ScenarioResult]:
     """Run the full battery; returns one result per scenario.
 
-    Termination is asserted for the processes that remain correct in each
-    scenario; agreement and validity always.
+    Process ``p`` proposes ``p + 100``. Termination is asserted for the
+    processes that remain correct in each scenario; agreement and validity
+    always.
     """
-    if proposals is None:
-        proposals = {pid: pid + 100 for pid in range(n)}
+    proposals = {pid: pid + 100 for pid in range(n)}
     results: List[ScenarioResult] = []
 
     # Synchronous rounds under every crash plan.
-    for index, plan in enumerate(crash_scenarios(n, f, delta, seed=seed)):
+    for index, plan in enumerate(crash_scenarios(n, f, DELTA)):
         run = run_scenario(
-            builder, n, proposals, plan, latency=FixedLatency(delta), horizon=60 * delta
+            builder, n, proposals, plan, latency=FixedLatency(DELTA), horizon=60 * DELTA
         )
         results.append(
             ScenarioResult(
@@ -146,9 +145,9 @@ def consensus_battery(
             n,
             proposals,
             CrashPlan.none(),
-            latency=FixedLatency(delta),
+            latency=FixedLatency(DELTA),
             delivery_priority=shuffled_delivery(shuffle_seed),
-            horizon=60 * delta,
+            horizon=60 * DELTA,
         )
         results.append(
             ScenarioResult(
@@ -160,14 +159,14 @@ def consensus_battery(
 
     # Partial synchrony: chaotic until GST, then Δ-bounded.
     for async_seed in async_seeds:
-        latency = PartialSynchrony(delta=delta, gst=gst, seed=async_seed)
+        latency = PartialSynchrony(delta=DELTA, gst=GST, seed=async_seed)
         run = run_scenario(
             builder,
             n,
             proposals,
             CrashPlan.none(),
             latency=latency,
-            horizon=gst + 80 * delta,
+            horizon=GST + 80 * DELTA,
         )
         results.append(
             ScenarioResult(
@@ -175,9 +174,9 @@ def consensus_battery(
             )
         )
         # ... and with a maximal crash at GST, the nastiest budgeted moment.
-        plan = CrashPlan.at(gst, list(range(f)))
+        plan = CrashPlan.at(GST, list(range(f)))
         run = run_scenario(
-            builder, n, proposals, plan, latency=latency, horizon=gst + 80 * delta
+            builder, n, proposals, plan, latency=latency, horizon=GST + 80 * DELTA
         )
         results.append(
             ScenarioResult(

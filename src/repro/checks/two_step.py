@@ -33,10 +33,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.process import ProcessFactory, ProcessId
 from ..core.values import MaybeValue
+from ..protocols.twostep import ProposeRequest
 from ..sim.rounds import synchronous_run, two_step_deciders
 from ..sim.simulation import Simulation
 from ..sim.latency import FixedLatency
@@ -52,6 +53,13 @@ TaskFactoryBuilder = Callable[
 
 #: Builds a process factory for one object-protocol run from the faulty set.
 ObjectFactoryBuilder = Callable[[AbstractSet[ProcessId]], ProcessFactory]
+
+#: The checked runs' message-delay bound ``Δ`` (the protocol factories'
+#: default), the rounds each run lasts (a two-step decision happens by
+#: ``2Δ``), and the values proposals are drawn from.
+DELTA = 1.0
+HORIZON_ROUNDS = 3
+VALUES: Tuple[MaybeValue, ...] = (0, 1)
 
 
 @dataclass
@@ -71,48 +79,36 @@ class TwoStepReport:
         return "\n".join(lines)
 
 
-def _faulty_sets(
-    n: int, e: int, limit: Optional[int], seed: int
-) -> List[Tuple[ProcessId, ...]]:
+def _faulty_sets(n: int, e: int, limit: Optional[int]) -> List[Tuple[ProcessId, ...]]:
     sets = list(itertools.combinations(range(n), e))
     if limit is not None and len(sets) > limit:
-        rng = random.Random(seed)
-        sets = rng.sample(sets, limit)
+        sets = random.Random(0).sample(sets, limit)
     return sets
 
 
-def _configurations(
-    n: int, domain: Sequence[MaybeValue], limit: Optional[int], seed: int
-) -> List[Tuple[MaybeValue, ...]]:
-    total = len(domain) ** n
+def _configurations(n: int, limit: Optional[int]) -> List[Tuple[MaybeValue, ...]]:
+    total = len(VALUES) ** n
     if limit is None or total <= limit:
-        return list(itertools.product(domain, repeat=n))
-    rng = random.Random(seed)
-    return [tuple(rng.choice(domain) for _ in range(n)) for _ in range(limit)]
+        return list(itertools.product(VALUES, repeat=n))
+    rng = random.Random(0)
+    return [tuple(rng.choice(VALUES) for _ in range(n)) for _ in range(limit)]
 
 
 def check_task_two_step(
     builder: TaskFactoryBuilder,
     n: int,
     e: int,
-    value_domain: Sequence[MaybeValue] = (0, 1),
-    delta: float = 1.0,
-    horizon_rounds: int = 3,
     max_faulty_sets: Optional[int] = None,
     max_configurations: Optional[int] = 64,
-    seed: int = 0,
 ) -> TwoStepReport:
-    """Decide Definition 4 for a task protocol (see module docstring).
-
-    ``horizon_rounds=3`` suffices: a two-step decision happens by ``2Δ``.
-    """
+    """Decide Definition 4 for a task protocol (see module docstring)."""
     report = TwoStepReport(satisfied=True, runs_examined=0)
-    for faulty in _faulty_sets(n, e, max_faulty_sets, seed):
+    for faulty in _faulty_sets(n, e, max_faulty_sets):
         faulty_set = set(faulty)
         correct = [pid for pid in range(n) if pid not in faulty_set]
 
         # Item 1: every initial configuration, some process two-step.
-        for config in _configurations(n, value_domain, max_configurations, seed):
+        for config in _configurations(n, max_configurations):
             proposals = {pid: config[pid] for pid in range(n)}
             found = False
             for preference in _preference_order(proposals, correct):
@@ -120,13 +116,13 @@ def check_task_two_step(
                     builder(proposals, faulty_set),
                     n,
                     faulty=faulty_set,
-                    delta=delta,
-                    horizon_rounds=horizon_rounds,
+                    delta=DELTA,
+                    horizon_rounds=HORIZON_ROUNDS,
                     prefer=preference,
                     proposals=proposals,
                 )
                 report.runs_examined += 1
-                if two_step_deciders(run, delta):
+                if two_step_deciders(run, DELTA):
                     found = True
                     break
             if not found:
@@ -137,7 +133,7 @@ def check_task_two_step(
                 )
 
         # Item 2: same-value configurations, every correct process two-step.
-        for value in value_domain:
+        for value in VALUES:
             proposals = {pid: value for pid in range(n)}
             for target in correct:
                 found = False
@@ -146,13 +142,13 @@ def check_task_two_step(
                         builder(proposals, faulty_set),
                         n,
                         faulty=faulty_set,
-                        delta=delta,
-                        horizon_rounds=horizon_rounds,
+                        delta=DELTA,
+                        horizon_rounds=HORIZON_ROUNDS,
                         prefer=preference,
                         proposals=proposals,
                     )
                     report.runs_examined += 1
-                    if target in two_step_deciders(run, delta):
+                    if target in two_step_deciders(run, DELTA):
                         found = True
                         break
                 if not found:
@@ -181,42 +177,23 @@ def check_object_two_step(
     builder: ObjectFactoryBuilder,
     n: int,
     e: int,
-    values: Sequence[MaybeValue] = (0, 1),
-    delta: float = 1.0,
-    horizon_rounds: int = 3,
     max_faulty_sets: Optional[int] = None,
-    seed: int = 0,
-    request_factory: Optional[Callable[[MaybeValue], object]] = None,
 ) -> TwoStepReport:
     """Decide Definition A.1 for an object protocol.
 
-    *request_factory* builds the client message carrying ``propose(v)``;
-    it defaults to :class:`repro.protocols.twostep.ProposeRequest`.
+    Each ``propose(v)`` reaches its process as a
+    :class:`repro.protocols.twostep.ProposeRequest`.
     """
-    if request_factory is None:
-        from ..protocols.twostep import ProposeRequest
-
-        request_factory = ProposeRequest
-
     report = TwoStepReport(satisfied=True, runs_examined=0)
-    for faulty in _faulty_sets(n, e, max_faulty_sets, seed):
+    for faulty in _faulty_sets(n, e, max_faulty_sets):
         faulty_set = set(faulty)
         correct = [pid for pid in range(n) if pid not in faulty_set]
-        for value in values:
+        for value in VALUES:
             for target in correct:
                 # Item 1: only `target` proposes.
-                run = _object_run(
-                    builder,
-                    n,
-                    faulty_set,
-                    {target: value},
-                    delta,
-                    horizon_rounds,
-                    prefer=target,
-                    request_factory=request_factory,
-                )
+                run = _object_run(builder, n, faulty_set, {target: value}, target)
                 report.runs_examined += 1
-                if target not in two_step_deciders(run, delta):
+                if target not in two_step_deciders(run, DELTA):
                     report.satisfied = False
                     report.failures.append(
                         f"item 1: E={sorted(faulty_set)}, v={value!r}: solo "
@@ -224,17 +201,10 @@ def check_object_two_step(
                     )
                 # Item 2: every correct process proposes `value` at round 1.
                 run = _object_run(
-                    builder,
-                    n,
-                    faulty_set,
-                    {pid: value for pid in correct},
-                    delta,
-                    horizon_rounds,
-                    prefer=target,
-                    request_factory=request_factory,
+                    builder, n, faulty_set, {pid: value for pid in correct}, target
                 )
                 report.runs_examined += 1
-                if target not in two_step_deciders(run, delta):
+                if target not in two_step_deciders(run, DELTA):
                     report.satisfied = False
                     report.failures.append(
                         f"item 2: E={sorted(faulty_set)}, v={value!r}: "
@@ -248,19 +218,16 @@ def _object_run(
     n: int,
     faulty_set: AbstractSet[ProcessId],
     invocations: Mapping[ProcessId, MaybeValue],
-    delta: float,
-    horizon_rounds: int,
-    prefer: Optional[ProcessId],
-    request_factory: Callable[[MaybeValue], object],
+    prefer: ProcessId,
 ):
     simulation = Simulation(
         builder(faulty_set),
         n,
-        latency=FixedLatency(delta),
+        latency=FixedLatency(DELTA),
         crashes=CrashPlan.at_start(faulty_set),
-        delivery_priority=prefer_sender(prefer) if prefer is not None else None,
+        delivery_priority=prefer_sender(prefer),
     )
     for pid, value in invocations.items():
-        simulation.inject(0.0, pid, request_factory(value))
+        simulation.inject(0.0, pid, ProposeRequest(value))
         simulation.run_record.proposals[pid] = value
-    return simulation.run(until=horizon_rounds * delta)
+    return simulation.run(until=HORIZON_ROUNDS * DELTA)

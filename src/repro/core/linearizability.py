@@ -33,6 +33,9 @@ from .process import ProcessId
 from .specs import Violation
 from .values import MaybeValue
 
+#: The longest history :func:`linearizable_bruteforce` will enumerate.
+BRUTEFORCE_MAX_OPERATIONS = 8
+
 
 @dataclass(frozen=True)
 class Operation:
@@ -136,19 +139,19 @@ def is_linearizable(history: History) -> bool:
     return not check_linearizable(history)
 
 
-def linearizable_bruteforce(history: History, max_operations: int = 8) -> bool:
+def linearizable_bruteforce(history: History) -> bool:
     """Reference implementation by exhaustive enumeration.
 
     Tries every subset of pending operations and every interleaving of the
     chosen operations that respects real-time order, and asks whether some
     sequential execution of the consensus object matches. Exponential —
-    guarded by *max_operations* — and used only to validate
+    guarded by :data:`BRUTEFORCE_MAX_OPERATIONS` — and used only to validate
     :func:`check_linearizable` in the test suite.
     """
     operations = history.operations
-    if len(operations) > max_operations:
+    if len(operations) > BRUTEFORCE_MAX_OPERATIONS:
         raise HistoryError(
-            f"brute-force checker limited to {max_operations} operations; "
+            f"brute-force checker limited to {BRUTEFORCE_MAX_OPERATIONS} operations; "
             f"got {len(operations)}"
         )
     completed = [op for op in operations if op.completed]

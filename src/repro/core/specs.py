@@ -94,17 +94,18 @@ def check_termination(run: Run, expected: Optional[Iterable[ProcessId]] = None) 
     ]
 
 
-def check_consensus(run: Run, expected: Optional[Iterable[ProcessId]] = None) -> List[Violation]:
-    """All three task properties at once."""
+def check_consensus(run: Run) -> List[Violation]:
+    """All three task properties at once (termination of every correct
+    process)."""
     violations = check_validity(run)
     violations.extend(check_agreement(run))
-    violations.extend(check_termination(run, expected))
+    violations.extend(check_termination(run))
     return violations
 
 
-def require_consensus(run: Run, expected: Optional[Iterable[ProcessId]] = None) -> None:
+def require_consensus(run: Run) -> None:
     """Raise :class:`SpecViolationError` unless *run* satisfies consensus."""
-    violations = check_consensus(run, expected)
+    violations = check_consensus(run)
     if violations:
         raise SpecViolationError(
             "consensus specification violated:\n"

@@ -40,6 +40,12 @@ BACKOFF_MAX = 1.0
 DEAD_COOLDOWN = 10.0
 
 
+def _time_out(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+    """A read outlived the client's timeout: fail it and abort the link."""
+    reader.set_exception(asyncio.TimeoutError())
+    writer.transport.abort()
+
+
 class ClientError(ReproError):
     """Raised when a command could not be completed within the retry budget."""
 
@@ -251,6 +257,10 @@ class KVClient:
             traces = {}
         # Bulk receive mirrors the server's serve loops: one read() per
         # TCP burst of replies instead of two readexactly() per frame.
+        # The read is awaited directly, not under asyncio.wait_for: on
+        # Python 3.11 wait_for drops a cancellation that arrives in the
+        # tick its read completes. A timer aborts the link instead.
+        loop = asyncio.get_running_loop()
         decoder = FrameDecoder(self.codec)
         to_send = deque(pending.values())
         sent_at: Dict[str, float] = {}
@@ -276,7 +286,11 @@ class KVClient:
                     outstanding += 1
                 writer.write(b"".join(frames))
                 await writer.drain()
-            data = await asyncio.wait_for(reader.read(_READ_CHUNK), self.timeout)
+            expiry = loop.call_later(self.timeout, _time_out, reader, writer)
+            try:
+                data = await reader.read(_READ_CHUNK)
+            finally:
+                expiry.cancel()
             if not data:
                 raise asyncio.IncompleteReadError(b"", None)
             for message, _size in decoder.feed_sized(data):

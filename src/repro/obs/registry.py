@@ -197,12 +197,10 @@ class MetricsRegistry:
             gauge = self._gauges[name] = Gauge()
         return gauge
 
-    def histogram(
-        self, name: str, bounds: Optional[Sequence[float]] = None
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(bounds=bounds)
+            histogram = self._histograms[name] = Histogram()
         return histogram
 
     # -- hot-path conveniences -----------------------------------------

@@ -187,20 +187,11 @@ def lowest_correct_omega_factory(faulty: set) -> OmegaFactory:
     return build
 
 
-def heartbeat_omega_factory(
-    delta: float,
-    heartbeat_interval: Optional[float] = None,
-    suspect_timeout: Optional[float] = None,
-) -> OmegaFactory:
-    """Factory for per-process :class:`HeartbeatOmega` instances."""
+def heartbeat_omega_factory(delta: float) -> OmegaFactory:
+    """Factory for per-process :class:`HeartbeatOmega` instances at their
+    default heartbeat interval and suspicion timeout."""
 
     def build(pid: ProcessId, n: int) -> OmegaService:
-        return HeartbeatOmega(
-            pid,
-            n,
-            delta,
-            heartbeat_interval=heartbeat_interval,
-            suspect_timeout=suspect_timeout,
-        )
+        return HeartbeatOmega(pid, n, delta)
 
     return build

@@ -96,8 +96,6 @@ class EPaxosReplica(Process):
         n: int,
         f: int,
         delta: float = 1.0,
-        fast_quorum: Optional[int] = None,
-        recovery_enabled: bool = True,
     ) -> None:
         super().__init__(pid, n)
         if n < 2 * f + 1:
@@ -106,13 +104,10 @@ class EPaxosReplica(Process):
             raise ConfigurationError(f"delta must be positive, got {delta}")
         self.f = f
         self.delta = delta
-        self.fast_quorum = (
-            fast_quorum if fast_quorum is not None else epaxos_fast_quorum(n, f)
-        )
+        self.fast_quorum = epaxos_fast_quorum(n, f)
         if not 1 <= self.fast_quorum <= n:
             raise ConfigurationError(f"fast quorum {self.fast_quorum} out of range")
         self.slow_quorum = n - f
-        self.recovery_enabled = recovery_enabled
 
         self.instances: Dict[InstanceId, InstanceState] = {}
         self.next_slot = 0
@@ -127,8 +122,7 @@ class EPaxosReplica(Process):
     # ------------------------------------------------------------------
 
     def on_start(self, ctx: Context) -> None:
-        if self.recovery_enabled:
-            ctx.set_timer(TICK_TIMER, 3 * self.delta)
+        ctx.set_timer(TICK_TIMER, 3 * self.delta)
 
     def on_timer(self, ctx: Context, name: str) -> None:
         if name != TICK_TIMER:
@@ -174,9 +168,6 @@ class EPaxosReplica(Process):
         state.leading_ballot = 0
         state.last_activity = ctx.now
         self._index(instance, command)
-        if self.fast_quorum <= 1:
-            self._commit(ctx, state)
-            return instance
         ctx.broadcast(PreAccept(instance, 0, command, seq, deps), include_self=False)
         return instance
 
@@ -553,22 +544,10 @@ class EPaxosReplica(Process):
         return state.committed_at - submitted_at
 
 
-def epaxos_factory(
-    f: int,
-    delta: float = 1.0,
-    fast_quorum: Optional[int] = None,
-    recovery_enabled: bool = True,
-) -> ProcessFactory:
+def epaxos_factory(f: int, delta: float = 1.0) -> ProcessFactory:
     """Factory for an EPaxos cluster."""
 
     def build(pid: ProcessId, n: int) -> EPaxosReplica:
-        return EPaxosReplica(
-            pid,
-            n,
-            f,
-            delta=delta,
-            fast_quorum=fast_quorum,
-            recovery_enabled=recovery_enabled,
-        )
+        return EPaxosReplica(pid, n, f, delta=delta)
 
     return build

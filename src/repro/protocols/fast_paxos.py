@@ -38,6 +38,8 @@ from ..core.quorums import (
 from ..core.values import BOTTOM, MaybeValue, is_bottom
 from ..omega import OmegaFactory, OmegaService, StaticOmega
 
+#: The message-delay bound ``Δ`` the ballot timers are set in.
+DELTA = 1.0
 BALLOT_TIMER = "fastpaxos:new_ballot"
 
 
@@ -95,7 +97,6 @@ class FastPaxosProcess(Process):
         e: int,
         proposal: MaybeValue,
         omega: Optional[OmegaService] = None,
-        delta: float = 1.0,
         enforce_bound: bool = True,
     ) -> None:
         super().__init__(pid, n)
@@ -108,11 +109,8 @@ class FastPaxosProcess(Process):
                 )
         if is_bottom(proposal):
             raise ConfigurationError("Fast Paxos requires a proposal at every process")
-        if delta <= 0:
-            raise ConfigurationError(f"delta must be positive, got {delta}")
         self.f = f
         self.e = e
-        self.delta = delta
         self.proposal = proposal
         self.omega = omega if omega is not None else StaticOmega(0)
 
@@ -128,7 +126,7 @@ class FastPaxosProcess(Process):
 
     def on_start(self, ctx: Context) -> None:
         self.omega.on_start(ctx)
-        ctx.set_timer(BALLOT_TIMER, 2 * self.delta)
+        ctx.set_timer(BALLOT_TIMER, 2 * DELTA)
         # Fast ballot: the proposal goes to every acceptor, self included —
         # a process does NOT pre-vote its own value; it votes for whichever
         # proposal reaches it first, like any other acceptor. (This
@@ -156,7 +154,7 @@ class FastPaxosProcess(Process):
             return
         if name != BALLOT_TIMER or not is_bottom(self.decided):
             return
-        ctx.set_timer(BALLOT_TIMER, 5 * self.delta)
+        ctx.set_timer(BALLOT_TIMER, 5 * DELTA)
         if self.omega.leader(ctx.now) == self.pid:
             ballot = self._next_owned_ballot()
             ctx.broadcast(F1A(ballot), include_self=True)
@@ -270,7 +268,6 @@ def fast_paxos_factory(
     proposals: Mapping[ProcessId, MaybeValue],
     f: int,
     e: int,
-    delta: float = 1.0,
     omega_factory: Optional[OmegaFactory] = None,
     enforce_bound: bool = True,
 ) -> ProcessFactory:
@@ -287,7 +284,6 @@ def fast_paxos_factory(
             e,
             proposals[pid],
             omega=omega,
-            delta=delta,
             enforce_bound=enforce_bound,
         )
 

@@ -27,6 +27,8 @@ from ..core.quorums import classic_quorum_size, validate_resilience
 from ..core.values import BOTTOM, MaybeValue, is_bottom
 from ..omega import OmegaFactory, OmegaService, StaticOmega
 
+#: The message-delay bound ``Δ`` the ballot timers are set in.
+DELTA = 1.0
 BALLOT_TIMER = "paxos:new_ballot"
 
 
@@ -75,18 +77,12 @@ class PaxosProcess(Process):
         f: int,
         proposal: MaybeValue,
         omega: Optional[OmegaService] = None,
-        delta: float = 1.0,
-        enforce_bound: bool = True,
     ) -> None:
         super().__init__(pid, n)
-        if enforce_bound:
-            validate_resilience(n, f, 0)
+        validate_resilience(n, f, 0)
         if is_bottom(proposal):
             raise ConfigurationError("Paxos requires a proposal at every process")
-        if delta <= 0:
-            raise ConfigurationError(f"delta must be positive, got {delta}")
         self.f = f
-        self.delta = delta
         self.proposal = proposal
         self.omega = omega if omega is not None else StaticOmega(0)
 
@@ -102,7 +98,7 @@ class PaxosProcess(Process):
 
     def on_start(self, ctx: Context) -> None:
         self.omega.on_start(ctx)
-        ctx.set_timer(BALLOT_TIMER, 2 * self.delta)
+        ctx.set_timer(BALLOT_TIMER, 2 * DELTA)
         if self.pid == 0:
             # Initial leader: ballot 0 opens without a phase 1.
             self._opened.add(0)
@@ -127,7 +123,7 @@ class PaxosProcess(Process):
             return
         if name != BALLOT_TIMER or not is_bottom(self.decided):
             return
-        ctx.set_timer(BALLOT_TIMER, 5 * self.delta)
+        ctx.set_timer(BALLOT_TIMER, 5 * DELTA)
         if self.omega.leader(ctx.now) == self.pid:
             ballot = self._next_owned_ballot()
             ctx.broadcast(P1A(ballot), include_self=True)
@@ -206,9 +202,7 @@ class PaxosProcess(Process):
 def paxos_factory(
     proposals: Mapping[ProcessId, MaybeValue],
     f: int,
-    delta: float = 1.0,
     omega_factory: Optional[OmegaFactory] = None,
-    enforce_bound: bool = True,
 ) -> ProcessFactory:
     """Factory for a Paxos system with the given initial configuration."""
 
@@ -216,14 +210,6 @@ def paxos_factory(
         if pid not in proposals:
             raise ConfigurationError(f"no proposal supplied for process {pid}")
         omega = omega_factory(pid, n) if omega_factory is not None else None
-        return PaxosProcess(
-            pid,
-            n,
-            f,
-            proposals[pid],
-            omega=omega,
-            delta=delta,
-            enforce_bound=enforce_bound,
-        )
+        return PaxosProcess(pid, n, f, proposals[pid], omega=omega)
 
     return build

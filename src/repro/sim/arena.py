@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import SchedulerError
 from ..core.messages import Message
@@ -35,6 +35,9 @@ from ..core.runs import (
     TimerSetRecord,
 )
 from ..core.values import BOTTOM, MaybeValue
+
+#: Steps :meth:`Arena.settle` takes before it gives up on a continuation.
+SETTLE_MAX_STEPS = 100_000
 
 
 @dataclass
@@ -228,7 +231,6 @@ class Arena:
         sender: Optional[ProcessId] = None,
         kind: Optional[type] = None,
         senders: Optional[Iterable[ProcessId]] = None,
-        order: Optional[Callable[[PendingMessage], object]] = None,
     ) -> int:
         """Deliver every currently pending message matching the filters.
 
@@ -239,37 +241,23 @@ class Arena:
         batch = self.pending_messages(
             receiver=receiver, sender=sender, kind=kind, senders=senders
         )
-        if order is not None:
-            batch = sorted(batch, key=order)
         for pm in batch:
             if pm.uid in self.pending and pm.receiver not in self.crashed:
                 self.deliver(pm)
         return len(batch)
 
-    def deliver_round(
-        self,
-        receivers: Optional[Iterable[ProcessId]] = None,
-        prefer_sender_first: Optional[ProcessId] = None,
-    ) -> int:
-        """Deliver, to each receiver, everything currently pending for it.
+    def deliver_round(self, prefer_sender_first: Optional[ProcessId] = None) -> int:
+        """Deliver, to each live receiver, everything currently pending for it.
 
         This is one synchronous round: all in-flight messages land, new
         sends wait for the next call. *prefer_sender_first* orders each
         receiver's batch with that sender's messages first (the Definition 4
         existence knob).
         """
-        receiver_set = (
-            set(receivers) if receivers is not None else set(range(self.n)) - self.crashed
-        )
-        order = None
+        snapshot = self.pending_messages()
         if prefer_sender_first is not None:
-            order = lambda pm: (0 if pm.sender == prefer_sender_first else 1, pm.uid)  # noqa: E731
+            snapshot.sort(key=lambda pm: (pm.sender != prefer_sender_first, pm.uid))
         count = 0
-        snapshot = [
-            pm for pm in self.pending_messages() if pm.receiver in receiver_set
-        ]
-        if order is not None:
-            snapshot = sorted(snapshot, key=order)
         for pm in snapshot:
             if pm.uid in self.pending and pm.receiver not in self.crashed:
                 self.deliver(pm)
@@ -280,13 +268,9 @@ class Arena:
     # Timer control.
     # ------------------------------------------------------------------
 
-    def timers(self, pid: Optional[ProcessId] = None) -> List[Tuple[ProcessId, str, float]]:
+    def timers(self) -> List[Tuple[ProcessId, str, float]]:
         """Armed timers as ``(pid, name, deadline)``, soonest first."""
-        entries = [
-            (owner, name, deadline)
-            for (owner, name), deadline in self._timers.items()
-            if pid is None or owner == pid
-        ]
+        entries = [(pid, name, deadline) for (pid, name), deadline in self._timers.items()]
         return sorted(entries, key=lambda item: (item[2], item[0], item[1]))
 
     def armed_timers(self) -> List[Tuple[ProcessId, str]]:
@@ -304,15 +288,16 @@ class Arena:
         """O(1) check whether any timer is armed."""
         return bool(self._timers)
 
-    def fire_timer(self, pid: ProcessId, name: str, advance_clock: bool = True) -> None:
+    def fire_timer(self, pid: ProcessId, name: str) -> None:
         """Fire an armed timer (the adversary controls time, so any armed
-        timer may fire 'now'); optionally advance the clock to its deadline."""
+        timer may fire 'now'), advancing the clock to its deadline if that
+        is later."""
         self._require_live(pid)
         key = (pid, name)
         if key not in self._timers:
             raise SchedulerError(f"no timer {name!r} armed at process {pid}")
         deadline = self._timers.pop(key)
-        if advance_clock and deadline > self.time:
+        if deadline > self.time:
             self.time = deadline
         self.run_record.add(TimerFiredRecord(time=self.time, pid=pid, name=name))
         self.processes[pid].on_timer(_ArenaContext(self, pid), name)
@@ -321,11 +306,7 @@ class Arena:
     # Fair completion.
     # ------------------------------------------------------------------
 
-    def settle(
-        self,
-        targets: Optional[Iterable[ProcessId]] = None,
-        max_steps: int = 100_000,
-    ) -> Run:
+    def settle(self, targets: Optional[Iterable[ProcessId]] = None) -> Run:
         """Finish the run fairly: the f-resilient continuation.
 
         Alternates between flushing all deliverable messages and firing the
@@ -339,7 +320,7 @@ class Arena:
             for pid in (targets if targets is not None else range(self.n))
             if pid not in self.crashed
         }
-        for _ in range(max_steps):
+        for _ in range(SETTLE_MAX_STEPS):
             if all(
                 self.run_record.decision_time(pid) is not None for pid in live_targets()
             ):
@@ -353,7 +334,7 @@ class Arena:
                 return self.run_record  # quiescent without full decision
             pid, name, _deadline = armed[0]
             self.fire_timer(pid, name)
-        raise SchedulerError(f"settle() did not converge within {max_steps} steps")
+        raise SchedulerError(f"settle() did not converge within {SETTLE_MAX_STEPS} steps")
 
     # ------------------------------------------------------------------
     # Queries.

@@ -17,7 +17,7 @@ the policy space the way the paper's existence proofs do.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Set
+from typing import Iterable, List, Mapping, Optional, Set
 
 from ..core.process import ProcessFactory, ProcessId
 from ..core.runs import Run
@@ -84,39 +84,28 @@ def exists_two_step_run(
     n: int,
     faulty: Iterable[ProcessId],
     target: Optional[ProcessId] = None,
-    delta: float = 1.0,
-    candidate_preferences: Optional[Sequence[Optional[ProcessId]]] = None,
     proposals: Optional[Mapping[ProcessId, MaybeValue]] = None,
 ) -> Optional[Run]:
-    """Search for an E-faulty synchronous run that is two-step.
+    """Search for an E-faulty synchronous run with ``Δ = 1`` that is two-step.
 
     When *target* is ``None``, looks for a run two-step for *some* process
     (Definition 4, item 1); otherwise for one two-step for *target*
     (item 2). The search space is the set of delivery-preference policies:
-    by default, preferring each correct process in turn plus plain FIFO.
+    preferring each correct process in turn plus plain FIFO.
     Returns a witnessing run, or ``None`` when no candidate works.
     """
     faulty_set = set(faulty)
-    if candidate_preferences is None:
-        correct = [pid for pid in range(n) if pid not in faulty_set]
-        # Try the target first (its own messages first is the natural
-        # witness), then every other correct process, then FIFO.
-        ordered: list = []
-        if target is not None:
-            ordered.append(target)
-        ordered.extend(pid for pid in correct if pid != target)
-        ordered.append(None)
-        candidate_preferences = ordered
-    for preference in candidate_preferences:
+    correct = [pid for pid in range(n) if pid not in faulty_set]
+    # Try the target first (its own messages first is the natural
+    # witness), then every other correct process, then FIFO.
+    preferences: List[Optional[ProcessId]] = [] if target is None else [target]
+    preferences.extend(pid for pid in correct if pid != target)
+    preferences.append(None)
+    for preference in preferences:
         run = synchronous_run(
-            factory,
-            n,
-            faulty=faulty_set,
-            delta=delta,
-            prefer=preference,
-            proposals=proposals,
+            factory, n, faulty=faulty_set, prefer=preference, proposals=proposals
         )
-        deciders = two_step_deciders(run, delta)
+        deciders = two_step_deciders(run, 1.0)
         if target is None and deciders:
             return run
         if target is not None and target in deciders:

@@ -21,7 +21,7 @@ Scheduling semantics
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core.errors import ConfigurationError, SchedulerError
 from ..core.messages import Message
@@ -245,20 +245,13 @@ class Simulation:
             self.time = max(self.time, until)
         return self.run_record
 
-    def run_until_all_decide(
-        self,
-        pids: Optional[Iterable[ProcessId]] = None,
-        until: Optional[float] = None,
-        max_events: int = 2_000_000,
-    ) -> Run:
-        """Run until every process in *pids* (default: all correct) decided."""
-        wanted = set(pids) if pids is not None else None
+    def run_until_all_decide(self, until: Optional[float] = None) -> Run:
+        """Run until every correct process decided."""
 
         def stop(run: Run) -> bool:
-            targets = wanted if wanted is not None else run.correct
-            return all(run.decision_time(pid) is not None for pid in targets)
+            return all(run.decision_time(pid) is not None for pid in run.correct)
 
-        return self.run(until=until, stop=stop, max_events=max_events)
+        return self.run(until=until, stop=stop)
 
     # ------------------------------------------------------------------
     # Event handling.

@@ -62,12 +62,11 @@ def put_get_workload(
     keys: Sequence[str],
     proxies: Sequence[ProcessId],
     spacing: float = 3.0,
-    start: float = 0.0,
     put_fraction: float = 0.7,
     seed: int = 0,
     key_skew: Optional[float] = None,
 ) -> List[ClientOp]:
-    """A mixed put/get workload spread over proxies and time.
+    """A mixed put/get workload spread over proxies and time from ``t = 0``.
 
     Commands are spaced ``spacing`` apart by default so each normally
     commits on the fast path before the next arrives; pass ``spacing=0``
@@ -99,7 +98,7 @@ def put_get_workload(
             )
         else:
             command = KVCommand(op="get", key=key, command_id=f"cmd-{index}")
-        ops.append(ClientOp(time=start + index * spacing, proxy=proxy, command=command))
+        ops.append(ClientOp(time=index * spacing, proxy=proxy, command=command))
     return ops
 
 

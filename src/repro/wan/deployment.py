@@ -27,7 +27,7 @@ from ..core.errors import ConfigurationError
 from ..core.process import ProcessId
 from ..core.values import BOTTOM
 from ..omega import static_omega_factory
-from ..protocols.twostep import ProposeRequest, TwoStepConfig, twostep_object_factory
+from ..protocols.twostep import ProposeRequest, twostep_object_factory
 from ..sim.latency import WanMatrix
 from ..sim.simulation import Simulation
 from .topologies import Topology
@@ -44,12 +44,10 @@ class Deployment:
     def n(self) -> int:
         return len(self.placement)
 
-    def latency_model(self, jitter: float = 0.0, seed: int = 0) -> WanMatrix:
+    def latency_model(self) -> WanMatrix:
+        """The topology's delays between the processes' sites, no jitter."""
         return WanMatrix(
-            [list(row) for row in self.topology.matrix],
-            placement=list(self.placement),
-            jitter=jitter,
-            seed=seed,
+            [list(row) for row in self.topology.matrix], placement=list(self.placement)
         )
 
     def one_way(self, a: ProcessId, b: ProcessId) -> float:
@@ -141,34 +139,25 @@ def predicted_commit_latency_paxos(
 
 
 def measured_commit_latency_twostep(
-    deployment: Deployment,
-    proposer: ProcessId,
-    f: int,
-    e: int,
-    is_object: bool = True,
-    horizon_factor: float = 40.0,
+    deployment: Deployment, proposer: ProcessId, f: int, e: int
 ) -> Optional[float]:
     """Simulate a solo proposal on the WAN and measure decision latency.
 
     Uses the object variant (only the proposer has an input — the proxy
     scenario); the ballot timer is scaled to the deployment's ``Δ`` so the
-    fast path is not cut short by spurious recoveries.
+    fast path is not cut short by spurious recoveries. A proposer still
+    undecided at ``40Δ`` reads ``None``.
     """
     delta = deployment.delta()
-    config = TwoStepConfig(f=f, e=e, delta=delta, is_object=is_object)
     factory = twostep_object_factory(
-        f,
-        e,
-        delta=delta,
-        omega_factory=static_omega_factory(proposer),
-        config=config,
+        f, e, delta=delta, omega_factory=static_omega_factory(proposer)
     )
     simulation = Simulation(
         factory, deployment.n, latency=deployment.latency_model()
     )
     simulation.inject(0.0, proposer, ProposeRequest(1))
     simulation.run(
-        until=horizon_factor * delta,
+        until=40.0 * delta,
         stop=lambda run: run.decision_time(proposer) is not None,
     )
     return simulation.run_record.decision_time(proposer)

@@ -114,9 +114,9 @@ def topology(sites: Sequence[str], name: str = "custom") -> Topology:
     return Topology(name=name, sites=tuple(sites), matrix=matrix)
 
 
-def three_continents(count: int = 3) -> Topology:
+def three_continents() -> Topology:
     """us-east / eu-west / ap-northeast, a classic 3-site deployment."""
-    return topology(["us-east", "eu-west", "ap-northeast"][:count], "three-continents")
+    return topology(["us-east", "eu-west", "ap-northeast"], "three-continents")
 
 
 def five_regions() -> Topology:

@@ -6,6 +6,8 @@ generator's ``pipeline > 1`` mode drives whole workloads that way, and
 failover re-submits the outstanding window idempotently when the pinned
 proxy is gone. ``submit`` at both client layers is the same path with a
 window of one; ``TestSubmitIsARunOfOne`` pins that contract.
+``TestClientReads`` drives the client's read over in-memory links: a
+cancellation that lands with a read, and a read that times out.
 """
 
 import asyncio
@@ -13,11 +15,13 @@ import asyncio
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.net import client as client_module
 from repro.net.client import ClientError, KVClient, PipelineError
+from repro.net.codec import FrameDecoder, MessageCodec
 from repro.net.cluster import LocalCluster
 from repro.net.loadgen import run_loadgen
 from repro.omega import static_omega_factory
-from repro.net.wire import ClientReply, WrongShard
+from repro.net.wire import ClientReply, ClientSubmit, WrongShard
 from repro.protocols.twostep import TwoStepConfig
 from repro.shard import ShardRouter, ShardedCluster
 from repro.shard import router as router_module
@@ -348,3 +352,105 @@ class TestSubmitIsARunOfOne:
         with pytest.raises(ClientError, match="control-plane"):
             _run(router.submit(config))
         assert router._clients == {}
+
+
+class _Link:
+    """An in-memory client link: the test feeds ``reader``; the link is
+    the client's writer and records what the client sends."""
+
+    def __init__(self):
+        self.reader = asyncio.StreamReader()
+        self.sent = []
+        self.aborted = False
+        self.transport = self
+
+    def write(self, data):
+        self.sent.append(bytes(data))
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    def abort(self):
+        self.aborted = True
+        self.reader.feed_eof()
+
+    def submits(self, codec):
+        decoded = FrameDecoder(codec).feed_sized(b"".join(self.sent))
+        return [m for m, _ in decoded if isinstance(m, ClientSubmit)]
+
+
+def _in_memory_links(monkeypatch):
+    """Make every dial hand out a fresh :class:`_Link`; returns them all."""
+    links = []
+
+    async def dial(address, codec, hello, timeout):
+        link = _Link()
+        links.append(link)
+        return link.reader, link
+
+    monkeypatch.setattr(client_module, "dial", dial)
+    return links
+
+
+class TestClientReads:
+    COMMAND = KVCommand(op="put", key="k", value=1, command_id="c/op-0")
+
+    @pytest.mark.parametrize("landing", ["reply", "eof"])
+    def test_a_cancel_in_the_tick_a_read_completes_propagates(self, monkeypatch, landing):
+        """A reply (or EOF) lands in the same loop tick as ``task.cancel()``:
+        the cancellation must reach the caller, and the cancelled submit
+        must not fail over and send the command again."""
+        links = _in_memory_links(monkeypatch)
+        codec = MessageCodec()
+
+        async def live():
+            client = KVClient(
+                [("127.0.0.1", 1), ("127.0.0.1", 2)], client_id="c", codec=codec
+            )
+            task = asyncio.ensure_future(client.submit(self.COMMAND))
+            while not links or not links[0].sent:
+                await asyncio.sleep(0)
+            if landing == "reply":
+                links[0].reader.feed_data(
+                    codec.encode(ClientReply("c:0", self.COMMAND.command_id, None, 0.0))
+                )
+            else:
+                links[0].reader.feed_eof()
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await asyncio.wait_for(asyncio.shield(task), 2.0)
+            # Give a (wrongly) surviving submit the time to fail over.
+            await asyncio.sleep(0.2)
+            assert task.cancelled()
+
+        _run(live())
+        assert sum(len(link.submits(codec)) for link in links) == 1
+
+    def test_a_silent_proxy_times_out_aborts_the_link_and_fails_over(self, monkeypatch):
+        """A proxy that never answers: the read times out after ``timeout``,
+        the link is aborted, and the command goes to the next proxy."""
+        links = _in_memory_links(monkeypatch)
+        codec = MessageCodec()
+
+        async def live():
+            client = KVClient(
+                [("127.0.0.1", 1), ("127.0.0.1", 2)],
+                client_id="c",
+                codec=codec,
+                timeout=0.1,
+            )
+            task = asyncio.ensure_future(client.submit(self.COMMAND))
+            while len(links) < 2 or not links[1].sent:
+                await asyncio.sleep(0.01)
+            links[1].reader.feed_data(
+                codec.encode(ClientReply("c:1", self.COMMAND.command_id, "ok", 0.0))
+            )
+            return await task, client.proxy
+
+        reply, proxy = _run(live())
+        assert reply.result == "ok" and proxy == 1
+        assert links[0].aborted and not links[1].aborted
+        assert [len(link.submits(codec)) for link in links] == [1, 1]

@@ -9,10 +9,17 @@ shape ``scrape_cluster`` produces for a live cluster.
 """
 
 from repro.core.process import Context
-from repro.obs import NULL_OBS, fast_path_ratio
+from repro.obs import NULL_OBS, critical_paths, fast_path_ratio, merge_span_events
 from repro.omega import static_omega_factory
 from repro.protocols import twostep_task_factory
-from repro.sim import FixedLatency, Simulation, prefer_sender, two_step_deciders
+from repro.sim import (
+    FixedLatency,
+    RandomLatency,
+    Simulation,
+    prefer_sender,
+    two_step_deciders,
+)
+from repro.smr import SubmitCommand, put_get_workload, smr_factory
 
 
 def _favourable_simulation(n=6, f=2, e=2, until=12.0):
@@ -116,3 +123,27 @@ class TestObsSeam:
         sim = _favourable_simulation(until=2.5)
         assert len({id(obs.registry) for obs in sim.obs}) == sim.n
         assert all(obs.node == pid for pid, obs in enumerate(sim.obs))
+
+
+def _traced_smr_paths(seed):
+    """Critical paths of a seeded SMR workload with every slot traced."""
+    n = 5
+    sim = Simulation(
+        smr_factory(2, 2, omega_factory=static_omega_factory(0)),
+        n,
+        latency=RandomLatency(0.5, 1.5, seed=seed),
+        trace_sample=1,
+    )
+    for op in put_get_workload(8, ["x", "y"], proxies=list(range(n)), seed=seed):
+        sim.inject(op.time, op.proxy, SubmitCommand(op.command))
+    sim.run(until=60.0)
+    return critical_paths(merge_span_events(sim.span_events()))
+
+
+class TestTracedSimulation:
+    def test_traced_runs_stay_deterministic(self):
+        """``Simulation(trace_sample=1)`` stamps spans on virtual time, so
+        the same seed yields the same non-empty critical paths."""
+        first = _traced_smr_paths(seed=4)
+        assert first
+        assert first == _traced_smr_paths(seed=4)
