@@ -1,8 +1,9 @@
 """Verification tooling benchmarks (not a paper experiment).
 
 Times the heavyweight correctness machinery so regressions are visible:
-the bounded exhaustive explorer (states/second and a full exhaustive
-proof), the adversarial fuzzer (schedules/second, serial and sharded),
+the bounded exhaustive explorer (states/second, a full exhaustive proof,
+and an exhaustive search that reaches a recovery ballot from the root),
+the adversarial fuzzer (schedules/second, serial and sharded),
 the Appendix B witnesses, and the Definition 4 checker.
 
 The throughput benches gate against ``baseline_verification.json`` —
@@ -21,7 +22,7 @@ from repro.bounds import fuzz_safety, object_lower_bound_witness, task_lower_bou
 from repro.checks import check_task_two_step, twostep_task_builder
 from repro.checks.explore import explore
 from repro.omega import static_omega_factory
-from repro.protocols import twostep_task_factory
+from repro.protocols import ProposeRequest, twostep_object_factory, twostep_task_factory
 
 from conftest import emit
 
@@ -51,7 +52,7 @@ def _explorer_campaign(workers: int = 1):
         proposals, 1, 1, omega_factory=static_omega_factory(0)
     )
     return explore(
-        factory, 3, 1, proposals=proposals, timer_fires=0, workers=workers
+        factory, 3, proposals=proposals, timer_fires=0, workers=workers
     )
 
 
@@ -110,12 +111,30 @@ def bench_explorer_exhaustive_fast_path(once):
     factory = twostep_task_factory(
         proposals, 1, 1, omega_factory=static_omega_factory(0)
     )
-    report = once(
-        explore, factory, 3, 1, proposals=proposals, timer_fires=0
-    )
+    report = once(explore, factory, 3, proposals=proposals, timer_fires=0)
     emit("verification_explorer", report.describe())
     assert report.safe and report.exhaustive
     assert report.states_visited > 1000
+
+
+def bench_explorer_recovery_ballot_from_root(once):
+    """Exhaustive proof with no scripted prefix that reaches a recovery
+    ballot: two proposers and one timer expiry in total, anywhere in the
+    schedule, let Figure 1's ballot-1 recovery interleave with the
+    contended fast path."""
+    factory = twostep_object_factory(1, 1, omega_factory=static_omega_factory(0))
+    bounds = dict(
+        injections=[(0, ProposeRequest("x")), (2, ProposeRequest("y"))],
+        timer_fires=1,
+    )
+    report = once(explore, factory, 3, **bounds)
+    emit("verification_explorer_recovery_ballot", report.describe())
+    assert report.safe and report.exhaustive, report.describe()
+    # Pruning every state past ballot 0 leaves a small fraction of the
+    # space: the proof above did explore ballots beyond the fast one.
+    fast_only = explore(factory, 3, ballot_bound=0, **bounds)
+    assert fast_only.safe and fast_only.exhaustive
+    assert fast_only.states_visited * 100 < report.states_visited
 
 
 def bench_task_witness(once):

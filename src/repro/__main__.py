@@ -207,10 +207,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     report = explore(
         factory,
         args.n,
-        args.f,
         proposals=proposals,
         timer_fires=args.timer_fires,
-        max_crashes=args.max_crashes,
         max_states=args.max_states,
         workers=args.workers,
     )
@@ -789,16 +787,12 @@ def build_parser() -> argparse.ArgumentParser:
         "explore", help="bounded exhaustive safety exploration"
     )
     explore_parser.add_argument("--n", type=int, default=3, help="processes (default 3)")
-    explore_parser.add_argument("--f", type=int, default=1, help="crash budget")
+    explore_parser.add_argument(
+        "--f", type=int, default=1, help="the protocol's f, passed to its factory"
+    )
     explore_parser.add_argument("--e", type=int, default=1, help="fast-decision budget")
     explore_parser.add_argument(
         "--timer-fires", type=int, default=0, help="total timer expirations explored"
-    )
-    explore_parser.add_argument(
-        "--max-crashes",
-        type=int,
-        default=None,
-        help="crash actions per schedule (default: f)",
     )
     explore_parser.add_argument(
         "--max-states", type=int, default=200_000, help="state cap"

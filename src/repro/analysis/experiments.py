@@ -197,7 +197,7 @@ def verification_engine_summary(
         proposals, 1, 1, omega_factory=static_omega_factory(0)
     )
     exploration = explore(
-        factory, 3, 1, proposals=proposals, timer_fires=0, workers=workers
+        factory, 3, proposals=proposals, timer_fires=0, workers=workers
     )
 
     n, f, e = 6, 2, 2

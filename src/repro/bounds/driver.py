@@ -21,7 +21,7 @@ constructions:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Iterable, Optional, Sequence, Set
 
 from ..core.errors import SchedulerError
 from ..core.messages import message_sort_key

@@ -33,7 +33,7 @@ agreement violation that σ′ must exhibit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence, Set
 
 from ..core.errors import ConfigurationError
 from ..core.process import ProcessFactory, ProcessId

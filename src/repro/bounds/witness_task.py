@@ -38,7 +38,7 @@ record sequences across the two runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.errors import ConfigurationError

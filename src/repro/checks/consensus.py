@@ -15,11 +15,11 @@ import itertools
 import random
 import zlib
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..core.process import ProcessId
 from ..core.runs import Run
-from ..core.specs import Violation, check_agreement, check_consensus, check_validity
+from ..core.specs import Violation, check_consensus
 from ..core.values import MaybeValue
 from ..sim.events import DeliveryPriority
 from ..sim.failures import CrashPlan

@@ -5,14 +5,20 @@ Random schedules (``repro.bounds.search``) and hypothesis-driven schedules
 starting from the initial configuration it explores every reachable state
 under all interleavings of
 
-* delivering any in-flight message,
-* firing any armed timer (asynchrony lets a timer fire at any moment), and
-* crashing any live process while the budget lasts,
+* delivering any in-flight message, and
+* firing any armed timer (asynchrony lets a timer fire at any moment),
 
 checking Agreement and Validity in every state. States are canonicalized
 (process snapshots with order-insensitive collections, the in-flight
-message multiset, the crash set, armed timer names) so the search visits
-each distinct global state once.
+message multiset, armed timer names) so the search visits each distinct
+global state once.
+
+There is no crash move. In the crash-stop model a crash only takes
+actions away: the crashed process's messages and timers are dropped and
+it is never activated again, so every local history of a schedule with
+a crash is the local history of the same schedule without it, where the
+process is merely slow. Safety verdicts therefore need only deliveries
+and timer fires.
 
 Canonicalization is the dominant cost of an exhaustive proof, so it is
 engineered: snapshots are rendered into interned structural tuples (no
@@ -56,7 +62,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from ..core.errors import SchedulerError
 from ..core.messages import Message
 from ..core.process import CLIENT, Context, Process, ProcessFactory, ProcessId
-from ..core.values import BOTTOM, MaybeValue, is_bottom
+from ..core.values import MaybeValue, is_bottom
 from ..verify.metrics import MetricsRecorder, VerificationMetrics
 from ..verify.runner import run_shards
 
@@ -132,13 +138,13 @@ class _SignatureEngine:
 
 
 class _World:
-    """One global state: processes + in-flight messages + timers + crashes.
+    """One global state: processes + in-flight messages + timers.
 
     Worlds share process objects copy-on-write: :meth:`fork` copies only
     the list, and the caller clones exactly the process it is about to
-    activate (:meth:`activate_copy`). A crash child therefore clones
-    nothing at all. Pending entries carry their precomputed signature key
-    ``(sender, receiver, describe)`` so :meth:`signature` only sorts.
+    activate (:meth:`activate_copy`). Pending entries carry their
+    precomputed signature key ``(sender, receiver, describe)`` so
+    :meth:`signature` only sorts.
     """
 
     def __init__(self, processes: List[Process], engine: _SignatureEngine) -> None:
@@ -147,9 +153,8 @@ class _World:
         # (sender, receiver, message, key) — key = (sender, receiver, describe)
         self.pending: List[Tuple[ProcessId, ProcessId, Message, Tuple]] = []
         self.timers: Set[Tuple[ProcessId, str]] = set()
-        self.crashed: Set[ProcessId] = set()
         self.decisions: Dict[ProcessId, MaybeValue] = {}
-        self.timer_fires_left: Dict[ProcessId, int] = {}
+        self.timer_fires_left = 0  # expirations left, over all processes
         # Memoized canonical snapshot per process; ``None`` marks dirty.
         self.proc_sigs: List[Optional[object]] = [None] * len(processes)
 
@@ -159,9 +164,8 @@ class _World:
         twin.engine = self.engine
         twin.pending = list(self.pending)  # message tuples are immutable
         twin.timers = set(self.timers)
-        twin.crashed = set(self.crashed)
         twin.decisions = dict(self.decisions)
-        twin.timer_fires_left = dict(self.timer_fires_left)
+        twin.timer_fires_left = self.timer_fires_left
         twin.proc_sigs = list(self.proc_sigs)
         return twin
 
@@ -199,9 +203,8 @@ class _World:
             tuple(sigs),
             tuple(sorted(entry[3] for entry in self.pending)),
             tuple(sorted(self.timers)),
-            tuple(sorted(self.crashed)),
             decision_sig,
-            tuple(sorted(self.timer_fires_left.items())),
+            self.timer_fires_left,
         )
 
 
@@ -224,8 +227,6 @@ class _WorldContext(Context):
 
     def send(self, dst: ProcessId, message: Message) -> None:
         world = self._world
-        if dst in world.crashed:
-            return
         world.pending.append(
             (self._pid, dst, message, (self._pid, dst, world.engine.describe(message)))
         )
@@ -246,7 +247,7 @@ class _WorldContext(Context):
 class Action:
     """One adversary move; the ``detail`` renders the counterexample."""
 
-    kind: str  # "deliver" | "fire" | "crash"
+    kind: str  # "deliver" | "fire"
     detail: str
 
 
@@ -286,7 +287,6 @@ class _Search:
     factory: ProcessFactory
     n: int
     allowed: Set[MaybeValue]
-    budget: int  # crash actions per schedule
     ballot_bound: int
     max_states: int  # per shard, the root included
     timer_fires: int
@@ -331,7 +331,7 @@ def _build_root(search: _Search, engine: _SignatureEngine) -> _World:
     # other world until the first fork.
     n = search.n
     root = _World([search.factory(pid, n) for pid in range(n)], engine)
-    root.timer_fires_left = {pid: search.timer_fires for pid in range(n)}
+    root.timer_fires_left = search.timer_fires
     for pid in range(n):
         root.processes[pid].on_start(_WorldContext(root, pid))
     for pid, message in search.injections or []:
@@ -355,7 +355,7 @@ def _check_safety(
     return None
 
 
-def _expand(world: _World, search: _Search) -> List[Tuple[_World, Action]]:
+def _expand(world: _World) -> List[Tuple[_World, Action]]:
     """All successor states of *world*, in deterministic push order.
 
     Every enabled action branches. A per-process partial-order reduction
@@ -371,8 +371,6 @@ def _expand(world: _World, search: _Search) -> List[Tuple[_World, Action]]:
 
     seen_payloads = set()
     for index, (sender, receiver, message, key) in enumerate(world.pending):
-        if receiver in world.crashed:
-            continue
         if key in seen_payloads:  # key = (sender, receiver, describe)
             continue
         seen_payloads.add(key)
@@ -385,24 +383,13 @@ def _expand(world: _World, search: _Search) -> List[Tuple[_World, Action]]:
             (child, Action("deliver", f"p{sender}->p{receiver}: {key[2]}"))
         )
 
-    for pid, name in sorted(world.timers):
-        if pid in world.crashed or world.timer_fires_left.get(pid, 0) <= 0:
-            continue
-        child = world.fork()
-        child.timer_fires_left[pid] -= 1
-        child.timers.discard((pid, name))
-        child.activate_copy(pid).on_timer(_WorldContext(child, pid), name)
-        children.append((child, Action("fire", f"p{pid}: {name}")))
-
-    if len(world.crashed) < search.budget:
-        for pid in range(search.n):
-            if pid in world.crashed:
-                continue
+    if world.timer_fires_left > 0:
+        for pid, name in sorted(world.timers):
             child = world.fork()
-            child.crashed.add(pid)
-            child.pending = [entry for entry in child.pending if entry[1] != pid]
-            child.timers = {(p, nm) for p, nm in child.timers if p != pid}
-            children.append((child, Action("crash", f"p{pid}")))
+            child.timer_fires_left -= 1
+            child.timers.discard((pid, name))
+            child.activate_copy(pid).on_timer(_WorldContext(child, pid), name)
+            children.append((child, Action("fire", f"p{pid}: {name}")))
 
     return children
 
@@ -456,7 +443,7 @@ def _explore_shard(search: _Search, index: int) -> ExplorationReport:
         if any(_ballot_of(p) > ballot_bound for p in world.processes):
             continue  # ballot pruning
 
-        for position, (child, action) in enumerate(_expand(world, search)):
+        for position, (child, action) in enumerate(_expand(world)):
             child_signature = child.signature()
             if not trail and position % workers != index:
                 visited.add(child_signature)  # another shard's root branch
@@ -483,12 +470,10 @@ def _explore_shard(search: _Search, index: int) -> ExplorationReport:
 def explore(
     factory: ProcessFactory,
     n: int,
-    f: int,
     proposals: Optional[Mapping[ProcessId, MaybeValue]] = None,
     injections: Optional[Sequence[Tuple[ProcessId, Message]]] = None,
     ballot_bound: int = 12,
     max_states: int = 200_000,
-    max_crashes: Optional[int] = None,
     timer_fires: int = 2,
     prefix: Optional[Sequence[Tuple[str, Tuple]]] = None,
     workers: int = 1,
@@ -497,14 +482,14 @@ def explore(
 
     *proposals* is validity metadata (allowed decision values);
     *injections* are client messages delivered up-front (the object
-    formulation's ``propose`` calls). ``max_crashes`` defaults to ``f``
-    (pass ``0`` explicitly for a crash-free search). ``timer_fires``
-    bounds the *total* timer expirations per schedule — each expiry can
-    open a new ballot, and unbounded ballots mean an unbounded state
-    space; safety violations surface within the first couple (Appendix B
-    needs exactly one). ``workers`` shards the root's branches (a forked
-    pool when above 1; ``max_states`` then applies per shard; see the
-    module docstring for the accounting caveat).
+    formulation's ``propose`` calls). ``timer_fires`` bounds the
+    *total* timer expirations the search adds to a schedule, over all
+    processes (a *prefix*'s scripted fires are not counted) — each
+    expiry can open a new ballot, and unbounded ballots mean an unbounded
+    state space; safety violations surface within the first couple
+    (Appendix B needs exactly one). ``workers`` shards the root's
+    branches (a forked pool when above 1; ``max_states`` then applies
+    per shard; see the module docstring for the accounting caveat).
     """
     allowed = {v for v in (proposals or {}).values() if not is_bottom(v)}
     allowed |= {
@@ -516,7 +501,6 @@ def explore(
         factory=factory,
         n=n,
         allowed=allowed,
-        budget=f if max_crashes is None else max_crashes,
         ballot_bound=ballot_bound,
         max_states=max_states,
         timer_fires=timer_fires,

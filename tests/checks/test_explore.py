@@ -5,8 +5,11 @@ Three capability classes are covered:
 * **violation detection** — broken toy protocols are caught with a
   counterexample trail, and the full Theorem 5 violating schedule
   (scripted as a prefix, derived from the Appendix B.1 witness) is
-  recognized on the real protocol — notably *crash-free*, confirming
-  that crashes are irrelevant to safety violations in this model;
+  recognized on the real protocol. The explorer's adversary is only
+  deliveries and timer fires: in crash-stop a crash only takes actions
+  away (the crashed process is never activated again), so it yields no
+  local history that the same schedule without it, with the process
+  merely slow, does not;
 * **exhaustive safety** — small configurations of Figure 1 are proven
   safe over every schedule within the bounds, including every
   interleaving of a full recovery ballot with in-flight fast votes;
@@ -67,13 +70,29 @@ class DecideForeign(Process):
         return {}
 
 
+class DecideOnTimer(Process):
+    """Broken once two timers fire: each process arms a timer at start
+    and decides its own pid when it expires."""
+
+    def on_start(self, ctx: Context) -> None:
+        ctx.set_timer("decide", 1.0)
+
+    def on_message(self, ctx: Context, sender, message) -> None:
+        pass
+
+    def on_timer(self, ctx: Context, name: str) -> None:
+        ctx.decide(self.pid)
+
+    def snapshot(self):
+        return {}
+
+
 class TestViolationDetection:
     def test_agreement_violation_found(self):
         proposals = {0: "a", 1: "b", 2: "b"}
         report = explore(
             lambda pid, n: DecideOwn(pid, n, proposals[pid]),
             3,
-            1,
             proposals=proposals,
         )
         assert not report.safe
@@ -85,7 +104,6 @@ class TestViolationDetection:
         report = explore(
             lambda pid, n: DecideForeign(pid, n),
             3,
-            1,
             proposals={0: "a", 1: "a", 2: "a"},
         )
         assert not report.safe
@@ -134,7 +152,6 @@ class TestViolationDetection:
         report = explore(
             factory,
             n,
-            f,
             proposals=proposals,
             ballot_bound=5,
             timer_fires=0,
@@ -172,7 +189,6 @@ class TestViolationDetection:
         report = explore(
             factory,
             n,
-            f,
             proposals=proposals,
             ballot_bound=6,
             timer_fires=0,
@@ -189,7 +205,7 @@ class TestExhaustiveSafety:
         factory = twostep_task_factory(
             proposals, 1, 1, omega_factory=static_omega_factory(0)
         )
-        report = explore(factory, 3, 1, proposals=proposals, timer_fires=0)
+        report = explore(factory, 3, proposals=proposals, timer_fires=0)
         assert report.safe and report.exhaustive
         assert report.states_visited > 1000
 
@@ -211,7 +227,6 @@ class TestExhaustiveSafety:
         report = explore(
             factory,
             3,
-            1,
             proposals=proposals,
             ballot_bound=3,
             timer_fires=0,
@@ -227,7 +242,6 @@ class TestExhaustiveSafety:
         report = explore(
             factory,
             3,
-            1,
             injections=[(2, ProposeRequest("x"))],
             timer_fires=0,
         )
@@ -240,7 +254,6 @@ class TestExhaustiveSafety:
         report = explore(
             factory,
             3,
-            1,
             injections=[(0, ProposeRequest("x")), (2, ProposeRequest("y"))],
             timer_fires=0,
             max_states=300_000,
@@ -255,10 +268,20 @@ class TestBounds:
             proposals, 1, 1, omega_factory=static_omega_factory(0)
         )
         report = explore(
-            factory, 3, 1, proposals=proposals, timer_fires=2, max_states=50
+            factory, 3, proposals=proposals, timer_fires=2, max_states=50
         )
         assert report.safe and not report.exhaustive
         assert "state cap" in report.describe()
+
+    def test_timer_fires_bounds_the_whole_schedule(self):
+        # One expiry in total, whichever process it hits: a single
+        # decision, never two. A budget per process would let two timers
+        # fire and two different pids be decided.
+        report = explore(lambda pid, n: DecideOnTimer(pid, n), 3, timer_fires=1)
+        assert report.safe and report.exhaustive, report.describe()
+        two = explore(lambda pid, n: DecideOnTimer(pid, n), 3, timer_fires=2)
+        assert not two.safe and "agreement" in two.violation
+        assert [action.kind for action in two.counterexample] == ["fire", "fire"]
 
     def test_bad_prefix_step_rejected(self):
         from repro.core import SchedulerError
@@ -271,7 +294,6 @@ class TestBounds:
             explore(
                 factory,
                 3,
-                1,
                 proposals=proposals,
                 prefix=[("deliver", (0, 0, "NoSuchMessage"))],
             )
@@ -279,70 +301,9 @@ class TestBounds:
             explore(
                 factory,
                 3,
-                1,
                 proposals=proposals,
                 prefix=[("fire", (0, "nonexistent"))],
             )
-
-
-class TestCrashActions:
-    def test_crash_expansion_enabled_with_budget(self):
-        """With max_crashes > 0, crash actions branch too; safety holds."""
-        proposals = {0: 1, 1: 0, 2: 0}
-        factory = twostep_task_factory(
-            proposals, 1, 1, omega_factory=static_omega_factory(0)
-        )
-        report = explore(
-            factory,
-            3,
-            1,
-            proposals=proposals,
-            timer_fires=0,
-            max_crashes=1,
-            max_states=100_000,
-        )
-        assert report.safe and report.exhaustive, report.describe()
-        # Crashes enlarge the space relative to the crash-free run (1412).
-        assert report.states_visited > 1412
-
-
-class TestCrashBudgetDefault:
-    """`max_crashes` defaults to `f`, as the docstring always promised.
-
-    Before the fix the default was silently 0, so "exhaustive" safety
-    reports never explored a single crash schedule unless callers opted
-    in explicitly.
-    """
-
-    def test_default_equals_explicit_f(self):
-        proposals = {0: 1, 1: 0, 2: 0}
-        factory = twostep_task_factory(
-            proposals, 1, 1, omega_factory=static_omega_factory(0)
-        )
-        default = explore(factory, 3, 1, proposals=proposals, timer_fires=0)
-        explicit = explore(
-            factory, 3, 1, proposals=proposals, timer_fires=0, max_crashes=1
-        )
-        crash_free = explore(
-            factory, 3, 1, proposals=proposals, timer_fires=0, max_crashes=0
-        )
-        assert default.states_visited == explicit.states_visited
-        assert default.states_visited > crash_free.states_visited
-        assert default.safe and default.exhaustive
-
-    def test_default_explores_crash_schedules(self):
-        """Crash branching is on by default: the DFS pushes crash children
-        last and pops them first, so the first counterexample found for a
-        broken protocol lies on a schedule that includes a crash action —
-        impossible before the fix, when the default budget was 0."""
-        report = explore(
-            lambda pid, n: DecideForeign(pid, n),
-            3,
-            1,
-            proposals={0: "a", 1: "a", 2: "a"},
-        )
-        assert not report.safe
-        assert any(action.kind == "crash" for action in report.counterexample)
 
 
 class TestMaxStatesPoppedCheck:
@@ -354,7 +315,6 @@ class TestMaxStatesPoppedCheck:
         report = explore(
             lambda pid, n: DecideOwn(pid, n, proposals[pid]),
             3,
-            1,
             proposals=proposals,
             max_states=1,
         )
@@ -373,9 +333,9 @@ class TestSignatureEngine:
         factory = twostep_task_factory(
             proposals, 1, 1, omega_factory=static_omega_factory(0)
         )
-        fast = explore(factory, 3, 1, proposals=proposals, timer_fires=0)
+        fast = explore(factory, 3, proposals=proposals, timer_fires=0)
         monkeypatch.delattr(TwoStepProcess, "sig_key")
-        slow = explore(factory, 3, 1, proposals=proposals, timer_fires=0)
+        slow = explore(factory, 3, proposals=proposals, timer_fires=0)
         assert fast.states_visited == slow.states_visited
         assert fast.exhaustive and slow.exhaustive
 
@@ -384,7 +344,7 @@ class TestSignatureEngine:
         factory = twostep_task_factory(
             proposals, 1, 1, omega_factory=static_omega_factory(0)
         )
-        report = explore(factory, 3, 1, proposals=proposals, timer_fires=0)
+        report = explore(factory, 3, proposals=proposals, timer_fires=0)
         metrics = report.metrics
         assert metrics is not None and metrics.kind == "explore"
         assert metrics.units == report.states_visited
@@ -399,9 +359,9 @@ class TestShardedExploration:
         factory = twostep_task_factory(
             proposals, 1, 1, omega_factory=static_omega_factory(0)
         )
-        serial = explore(factory, 3, 1, proposals=proposals, timer_fires=0)
+        serial = explore(factory, 3, proposals=proposals, timer_fires=0)
         sharded = explore(
-            factory, 3, 1, proposals=proposals, timer_fires=0, workers=2
+            factory, 3, proposals=proposals, timer_fires=0, workers=2
         )
         assert sharded.safe and sharded.exhaustive
         assert serial.safe and serial.exhaustive
@@ -411,12 +371,11 @@ class TestShardedExploration:
     def test_workers_find_the_same_violation(self):
         proposals = {0: "a", 1: "a", 2: "a"}
         serial = explore(
-            lambda pid, n: DecideForeign(pid, n), 3, 1, proposals=proposals
+            lambda pid, n: DecideForeign(pid, n), 3, proposals=proposals
         )
         sharded = explore(
             lambda pid, n: DecideForeign(pid, n),
             3,
-            1,
             proposals=proposals,
             workers=2,
         )
@@ -431,7 +390,7 @@ class TestShardedExploration:
         proposals = {0: 0, 1: 1, 2: 0}
         factory = twostep_task_factory(proposals, 1, 1)
         bounds = dict(proposals=proposals, timer_fires=1, max_states=5000)
-        one = explore(factory, 3, 1, workers=1, **bounds)
-        two = explore(factory, 3, 1, workers=2, **bounds)
+        one = explore(factory, 3, workers=1, **bounds)
+        two = explore(factory, 3, workers=2, **bounds)
         assert (one.states_visited, one.exhaustive, one.safe) == (5001, False, True)
         assert (two.states_visited, two.exhaustive, two.safe) == (10001, False, True)

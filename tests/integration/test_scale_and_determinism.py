@@ -31,7 +31,7 @@ class TestScale:
         assert run.decision_time(n - 1) == 2.0
         require_consensus(run)
 
-    def test_max_crashes_at_scale(self):
+    def test_full_crash_budget_at_scale(self):
         f, e = 7, 4
         n = 15
         proposals = {pid: 1000 + pid for pid in range(n)}
