@@ -4,33 +4,15 @@ Proxy-observed commit latency per region for a mixed put/get workload
 over Figure 1's consensus object at the minimal n = max{2e+f-1, 2f+1}.
 """
 
-from repro.analysis import (
-    bar_chart,
-    e10_smr_comparison_rows,
-    e10_smr_rows,
-    render_records,
-)
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e10_smr_e2e(once):
-    rows = once(e10_smr_rows)
-    comparison = e10_smr_comparison_rows()
-    chart = bar_chart(
-        {r["stack"]: r["commit_mean_ms"] for r in comparison},
-        title="Figure E10 — mean commit latency by SMR stack",
-        unit=" ms",
-    )
-    emit(
-        "e10_smr_e2e",
-        render_records(rows, title="E10 — geo-replicated KV (ms)")
-        + "\n\n"
-        + render_records(
-            comparison, title="E10b — full-stack comparison, same WAN + workload"
-        )
-        + "\n\n"
-        + chart,
-    )
+    entry = EXPERIMENTS["e10"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    rows, comparison = tables
     by_stack = {r["stack"]: r for r in comparison}
     twostep = by_stack["twostep-object SMR"]
     mpaxos = by_stack["multi-paxos SMR (leader@us-east)"]

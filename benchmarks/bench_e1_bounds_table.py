@@ -5,13 +5,15 @@ Regenerates the process-count comparison across the (f, e) grid:
 Theorem 6 (object), and the savings the new bounds deliver.
 """
 
-from repro.analysis import e1_bounds_rows, render_records
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e1_bounds_table(once):
-    rows = once(e1_bounds_rows, 5)
-    emit("e1_bounds_table", render_records(rows, title="E1 — tight bounds per (f, e)"))
+    entry = EXPERIMENTS["e1"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    (rows,) = tables
     # Paper shape: object <= task <= lamport with gaps of exactly one
     # where the fast term binds; the f=e=2 flagship saves 1 and 2.
     flagship = next(r for r in rows if r["f"] == 2 and r["e"] == 2)

@@ -6,16 +6,15 @@ consensus battery is green; at ``n = bound - 1`` the Appendix B witnesses
 exhibit agreement violations.
 """
 
-from repro.analysis import e2_feasibility_rows, render_records
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e2_feasibility(once):
-    rows = once(e2_feasibility_rows)
-    emit(
-        "e2_feasibility",
-        render_records(rows, title="E2 — upper bounds hold, lower bounds bite"),
-    )
+    entry = EXPERIMENTS["e2"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    (rows,) = tables
     for row in rows:
         assert row["two_step_at_bound"], row
         assert row["battery_green"], row

@@ -6,16 +6,15 @@ Paxos covers only the E sparing its initial leader; the fast protocols
 cover everything — Figure 1 with fewer processes than Fast Paxos.
 """
 
-from repro.analysis import e3_two_step_coverage_rows, render_records
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e3_two_step_success(once):
-    rows = once(e3_two_step_coverage_rows, (1, 2, 3))
-    emit(
-        "e3_two_step_success",
-        render_records(rows, title="E3 — two-step coverage", float_digits=2),
-    )
+    entry = EXPERIMENTS["e3"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    (rows,) = tables
     for row in rows:
         if row["protocol"] == "paxos":
             assert row["coverage"] < 1.0

@@ -7,40 +7,15 @@ are existential, not guaranteed: collisions and vote-splitting push the
 first decision to the slow path a few Δ later.
 """
 
-from repro.analysis import (
-    e4_latency_vs_conflict_rows,
-    line_chart,
-    render_records,
-    series,
-)
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e4_latency_vs_conflict(once):
-    rows = once(e4_latency_vs_conflict_rows)
-    chart = line_chart(
-        [
-            series(
-                f"{protocol}/{schedule}",
-                [
-                    (r["distinct_proposals"], r["first_decision_mean"])
-                    for r in rows
-                    if r["protocol"] == protocol and r["schedule"] == schedule
-                ],
-            )
-            for protocol in ("twostep-task", "fast-paxos")
-            for schedule in ("best", "random")
-        ],
-        title="Figure E4 — first decision (Δ) vs distinct proposals",
-        x_label="concurrent distinct proposals",
-        y_label="delay (Δ)",
-    )
-    emit(
-        "e4_latency_vs_conflict",
-        render_records(rows, title="E4 — latency vs conflict", float_digits=2)
-        + "\n\n"
-        + chart,
-    )
+    entry = EXPERIMENTS["e4"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    (rows,) = tables
     for row in rows:
         if row["schedule"] == "best":
             assert row["first_decision_mean"] == 2.0
@@ -55,9 +30,11 @@ def bench_e4_registry_cross_check(once):
     per seeded run, a first decision at 2Δ must show up as a ballot-0
     fast decision in the merged registry (ratio 1.0 here — one consensus
     instance, one quorum decision) and a later first decision as a slow
-    one (ratio 0.0). Which seeds land on which path varies with the
-    interpreter's hash seed (shuffled delivery is keyed on it), so the
-    assertion is the per-run equivalence, not a fixed fast/slow split.
+    one (ratio 0.0). Shuffled delivery ranks messages by a CRC of the
+    seed, the endpoints and the message kind, so which seeds land on which
+    path is the same under any interpreter hash seed
+    (``test_same_order_under_any_hash_seed`` pins this); the assertion is
+    still the per-run equivalence, not a fixed fast/slow split.
     This pins that the simulated ratio the E3/E4 harness reports is the
     same quantity the live cluster's ``repro stats`` computes.
     """

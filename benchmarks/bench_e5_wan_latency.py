@@ -6,34 +6,15 @@ the object bound (5), the task bound (6), Lamport's bound (7). Every
 extra process pushes the proposer's fast quorum to a farther site.
 """
 
-from repro.analysis import (
-    bar_chart,
-    e5_protocol_comparison_rows,
-    e5_wan_rows,
-    render_records,
-)
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e5_wan_latency(once):
-    rows = once(e5_wan_rows, 2, 2)
-    chart = bar_chart(
-        {f"{r['bound']} (n={r['n']})": r["measured_mean_ms"] for r in rows},
-        title="Figure E5 — mean fast-path commit latency",
-        unit=" ms",
-    )
-    comparison = e5_protocol_comparison_rows(2, 2)
-    emit(
-        "e5_wan_latency",
-        render_records(rows, title="E5 — WAN commit latency (ms)")
-        + "\n\n"
-        + chart
-        + "\n\n"
-        + render_records(
-            comparison,
-            title="E5b — per-protocol solo-command latency (analytic, ms)",
-        ),
-    )
+    entry = EXPERIMENTS["e5"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    rows, comparison = tables
     by_protocol = {r["protocol"]: r["mean_ms"] for r in comparison}
     assert by_protocol["twostep-object"] < by_protocol["twostep-task"]
     assert by_protocol["twostep-task"] < by_protocol["fast-paxos"]

@@ -5,13 +5,15 @@ decision: at the bound the selection rule recovers the decided value
 every single time; one process below, counterexamples appear.
 """
 
-from repro.analysis import e6_recovery_rows, render_records
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e6_recovery_rule(once):
-    rows = once(e6_recovery_rows)
-    emit("e6_recovery_rule", render_records(rows, title="E6 — recovery soundness"))
+    entry = EXPERIMENTS["e6"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    (rows,) = tables
     for row in rows:
         if row["where"] == "at bound":
             assert row["recovery_failures"] == 0, row

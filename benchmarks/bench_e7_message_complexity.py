@@ -6,13 +6,15 @@ votes to the proposer and pays one Decide broadcast; Paxos (with
 learner-broadcast votes) sits between.
 """
 
-from repro.analysis import e7_message_rows, render_records
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e7_message_complexity(once):
-    rows = once(e7_message_rows)
-    emit("e7_message_complexity", render_records(rows, title="E7 — messages to decision"))
+    entry = EXPERIMENTS["e7"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    (rows,) = tables
     by_protocol = {r["protocol"]: r for r in rows}
     assert by_protocol["twostep-task"]["n"] < by_protocol["fast-paxos"]["n"]
     for row in rows:

@@ -6,34 +6,15 @@ Lamport's 2e+f+1 bound, and sitting exactly on Theorem 6's object bound.
 Latency degrades toward the slow path as the conflict rate grows.
 """
 
-from repro.analysis import e8_epaxos_rows, line_chart, render_records, series
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e8_epaxos_motivation(once):
-    rows = once(e8_epaxos_rows, (1, 2, 3))
-    chart = line_chart(
-        [
-            series(
-                f"f={f}",
-                [
-                    (r["conflict_rate"], r["commit_mean"])
-                    for r in rows
-                    if r["f"] == f
-                ],
-            )
-            for f in (1, 2, 3)
-        ],
-        title="Figure E8 — EPaxos commit latency (Δ) vs conflict rate",
-        x_label="conflict rate",
-        y_label="delay (Δ)",
-    )
-    emit(
-        "e8_epaxos",
-        render_records(rows, title="E8 — EPaxos at n = 2f+1", float_digits=2)
-        + "\n\n"
-        + chart,
-    )
+    entry = EXPERIMENTS["e8"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    (rows,) = tables
     for row in rows:
         if row["conflict_rate"] == 0.0:
             assert row["fast_fraction"] == 1.0

@@ -5,24 +5,15 @@ tie-break (line 58), the value-ordered fast path (line 11), and the 1B
 liveness completion; reports which guarantee each one carries.
 """
 
-from repro.analysis import (
-    e9_ablation_rows,
-    e9_liveness_completion_demo,
-    render_records,
-)
+from repro.analysis import EXPERIMENTS
 from conftest import emit
 
 
 def bench_e9_ablations(once):
-    rows = once(e9_ablation_rows)
-    demo = e9_liveness_completion_demo()
-    text = render_records(rows, title="E9 — ablations of Figure 1")
-    text += (
-        "\n\nliveness completion demo (object, delayed Propose):"
-        f"\n  with completion: decides {demo['with_completion_decides']!r}"
-        f"\n  without:         decides {demo['without_completion_decides']!r}"
-    )
-    emit("e9_ablations", text)
+    entry = EXPERIMENTS["e9"]
+    tables = once(entry.compute)
+    emit(entry.results, entry.render(tables))
+    rows, demo = tables
     paper = next(r for r in rows if r["ablation"] == "paper (none)")
     assert paper["recovery_failures_task"] == 0
     assert paper["recovery_failures_object"] == 0

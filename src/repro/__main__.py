@@ -28,77 +28,9 @@ import sys
 from dataclasses import MISSING, Field, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Tuple, get_args, get_type_hints
 
-from .analysis import (
-    e1_bounds_rows,
-    e2_feasibility_rows,
-    e2_fuzz_rows,
-    e3_two_step_coverage_rows,
-    e4_latency_vs_conflict_rows,
-    e5_wan_rows,
-    e6_recovery_rows,
-    e7_message_rows,
-    e8_epaxos_rows,
-    e9_ablation_rows,
-    e9_liveness_completion_demo,
-    e10_smr_rows,
-    render_records,
-)
+from .analysis.report import EXPERIMENTS
 from .bounds import object_lower_bound_witness, task_lower_bound_witness
 from .core.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class _ExperimentSpec:
-    """One experiment: named row-producing tables plus an optional note.
-
-    Both output modes — the human tables and ``--json`` — are generated
-    from the same spec, so they can never drift apart.
-    """
-
-    tables: Tuple[Tuple[str, Callable[[], List[dict]], int], ...]  # (title, rows, digits)
-    note: Optional[Callable[[], str]] = None
-
-    def render(self) -> str:
-        parts = [
-            render_records(rows_fn(), title=title, float_digits=digits)
-            for title, rows_fn, digits in self.tables
-        ]
-        text = "\n".join(parts)
-        if self.note is not None:
-            text += f"\n{self.note()}"
-        return text
-
-    def records(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "tables": {title: rows_fn() for title, rows_fn, _ in self.tables}
-        }
-        if self.note is not None:
-            payload["note"] = self.note()
-        return payload
-
-
-_SPECS: Dict[str, _ExperimentSpec] = {
-    "e1": _ExperimentSpec(((("E1 — bounds"), lambda: e1_bounds_rows(5), 1),)),
-    "e2": _ExperimentSpec(
-        (
-            ("E2 — feasibility", e2_feasibility_rows, 1),
-            ("E2 — fuzzing arm (at the bound)", e2_fuzz_rows, 1),
-        )
-    ),
-    "e3": _ExperimentSpec((("E3 — two-step coverage", e3_two_step_coverage_rows, 2),)),
-    "e4": _ExperimentSpec(
-        (("E4 — latency vs conflict", e4_latency_vs_conflict_rows, 2),)
-    ),
-    "e5": _ExperimentSpec((("E5 — WAN latency (ms)", e5_wan_rows, 1),)),
-    "e6": _ExperimentSpec((("E6 — recovery", e6_recovery_rows, 1),)),
-    "e7": _ExperimentSpec((("E7 — messages", e7_message_rows, 1),)),
-    "e8": _ExperimentSpec((("E8 — EPaxos", e8_epaxos_rows, 2),)),
-    "e9": _ExperimentSpec(
-        (("E9 — ablations", e9_ablation_rows, 1),),
-        note=lambda: f"liveness demo: {e9_liveness_completion_demo()}",
-    ),
-    "e10": _ExperimentSpec((("E10 — SMR on WAN (ms)", e10_smr_rows, 1),)),
-}
 
 
 def _emit_json(payload: object) -> None:
@@ -123,20 +55,22 @@ def _peer_groups(peers: str) -> Dict[int, List[Tuple[str, int]]]:
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
-    print("experiments:", ", ".join(sorted(_SPECS)))
+    print("experiments:", ", ".join(sorted(EXPERIMENTS)))
     print("witnesses:   witness task <f> <e> | witness object <f> <e>")
     return 0
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     key = args.name.lower()
-    if key not in _SPECS:
-        print(f"unknown experiment {args.name!r}; try: {', '.join(sorted(_SPECS))}")
+    if key not in EXPERIMENTS:
+        print(f"unknown experiment {args.name!r}; try: {', '.join(sorted(EXPERIMENTS))}")
         return 2
+    entry = EXPERIMENTS[key]
+    computed = entry.compute()
     if args.json:
-        _emit_json({"experiment": key, **_SPECS[key].records()})
+        _emit_json({"experiment": key, **entry.records(computed)})
     else:
-        print(_SPECS[key].render())
+        print(entry.render(computed))
     return 0
 
 
@@ -238,8 +172,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
-    for key in sorted(_SPECS, key=lambda k: int(k[1:])):
-        print(_SPECS[key].render())
+    for entry in EXPERIMENTS.values():
+        print(entry.render(entry.compute()))
         print()
     return 0
 

@@ -19,11 +19,12 @@ from .experiments import (
     verification_engine_summary,
 )
 from .figures import Series, bar_chart, line_chart, series
-from .report import generate_report
+from .report import EXPERIMENTS, generate_report
 from .stats import Summary, mean, percentile, ratio, summarize
 from .tables import render_records, render_table
 
 __all__ = [
+    "EXPERIMENTS",
     "Series",
     "Summary",
     "e10_smr_comparison_rows",

@@ -9,7 +9,7 @@ contains the figures of EXPERIMENTS.md without any plotting dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 
 @dataclass(frozen=True)

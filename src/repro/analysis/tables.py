@@ -8,7 +8,7 @@ dependencies, stable output for diffing across runs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 
 def _format_cell(value: Any, float_digits: int = 1) -> str:

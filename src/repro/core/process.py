@@ -25,7 +25,7 @@ trace equality and relies on this contract.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ..obs import NULL_OBS, Observability
 from .messages import Message

@@ -13,13 +13,13 @@ processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import ProtocolError
 from .messages import Message
 from .process import ProcessId
-from .values import BOTTOM, MaybeValue, is_bottom
+from .values import BOTTOM, MaybeValue
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ is reported loudly, never papered over).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional
 
 #: Recognized decision paths, in merge-precedence order.
 PATH_FAST = "fast"

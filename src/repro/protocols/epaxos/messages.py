@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Optional, Tuple
+from typing import Any, FrozenSet, Optional
 
 from ...core.messages import Message
 from ...core.process import ClientRequest

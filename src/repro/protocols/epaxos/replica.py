@@ -28,7 +28,6 @@ reported. Recovery pre-accepts never use the fast path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 

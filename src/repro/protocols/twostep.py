@@ -32,7 +32,7 @@ item 6 for why wait-freedom of the object variant needs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Set, Tuple
 
 from ..core.errors import ConfigurationError

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.errors import SchedulerError
 from ..core.messages import Message
@@ -34,7 +34,7 @@ from ..core.runs import (
     TimerFiredRecord,
     TimerSetRecord,
 )
-from ..core.values import BOTTOM, MaybeValue
+from ..core.values import MaybeValue
 
 #: Steps :meth:`Arena.settle` takes before it gives up on a continuation.
 SETTLE_MAX_STEPS = 100_000

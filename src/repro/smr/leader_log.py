@@ -19,7 +19,7 @@ to the new leader.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.messages import Message

@@ -54,7 +54,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Set, Tu
 from ..core.errors import ConfigurationError
 from ..core.messages import Message
 from ..core.process import ClientRequest, Context, Process, ProcessFactory, ProcessId
-from ..core.values import BOTTOM, is_bottom
+from ..core.values import is_bottom
 from ..obs import Observability, PATH_LEARNED, decision_record
 from ..omega import OmegaFactory, OmegaService, StaticOmega
 from ..protocols.twostep import (

@@ -34,7 +34,7 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..obs import Observability, NULL_OBS
 from .writer import StorageWriter

@@ -21,11 +21,10 @@ geometry costs the "hundreds of milliseconds" the paper talks about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..core.errors import ConfigurationError
 from ..core.process import ProcessId
-from ..core.values import BOTTOM
 from ..omega import static_omega_factory
 from ..protocols.twostep import ProposeRequest, twostep_object_factory
 from ..sim.latency import WanMatrix

@@ -13,7 +13,7 @@ another continent costs ~50–150 ms one-way — not on any precise value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..core.errors import ConfigurationError
 

@@ -16,6 +16,7 @@ from dataclasses import fields
 import pytest
 
 from repro.__main__ import ClusterSettings, LoadSettings, build_parser, main
+from repro.analysis import EXPERIMENTS
 from repro.net.cluster import LocalCluster
 from repro.net.codec import MessageCodec
 from repro.net.loadgen import run_loadgen
@@ -26,6 +27,7 @@ from repro.shard import ShardedCluster
 from repro.smr.log import smr_factory
 
 SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 # One group, and two groups separated by ';'. Nothing listens on either.
 PEER_FORMS = ["127.0.0.1:1", "127.0.0.1:1;127.0.0.1:2"]
@@ -45,6 +47,12 @@ class TestParser:
     def test_experiment_e1(self, capsys):
         assert main(["experiment", "e1"]) == 0
         assert "E1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", list(EXPERIMENTS))
+    def test_experiment_prints_its_checked_in_results_file(self, key, capsys):
+        assert main(["experiment", key]) == 0
+        expected = RESULTS / f"{EXPERIMENTS[key].results}.txt"
+        assert capsys.readouterr().out == expected.read_text()
 
     def test_experiment_unknown(self, capsys):
         assert main(["experiment", "e99"]) == 2
@@ -80,10 +88,13 @@ class TestJsonOutput:
         assert isinstance(rows, list) and isinstance(rows[0], dict)
 
     def test_experiment_json_matches_text_rows(self, capsys):
-        # The JSON rows are the same records the text tables render.
-        assert main(["experiment", "e2", "--json"]) == 0
+        # The JSON tables are the ones the text renders, under the same titles.
+        assert main(["experiment", "e5", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["tables"]) == 2  # E2 prints two tables
+        assert main(["experiment", "e5"]) == 0
+        text = capsys.readouterr().out
+        assert len(payload["tables"]) == 2  # E5 prints two tables
+        assert all(f"{title}\n{'=' * len(title)}\n" in text for title in payload["tables"])
 
     def test_unknown_experiment_still_errors_with_json(self, capsys):
         assert main(["experiment", "e99", "--json"]) == 2
@@ -442,12 +453,27 @@ class TestReport:
         text = target.read_text()
         assert text.startswith("# Reproduction report")
         assert text.count("**Verdict:**") == 11
-        assert "AGREEMENT VIOLATION (as the theorem predicts)" in text
-        assert "SATISFIED" in text
+        assert "**Verdict:** both bounds hold upward and bite downward" in text
+        assert "MISMATCH" not in text
 
     def test_generate_report_function(self):
         from repro.analysis import generate_report
 
         text = generate_report(quick=True)
-        assert "E1 — bounds table" in text
-        assert "E10 — geo-replicated KV service" in text
+        assert "## E1 — tight bounds per (f, e)" in text
+        assert "## E10 — geo-replicated KV (ms)" in text
+
+    def test_e2_verdict_is_computed_from_its_rows(self):
+        from repro.analysis.report import MISMATCH
+
+        entry = EXPERIMENTS["e2"]
+        good = {
+            "two_step_at_bound": True,
+            "battery_green": True,
+            "violation_below_bound": None,  # no witness applies
+        }
+        assert entry.judge(([good, {**good, "violation_below_bound": True}],)) == (
+            entry.verdict
+        )
+        for column in ("two_step_at_bound", "battery_green", "violation_below_bound"):
+            assert entry.judge(([good, {**good, column: False}],)) == MISMATCH
